@@ -5,7 +5,7 @@ number of standard primes.  A decreasing column is the qualitative content
 of the equidistribution the asymptotic depends on.
 
 Example:
-    python3 scripts/cancellation_probe.py --x-max 1e7 --cache-dir ~/.heis
+    python3 scripts/cancellation_probe.py --x-max 1e7
 """
 
 import argparse
@@ -30,7 +30,6 @@ PROBES = [
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--x-max", type=_exact_int, default=10**7)
-    ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args()
 
     checkpoints = tuple(
@@ -38,9 +37,7 @@ def main() -> None:
     )
     sys.stdout.write("pattern,x,terms,abs_sum,normalized\n")
     for label, f, eps, pattern in PROBES:
-        prof = char_cancellation_profile(
-            f, checkpoints, eps, pattern, cache_dir=args.cache_dir
-        )
+        prof = char_cancellation_profile(f, checkpoints, eps, pattern)
         for x, cs in zip(checkpoints, prof):
             sys.stdout.write(
                 f"{label},{x},{cs.terms},{abs(cs.value)!r},{cs.normalized!r}\n"

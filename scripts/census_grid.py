@@ -7,19 +7,11 @@ Example:
 
 import argparse
 import sys
-from math import exp, log
 
 sys.path.insert(0, "src")
 
 from heisnine.cli import _exact_int, _weight_mode
-from heisnine.counting import CountReport, heis_total
-
-
-def log_grid(lo: int, hi: int, n: int) -> list[int]:
-    xs = {lo, hi}
-    for i in range(1, n - 1):
-        xs.add(int(round(exp(log(lo) + (log(hi) - log(lo)) * i / (n - 1)))))
-    return sorted(xs)
+from heisnine.counting import CountReport, heis_total, log_grid
 
 
 def main() -> None:

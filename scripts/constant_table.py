@@ -19,11 +19,10 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--delta-max", type=int, nargs="+", default=[500, 1000, 2000])
     ap.add_argument("--p-max", type=_exact_int, default=10**6)
-    ap.add_argument("--series-terms", type=_exact_int, default=10**6)
     args = ap.parse_args()
 
     for dm in args.delta_max:
-        rep = constant_report(TruncationParams(dm, args.p_max, args.series_terms))
+        rep = constant_report(TruncationParams(dm, args.p_max))
         sys.stdout.write(rep.to_json() + "\n")
         sys.stdout.flush()
 

@@ -2,8 +2,7 @@
 
 Every subcommand writes one deterministic report to stdout (or --out) and
 exits 0 on success, 1 on a domain error, 2 on a usage error.  Identical
-invocations produce byte-identical output; --threads and the standard-prime
-cache change timing only.
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -30,8 +28,9 @@ from .counting import (
     WeightMode,
     enumerate_terms,
     heis_total,
+    log_grid,
 )
-from .eisenstein import CACHE_ENV, EisensteinInt, chi_p, standard_decompose
+from .eisenstein import chi_p, standard_decompose
 from .ksum import k_direct
 from .verify import SUITE_NAMES, run_suite
 
@@ -64,17 +63,6 @@ def _weight_mode(text: str) -> WeightMode:
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", default=None, help="write the report to this file")
-    sp.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"standard-prime cache directory (wins over ${CACHE_ENV})",
-    )
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for the census; results do not depend on it",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("constant")
     sp.add_argument("--delta-max", type=int, default=2000)
     sp.add_argument("--p-max", type=_exact_int, default=10**6)
-    sp.add_argument("--series-terms", type=_exact_int, default=10**6)
     _add_common(sp, ("json", "text"))
 
     sp = sub.add_parser("ksum")
@@ -140,12 +127,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _cache_dir(args: argparse.Namespace) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV) or None
 
 
 def _count_text(rep: CountReport, fmt: str, subsums_only: bool) -> str:
@@ -227,7 +208,7 @@ def _decompose_text(p: int, fmt: str) -> str:
 
 
 def _ratio_text(args: argparse.Namespace) -> str:
-    rows = _log_points(args.x_min, args.x_max, args.points)
+    rows = log_grid(args.x_min, args.x_max, args.points)
     out = ratio_report(rows, args.weight_mode)
     if args.format == "json":
         obj = [
@@ -245,30 +226,16 @@ def _ratio_text(args: argparse.Namespace) -> str:
     return ratio_csv(out)
 
 
-def _log_points(lo: int, hi: int, n: int) -> list[int]:
-    if lo < 1 or hi < lo or n < 1:
-        raise ValueError("need 1 <= x-min <= x-max and points >= 1")
-    if n == 1:
-        return [hi]
-    from math import exp, log
-
-    pts = {lo, hi}
-    for i in range(1, n - 1):
-        pts.add(int(round(exp(log(lo) + (log(hi) - log(lo)) * i / (n - 1)))))
-    return sorted(pts)
-
-
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cache = _cache_dir(args)
     try:
         if args.command in ("count", "subsums"):
-            rep = heis_total(args.x, args.weight_mode, args.threads)
+            rep = heis_total(args.x, args.weight_mode)
             _emit(_count_text(rep, args.format, args.command == "subsums"), args.out)
         elif args.command == "terms":
             _emit(_terms_text(args), args.out)
         elif args.command == "constant":
-            params = TruncationParams(args.delta_max, args.p_max, args.series_terms)
+            params = TruncationParams(args.delta_max, args.p_max)
             rep = constant_report(params)
             _emit(rep.to_json() if args.format == "json" else rep.to_text(), args.out)
         elif args.command == "ksum":
@@ -285,7 +252,7 @@ def run(argv: list[str] | None = None) -> int:
         elif args.command == "decompose":
             _emit(_decompose_text(args.p, args.format), args.out)
         elif args.command == "verify":
-            res = run_suite(args.suite, args.bound, cache)
+            res = run_suite(args.suite, args.bound)
             if args.format == "json":
                 obj = {
                     "suite": res.suite,

@@ -50,10 +50,9 @@ __all__ = [
 class TruncationParams:
     delta_max: int = 2000
     p_max: int = 10**6
-    series_terms: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.delta_max < 1 or self.p_max < 100 or self.series_terms < 1000:
+        if self.delta_max < 1 or self.p_max < 100:
             raise ValueError("truncation parameters out of range")
 
 
@@ -275,7 +274,6 @@ class ConstantReport:
             "params": {
                 "delta_max": self.params.delta_max,
                 "p_max": self.params.p_max,
-                "series_terms": self.params.series_terms,
             },
         }
         return json.dumps(obj, separators=(",", ":"))
@@ -294,7 +292,6 @@ class ConstantReport:
         lines += [
             f"params.delta_max = {self.params.delta_max}",
             f"params.p_max = {self.params.p_max}",
-            f"params.series_terms = {self.params.series_terms}",
         ]
         return "\n".join(lines)
 
@@ -378,7 +375,6 @@ def char_cancellation_profile(
     checkpoints: tuple[int, ...],
     eps: tuple[int, int] = (0, 0),
     pattern: dict[int, tuple[int, int]] | None = None,
-    cache_dir: str | None = None,
 ) -> list[CancellationSum]:
     """Partial sums of M(pi) over standard primes with norm p <= x, at each
     checkpoint x, in one pass.
@@ -398,7 +394,7 @@ def char_cancellation_profile(
     out: list[CancellationSum] = []
     idx = 0
     w = np.exp(2j * np.pi * np.arange(3) / 3)
-    for sp in standard_primes_up_to(checkpoints[-1], cache_dir):
+    for sp in standard_primes_up_to(checkpoints[-1]):
         while idx < len(checkpoints) and sp.p > checkpoints[idx]:
             val = complex(counts[0] + counts[1] * w[1] + counts[2] * w[2])
             out.append(CancellationSum(val, terms))
@@ -443,10 +439,9 @@ def char_cancellation(
     x: int,
     eps: tuple[int, int] = (0, 0),
     pattern: dict[int, tuple[int, int]] | None = None,
-    cache_dir: str | None = None,
 ) -> CancellationSum:
     """One-checkpoint form of char_cancellation_profile."""
-    return char_cancellation_profile(f, (x,), eps, pattern, cache_dir)[0]
+    return char_cancellation_profile(f, (x,), eps, pattern)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import exp, gcd, log
 from typing import Iterator, Sequence
 
 from .charspace import (
@@ -51,6 +51,7 @@ __all__ = [
     "heis_total",
     "heis_subsum",
     "enumerate_terms",
+    "log_grid",
     "X_MAX",
 ]
 
@@ -396,11 +397,14 @@ def _census_for_delta(
     return subs, records
 
 
+# Memo of finished reports: verify suites, ratio grids and subsum lookups ask
+# for the same (X, mode) many times.  Cleared when full, so it stays bounded.
 _report_cache: dict[tuple[int, WeightMode], CountReport] = {}
+_REPORT_CACHE_MAX = 256
 
 
 def _census(
-    x: int, mode: WeightMode, threads: int | None = None, collect: bool = False
+    x: int, mode: WeightMode, collect: bool = False
 ) -> tuple[CountReport, tuple[TermRecord, ...]]:
     _check_x(x)
     key = (x, mode)
@@ -412,9 +416,9 @@ def _census(
     wide = list(enumerate_deltas(ifourth_root(x // 3**8)) if x >= 3**8 else [])
     subs = {c: 0 for c in SubsumClass}
     records: list[TermRecord] = []
-    if narrow and wide:
-        parts = _map_deltas(x, w3, narrow, wide, threads, collect)
-        for psubs, precs in parts:
+    if wide:
+        for dI in narrow:
+            psubs, precs = _census_for_delta(x, w3, dI, wide, collect)
             for c in SubsumClass:
                 subs[c] += psubs[c]
             records.extend(precs)
@@ -430,37 +434,19 @@ def _census(
         divisible_by_108=raw % 108 == 0,
         subsums=subs,
     )
+    if len(_report_cache) >= _REPORT_CACHE_MAX:
+        _report_cache.clear()
     _report_cache[key] = report
     return report, tuple(records)
 
 
-def _map_deltas(
-    x: int,
-    w3: int,
-    narrow: list[DeltaIndex],
-    wide: list[DeltaIndex],
-    threads: int | None,
-    collect: bool,
-) -> list[tuple[dict[SubsumClass, int], list[TermRecord]]]:
-    if threads is not None and threads > 1 and len(narrow) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(
-                ex.map(lambda dI: _census_for_delta(x, w3, dI, wide, collect), narrow)
-            )
-    return [_census_for_delta(x, w3, dI, wide, collect) for dI in narrow]
-
-
-def heis_total(
-    x: int, mode: WeightMode = WeightMode.OMEGA_FULL, threads: int | None = None
-) -> CountReport:
+def heis_total(x: int, mode: WeightMode = WeightMode.OMEGA_FULL) -> CountReport:
     """Raw census total, per-class subsums, and the divided count at X = x.
 
     The bound x must not exceed X_MAX = 10^18.  Integer arithmetic is exact
-    throughout; results are independent of the thread count.
+    throughout.
     """
-    return _census(x, mode, threads)[0]
+    return _census(x, mode)[0]
 
 
 def heis_subsum(x: int, cls: SubsumClass, mode: WeightMode) -> int:
@@ -480,3 +466,18 @@ def enumerate_terms(
     if limit is not None:
         records = records[:limit]
     return iter(records)
+
+
+def log_grid(lo: int, hi: int, n: int) -> list[int]:
+    """n log-spaced integers from lo to hi inclusive, rounded, deduplicated
+    and ascending; n = 1 gives [hi]."""
+    if lo < 1 or hi < lo or n < 1:
+        raise ValueError(
+            f"a log grid needs 1 <= lo <= hi and n >= 1, got lo={lo} hi={hi} n={n}"
+        )
+    if n == 1:
+        return [hi]
+    xs = {lo, hi}
+    for i in range(1, n - 1):
+        xs.add(int(round(exp(log(lo) + (log(hi) - log(lo)) * i / (n - 1)))))
+    return sorted(xs)

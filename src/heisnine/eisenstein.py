@@ -11,11 +11,9 @@ the two routes are kept as separate codepaths and cross-checked in tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ._primes import is_prime, primes_in_class
 
@@ -36,8 +34,6 @@ __all__ = [
     "cubic_symbol",
     "chi_p",
     "chi_nine",
-    "load_standard_primes",
-    "save_standard_primes",
     "standard_primes_up_to",
 ]
 
@@ -235,6 +231,30 @@ def _divisible(n: EisensteinInt, d: EisensteinInt) -> bool:
     return divrem(n, d)[1].is_zero
 
 
+def _ideal_generator(p: int, c: int) -> tuple[int, int]:
+    """(a, b) with a + b*j generating the prime (p, j - c) of Z[j].
+
+    The prime is the lattice {(a, b) : a + b*c = 0 (mod p)} with basis
+    (p, 0), (-c, 1).  Gauss reduction under the norm form a^2 - ab + b^2
+    ends at a shortest nonzero vector, which has norm p because Z[j] is a
+    principal ideal domain.
+    """
+    ua, ub, nu = p, 0, p * p
+    va, vb = -c, 1
+    nv = c * c + c + 1
+    while True:
+        if nv < nu:
+            ua, ub, nu, va, vb, nv = va, vb, nv, ua, ub, nu
+        # q = nearest integer to B(u, v) / N(u); t = 2 B(u, v)
+        t = 2 * (ua * va + ub * vb) - ua * vb - ub * va
+        q = (t + nu) // (2 * nu)
+        if q == 0:
+            return ua, ub
+        va -= q * ua
+        vb -= q * ub
+        nv = va * va - va * vb + vb * vb
+
+
 @lru_cache(maxsize=None)
 def standard_decompose(p: int) -> StandardPrime:
     """Split p = 1 (mod 3) as pi * conj(pi) and pin the standard pi.
@@ -249,14 +269,26 @@ def standard_decompose(p: int) -> StandardPrime:
     while pow(g, e, p) == 1:
         g += 1
     c = pow(g, e, p)  # a primitive cube root of unity mod p
-    z = eis_gcd(EisensteinInt(p, 0), EisensteinInt(c, -1))
-    pi = primary_associate(z)
-    if pi.b < 0:
-        pi = pi.conj()  # conj keeps primariness and flips the sign of b
-    for r in (c, c * c % p):
-        if _divisible(EisensteinInt(-r, 1), pi):
-            return StandardPrime(p, pi, r)
-    raise AssertionError(f"no root of x^2+x+1 maps to j mod {pi!r}")
+    a0, b0 = _ideal_generator(p, c)
+    if a0 * a0 - a0 * b0 + b0 * b0 != p:
+        raise AssertionError(f"lattice reduction missed the norm-{p} element")
+    # the six associates u * (a0 + b0*j); exactly one is primary
+    for a, b in (
+        (a0, b0),
+        (-a0, -b0),
+        (-b0, a0 - b0),
+        (b0, b0 - a0),
+        (b0 - a0, -a0),
+        (a0 - b0, a0),
+    ):
+        if a % 3 == 2 and b % 3 == 0:
+            break
+    else:
+        raise AssertionError("unreachable: one of six associates must be primary")
+    # pi | (j - c); the conjugate, which keeps primariness, divides j - c^2
+    if b > 0:
+        return StandardPrime(p, EisensteinInt(a, b), c)
+    return StandardPrime(p, EisensteinInt(a - b, -b), c * c % p)
 
 
 # ---------------------------------------------------------------------------
@@ -376,80 +408,10 @@ def chi_nine(n: int) -> CharValue:
 
 
 # ---------------------------------------------------------------------------
-# standard-prime cache (TSV: p, a, b, r; sorted by p; revalidated on load)
-
-CACHE_ENV = "HEIS_CACHE_DIR"
-_CACHE_NAME = "standard_primes.tsv"
+# walking the standard primes
 
 
-def _validate_row(p: int, a: int, b: int, r: int) -> StandardPrime:
-    pi = EisensteinInt(a, b)
-    if p % 3 != 1 or not is_prime(p):
-        raise ValueError(f"cache row p={p}: not a split prime")
-    if pi.norm != p or not is_primary(pi) or b <= 0:
-        raise ValueError(f"cache row p={p}: {pi} is not the standard factor")
-    if not 2 <= r <= p - 2 or (r * r + r + 1) % p != 0:
-        raise ValueError(f"cache row p={p}: r={r} is not a primitive cube root")
-    if not _divisible(EisensteinInt(-r, 1), pi):
-        raise ValueError(f"cache row p={p}: pi does not divide j - {r}")
-    return StandardPrime(p, pi, r)
-
-
-def load_standard_primes(path: str) -> dict[int, StandardPrime]:
-    out: dict[int, StandardPrime] = {}
-    last = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                p, a, b, r = (int(x) for x in line.split("\t"))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row") from exc
-            if p <= last:
-                raise ValueError(f"{path}:{lineno}: rows out of order")
-            last = p
-            out[p] = _validate_row(p, a, b, r)
-    return out
-
-
-def save_standard_primes(path: str, rows: Iterable[StandardPrime]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
-        for sp in sorted(rows, key=lambda s: s.p):
-            fh.write(f"{sp.p}\t{sp.pi.a}\t{sp.pi.b}\t{sp.r}\n")
-    os.replace(tmp, path)
-
-
-def standard_primes_up_to(
-    limit: int, cache_dir: str | None = None
-) -> Iterator[StandardPrime]:
-    """Standard decompositions for every p = 1 (mod 3) up to limit, ascending.
-
-    cache_dir (or the HEIS_CACHE_DIR environment variable) enables a TSV
-    cache that is revalidated on load and extended on miss.
-    """
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV) or None
-    cached: dict[int, StandardPrime] = {}
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, _CACHE_NAME)
-        if os.path.exists(path):
-            cached = load_standard_primes(path)
-    fresh = False
-    rows = []
+def standard_primes_up_to(limit: int) -> Iterator[StandardPrime]:
+    """Standard decompositions for every p = 1 (mod 3) up to limit, ascending."""
     for p in primes_in_class(limit, 3, 1):
-        p = int(p)
-        sp = cached.get(p)
-        if sp is None:
-            sp = standard_decompose(p)
-            fresh = True
-        rows.append(sp)
-        yield sp
-    if path and fresh:
-        os.makedirs(cache_dir, exist_ok=True)
-        merged = dict(cached)
-        merged.update((sp.p, sp) for sp in rows)
-        save_standard_primes(path, merged.values())
+        yield standard_decompose(int(p))

@@ -23,7 +23,7 @@ from heisnine.constants import (
     ratio_csv,
     ratio_report,
 )
-from heisnine.counting import SubsumClass, WeightMode, heis_total
+from heisnine.counting import SubsumClass, WeightMode, heis_total, log_grid
 from heisnine.eisenstein import (
     EisensteinInt,
     ROOT,
@@ -55,28 +55,14 @@ FULL = WeightMode.OMEGA_FULL
 STAR = WeightMode.OMEGA_STAR
 
 
-def _log_xs(lo, hi, n):
-    import math
-
-    xs = {lo, hi}
-    for i in range(1, n - 1):
-        xs.add(int(round(math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (n - 1)))))
-    return sorted(xs)
-
-
 @pytest.fixture(scope="session")
 def census_grid():
-    return [(x, heis_total(x, FULL)) for x in _log_xs(10**9, 10**16, 20)]
+    return [(x, heis_total(x, FULL)) for x in log_grid(10**9, 10**16, 20)]
 
 
 @pytest.fixture(scope="session")
 def default_constants():
     return constant_report(TruncationParams())
-
-
-@pytest.fixture(scope="session")
-def prime_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("primes"))
 
 
 # 1. exact arithmetic ------------------------------------------------------
@@ -257,8 +243,9 @@ def test_criterion_6_constants(default_constants):
 
 
 def test_criterion_7_asymptotic_trend(default_constants):
+    t0 = time.monotonic()
     c = default_constants.c_heis3
-    xs = _log_xs(10**12, 10**16, 9)
+    xs = log_grid(10**12, 10**16, 9)
     rows = ratio_report(xs, FULL, c_estimate=c)
     table = ratio_csv(rows)
     print()
@@ -270,12 +257,14 @@ def test_criterion_7_asymptotic_trend(default_constants):
     assert top.x == 10**16
     assert c / 10 <= top.ratio <= 10 * c
     assert 0.1 <= top.ratio_over_c <= 10
+    assert time.monotonic() - t0 < 60
 
 
 # 8. cancellation probe ----------------------------------------------------
 
 
-def test_criterion_8_cancellation(prime_cache):
+def test_criterion_8_cancellation():
+    t0 = time.monotonic()
     checkpoints = (10**5, 10**7)
     probes = [
         (SupportFunction(((7, 1),)), (1, 0), {7: (1, 0)}),
@@ -283,9 +272,7 @@ def test_criterion_8_cancellation(prime_cache):
         (SupportFunction(((7, 1), (13, 2))), (1, 0), {7: (0, 1), 13: (1, 0)}),
     ]
     for f, eps, pattern in probes:
-        lo, hi = char_cancellation_profile(
-            f, checkpoints, eps, pattern, cache_dir=prime_cache
-        )
+        lo, hi = char_cancellation_profile(f, checkpoints, eps, pattern)
         assert hi.terms > lo.terms > 0
         assert hi.normalized < lo.normalized, (f, lo.normalized, hi.normalized)
 
@@ -298,3 +285,4 @@ def test_criterion_8_cancellation(prime_cache):
         ratios.append(abs(s) / len(sel))
     assert ratios[-1] < 0.01
     assert ratios[-1] < ratios[0]
+    assert time.monotonic() - t0 < 60

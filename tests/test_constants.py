@@ -22,7 +22,7 @@ from heisnine.constants import (
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
 
-SMALL = TruncationParams(delta_max=100, p_max=20000, series_terms=10000)
+SMALL = TruncationParams(delta_max=100, p_max=20000)
 F7 = SupportFunction(((7, 1),))
 
 
@@ -36,7 +36,7 @@ def test_lambda_single_prime():
 
 def test_euler_product_positive_and_stable():
     p1 = euler_product_P(F7, SMALL)
-    p2 = euler_product_P(F7, TruncationParams(100, 40000, 10000))
+    p2 = euler_product_P(F7, TruncationParams(100, 40000))
     assert p1 > 0
     assert abs(p2 - p1) / p1 < 1e-3
 

@@ -19,6 +19,7 @@ from heisnine.counting import (
     ifourth_root,
     indicator,
     isixth_root,
+    log_grid,
     mu,
     mu_d,
     pair_context,
@@ -237,16 +238,6 @@ def test_census_jump_location():
     assert heis_total(d_min - 1, FULL).raw_total == 0
 
 
-def test_census_threads_agree():
-    x = 10**14
-    seq = heis_total(x, FULL)
-    from heisnine.counting import _census
-
-    par_report, _ = _census(x, FULL, threads=4, collect=True)
-    assert par_report.raw_total == seq.raw_total
-    assert par_report.subsums == seq.subsums
-
-
 def test_census_rejects_out_of_range():
     with pytest.raises(ValueError):
         heis_total(X_MAX + 1, FULL)
@@ -273,3 +264,21 @@ def test_report_serialization():
     row = star.to_csv_row()
     assert row.startswith("6000000000000,omega-star,72,2/3,false,")
     assert CountReport.csv_header().startswith("x,weight_mode,raw_total,count,")
+
+
+def test_log_grid_points_and_validation():
+    assert log_grid(10**12, 10**13, 3) == [10**12, 3162277660168, 10**13]
+    assert log_grid(10**9, 10**16, 20)[:3] == [10**9, 2335721469, 5455594781]
+    assert log_grid(5, 5, 4) == [5]
+    assert log_grid(5, 80, 1) == [80]
+    for lo, hi, n in ((0, 10, 3), (10, 9, 3), (1, 10, 0)):
+        with pytest.raises(ValueError):
+            log_grid(lo, hi, n)
+
+
+def test_report_cache_is_bounded():
+    from heisnine import counting
+
+    for x in range(counting._REPORT_CACHE_MAX + 10):
+        heis_total(x, STAR)
+    assert 0 < len(counting._report_cache) <= counting._REPORT_CACHE_MAX

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,14 +14,12 @@ from heisnine.eisenstein import (
     divrem,
     eis_gcd,
     is_primary,
-    load_standard_primes,
     one_plus_v_plus_v2,
     primary_associate,
-    save_standard_primes,
     standard_decompose,
     standard_primes_up_to,
 )
-from heisnine._primes import primes_in_class
+from heisnine._primes import is_prime, primes_in_class
 
 E = EisensteinInt
 
@@ -129,6 +125,30 @@ def test_decomposition_invariants_medium():
         assert divrem(E(-sp.r, 1), pi)[1].is_zero
 
 
+def _split_primes_from(start, k):
+    out = []
+    n = start + (1 - start) % 3
+    while len(out) < k:
+        if is_prime(n):
+            out.append(n)
+        n += 3
+    return out
+
+
+@pytest.mark.parametrize(
+    "p", _split_primes_from(10**12, 3) + _split_primes_from(10**18, 3)
+)
+def test_decomposition_invariants_large(p):
+    sp = standard_decompose(p)
+    pi = sp.pi
+    assert sp.p == p and pi.norm == p
+    assert is_primary(pi) and pi.b > 0
+    assert 2 <= sp.r <= p - 2 and (sp.r * sp.r + sp.r + 1) % p == 0
+    assert divrem(E(-sp.r, 1), pi)[1].is_zero
+    for n in (2, 7):
+        assert chi_p(p, n) == cubic_symbol(E(n, 0), sp, method="eis")
+
+
 # ---------------------------------------------------------------------------
 # cubic symbols
 
@@ -216,7 +236,7 @@ def test_rational_cube_criterion_small():
 
 
 # ---------------------------------------------------------------------------
-# gcd and cache
+# gcd
 
 
 @given(elements, elements)
@@ -227,29 +247,3 @@ def test_gcd_divides_both(x, y):
         return
     assert divrem(x, g)[1].is_zero
     assert divrem(y, g)[1].is_zero
-
-
-def test_cache_roundtrip(tmp_path):
-    path = os.path.join(tmp_path, "standard_primes.tsv")
-    rows = [standard_decompose(p) for p in split_primes(500)]
-    save_standard_primes(path, rows)
-    back = load_standard_primes(path)
-    assert sorted(back) == [sp.p for sp in rows]
-    assert all(back[sp.p] == sp for sp in rows)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    path = os.path.join(tmp_path, "standard_primes.tsv")
-    save_standard_primes(path, [standard_decompose(7)])
-    with open(path, "a") as fh:
-        fh.write("13\t3\t1\t9\n")  # (3,1) is not primary
-    with pytest.raises(ValueError):
-        load_standard_primes(path)
-
-
-def test_cache_dir_env_populates(tmp_path, monkeypatch):
-    monkeypatch.setenv("HEIS_CACHE_DIR", str(tmp_path))
-    first = list(standard_primes_up_to(200))
-    assert os.path.exists(tmp_path / "standard_primes.tsv")
-    second = list(standard_primes_up_to(200))
-    assert first == second
