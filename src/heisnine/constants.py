@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import log, sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 
@@ -94,10 +94,6 @@ def lambda_delta(d: int) -> float:
     return out
 
 
-# 2 Re of j^e
-_C_OF_E = np.array([2.0, -1.0, -1.0])
-
-
 @dataclass(frozen=True)
 class _PrimeGrids:
     one: np.ndarray  # primes = 1 mod 3 up to p_max
@@ -125,13 +121,6 @@ def _grids_cached(p_max: int) -> _PrimeGrids:
     return g
 
 
-def _c_arrays(f: SupportFunction, g: _PrimeGrids) -> tuple[np.ndarray, np.ndarray]:
-    """(c_p on the p=1 grid with 0 at support primes, support mask)."""
-    e1, ok1 = chi_exponent_arrays(f, g.one)
-    c1 = np.where(ok1, _C_OF_E[e1], 0.0)
-    return c1, ok1
-
-
 def _l_factors(f: SupportFunction) -> float:
     lc = l_one(character_values(f))
     lt = l_one(twisted_character_values(f))
@@ -146,10 +135,104 @@ def _three_factor(f: SupportFunction) -> float:
     return 1.0 - c3 / 3.0 + 1.0 / 9.0
 
 
-def _two_grid_correction(f: SupportFunction, g: _PrimeGrids) -> float:
-    e2, _ = chi_exponent_arrays(f, g.two)
-    c2 = _C_OF_E[e2]
-    return float(np.log1p((-c2 * g.two**2 + 1.0) / g.two**4).sum())
+# The local factors see chi(f)(p) only through c_p = 2 Re chi(f)(p): 2 where
+# the exponent of chi(f)(p) is 0, -1 where it is 1 or 2, and 0 at support
+# primes.
+
+
+def _p_logs(p: np.ndarray, sqrt_p: np.ndarray, c: float) -> np.ndarray:
+    """Logs of the local factors of P at primes p = 1 mod 3 with c_p = c
+    != 0: 1 + 2c/(p + 2) + 2/(sqrt p (p + 2)), renormalized by
+    |1 - chi(p)/p|^4."""
+    loc = (1.0 - c / p + 1.0 / p**2) ** 2
+    return np.log((1.0 + 2.0 * c / (p + 2.0) + 2.0 / (sqrt_p * (p + 2.0))) * loc)
+
+
+def _first_logs(p: np.ndarray, sqrt_p: np.ndarray, c: float) -> np.ndarray:
+    """The same for the first form: (1 + 2c/(p + 2)) times
+    1 + 2/(sqrt p (p + 2 + 2c)), renormalized by |1 - chi(p)/p|^4."""
+    loc = (1.0 - c / p + 1.0 / p**2) ** 2
+    out = np.log((1.0 + 2.0 * c / (p + 2.0)) * loc)
+    out += np.log(1.0 + 2.0 / (sqrt_p * (p + 2.0 + 2.0 * c)))
+    return out
+
+
+def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
+    """Logs of the correction at primes p = 2 mod 3 with c_p = c.  p**4 is
+    formed in int64 and wraps for p > 55,108; the float64 oracle in
+    tests/oracles.py pins the gap."""
+    return np.log1p((-c * two**2 + 1.0) / two**4)
+
+
+@dataclass(frozen=True)
+class _LogTables:
+    """Log-sums of the local factors over the prime grids of one p_max.
+
+    Each sum is a scalar in `base`, with every prime at c_p = -1, plus a
+    difference array added where the exponent of chi(f)(p) is 0, so one
+    character costs a masked sum instead of a pass of logarithms: `p` for
+    P, `first` for the first form, and `two` for the correction over the
+    primes = 2 mod 3 that both share."""
+
+    grids: _PrimeGrids
+    base: tuple[float, float, float]
+    p: np.ndarray
+    first: np.ndarray
+    two: np.ndarray
+
+
+def _log_tables(g: _PrimeGrids) -> _LogTables:
+    p = g.one.astype(np.float64)
+    base = []
+    diffs = []
+    for logs, args in (
+        (_p_logs, (p, g.sqrt_one)),
+        (_first_logs, (p, g.sqrt_one)),
+        (_two_grid_logs, (g.two,)),
+    ):
+        lo = logs(*args, -1.0)
+        base.append(float(lo.sum()))
+        diff = logs(*args, 2.0)
+        diff -= lo
+        diffs.append(diff)
+    return _LogTables(g, (base[0], base[1], base[2]), *diffs)
+
+
+def _dead_fix(rs: np.ndarray) -> tuple[float, float]:
+    """Moves the support primes r out of the c_p = -1 class: chi(f)(r) = 0,
+    so the local factor is 1 + 2/(sqrt r (r + 2)) for P and 1 for the
+    first form."""
+    r = rs.astype(np.float64)
+    sqrt_r = np.sqrt(r)
+    dead_p = np.log(1.0 + 2.0 / (sqrt_r * (r + 2.0)))
+    fix_p = float((dead_p - _p_logs(r, sqrt_r, -1.0)).sum())
+    return fix_p, -float(_first_logs(r, sqrt_r, -1.0).sum())
+
+
+# 1.0 at the multiples of 3, for every sum of exponents an int8 holds
+_ZERO_MOD_3 = np.array([1.0, 0.0, 0.0] * 43)
+
+
+def _products(
+    t: _LogTables,
+    f: SupportFunction,
+    e_one: np.ndarray,
+    e_two: np.ndarray,
+    dead: np.ndarray,
+    fix: tuple[float, float],
+) -> tuple[float, float]:
+    """(P(f), first form of P(f)) from the exponents of chi(f) on both grids,
+    taken up to multiples of 3, the indices of its support primes on the
+    grid of primes = 1 mod 3, and their _dead_fix."""
+    zero = _ZERO_MOD_3.take(e_two)
+    two = t.base[2] + float((t.two * zero).sum())
+    zero = _ZERO_MOD_3.take(e_one)
+    zero[dead] = 0.0
+    log_p = t.base[0] + float((t.p * zero).sum()) + fix[0] + two
+    log_first = t.base[1] + float((t.first * zero).sum()) + fix[1] + two
+    del zero  # freed before the L-values allocate theirs, for peak memory
+    scale = _l_factors(f) * _three_factor(f)
+    return scale * exp(log_p), scale * exp(log_first)
 
 
 def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
@@ -159,15 +242,11 @@ def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     local factors are 1 + 2 p^(-3/2) + O(p^-2)."""
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
-    g = _grids_cached(params.p_max)
-    c1, ok1 = _c_arrays(f, g)
-    p = g.one.astype(np.float64)
-    big_f = 1.0 + 2.0 * c1 / (p + 2.0) + 2.0 / (g.sqrt_one * (p + 2.0))
-    # |1 - chi(p)/p|^4, with |chi(p)| = 0 at support primes
-    loc = np.where(ok1, (1.0 - c1 / p + 1.0 / p**2) ** 2, 1.0)
-    log_one = float(np.log(big_f * loc).sum())
-    log_two = _two_grid_correction(f, g)
-    return _l_factors(f) * _three_factor(f) * float(np.exp(log_one + log_two))
+    t = _log_tables(_grids_cached(params.p_max))
+    e_one, ok = chi_exponent_arrays(f, t.grids.one)
+    e_two, _ = chi_exponent_arrays(f, t.grids.two)
+    dead = np.flatnonzero(~ok)
+    return _products(t, f, e_one, e_two, dead, _dead_fix(t.grids.one[dead]))[0]
 
 
 def _euler_tail_bound(p_max: int) -> float:
@@ -185,11 +264,26 @@ class HConstants:
     p_of_f_max: float
 
 
+def _exponent_rows(p: int, g: _PrimeGrids) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents of chi_p on both grids, as int8 (0 where chi_p vanishes)."""
+    f = SupportFunction(((p, 1),))
+    return (
+        chi_exponent_arrays(f, g.one)[0].astype(np.int8),
+        chi_exponent_arrays(f, g.two)[0].astype(np.int8),
+    )
+
+
 def h_constants(params: TruncationParams) -> HConstants:
     """The Delta-series H0, H1, H1', H2 and the literal first form of the
-    starred constant (before the 2^-2 3^-3 alpha_3 prefactor)."""
+    starred constant (before the 2^-2 3^-3 alpha_3 prefactor).
+
+    chi(2f) is the conjugate of chi(f), so c_p, |L|^2 and the factor at 3
+    agree and P(2f) = P(f): each conjugate pair, f with first value 1, is
+    computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
+    the same H1 or H1' bucket."""
     g = _grids_cached(params.p_max)
-    p = g.one.astype(np.float64)
+    t = _log_tables(g)
+    nine_one, nine_two = _exponent_rows(3, g)
     h0 = _CompensatedSum()
     h1 = _CompensatedSum()
     h1p = _CompensatedSum()
@@ -199,21 +293,35 @@ def h_constants(params: TruncationParams) -> HConstants:
     for dI in enumerate_deltas(params.delta_max):
         d = dI.delta
         pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
-        lam = lambda_delta(d)
+        w = lambda_delta(d) * pref
+        rows = [_exponent_rows(r, g) for r in dI.primes]
+        dead = np.searchsorted(g.one, dI.primes)
+        fix = _dead_fix(np.array(dI.primes, dtype=np.int64))
+        # Delta = 1 adds to H2 only: f = 0, whose f(3) = 1 and 2 are conjugate
+        f3s = (0, 1, 2) if d > 1 else (1,)
         for f in enumerate_V(d, True):
-            for eta in (1, 2):
-                gfn = linear_combination(1, f, eta, SupportFunction(((3, 1),)))
-                h2.add(lam * pref * euler_product_P(gfn, params))
-            if d == 1:
-                continue  # H0, H1 and the starred form sum over Delta > 1
-            pf = euler_product_P(f, params)
-            p_max_seen = max(p_max_seen, pf)
-            h0.add(lam * pref * pf)
-            if chi_eval(f, 3) == ROOT(0):
-                h1.add(lam * pref * pf)
-            else:
-                h1p.add(lam * pref * pf)
-            form1.add(pref * _form1_term(f, g, p, params))
+            if f.entries and f.entries[0][1] == 2:
+                continue  # the conjugate of an f already summed
+            e_one = np.zeros(len(g.one), dtype=np.int8)
+            e_two = np.zeros(len(g.two), dtype=np.int8)
+            for (_, v), (r_one, r_two) in zip(f.entries, rows):
+                e_one += v * r_one
+                e_two += v * r_two
+            for f3 in f3s:
+                gf = SupportFunction(((3, f3),) + f.entries) if f3 else f
+                pf, first = _products(
+                    t, gf, e_one + f3 * nine_one, e_two + f3 * nine_two, dead, fix
+                )
+                if f3:
+                    h2.add(w * pf)
+                    h2.add(w * pf)
+                    continue
+                p_max_seen = max(p_max_seen, pf)
+                bucket = h1 if chi_eval(f, 3) == ROOT(0) else h1p
+                for _ in range(2):
+                    h0.add(w * pf)
+                    bucket.add(w * pf)
+                    form1.add(pref * first)
     return HConstants(
         h0=h0.value,
         h1=h1.value,
@@ -221,25 +329,6 @@ def h_constants(params: TruncationParams) -> HConstants:
         h2=h2.value,
         c_star_form1=form1.value,
         p_of_f_max=p_max_seen,
-    )
-
-
-def _form1_term(
-    f: SupportFunction, g: _PrimeGrids, p: np.ndarray, params: TruncationParams
-) -> float:
-    """Literal double product: prod(1 + 2c_p/(p+2)) renormalized the same
-    way, times the absolutely convergent prod over p coprime to Delta(f) of
-    1 + 2/(sqrt p (p + 2 + 2 c_p))."""
-    c1, ok1 = _c_arrays(f, g)
-    first = 1.0 + 2.0 * c1 / (p + 2.0)
-    loc = np.where(ok1, (1.0 - c1 / p + 1.0 / p**2) ** 2, 1.0)
-    log_first = float(np.log(first * loc).sum()) + _two_grid_correction(f, g)
-    second = 1.0 + 2.0 / (g.sqrt_one * (p + 2.0 + 2.0 * c1))
-    log_second = float(np.log(np.where(ok1, second, 1.0)).sum())
-    return (
-        _l_factors(f)
-        * _three_factor(f)
-        * float(np.exp(log_first + log_second))
     )
 
 

@@ -4,13 +4,36 @@ Everything here recomputes results from definitions with arithmetic that
 shares no code with the package: ring elements are plain (a, b) tuples,
 divisibility goes through Cramer's rule, canonical primes come from an
 exhaustive lattice search, and censuses come from a brute-force scan.
+The literal Euler products at the end are the one exception: they take
+character values and L(1, chi) from the package and redo only the product
+assembly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import fsum, gcd, isqrt
+
+import numpy as np
+
+from heisnine._primes import primes_up_to
+from heisnine.charspace import (
+    SupportFunction,
+    chi_eval,
+    enumerate_deltas,
+    enumerate_V,
+    linear_combination,
+)
+from heisnine.constants import HConstants, TruncationParams, lambda_delta
+from heisnine.eisenstein import ROOT
+from heisnine.ksum import psi_ell
+from heisnine.lfunctions import (
+    character_values,
+    chi_exponent_arrays,
+    l_one,
+    twisted_character_values,
+)
 
 # ---------------------------------------------------------------------------
 # tuple arithmetic for a + b*j, j^2 = -1 - j
@@ -413,3 +436,92 @@ def l_one_series_oracle(values: list[complex], n_terms: int) -> complex:
 
 def count_as_fraction(raw: int) -> Fraction:
     return Fraction(raw, 108)
+
+
+# ---------------------------------------------------------------------------
+# literal Euler products and H-series: one full array of local factors per
+# character, every character on its own, every prime power in float64
+
+
+_C_OF_E = np.array([2.0, -1.0, -1.0])  # 2 Re of j^e
+
+
+def _literal_scale(f: SupportFunction) -> float:
+    """|L(1, chi)|^2 |L(1, (./3) chi)|^2 times the local factor at 3."""
+    lc = l_one(character_values(f))
+    lt = l_one(twisted_character_values(f))
+    if f.f3:
+        three = 1.0
+    else:
+        c3 = 2.0 if chi_eval(f, 3) == ROOT(0) else -1.0
+        three = 1.0 - c3 / 3.0 + 1.0 / 9.0
+    return (abs(lc) * abs(lt)) ** 2 * three
+
+
+def _literal_logs(f: SupportFunction, p_max: int) -> tuple[float, float]:
+    """(log of the truncated product in P(f), log of the first form's),
+    both renormalized by |1 - chi(p)/p|^4 and corrected over p = 2 mod 3."""
+    ps = primes_up_to(p_max)
+    one = ps[ps % 3 == 1]
+    two = ps[ps % 3 == 2]
+    e1, ok1 = chi_exponent_arrays(f, one)
+    c1 = np.where(ok1, _C_OF_E[e1], 0.0)
+    p = one.astype(np.float64)
+    loc = np.where(ok1, (1.0 - c1 / p + 1.0 / p**2) ** 2, 1.0)
+    c2 = _C_OF_E[chi_exponent_arrays(f, two)[0]]
+    q = two.astype(np.float64)
+    log_two = float(np.log1p((-c2 * q**2 + 1.0) / q**4).sum())
+    big_f = 1.0 + 2.0 * c1 / (p + 2.0) + 2.0 / (np.sqrt(p) * (p + 2.0))
+    log_p = float(np.log(big_f * loc).sum()) + log_two
+    first = 1.0 + 2.0 * c1 / (p + 2.0)
+    second = np.where(ok1, 1.0 + 2.0 / (np.sqrt(p) * (p + 2.0 + 2.0 * c1)), 1.0)
+    log_first = float(np.log(first * loc).sum() + np.log(second).sum()) + log_two
+    return log_p, log_first
+
+
+def euler_product_P_literal(f: SupportFunction, p_max: int) -> float:
+    """P(f) = prod over p = 1 mod 3, p <= p_max, of
+    1 + 2 c_p/(p + 2) + 2/(sqrt p (p + 2)), c_p = 2 Re chi(f)(p)."""
+    return _literal_scale(f) * float(np.exp(_literal_logs(f, p_max)[0]))
+
+
+def _form1_literal(f: SupportFunction, p_max: int) -> float:
+    """prod(1 + 2c_p/(p + 2)) times prod over p coprime to Delta(f) of
+    1 + 2/(sqrt p (p + 2 + 2c_p)), renormalized as P(f)."""
+    return _literal_scale(f) * float(np.exp(_literal_logs(f, p_max)[1]))
+
+
+def h_constants_literal(params: TruncationParams) -> HConstants:
+    """The Delta-series term by term, each sum exact in math.fsum: every f
+    in V*(Delta) and both of its f(3) != 0 shifts get their own Euler
+    products."""
+    h0: list[float] = []
+    h1: list[float] = []
+    h1p: list[float] = []
+    h2: list[float] = []
+    form1: list[float] = []
+    p_max_seen = 0.0
+    e3 = SupportFunction(((3, 1),))
+    for dI in enumerate_deltas(params.delta_max):
+        d = dI.delta
+        pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
+        lam = lambda_delta(d)
+        for f in enumerate_V(d, True):
+            for eta in (1, 2):
+                gfn = linear_combination(1, f, eta, e3)
+                h2.append(lam * pref * euler_product_P_literal(gfn, params.p_max))
+            if d == 1:
+                continue
+            pf = euler_product_P_literal(f, params.p_max)
+            p_max_seen = max(p_max_seen, pf)
+            h0.append(lam * pref * pf)
+            (h1 if chi_eval(f, 3) == ROOT(0) else h1p).append(lam * pref * pf)
+            form1.append(pref * _form1_literal(f, params.p_max))
+    return HConstants(
+        h0=fsum(h0),
+        h1=fsum(h1),
+        h1_prime=fsum(h1p),
+        h2=fsum(h2),
+        c_star_form1=fsum(form1),
+        p_of_f_max=p_max_seen,
+    )

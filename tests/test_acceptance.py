@@ -206,9 +206,9 @@ def test_criterion_5_tauberian():
 # 6. constant pipeline -----------------------------------------------------
 
 
-def test_criterion_6_constants(default_constants):
+def test_criterion_6_constants():
     t0 = time.monotonic()
-    rep = default_constants
+    rep = constant_report(TruncationParams())
 
     # alpha_3 stability under p_max doubling
     assert abs(alpha_ell(3, 2 * 10**6) - rep.alpha3) < 1e-4
@@ -236,7 +236,7 @@ def test_criterion_6_constants(default_constants):
     assert rep.h0 == pytest.approx(rep.h1 + rep.h1_prime, rel=1e-12)
     assert rep.tails["c_star_forms_gap"] <= 1e-3
     assert rep.c_heis3 > 0
-    assert time.monotonic() - t0 < 600
+    assert time.monotonic() - t0 < 60
 
 
 # 7. asymptotic trend ------------------------------------------------------

@@ -2,11 +2,18 @@
 
 import cmath
 import json
+from dataclasses import astuple
 from math import sqrt
 
 import pytest
 
-from heisnine.charspace import SupportFunction, chi_eval
+from heisnine.charspace import (
+    SupportFunction,
+    chi_eval,
+    enumerate_deltas,
+    enumerate_V,
+    linear_combination,
+)
 from heisnine.constants import (
     CancellationSum,
     TruncationParams,
@@ -21,6 +28,8 @@ from heisnine.constants import (
 )
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
+
+from oracles import euler_product_P_literal, h_constants_literal
 
 SMALL = TruncationParams(delta_max=100, p_max=20000)
 F7 = SupportFunction(((7, 1),))
@@ -39,6 +48,52 @@ def test_euler_product_positive_and_stable():
     p2 = euler_product_P(F7, TruncationParams(100, 40000))
     assert p1 > 0
     assert abs(p2 - p1) / p1 < 1e-3
+
+
+LITERAL_CASES = [
+    F7,
+    SupportFunction(((7, 2), (13, 1))),
+    SupportFunction(((3, 1), (19, 2))),
+    SupportFunction(((3, 2), (7, 1), (13, 1), (19, 2))),
+]
+
+
+@pytest.mark.parametrize("f", LITERAL_CASES, ids=str)
+def test_euler_product_matches_literal(f):
+    got = euler_product_P(f, TruncationParams(100, 50000))
+    assert got == pytest.approx(euler_product_P_literal(f, 50000), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="int64 p**4 overflow")
+@pytest.mark.parametrize("f", LITERAL_CASES, ids=str)
+def test_euler_product_matches_literal_past_int64_fourth_powers(f):
+    # p**4 wraps in int64 for primes p = 2 mod 3 above 55,108
+    got = euler_product_P(f, TruncationParams(100, 10**5))
+    assert got == pytest.approx(euler_product_P_literal(f, 10**5), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [SMALL, TruncationParams(300, 50000)], ids=str)
+def test_h_constants_match_literal(params):
+    got = astuple(h_constants(params))
+    want = astuple(h_constants_literal(params))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_euler_product_conjugate_symmetry():
+    # chi(2g) is the conjugate of chi(g), which h_constants relies on
+    checked = 0
+    for dI in enumerate_deltas(300):
+        for f in enumerate_V(dI.delta, True):
+            for f3 in (0, 1, 2):
+                g = linear_combination(1, f, f3, SupportFunction(((3, 1),)))
+                if g.is_zero:
+                    continue
+                g2 = linear_combination(2, g, 0, g)
+                assert euler_product_P(g, SMALL) == pytest.approx(
+                    euler_product_P(g2, SMALL), rel=1e-13
+                ), str(g)
+                checked += 1
+    assert checked >= 200
 
 
 def test_euler_product_rejects_zero_function():
