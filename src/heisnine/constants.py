@@ -169,33 +169,30 @@ class _LogTables:
     """Log-sums of the local factors over the prime grids of one p_max.
 
     Each sum is a scalar in `base`, with every prime at c_p = -1, plus a
-    difference array added where the exponent of chi(f)(p) is 0, so one
-    character costs a masked sum instead of a pass of logarithms: `p` for
-    P, `first` for the first form, and `two` for the correction over the
-    primes = 2 mod 3 that both share."""
+    difference array in `diffs` added where the exponent of chi(f)(p) is 0,
+    so one character costs a masked sum instead of a pass of logarithms.
+    The sums are, in order: the correction over the primes = 2 mod 3, P,
+    and (when built) the first form."""
 
     grids: _PrimeGrids
-    base: tuple[float, float, float]
-    p: np.ndarray
-    first: np.ndarray
-    two: np.ndarray
+    base: tuple[float, ...]
+    diffs: tuple[np.ndarray, ...]
 
 
-def _log_tables(g: _PrimeGrids) -> _LogTables:
+def _log_tables(g: _PrimeGrids, first: bool) -> _LogTables:
     p = g.one.astype(np.float64)
+    sums = [(_two_grid_logs, (g.two,)), (_p_logs, (p, g.sqrt_one))]
+    if first:
+        sums.append((_first_logs, (p, g.sqrt_one)))
     base = []
     diffs = []
-    for logs, args in (
-        (_p_logs, (p, g.sqrt_one)),
-        (_first_logs, (p, g.sqrt_one)),
-        (_two_grid_logs, (g.two,)),
-    ):
+    for logs, args in sums:
         lo = logs(*args, -1.0)
         base.append(float(lo.sum()))
         diff = logs(*args, 2.0)
         diff -= lo
         diffs.append(diff)
-    return _LogTables(g, (base[0], base[1], base[2]), *diffs)
+    return _LogTables(g, tuple(base), tuple(diffs))
 
 
 def _dead_fix(rs: np.ndarray) -> tuple[float, float]:
@@ -209,10 +206,6 @@ def _dead_fix(rs: np.ndarray) -> tuple[float, float]:
     return fix_p, -float(_first_logs(r, sqrt_r, -1.0).sum())
 
 
-# 1.0 at the multiples of 3, for every sum of exponents an int8 holds
-_ZERO_MOD_3 = np.array([1.0, 0.0, 0.0] * 43)
-
-
 def _products(
     t: _LogTables,
     f: SupportFunction,
@@ -220,33 +213,38 @@ def _products(
     e_two: np.ndarray,
     dead: np.ndarray,
     fix: tuple[float, float],
-) -> tuple[float, float]:
-    """(P(f), first form of P(f)) from the exponents of chi(f) on both grids,
-    taken up to multiples of 3, the indices of its support primes on the
-    grid of primes = 1 mod 3, and their _dead_fix."""
-    zero = _ZERO_MOD_3.take(e_two)
-    two = t.base[2] + float((t.two * zero).sum())
-    zero = _ZERO_MOD_3.take(e_one)
-    zero[dead] = 0.0
-    log_p = t.base[0] + float((t.p * zero).sum()) + fix[0] + two
-    log_first = t.base[1] + float((t.first * zero).sum()) + fix[1] + two
-    del zero  # freed before the L-values allocate theirs, for peak memory
+) -> tuple[float, ...]:
+    """(P(f),) or, when the tables hold it, (P(f), first form of P(f)), from
+    the exponents of chi(f) on both grids, the indices of its support primes
+    on the grid of primes = 1 mod 3, and their _dead_fix."""
+    two = t.base[0] + float((t.diffs[0] * (e_two % 3 == 0)).sum())
+    zero = e_one % 3 == 0
+    zero[dead] = False
     scale = _l_factors(f) * _three_factor(f)
-    return scale * exp(log_p), scale * exp(log_first)
+    return tuple(
+        scale * exp(b + float((d * zero).sum()) + fx + two)
+        for b, d, fx in zip(t.base[1:], t.diffs[1:], fix)
+    )
 
 
 def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     """P(f) = prod over primes p = 1 mod 3 of
     1 + 2 c_p / (p + 2) + 2 / (sqrt p (p + 2)), c_p = 2 Re chi(f)(p),
     renormalized through |L(1,chi)|^2 |L(1,(./3)chi)|^2 so the truncated
-    local factors are 1 + 2 p^(-3/2) + O(p^-2)."""
+    local factors are 1 + 2 p^(-3/2) + O(p^-2).
+
+    Each call builds the log tables of P and of the correction at the
+    primes = 2 mod 3 for its one character: two passes of logarithms per
+    grid where a direct product over c_p takes one.  h_constants builds
+    them once for all of its characters."""
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
-    t = _log_tables(_grids_cached(params.p_max))
+    t = _log_tables(_grids_cached(params.p_max), first=False)
     e_one, ok = chi_exponent_arrays(f, t.grids.one)
     e_two, _ = chi_exponent_arrays(f, t.grids.two)
     dead = np.flatnonzero(~ok)
-    return _products(t, f, e_one, e_two, dead, _dead_fix(t.grids.one[dead]))[0]
+    (pf,) = _products(t, f, e_one, e_two, dead, _dead_fix(t.grids.one[dead]))
+    return pf
 
 
 def _euler_tail_bound(p_max: int) -> float:
@@ -282,7 +280,7 @@ def h_constants(params: TruncationParams) -> HConstants:
     computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
     the same H1 or H1' bucket."""
     g = _grids_cached(params.p_max)
-    t = _log_tables(g)
+    t = _log_tables(g, first=True)
     nine_one, nine_two = _exponent_rows(3, g)
     h0 = _CompensatedSum()
     h1 = _CompensatedSum()
@@ -295,8 +293,10 @@ def h_constants(params: TruncationParams) -> HConstants:
         pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
         w = lambda_delta(d) * pref
         rows = [_exponent_rows(r, g) for r in dI.primes]
-        dead = np.searchsorted(g.one, dI.primes)
-        fix = _dead_fix(np.array(dI.primes, dtype=np.int64))
+        # support primes above p_max have no entry on the grid to fix
+        rs = np.array([r for r in dI.primes if r <= params.p_max], dtype=np.int64)
+        dead = np.searchsorted(g.one, rs)
+        fix = _dead_fix(rs)
         # Delta = 1 adds to H2 only: f = 0, whose f(3) = 1 and 2 are conjugate
         f3s = (0, 1, 2) if d > 1 else (1,)
         for f in enumerate_V(d, True):

@@ -72,7 +72,12 @@ def test_euler_product_matches_literal_past_int64_fourth_powers(f):
     assert got == pytest.approx(euler_product_P_literal(f, 10**5), rel=1e-12)
 
 
-@pytest.mark.parametrize("params", [SMALL, TruncationParams(300, 50000)], ids=str)
+@pytest.mark.parametrize(
+    "params",
+    # (300, 200): support primes between p_max and delta_max lie off the grid
+    [SMALL, TruncationParams(300, 50000), TruncationParams(300, 200)],
+    ids=str,
+)
 def test_h_constants_match_literal(params):
     got = astuple(h_constants(params))
     want = astuple(h_constants_literal(params))
