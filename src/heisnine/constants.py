@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import exp, log, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .charspace import (
     linear_combination,
 )
 from .counting import WeightMode, heis_total
-from .eisenstein import ROOT, cubic_symbol, standard_decompose, standard_primes_up_to
+from .eisenstein import ROOT, chi_p_table, standard_decompose, standard_prime_arrays
 from .ksum import alpha_ell, psi_ell
 from .lfunctions import character_values, chi_exponent_arrays, l_one, twisted_character_values
 
@@ -471,55 +472,43 @@ def char_cancellation_profile(
     M(pi) multiplies chi(f)(p)^eps1, chi(2f)(p)^eps2 and, for each chosen
     support prime r, [chi_r(p) (pi/rho_r)_3]^(2 e1 + e2); rho_r is the
     standard prime above r.  The sum is accumulated as exact counts of cube
-    roots of unity, so reruns are bit-identical.
+    roots of unity, so reruns are bit-identical.  Checkpoints must be
+    ascending integers in [7, STANDARD_ARRAY_MAX]; anything else raises
+    ValueError.
     """
     pattern = _check_pattern(f, eps, pattern)
+    if not checkpoints:
+        raise ValueError("no checkpoints")
+    if not all(isinstance(x, Integral) for x in checkpoints):
+        raise ValueError(f"checkpoints must be integers, got {checkpoints!r}")
     if any(x < 7 for x in checkpoints) or list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be ascending and >= 7")
-    f2 = linear_combination(2, f, 0, f)
-    rhos = {r: standard_decompose(r) for r in pattern}
-    counts = [0, 0, 0]
-    terms = 0
-    out: list[CancellationSum] = []
-    idx = 0
+    ps, a, b, _ = standard_prime_arrays(checkpoints[-1])
+    # e: exponent of M(pi) as a power of j; ok: M(pi) != 0
+    e = np.zeros(len(ps), dtype=np.int64)
+    ok = np.ones(len(ps), dtype=bool)
+    for use, g in ((eps[0], f), (eps[1], linear_combination(2, f, 0, f))):
+        if use:
+            eg, okg = chi_exponent_arrays(g, ps)
+            e += eg
+            ok &= okg
+    for r, (e1, e2) in pattern.items():
+        k = 2 * e1 + e2
+        if k == 0:
+            continue
+        # int8 exponents; 0xFF reads as -1, the zero value
+        tab = np.frombuffer(chi_p_table(r), dtype=np.int8)
+        vr = tab[ps % r].astype(np.int64)
+        vs = tab[(a + b * standard_decompose(r).r) % r].astype(np.int64)
+        ok &= (vr >= 0) & (vs >= 0)
+        e += k * (vr + vs)
+    cls = np.where(ok, e % 3, 3)
     w = np.exp(2j * np.pi * np.arange(3) / 3)
-    for sp in standard_primes_up_to(checkpoints[-1]):
-        while idx < len(checkpoints) and sp.p > checkpoints[idx]:
-            val = complex(counts[0] + counts[1] * w[1] + counts[2] * w[2])
-            out.append(CancellationSum(val, terms))
-            idx += 1
-        terms += 1
-        e = 0
-        dead = False
-        if eps[0] or eps[1]:
-            v = chi_eval(f, sp.p)
-            if v.is_zero:
-                dead = True
-            elif eps[0]:
-                e += v.exp
-            if not dead and eps[1]:
-                v2 = chi_eval(f2, sp.p)
-                if v2.is_zero:
-                    dead = True
-                else:
-                    e += v2.exp
-        if not dead:
-            for r, (e1, e2) in pattern.items():
-                k = 2 * e1 + e2
-                if k == 0:
-                    continue
-                vr = chi_eval(SupportFunction(((r, 1),)), sp.p)
-                vs = cubic_symbol(sp.pi, rhos[r])
-                if vr.is_zero or vs.is_zero:
-                    dead = True
-                    break
-                e += k * (vr.exp + vs.exp)
-        if not dead:
-            counts[e % 3] += 1
-    while idx < len(checkpoints):
+    out = []
+    for end in np.searchsorted(ps, checkpoints, side="right").tolist():
+        counts = np.bincount(cls[:end], minlength=4).tolist()
         val = complex(counts[0] + counts[1] * w[1] + counts[2] * w[2])
-        out.append(CancellationSum(val, terms))
-        idx += 1
+        out.append(CancellationSum(val, end))
     return out
 
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterator
+
+import numpy as np
 
 from ._primes import is_prime, primes_in_class
 
@@ -31,6 +34,8 @@ __all__ = [
     "primary_associate",
     "StandardPrime",
     "standard_decompose",
+    "STANDARD_ARRAY_MAX",
+    "standard_prime_arrays",
     "cubic_symbol",
     "chi_p",
     "chi_nine",
@@ -255,12 +260,13 @@ def _ideal_generator(p: int, c: int) -> tuple[int, int]:
         nv = va * va - va * vb + vb * vb
 
 
-@lru_cache(maxsize=None)
 def standard_decompose(p: int) -> StandardPrime:
     """Split p = 1 (mod 3) as pi * conj(pi) and pin the standard pi.
 
     pi is primary with b > 0; r in [2, p-2] satisfies r^2 + r + 1 = 0 (mod p)
-    and pi | (j - r), so j maps to r under Z[j]/(pi) = F_p.
+    and pi | (j - r), so j maps to r under Z[j]/(pi) = F_p.  This is the
+    single-prime route, exact for any p; walks over all split primes up to
+    a limit use standard_prime_arrays.
     """
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 3")
@@ -289,6 +295,109 @@ def standard_decompose(p: int) -> StandardPrime:
     if b > 0:
         return StandardPrime(p, EisensteinInt(a, b), c)
     return StandardPrime(p, EisensteinInt(a - b, -b), c * c % p)
+
+
+# Every int64 intermediate of standard_prime_arrays is at most (20/3) p^2 in
+# absolute value.  The lattice vectors there never grow past norm p^2, and
+# a^2 - ab + b^2 >= (3/4) max(|a|, |b|)^2 bounds each coordinate by
+# (2/sqrt(3)) p and each product of two coordinates by (4/3) p^2.  The
+# partial sums of t = 2(ua va + ub vb) - ua vb - ub va reach (20/3) p^2;
+# everything else (x y with x, y < p in the powers mod p, c^2 + c + 1, the
+# partial sums of N(v), and t + N(u), as |t| <= 2 sqrt(N(u) N(v))) stays
+# at or below 3 p^2.  (20/3) p^2 < 2^63 holds for p <= 1,176,225,235; the
+# limit is the largest power of two below that.
+STANDARD_ARRAY_MAX = 2**30
+
+
+def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise, by square-and-multiply on int64 arrays."""
+    out = np.ones_like(p)
+    base = base % p
+    e = e.copy()
+    while e.any():
+        out = np.where(e & 1 == 1, out * base % p, out)
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _ideal_generators(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_ideal_generator over arrays: the same Gauss reduction, run until every
+    lattice has reached its shortest vector."""
+    ga = np.empty_like(p)
+    gb = np.empty_like(p)
+    idx = np.arange(len(p))
+    ua, ub, nu = p.copy(), np.zeros_like(p), p * p
+    va, vb = -c, np.ones_like(p)
+    nv = c * c + c + 1
+    while len(idx):
+        swap = nv < nu
+        ua, va = np.where(swap, va, ua), np.where(swap, ua, va)
+        ub, vb = np.where(swap, vb, ub), np.where(swap, ub, vb)
+        nu, nv = np.where(swap, nv, nu), np.where(swap, nu, nv)
+        t = 2 * (ua * va + ub * vb) - ua * vb - ub * va
+        q = (t + nu) // (2 * nu)
+        done = q == 0
+        ga[idx[done]] = ua[done]
+        gb[idx[done]] = ub[done]
+        keep = ~done
+        idx, ua, ub, nu, q = idx[keep], ua[keep], ub[keep], nu[keep], q[keep]
+        va = va[keep] - q * ua
+        vb = vb[keep] - q * ub
+        nv = va * va - va * vb + vb * vb
+    return ga, gb
+
+
+def _decompose_arrays(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, r) of standard_decompose for an int64 array of split primes
+    p <= STANDARD_ARRAY_MAX."""
+    e = (p - 1) // 3
+    c = _powmod(np.full_like(p, 2), e, p)
+    g = 3
+    todo = np.nonzero(c == 1)[0]
+    while len(todo):
+        c[todo] = _powmod(np.full(len(todo), g, dtype=np.int64), e[todo], p[todo])
+        todo = todo[c[todo] == 1]
+        g += 1
+    a0, b0 = _ideal_generators(p, c)
+    if np.any(a0 * a0 - a0 * b0 + b0 * b0 != p):
+        raise AssertionError("lattice reduction missed the norm-p element")
+    # the six associates u * (a0 + b0*j); exactly one is primary
+    cand_a = np.stack((a0, -a0, -b0, b0, b0 - a0, a0 - b0))
+    cand_b = np.stack((b0, -b0, a0 - b0, b0 - a0, -a0, a0))
+    primary = (cand_a % 3 == 2) & (cand_b % 3 == 0)
+    if np.any(primary.sum(axis=0) != 1):
+        raise AssertionError("expected exactly one primary associate")
+    which = primary.argmax(axis=0)
+    cols = np.arange(len(p))
+    a, b = cand_a[which, cols], cand_b[which, cols]
+    # pi | (j - c); the conjugate, which keeps primariness, divides j - c^2
+    up = b > 0
+    return np.where(up, a, a - b), np.where(up, b, -b), np.where(up, c, c * c % p)
+
+
+def standard_prime_arrays(
+    limit: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, a, b, r) as int64 arrays for every split p <= limit, ascending,
+    with pi = a + b*j the standard factor of p and r the image of j.
+
+    The steps are those of standard_decompose, on whole arrays: a cube root
+    of unity c = g^((p-1)/3) for the least g that gives one, Gauss
+    reduction of the lattice of (p, j - c), the primary associate, and the
+    conjugate when b < 0.  int64 arithmetic is exact for limit <=
+    STANDARD_ARRAY_MAX = 2^30 (see the derivation at the constant); a larger
+    or non-integral limit raises ValueError.
+    """
+    if not isinstance(limit, Integral):
+        raise ValueError(f"limit must be an integer, got {limit!r}")
+    if limit > STANDARD_ARRAY_MAX:
+        raise ValueError(
+            f"limit {limit} exceeds {STANDARD_ARRAY_MAX}, past which int64 "
+            "products in the array decomposition could overflow"
+        )
+    p = primes_in_class(int(limit), 3, 1)
+    return (p, *_decompose_arrays(p))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +490,18 @@ def chi_p_table(p: int) -> bytes:
     t = _symbol_fp(EisensteinInt(g, 0), sp).exp
     if t not in (1, 2):
         raise AssertionError(f"chi_{p} of a primitive root must have order 3")
-    tab = bytearray(p)
+    # pw[k] = g^k mod p, filled by doubling: pw[m:2m] = pw[:m] * g^m mod p
+    pw = np.empty(p - 1, dtype=np.int64)
+    pw[0] = 1
+    m = 1
+    while m < p - 1:
+        k = min(m, p - 1 - m)
+        pw[m : m + k] = pw[:k] * pow(g, m, p) % p
+        m += k
+    tab = np.empty(p, dtype=np.uint8)
     tab[0] = 0xFF
-    x = 1
-    for k in range(p - 1):
-        tab[x] = k * t % 3
-        x = x * g % p
-    return bytes(tab)
+    tab[pw] = np.arange(p - 1, dtype=np.int64) * t % 3
+    return tab.tobytes()
 
 
 def chi_p(p: int, n: int) -> CharValue:
@@ -412,6 +526,11 @@ def chi_nine(n: int) -> CharValue:
 
 
 def standard_primes_up_to(limit: int) -> Iterator[StandardPrime]:
-    """Standard decompositions for every p = 1 (mod 3) up to limit, ascending."""
-    for p in primes_in_class(limit, 3, 1):
-        yield standard_decompose(int(p))
+    """Standard decompositions for every p = 1 (mod 3) up to limit, ascending.
+
+    Built from standard_prime_arrays, so the limit must be an integer no
+    larger than STANDARD_ARRAY_MAX = 2^30 (ValueError otherwise, raised at
+    the call).
+    """
+    cols = [col.tolist() for col in standard_prime_arrays(limit)]
+    return (StandardPrime(p, EisensteinInt(a, b), r) for p, a, b, r in zip(*cols))

@@ -7,6 +7,7 @@ alpha_ell psi_ell(d) x, the Tauberian input for the census main term.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import pi as PI
@@ -17,7 +18,9 @@ from ._primes import primes_up_to
 
 __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 
-K_DIRECT_MAX = 10**9  # the DFS is exact but not sublinear; refuse beyond
+# the leaf-counting DFS is exact but not sublinear: it visits every n <= x
+# that still has a child, and sieves all primes <= x; refuse beyond
+K_DIRECT_MAX = 10**9
 
 # arguments at or below this threshold hit a cached table; the census asks
 # for tiny x thousands of times
@@ -30,7 +33,11 @@ def _check_ell(ell: int) -> None:
 
 
 def _admissible_primes(x: int, ell: int, d: int) -> list[int]:
-    return [int(p) for p in primes_up_to(x) if p % ell == 1 and d % int(p) != 0]
+    ps = primes_up_to(x)
+    ps = ps[ps % ell == 1]
+    if d >= 2**63:  # past int64: reduce d by each prime in Python
+        return [p for p in ps.tolist() if d % p]
+    return ps[d % ps != 0].tolist()
 
 
 @lru_cache(maxsize=8)
@@ -53,7 +60,14 @@ def _small_table(ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def k_direct(x: int, ell: int, d: int = 1) -> int:
-    """Exact K(x; ell, d) by depth-first squarefree products."""
+    """Exact K(x; ell, d) by depth-first squarefree products.
+
+    x <= 10^4 reads a cached table.  Above it, the DFS walks products n of
+    increasing admissible primes.  The children of n are n * ps[k] for
+    ps[k] <= x // n, found with one bisect.  Only children with
+    ps[k] * ps[k+1] <= x // n have children of their own and are pushed;
+    the rest are leaves, and each node adds their weight in one product.
+    """
     _check_ell(ell)
     if d < 1:
         raise ValueError("d must be positive")
@@ -77,11 +91,14 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
     while stack:
         n, w, i = stack.pop()
         total += w
-        for k in range(i, len(ps)):
-            m = n * ps[k]
-            if m > x:
-                break
-            stack.append((m, w * (ell - 1), k + 1))
+        q = x // n
+        hi = bisect_right(ps, q, i)
+        w *= ell - 1
+        k = i
+        while k + 1 < hi and ps[k] * ps[k + 1] <= q:
+            stack.append((n * ps[k], w, k + 1))
+            k += 1
+        total += w * (hi - k)
     return total
 
 

@@ -4,9 +4,11 @@ Everything here recomputes results from definitions with arithmetic that
 shares no code with the package: ring elements are plain (a, b) tuples,
 divisibility goes through Cramer's rule, canonical primes come from an
 exhaustive lattice search, and censuses come from a brute-force scan.
-The literal Euler products at the end are the one exception: they take
-character values and L(1, chi) from the package and redo only the product
-assembly.
+The literal Euler products and the prime walks at the end are the
+exceptions: the products take character values and L(1, chi) from the
+package and redo only the product assembly, and the walks keep the
+per-prime loops that the package replaced with array code, on top of the
+package's scalar decomposition and symbols.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import fsum, gcd, isqrt
 
 import numpy as np
 
-from heisnine._primes import primes_up_to
+from heisnine._primes import primes_in_class, primes_up_to
 from heisnine.charspace import (
     SupportFunction,
     chi_eval,
@@ -25,8 +27,15 @@ from heisnine.charspace import (
     enumerate_V,
     linear_combination,
 )
-from heisnine.constants import HConstants, TruncationParams, lambda_delta
-from heisnine.eisenstein import ROOT
+from heisnine.constants import CancellationSum, HConstants, TruncationParams, lambda_delta
+from heisnine.eisenstein import (
+    ROOT,
+    EisensteinInt,
+    _primitive_root,
+    _symbol_fp,
+    cubic_symbol,
+    standard_decompose,
+)
 from heisnine.ksum import psi_ell
 from heisnine.lfunctions import (
     character_values,
@@ -525,3 +534,94 @@ def h_constants_literal(params: TruncationParams) -> HConstants:
         c_star_form1=fsum(form1),
         p_of_f_max=p_max_seen,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-prime walks: the loops behind the package's array code
+
+
+def char_cancellation_profile_literal(
+    f: SupportFunction,
+    checkpoints: tuple[int, ...],
+    eps: tuple[int, int] = (0, 0),
+    pattern: dict[int, tuple[int, int]] | None = None,
+) -> list[CancellationSum]:
+    """The cancellation probe one standard prime at a time: scalar
+    decomposition, chi_eval for the characters, cubic_symbol for
+    (pi/rho_r)_3, and exact counts of the cube roots of unity."""
+    if pattern is None:
+        pattern = {r: (1, 0) for r in f.supp3}
+    f2 = linear_combination(2, f, 0, f)
+    rhos = {r: standard_decompose(r) for r in pattern}
+    counts = [0, 0, 0]
+    terms = 0
+    out: list[CancellationSum] = []
+    idx = 0
+    w = np.exp(2j * np.pi * np.arange(3) / 3)
+    for p in primes_in_class(checkpoints[-1], 3, 1).tolist():
+        sp = standard_decompose(p)
+        while idx < len(checkpoints) and p > checkpoints[idx]:
+            val = complex(counts[0] + counts[1] * w[1] + counts[2] * w[2])
+            out.append(CancellationSum(val, terms))
+            idx += 1
+        terms += 1
+        e = 0
+        dead = False
+        if eps[0] or eps[1]:
+            v = chi_eval(f, p)
+            if v.is_zero:
+                dead = True
+            elif eps[0]:
+                e += v.exp
+            if not dead and eps[1]:
+                e += chi_eval(f2, p).exp
+        if not dead:
+            for r, (e1, e2) in pattern.items():
+                k = 2 * e1 + e2
+                if k == 0:
+                    continue
+                vr = chi_eval(SupportFunction(((r, 1),)), p)
+                vs = cubic_symbol(sp.pi, rhos[r])
+                if vr.is_zero or vs.is_zero:
+                    dead = True
+                    break
+                e += k * (vr.exp + vs.exp)
+        if not dead:
+            counts[e % 3] += 1
+    while idx < len(checkpoints):
+        val = complex(counts[0] + counts[1] * w[1] + counts[2] * w[2])
+        out.append(CancellationSum(val, terms))
+        idx += 1
+    return out
+
+
+def k_direct_dfs(x: int, ell: int, d: int) -> int:
+    """K(x; ell, d) by a DFS that pushes every squarefree product, leaves
+    included."""
+    ps = [p for p in primes_up_to(x).tolist() if p % ell == 1 and d % p != 0]
+    total = 0
+    stack = [(1, 1, 0)]
+    while stack:
+        n, w, i = stack.pop()
+        total += w
+        for k in range(i, len(ps)):
+            m = n * ps[k]
+            if m > x:
+                break
+            stack.append((m, w * (ell - 1), k + 1))
+    return total
+
+
+def chi_p_table_walk(p: int) -> bytes:
+    """chi_p exponents by walking the powers of a primitive root g one
+    multiplication at a time: the entry at g^k is k * t mod 3, where
+    chi_p(g) = j^t."""
+    g = _primitive_root(p)
+    t = _symbol_fp(EisensteinInt(g, 0), standard_decompose(p)).exp
+    tab = bytearray(p)
+    tab[0] = 0xFF
+    x = 1
+    for k in range(p - 1):
+        tab[x] = k * t % 3
+        x = x * g % p
+    return bytes(tab)

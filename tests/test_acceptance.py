@@ -200,7 +200,7 @@ def test_criterion_5_tauberian():
         dev7 = abs(k_direct(10**7, 3, d) / (a3 * psi * 10**7) - 1)
         assert dev7 <= 0.02, (d, dev7)
         assert dev7 < dev5, (d, dev5, dev7)
-    assert time.monotonic() - t0 < 120
+    assert time.monotonic() - t0 < 30
 
 
 # 6. constant pipeline -----------------------------------------------------
@@ -285,4 +285,4 @@ def test_criterion_8_cancellation():
         ratios.append(abs(s) / len(sel))
     assert ratios[-1] < 0.01
     assert ratios[-1] < ratios[0]
-    assert time.monotonic() - t0 < 60
+    assert time.monotonic() - t0 < 15

@@ -29,7 +29,13 @@ from heisnine.constants import (
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
 
-from oracles import euler_product_P_literal, h_constants_literal
+import heisnine.constants
+import heisnine.eisenstein
+from oracles import (
+    char_cancellation_profile_literal,
+    euler_product_P_literal,
+    h_constants_literal,
+)
 
 SMALL = TruncationParams(delta_max=100, p_max=20000)
 F7 = SupportFunction(((7, 1),))
@@ -187,6 +193,53 @@ def test_cancellation_matches_complex_product():
         total += m
     assert got.terms == terms
     assert abs(got.value - total) < 1e-9
+
+
+# the three benchmark probes, one with eps = (0, 1) and a prime of f
+# outside the pattern, and two with 3 in the support of f
+LITERAL_PROBES = [
+    (((7, 1),), (1, 0), {7: (1, 0)}),
+    (((19, 1),), (0, 0), {19: (0, 1)}),
+    (((7, 1), (13, 2)), (1, 0), {7: (0, 1), 13: (1, 0)}),
+    (((7, 1), (13, 1)), (0, 1), {13: (0, 1)}),
+    (((3, 1), (7, 2)), (1, 0), {7: (1, 0)}),
+    (((3, 2), (7, 2), (19, 1)), (0, 1), {7: (1, 0), 19: (1, 0)}),
+]
+
+
+@pytest.mark.parametrize("entries,eps,pattern", LITERAL_PROBES)
+def test_cancellation_matches_literal_walk(entries, eps, pattern):
+    f = SupportFunction(entries)
+    checkpoints = (7, 1000, 10**4, 10**5)
+    got = char_cancellation_profile(f, checkpoints, eps, pattern)
+    want = char_cancellation_profile_literal(f, checkpoints, eps, pattern)
+    assert got == want
+
+
+def test_cancellation_decomposes_only_pattern_primes(monkeypatch):
+    calls = []
+    scalar = heisnine.eisenstein.standard_decompose
+
+    def counted(p):
+        calls.append(p)
+        return scalar(p)
+
+    for mod in (heisnine.eisenstein, heisnine.constants):
+        monkeypatch.setattr(mod, "standard_decompose", counted)
+    f = SupportFunction(((7, 1), (13, 2)))
+    pattern = {7: (0, 1), 13: (1, 0)}
+    prof = char_cancellation_profile(f, (10**5,), (1, 0), pattern)
+    assert prof[0].terms == 4784
+    # once for rho_r, and at most once more for a chi_p_table not yet built
+    assert set(calls) <= set(pattern) and len(calls) <= 2 * len(pattern)
+
+
+@pytest.mark.parametrize(
+    "checkpoints", [(), (100.5,), (100, 1000.0), (100, 2**30 + 1)]
+)
+def test_cancellation_rejects_bad_checkpoints(checkpoints):
+    with pytest.raises(ValueError):
+        char_cancellation_profile(F7, checkpoints)
 
 
 def test_cancellation_profile_single_pass_consistency():

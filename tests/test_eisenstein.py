@@ -1,15 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from heisnine.eisenstein import (
+    _TABLE_MAX,
+    _decompose_arrays,
     ROOT,
+    STANDARD_ARRAY_MAX,
     UNITS,
     ZERO,
     EisensteinInt,
     StandardPrime,
     chi_nine,
     chi_p,
+    chi_p_table,
     cubic_symbol,
     divrem,
     eis_gcd,
@@ -17,6 +22,7 @@ from heisnine.eisenstein import (
     one_plus_v_plus_v2,
     primary_associate,
     standard_decompose,
+    standard_prime_arrays,
     standard_primes_up_to,
 )
 from heisnine._primes import is_prime, primes_in_class
@@ -125,6 +131,43 @@ def test_decomposition_invariants_medium():
         assert divrem(E(-sp.r, 1), pi)[1].is_zero
 
 
+def _scalar_rows(ps):
+    return [(p, sp.pi.a, sp.pi.b, sp.r) for p in ps for sp in [standard_decompose(p)]]
+
+
+def test_prime_arrays_match_scalar():
+    cols = standard_prime_arrays(10**5)
+    assert all(col.dtype == np.int64 for col in cols)
+    rows = list(zip(*(col.tolist() for col in cols)))
+    assert rows == _scalar_rows(split_primes(10**5))
+
+
+def test_prime_arrays_exact_at_their_limit():
+    # the last split primes below the bound exercise the largest int64 products
+    ps = []
+    n = STANDARD_ARRAY_MAX
+    while len(ps) < 100:
+        if n % 3 == 1 and is_prime(n):
+            ps.append(n)
+        n -= 1
+    a, b, r = _decompose_arrays(np.array(ps, dtype=np.int64))
+    assert list(zip(ps, a.tolist(), b.tolist(), r.tolist())) == _scalar_rows(ps)
+
+
+@pytest.mark.parametrize("limit", [100.5, 1e4, STANDARD_ARRAY_MAX + 1])
+def test_standard_primes_reject_bad_limit(limit):
+    with pytest.raises(ValueError):
+        standard_primes_up_to(limit)
+    with pytest.raises(ValueError):
+        standard_prime_arrays(limit)
+
+
+def test_standard_primes_small_limits():
+    assert list(standard_primes_up_to(6)) == []
+    assert [sp.p for sp in standard_primes_up_to(13)] == [7, 13]
+    assert list(standard_primes_up_to(np.int64(7))) == [standard_decompose(7)]
+
+
 def _split_primes_from(start, k):
     out = []
     n = start + (1 - start) % 3
@@ -164,6 +207,11 @@ def test_chi_p_examples():
     assert chi_p(7, 2) == ROOT(1)
     assert chi_p(7, 9) == chi_p(7, 2)
     assert chi_p(13, 7) == ROOT(1)
+
+
+def test_chi_p_table_matches_walk():
+    for p in split_primes(5000) + split_primes(_TABLE_MAX)[-50:]:
+        assert chi_p_table(p) == oracles.chi_p_table_walk(p), p
 
 
 def test_chi_nine_examples():

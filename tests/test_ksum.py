@@ -28,6 +28,21 @@ def test_k_direct_small_equals_dfs():
         assert k_direct(x, 3, 91) == oracles.k_brute(x, 3, 91)
 
 
+# 103 * 109 = 11227 is a product of consecutive admissible primes, the edge
+# between a pushed child and a counted leaf
+@pytest.mark.parametrize("x", [10**4 + 1, 103 * 109, 10**5, 10**6])
+def test_k_direct_matches_full_dfs(x):
+    # the leaf-counting DFS against the one that pushes every product
+    for d in (1, 7, 91, 2923):
+        for ell in (2, 3, 7):
+            assert k_direct(x, ell, d) == oracles.k_direct_dfs(x, ell, d), (x, d, ell)
+
+
+def test_k_direct_huge_d():
+    d = 7 * 13 * 2**64  # past int64
+    assert k_direct(10**5, 3, d) == k_direct(10**5, 3, 91)
+
+
 def test_k_direct_domain():
     assert k_direct(0, 3) == 0
     assert k_direct(1, 3) == 1
