@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import exp, gcd, log
+from math import exp, gcd, log, prod
 from typing import Iterator, Sequence
 
 from .charspace import (
@@ -29,7 +29,7 @@ from .charspace import (
     is_linearly_independent,
     linear_combination,
 )
-from .eisenstein import ROOT, one_plus_v_plus_v2
+from .eisenstein import _CHI_NINE_EXP, ROOT, chi_p_table, one_plus_v_plus_v2
 from .ksum import k_direct
 
 __all__ = [
@@ -304,7 +304,7 @@ class CountReport:
 
 
 def _check_x(x: int) -> None:
-    if not isinstance(x, int):
+    if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError("X must be an integer")
     if x < 0:
         raise ValueError("X must be nonnegative")
@@ -328,105 +328,187 @@ def _mu_floor(f3: int, fp3: int) -> int:
     return 12
 
 
+# The census loop works on SupportFunction.entries tuples: sorted (prime,
+# value) pairs with values in {1, 2}.  Objects are built only for the terms
+# enumerate_terms emits.
+Entries = tuple[tuple[int, int], ...]
+
+
+def _exp(p: int, n: int) -> int:
+    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p."""
+    if p == 3:
+        return _CHI_NINE_EXP[n % 9]
+    return chi_p_table(p)[n % p]
+
+
+def _exp_at(ent: Entries, r: int) -> int:
+    """Exponent of chi(h)(r) mod 3, h given by its entries less the one at r."""
+    e = 0
+    for p, v in ent:
+        if p != r:
+            e += v * _exp(p, r)
+    return e % 3
+
+
+def _row(f3: int, fp3: int, e: int, ep: int) -> int:
+    """_three_row from f(3), f'(3) and the exponents e, ep of chi(f)(3),
+    chi(f')(3) less their entries at 3; chi(g)(3) is linear in g."""
+    if f3 == 0 and fp3 == 0:
+        return 1
+    if f3 == 0:
+        return 2 if e == 0 else 3
+    if fp3 == 0:
+        return 4 if ep == 0 else 5
+    return 6 if (fp3 * e + 2 * f3 * ep) % 3 == 0 else 7
+
+
+def _kernel_ones(base: Entries, at_f: Sequence[int], fp_ent: Entries) -> bool:
+    """True iff the indicator's factors at the primes r of supp3 f are all 1.
+
+    at_f holds the exponents of chi(f)(r) less the entry at r.  The kernel
+    generator at r is g = z f + f' with z = -f'(r) f(r) (g = f when
+    f'(r) = 0); g(r) = 0, so chi(g)(r) has exponent z at_f + (that of
+    chi(f')(r) less the entry at r)."""
+    fpv = dict(fp_ent)
+    for (r, vr), e in zip(base, at_f):
+        if (_exp_at(fp_ent, r) - fpv.get(r, 0) * vr * e) % 3:
+            return False
+    return True
+
+
+def _k_value(m: int, dd: int) -> int:
+    """K(m; 3, dd) for m >= 1."""
+    if m < 7:
+        return 1  # only n = 1: 7 is the least admissible prime
+    return k_direct(m, 3, dd)
+
+
+# a raw term: (Delta(f), Delta(f'), f entries, f' entries, d-class, D,
+# class value, weight without the w3 factor); the first five are its sort key
+RawTerm = tuple[int, int, Entries, Entries, int, int, int, int]
+
+
 def _census_for_delta(
-    x: int, w3: int, dI: DeltaIndex, wide: Sequence[DeltaIndex], collect: bool
-) -> tuple[dict[SubsumClass, int], list[TermRecord]]:
-    subs = {c: 0 for c in SubsumClass}
-    records: list[TermRecord] = []
+    x: int,
+    dI: DeltaIndex,
+    wide: Sequence[DeltaIndex],
+    collect: bool,
+) -> tuple[list[int], list[RawTerm]]:
+    """Subsums indexed by class value, the 3 | d classes without the w3
+    factor, over the pairs with Delta(f) = dI.delta; the raw terms too if
+    collect."""
+    subs = [0] * 15
+    records: list[RawTerm] = []
     df, fac = dI.delta, dI.primes
     d6 = df**6
-    shared_choices = _subsets(fac)
+    shared_choices = [(s, prod(s)) for s in _subsets(fac)]
     for f_vals in product((1, 2), repeat=len(fac)):
         base = tuple(zip(fac, f_vals))
         for f3 in (0, 1, 2):
             if f3 == 0 and not base:
                 continue  # f = 0
-            f = SupportFunction(((3, f3),) + base if f3 else base)
-            for fp3 in (0, 1, 2):
-                cap = x // (d6 * 3 ** _mu_floor(f3, fp3))
-                if cap == 0:
+            f_ent = ((3, f3),) + base if f3 else base
+            f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
+            e_f = _exp_at(base, 3)
+            at_f = [_exp_at(f_ent, r) for r in fac]
+            bounds = [
+                ifourth_root(x // (d6 * 3 ** _mu_floor(f3, fp3))) for fp3 in (0, 1, 2)
+            ]
+            top = max(bounds)
+            # the indicator's factor at a prime r of f' outside supp f is 1
+            # iff chi(f)(r) = 1, whatever f' is: keep the new parts passing it
+            news: list[DeltaIndex] = []
+            kern: dict[int, int] = {}
+            for eI in wide:
+                if eI.delta > top:
+                    break
+                if gcd(eI.delta, df) != 1:
                     continue
-                bound = ifourth_root(cap)
-                for eI in wide:
+                for r in eI.primes:
+                    if r not in kern:
+                        kern[r] = _exp_at(f_ent, r)
+                    if kern[r]:
+                        break
+                else:
+                    news.append(eI)
+            for fp3, bound in zip((0, 1, 2), bounds):
+                for eI in news:
                     if eI.delta > bound:
                         break
-                    if gcd(eI.delta, df) != 1:
-                        continue
+                    # free(Delta(f'), Delta(f)) = eI.delta: shared primes divide Delta(f)
+                    d_base = d6 * eI.delta**4
                     u = 3 ** (len(fac) + len(eI.primes))
-                    for shared in shared_choices:
+                    for shared, shared_prod in shared_choices:
                         sup = tuple(sorted(shared + eI.primes))
+                        dfp = shared_prod * eI.delta
+                        dd = df * dfp
                         for fp_vals in product((1, 2), repeat=len(sup)):
                             ent = tuple(zip(sup, fp_vals))
-                            fp = SupportFunction(((3, fp3),) + ent if fp3 else ent)
-                            if fp.is_zero:
+                            fp_ent = ((3, fp3),) + ent if fp3 else ent
+                            if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
+                                continue  # f' = 0, f or 2f: not independent
+                            row = _row(f3, fp3, e_f, _exp_at(ent, 3))
+                            d1 = d_base * 3 ** _MU_BY_ROW[row]
+                            m1 = isixth_root(x // d1)
+                            if m1 == 0:
+                                continue  # K(0) = 0, and D only grows when 3 | d
+                            if not _kernel_ones(base, at_f, fp_ent):
                                 continue
-                            if not is_linearly_independent(f, fp):
-                                continue
-                            mm = (
-                                isixth_root(x // big_d(f, fp, False)),
-                                isixth_root(x // big_d(f, fp, True)),
-                            )
-                            if mm == (0, 0):
-                                continue
-                            dd = df * delta(fp)
-                            kk = (
-                                k_direct(mm[0], 3, dd),
-                                k_direct(mm[1], 3, dd),
-                            )
-                            if kk == (0, 0):
-                                continue
-                            if indicator(f, fp) == 0:
-                                continue
-                            row = _three_row(f, fp)
-                            if kk[0]:
-                                c = SubsumClass(row)
-                                w = u * kk[0]
-                                subs[c] += w
-                                if collect:
-                                    records.append(
-                                        TermRecord(f, fp, 1, big_d(f, fp, False), c, w)
-                                    )
-                            if kk[1]:
-                                c = SubsumClass(row + 7)
-                                w = u * w3 * kk[1]
-                                subs[c] += w
-                                if collect:
-                                    records.append(
-                                        TermRecord(f, fp, 3, big_d(f, fp, True), c, w)
-                                    )
+                            w = u * _k_value(m1, dd)
+                            subs[row] += w
+                            if collect:
+                                records.append((df, dfp, f_ent, fp_ent, 1, d1, row, w))
+                            if row == 1:  # 3 | d raises mu from 0 to 12
+                                d3 = d_base * 3**12
+                                m3 = isixth_root(x // d3)
+                                if m3 == 0:
+                                    continue
+                                w = u * _k_value(m3, dd)
+                            else:
+                                d3 = d1  # same D, so the same weight
+                            subs[row + 7] += w
+                            if collect:
+                                records.append((df, dfp, f_ent, fp_ent, 3, d3, row + 7, w))
     return subs, records
 
 
-# Memo of finished reports: verify suites, ratio grids and subsum lookups ask
-# for the same (X, mode) many times.  Cleared when full, so it stays bounded.
-_report_cache: dict[tuple[int, WeightMode], CountReport] = {}
+# Memo of finished censuses by X: the mode-free subsums C1..C14, the 3 | d
+# classes without the w3 factor.  Both weight modes, verify suites, ratio
+# grids and subsum lookups ask for the same X many times.  Cleared when
+# full, so it stays bounded.
+_report_cache: dict[int, tuple[int, ...]] = {}
 _REPORT_CACHE_MAX = 256
 
 
-def _census(
-    x: int, mode: WeightMode, collect: bool = False
-) -> tuple[CountReport, tuple[TermRecord, ...]]:
-    _check_x(x)
-    key = (x, mode)
-    if not collect and key in _report_cache:
-        return _report_cache[key], ()
-    w3 = mode.w3
-    narrow = list(enumerate_deltas(isixth_root(x)))
+def _census(x: int, collect: bool = False) -> tuple[tuple[int, ...], list[RawTerm]]:
+    """Mode-free subsums at X = x, and its raw terms in stream order if
+    collect.  One enumeration serves both weight modes: every 3 | d weight
+    is u * w3 * K."""
+    if not collect and x in _report_cache:
+        return _report_cache[x], []
+    narrow = enumerate_deltas(isixth_root(x))
     # global bound for the new-prime part of f'; per-pair bounds are tighter
     wide = list(enumerate_deltas(ifourth_root(x // 3**8)) if x >= 3**8 else [])
-    subs = {c: 0 for c in SubsumClass}
-    records: list[TermRecord] = []
+    subs = [0] * 15
+    records: list[RawTerm] = []
     if wide:
         for dI in narrow:
-            psubs, precs = _census_for_delta(x, w3, dI, wide, collect)
-            for c in SubsumClass:
-                subs[c] += psubs[c]
+            psubs, precs = _census_for_delta(x, dI, wide, collect)
+            subs = [a + b for a, b in zip(subs, psubs)]
             records.extend(precs)
-    records.sort(
-        key=lambda t: (delta(t.f), delta(t.fp), t.f.entries, t.fp.entries, t.d_class)
-    )
+    records.sort(key=lambda t: t[:5])
+    base = tuple(subs[1:])
+    if len(_report_cache) >= _REPORT_CACHE_MAX:
+        _report_cache.clear()
+    _report_cache[x] = base
+    return base, records
+
+
+def _report(x: int, mode: WeightMode, base: tuple[int, ...]) -> CountReport:
+    w3 = mode.w3
+    subs = {c: base[c.value - 1] * (w3 if c.value > 7 else 1) for c in SubsumClass}
     raw = sum(subs.values())
-    report = CountReport(
+    return CountReport(
         x=x,
         weight_mode=mode,
         raw_total=raw,
@@ -434,24 +516,21 @@ def _census(
         divisible_by_108=raw % 108 == 0,
         subsums=subs,
     )
-    if len(_report_cache) >= _REPORT_CACHE_MAX:
-        _report_cache.clear()
-    _report_cache[key] = report
-    return report, tuple(records)
 
 
 def heis_total(x: int, mode: WeightMode = WeightMode.OMEGA_FULL) -> CountReport:
     """Raw census total, per-class subsums, and the divided count at X = x.
 
-    The bound x must not exceed X_MAX = 10^18.  Integer arithmetic is exact
-    throughout.
+    The bound x must be an integer (not a bool) no larger than X_MAX =
+    10^18.  Integer arithmetic is exact throughout.
     """
-    return _census(x, mode)[0]
+    _check_x(x)
+    return _report(x, mode, _census(x)[0])
 
 
 def heis_subsum(x: int, cls: SubsumClass, mode: WeightMode) -> int:
     """The single-class contribution to the raw total."""
-    return _census(x, mode)[0].subsums[cls]
+    return heis_total(x, mode).subsums[cls]
 
 
 def enumerate_terms(
@@ -460,12 +539,28 @@ def enumerate_terms(
     limit: int | None = None,
 ) -> Iterator[TermRecord]:
     """Stream the nonzero pair contributions in deterministic order:
-    (Delta(f), Delta(f'), f entries, f' entries, d-class)."""
-    report, records = _census(x, mode, collect=True)
-    del report
+    (Delta(f), Delta(f'), f entries, f' entries, d-class).  A limit keeps
+    the first limit terms; a negative one is a ValueError."""
+    _check_x(x)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    records = _census(x, collect=True)[1]
     if limit is not None:
         records = records[:limit]
-    return iter(records)
+    w3 = mode.w3
+    # one object per function: terms share them, as pairs share f
+    funcs = {ent: SupportFunction(ent) for t in records for ent in t[2:4]}
+    return (
+        TermRecord(
+            funcs[f_ent],
+            funcs[fp_ent],
+            d_class,
+            d,
+            SubsumClass(cls),
+            w * w3 if d_class == 3 else w,
+        )
+        for _, _, f_ent, fp_ent, d_class, d, cls, w in records
+    )
 
 
 def log_grid(lo: int, hi: int, n: int) -> list[int]:

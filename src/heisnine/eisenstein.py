@@ -482,7 +482,9 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
-@lru_cache(maxsize=None)
+# room for more tables than any workload uses (the symbols suite builds
+# 611, the census ~240), so none evicts, and memory stays bounded
+@lru_cache(maxsize=1024)
 def chi_p_table(p: int) -> bytes:
     """Exponent of chi_p(n) indexed by n mod p; 0xFF marks the zero value."""
     sp = standard_decompose(p)

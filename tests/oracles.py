@@ -4,17 +4,20 @@ Everything here recomputes results from definitions with arithmetic that
 shares no code with the package: ring elements are plain (a, b) tuples,
 divisibility goes through Cramer's rule, canonical primes come from an
 exhaustive lattice search, and censuses come from a brute-force scan.
-The literal Euler products and the prime walks at the end are the
-exceptions: the products take character values and L(1, chi) from the
-package and redo only the product assembly, and the walks keep the
+The literal Euler products, the prime walks and the literal census at the
+end are the exceptions: the products take character values and L(1, chi)
+from the package and redo only the product assembly, the walks keep the
 per-prime loops that the package replaced with array code, on top of the
-package's scalar decomposition and symbols.
+package's scalar decomposition and symbols, and the census keeps the loop
+over validated support functions that the package replaced with tuple
+code, on top of its public pair functions and K-sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import fsum, gcd, isqrt
 
 import numpy as np
@@ -23,11 +26,22 @@ from heisnine._primes import primes_in_class, primes_up_to
 from heisnine.charspace import (
     SupportFunction,
     chi_eval,
+    delta,
     enumerate_deltas,
     enumerate_V,
+    is_linearly_independent,
     linear_combination,
 )
 from heisnine.constants import CancellationSum, HConstants, TruncationParams, lambda_delta
+from heisnine.counting import (
+    SubsumClass,
+    TermRecord,
+    _three_row,
+    big_d,
+    ifourth_root,
+    indicator,
+    isixth_root,
+)
 from heisnine.eisenstein import (
     ROOT,
     EisensteinInt,
@@ -36,7 +50,7 @@ from heisnine.eisenstein import (
     cubic_symbol,
     standard_decompose,
 )
-from heisnine.ksum import psi_ell
+from heisnine.ksum import k_direct, psi_ell
 from heisnine.lfunctions import (
     character_values,
     chi_exponent_arrays,
@@ -625,3 +639,65 @@ def chi_p_table_walk(p: int) -> bytes:
         tab[x] = k * t % 3
         x = x * g % p
     return bytes(tab)
+
+
+# ---------------------------------------------------------------------------
+# the census loop on validated objects: the route the package's tuple loop
+# replaced
+
+
+def census_literal(
+    x: int, w3: int, collect: bool = False
+) -> tuple[dict[SubsumClass, int], list[TermRecord]]:
+    """Subsums and, if collect, the sorted term stream at X = x for the
+    3 | d weight w3, one SupportFunction per candidate f': independence by
+    is_linearly_independent, D by big_d, the row by _three_row, the
+    indicator by indicator, and every K-sum by k_direct."""
+    subs = {c: 0 for c in SubsumClass}
+    records: list[TermRecord] = []
+    if x < 3**8:
+        return subs, records
+    wide = list(enumerate_deltas(ifourth_root(x // 3**8)))
+    for dI in enumerate_deltas(isixth_root(x)):
+        df, fac = dI.delta, dI.primes
+        for f_vals in product((1, 2), repeat=len(fac)):
+            base = tuple(zip(fac, f_vals))
+            for f3 in (0, 1, 2):
+                if f3 == 0 and not base:
+                    continue
+                f = SupportFunction(((3, f3),) + base if f3 else base)
+                for fp3 in (0, 1, 2):
+                    mu_floor = 0 if f3 == fp3 == 0 else (8 if f3 == 0 else 12)
+                    bound = ifourth_root(x // (df**6 * 3**mu_floor))
+                    for eI in wide:
+                        if eI.delta > bound:
+                            break
+                        if gcd(eI.delta, df) != 1:
+                            continue
+                        u = 3 ** (len(fac) + len(eI.primes))
+                        for shared in _subsets(fac):
+                            sup = tuple(sorted(shared + eI.primes))
+                            for fp_vals in product((1, 2), repeat=len(sup)):
+                                ent = tuple(zip(sup, fp_vals))
+                                fp = SupportFunction(((3, fp3),) + ent if fp3 else ent)
+                                if not is_linearly_independent(f, fp):
+                                    continue
+                                dd = df * delta(fp)
+                                terms = []
+                                for d_class, shift, w in ((1, 0, 1), (3, 7, w3)):
+                                    big = big_d(f, fp, d_class == 3)
+                                    k = k_direct(isixth_root(x // big), 3, dd)
+                                    if k:
+                                        terms.append((d_class, big, shift, u * w * k))
+                                if not terms or indicator(f, fp) == 0:
+                                    continue
+                                row = _three_row(f, fp)
+                                for d_class, big, shift, w in terms:
+                                    cls = SubsumClass(row + shift)
+                                    subs[cls] += w
+                                    if collect:
+                                        records.append(TermRecord(f, fp, d_class, big, cls, w))
+    records.sort(
+        key=lambda t: (delta(t.f), delta(t.fp), t.f.entries, t.fp.entries, t.d_class)
+    )
+    return subs, records

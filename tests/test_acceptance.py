@@ -56,11 +56,6 @@ STAR = WeightMode.OMEGA_STAR
 
 
 @pytest.fixture(scope="session")
-def census_grid():
-    return [(x, heis_total(x, FULL)) for x in log_grid(10**9, 10**16, 20)]
-
-
-@pytest.fixture(scope="session")
 def default_constants():
     return constant_report(TruncationParams())
 
@@ -135,8 +130,9 @@ def test_criterion_2_indicator():
 # 3. census integrality ----------------------------------------------------
 
 
-def test_criterion_3_census_integrality(census_grid):
+def test_criterion_3_census_integrality():
     t0 = time.monotonic()
+    census_grid = [(x, heis_total(x, FULL)) for x in log_grid(10**9, 10**16, 20)]
     prev = Fraction(-1)
     for x, rep in census_grid:
         assert rep.raw_total % 108 == 0, f"raw_total({x}) not divisible by 108"
@@ -161,7 +157,7 @@ def test_criterion_3_census_integrality(census_grid):
     assert {c.value: star.subsums[c] for c in SubsumClass} == sub_star
     assert {c.value: full.subsums[c] for c in SubsumClass} == sub_full
 
-    assert time.monotonic() - t0 < 300
+    assert time.monotonic() - t0 < 30
 
 
 # 4. subsum identities -----------------------------------------------------
@@ -181,7 +177,7 @@ def test_criterion_4_subsum_identities():
         full = heis_total(x, FULL).subsums
         shifted_full = heis_total(x // 3**12, FULL).subsums[SubsumClass.C1]
         assert full[SubsumClass.C8] == 2 * shifted_full
-    assert time.monotonic() - t0 < 300
+    assert time.monotonic() - t0 < 30
 
 
 # 5. Tauberian -------------------------------------------------------------
@@ -257,7 +253,7 @@ def test_criterion_7_asymptotic_trend(default_constants):
     assert top.x == 10**16
     assert c / 10 <= top.ratio <= 10 * c
     assert 0.1 <= top.ratio_over_c <= 10
-    assert time.monotonic() - t0 < 60
+    assert time.monotonic() - t0 < 30
 
 
 # 8. cancellation probe ----------------------------------------------------

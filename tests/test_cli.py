@@ -85,6 +85,13 @@ def test_terms_csv_and_limit(capsys):
     assert lines[1].startswith('3:1,"3:1,19:1"') or lines[1].startswith('"3:1"')
 
 
+def test_terms_negative_limit_is_domain_error(capsys):
+    assert run(["terms", "--x", "1e16", "--limit", "-1", "--format", "csv"]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert "error:" in err and "limit" in err
+
+
 def test_terms_json_roundtrip(capsys):
     assert run(["terms", "--x", "6e12", "--format", "json"]) == 0
     out, _ = _out(capsys)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,11 @@ def test_terms_stream_empty_and_limited():
     assert list(enumerate_terms(10**9, FULL)) == []
     x = 6 * 10**12
     assert len(list(enumerate_terms(x, FULL, limit=5))) == 5
+    n = len(list(enumerate_terms(x, FULL)))
+    assert len(list(enumerate_terms(x, FULL, limit=n + 1))) == n
+    assert list(enumerate_terms(x, FULL, limit=0)) == []
+    with pytest.raises(ValueError):
+        enumerate_terms(x, FULL, limit=-1)
 
 
 def test_terms_stream_total_matches_raw():
@@ -243,6 +249,45 @@ def test_census_rejects_out_of_range():
         heis_total(X_MAX + 1, FULL)
     with pytest.raises(ValueError):
         heis_total(-1, FULL)
+
+
+def test_census_rejects_bool():
+    for x in (True, False):
+        with pytest.raises(TypeError):
+            heis_total(x, FULL)
+        with pytest.raises(TypeError):
+            enumerate_terms(x, FULL)
+
+
+def _literal_report(x, mode):
+    subs, _ = oracles.census_literal(x, mode.w3)
+    raw = sum(subs.values())
+    return CountReport(x, mode, raw, Fraction(raw, 108), raw % 108 == 0, subs)
+
+
+def test_census_matches_literal_route():
+    for x in log_grid(10**9, 10**18, 12) + [6 * 10**12]:
+        for mode in (STAR, FULL):
+            assert heis_total(x, mode).to_json() == _literal_report(x, mode).to_json()
+
+
+@pytest.mark.parametrize("x", [6 * 10**12, 10**16, 10**18])
+def test_terms_stream_matches_literal_route(x):
+    for mode in (STAR, FULL):
+        _, recs = oracles.census_literal(x, mode.w3, collect=True)
+        assert list(enumerate_terms(x, mode)) == recs
+
+
+def test_second_mode_at_one_x_matches_cold_call():
+    from heisnine import counting
+
+    for x in (6 * 10**12, 10**16):
+        for first, second in ((FULL, STAR), (STAR, FULL)):
+            counting._report_cache.clear()
+            cold = heis_total(x, second).to_json()
+            counting._report_cache.clear()
+            heis_total(x, first)
+            assert heis_total(x, second).to_json() == cold
 
 
 def test_report_serialization():

@@ -214,6 +214,14 @@ def test_chi_p_table_matches_walk():
         assert chi_p_table(p) == oracles.chi_p_table_walk(p), p
 
 
+def test_chi_p_table_cache_is_bounded():
+    size = chi_p_table.cache_info().maxsize
+    assert size is not None and size >= 1024
+    for p in split_primes(_TABLE_MAX)[: size + 10]:
+        chi_p_table(p)
+    assert chi_p_table.cache_info().currsize <= size
+
+
 def test_chi_nine_examples():
     assert chi_nine(2) == ROOT(1)
     assert chi_nine(8) == ROOT(0)
