@@ -6,30 +6,39 @@ renormalized against |L(1, chi)|^2 |L(1, (./3)chi)|^2 before truncation, so
 the truncated factors are 1 + O(p^(-3/2)) and the products converge
 absolutely; the H-series over moduli Delta are accumulated with compensated
 summation in a fixed deterministic order.
+
+The characters chi(f) of one Delta = r_1 ... r_k take their values on
+residue classes: n is classed by the exponents of chi_(r_i)(n) and
+chi_9(n) and by (n/3).  So the work over primes and residues happens once
+per Delta: the prime grids and the residues below 9 Delta are classed,
+their weights (log differences of the local factors, exp(2 pi i a/q),
+log 2 sin(pi a/q) and a) are summed per class with bincount, and each
+character's masked Euler sum, Gauss sum and closed-form L-sum is a sum
+over at most 2 * 3^(k+1) buckets.  lfunctions keeps the per-character
+closed forms over the whole conductor as the independent route.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from math import exp, log, sqrt
+from dataclasses import dataclass
+from itertools import product
+from math import log, prod, sqrt
 from numbers import Integral
 
 import numpy as np
 
 from ._primes import primes_up_to
-from .charspace import (
-    SupportFunction,
-    chi_eval,
-    delta,
-    enumerate_V,
-    enumerate_deltas,
-    linear_combination,
-)
+from .charspace import SupportFunction, enumerate_deltas, linear_combination
 from .counting import WeightMode, heis_total
-from .eisenstein import ROOT, chi_p_table, standard_decompose, standard_prime_arrays
+from .eisenstein import (
+    _CHI_NINE_EXP,
+    chi_p_table,
+    standard_decompose,
+    standard_prime_arrays,
+)
 from .ksum import alpha_ell, psi_ell
-from .lfunctions import character_values, chi_exponent_arrays, l_one, twisted_character_values
+from .lfunctions import chi_exponent_arrays
 
 __all__ = [
     "TruncationParams",
@@ -97,13 +106,16 @@ def lambda_delta(d: int) -> float:
 
 @dataclass(frozen=True)
 class _PrimeGrids:
+    """Descending, so that the sequential bucket sums of _delta_products
+    add the local log differences, all of one sign, smallest first."""
+
     one: np.ndarray  # primes = 1 mod 3 up to p_max
     two: np.ndarray  # primes = 2 mod 3 up to p_max (includes 2)
     sqrt_one: np.ndarray
 
 
 def _grids(p_max: int) -> _PrimeGrids:
-    ps = primes_up_to(p_max)
+    ps = primes_up_to(p_max)[::-1]
     one = ps[ps % 3 == 1]
     two = ps[ps % 3 == 2]
     return _PrimeGrids(one, two, np.sqrt(one.astype(np.float64)))
@@ -120,20 +132,6 @@ def _grids_cached(p_max: int) -> _PrimeGrids:
             _grid_cache.clear()
         _grid_cache[p_max] = g
     return g
-
-
-def _l_factors(f: SupportFunction) -> float:
-    lc = l_one(character_values(f))
-    lt = l_one(twisted_character_values(f))
-    return (abs(lc) * abs(lt)) ** 2
-
-
-def _three_factor(f: SupportFunction) -> float:
-    if f.f3:
-        return 1.0  # chi(f)(3) = 0
-    v = chi_eval(f, 3)
-    c3 = 2.0 if v == ROOT(0) else -1.0
-    return 1.0 - c3 / 3.0 + 1.0 / 9.0
 
 
 # The local factors see chi(f)(p) only through c_p = 2 Re chi(f)(p): 2 where
@@ -165,19 +163,36 @@ def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
     return np.log1p((-c * two**2 + 1.0) / two**4)
 
 
+# Class ids.  A residue n of one Delta = r_1 ... r_k gets the id
+#   e_9 + 3 e_1 + ... + 3^k e_k + 3^(k+1) h,
+# e_9 and e_i the exponents of chi_9(n) and chi_(r_i)(n), and h = 1 iff
+# (n/3) = -1.  Every id at or above 2 * 3^(k+1) is dead: some r_i | n, or
+# 3 | n where chi_9 or (./3) enters.  chi(f)(n) for f = f(3) e_3 + sum v_i
+# e_(r_i) is j^(f(3) e_9 + sum v_i e_i), so a character is a function of
+# the class, and a sum of chi(f)(n) w(n) is a sum over the bucket sums of w.
+
+# exponent of chi_9 at n mod 9, -1 where 3 | n
+_NINE_EXP = np.array([_CHI_NINE_EXP.get(n, -1) for n in range(9)], dtype=np.int64)
+_W3 = np.exp(2j * np.pi * np.arange(3) / 3)
+
+
 @dataclass(frozen=True)
 class _LogTables:
     """Log-sums of the local factors over the prime grids of one p_max.
 
     Each sum is a scalar in `base`, with every prime at c_p = -1, plus a
-    difference array in `diffs` added where the exponent of chi(f)(p) is 0,
-    so one character costs a masked sum instead of a pass of logarithms.
+    difference array in `diffs` added where the exponent of chi(f)(p) is 0.
     The sums are, in order: the correction over the primes = 2 mod 3, P,
-    and (when built) the first form."""
+    and (when built) the first form.  `nine` holds the exponent of chi_9
+    on each grid, the lowest digit of the class ids that _delta_products
+    buckets the differences by: one Delta costs one bincount per
+    difference array, and each of its characters a sum over the 3^(k+1)
+    buckets where the exponent of chi(f) is 0."""
 
     grids: _PrimeGrids
     base: tuple[float, ...]
     diffs: tuple[np.ndarray, ...]
+    nine: tuple[np.ndarray, np.ndarray]
 
 
 def _log_tables(g: _PrimeGrids, first: bool) -> _LogTables:
@@ -193,7 +208,8 @@ def _log_tables(g: _PrimeGrids, first: bool) -> _LogTables:
         diff = logs(*args, 2.0)
         diff -= lo
         diffs.append(diff)
-    return _LogTables(g, tuple(base), tuple(diffs))
+    nine = tuple(_NINE_EXP[ps % 9].astype(np.int8) for ps in (g.one, g.two))
+    return _LogTables(g, tuple(base), tuple(diffs), nine)
 
 
 def _dead_fix(rs: np.ndarray) -> tuple[float, float]:
@@ -207,25 +223,137 @@ def _dead_fix(rs: np.ndarray) -> tuple[float, float]:
     return fix_p, -float(_first_logs(r, sqrt_r, -1.0).sum())
 
 
-def _products(
-    t: _LogTables,
-    f: SupportFunction,
-    e_one: np.ndarray,
-    e_two: np.ndarray,
-    dead: np.ndarray,
-    fix: tuple[float, float],
-) -> tuple[float, ...]:
-    """(P(f),) or, when the tables hold it, (P(f), first form of P(f)), from
-    the exponents of chi(f) on both grids, the indices of its support primes
-    on the grid of primes = 1 mod 3, and their _dead_fix."""
-    two = t.base[0] + float((t.diffs[0] * (e_two % 3 == 0)).sum())
-    zero = e_one % 3 == 0
-    zero[dead] = False
-    scale = _l_factors(f) * _three_factor(f)
-    return tuple(
-        scale * exp(b + float((d * zero).sum()) + fx + two)
-        for b, d, fx in zip(t.base[1:], t.diffs[1:], fix)
+def _classes(
+    primes: tuple[int, ...], chars: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The id digit 3^i e_i of each support prime r_i, indexed by n mod r_i
+    (dead where r_i | n), and the exponent of chi(f) on every live class
+    for each row (f(3), v_1, ..., v_k) of chars."""
+    n_ids = 2 * 3 ** (len(primes) + 1)
+    luts = []
+    for i, r in enumerate(primes, 1):
+        tab = np.frombuffer(chi_p_table(r), dtype=np.int8).astype(np.int64)
+        luts.append(np.where(tab >= 0, 3**i * tab, n_ids))
+    cls = np.arange(n_ids)
+    digits = np.stack([cls // 3**i % 3 for i in range(len(primes) + 1)])
+    return luts, chars @ digits % 3
+
+
+def _bucket_sums(
+    d: int, luts: list[np.ndarray], n_ids: int
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], ...]:
+    """The bucket sums behind the closed forms of L(1, chi) for the
+    characters of one Delta = d: {modulus: (tau sums, log-sine sums)} of the
+    even ones, chi(f) mod d and 9d, and {modulus: (tau sums, a sums)} of the
+    odd ones, (./3) chi(f) mod 3d and 9d.
+
+    A residue q - a has the digits of a and the opposite h, so each form of
+    lfunctions.l_one folds a with q - a (q is odd): tau = 2 sum chi(a)
+    cos(2 pi a/q) and the log-sine sum is 2 sum conj(chi)(a) log 2 sin(pi a/q)
+    for even chi; tau = 2i sum chi(a) sin(2 pi a/q) and sum conj(chi)(a) a
+    is sum conj(chi)(a) (2a - q) for odd chi; all over 1 <= a < q/2.  One
+    pass of cos, sin and log over a < 9d/2 serves the three moduli: a mod
+    3d and a mod d sit at 3a and 9a.  The ids mod d carry no 3-digits."""
+    half = (9 * d + 1) // 2
+    ang = np.arange(1, half) * (2.0 * np.pi / (9 * d))
+    cos, sin = np.cos(ang), np.sin(ang)
+    log2sin = np.log(2.0 * np.sin(0.5 * ang))
+    n_euler = n_ids // 2
+    nine = np.array(
+        [n_ids if x < 0 else x + n_euler * (n % 3 == 2) for n, x in enumerate(_NINE_EXP)]
     )
+
+    def tiled(lut: np.ndarray) -> np.ndarray:  # lut[a mod len(lut)] for 0 <= a < half
+        return np.tile(lut, -(-half // len(lut)))[:half]
+
+    digits = np.zeros(half, dtype=np.int64)
+    for lut in luts:
+        digits += tiled(lut)
+    ids = (digits + tiled(nine))[1:]
+    digits = digits[1:]
+
+    def bins(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(idx, w, minlength=n_ids)[:n_ids]
+
+    n1, n3 = (d - 1) // 2, (3 * d - 1) // 2
+    even = {
+        d: (bins(digits[:n1], cos[8::9][:n1]), bins(digits[:n1], log2sin[8::9][:n1])),
+        9 * d: (bins(ids, cos), bins(ids, log2sin)),
+    }
+    odd = {
+        3 * d: (
+            bins(ids[:n3], sin[2::3][:n3]),
+            bins(ids[:n3], 2.0 * np.arange(1, n3 + 1) - 3 * d),
+        ),
+        9 * d: (bins(ids, sin), bins(ids, 2.0 * np.arange(1, half) - 9 * d)),
+    }
+    return even, odd
+
+
+def _l_values(
+    d: int, luts: list[np.ndarray], e: np.ndarray, f3: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """L(1, chi(f)) and L(1, (./3) chi(f)) for the characters of _classes
+    of Delta = d, f(3) given per row.  chi(f) has conductor d and
+    (./3) chi(f) 3d; with f(3) != 0 both have 9d."""
+    n_ids = e.shape[1]
+    even, odd = _bucket_sums(d, luts, n_ids)
+    chi = _W3[e]
+    chi_t = np.where(np.arange(n_ids) >= n_ids // 2, -chi, chi)
+    l_plain = np.empty(len(e), dtype=complex)
+    l_twist = np.empty(len(e), dtype=complex)
+    for sel, q, qt in ((f3 == 0, d, 3 * d), (f3 != 0, 9 * d, 9 * d)):
+        x, xt = chi[sel], chi_t[sel]
+        cos, log2sin = even[q]
+        sin, lin = odd[qt]
+        tau = 2.0 * (x * cos).sum(axis=1)
+        l_plain[sel] = -(tau / q) * 2.0 * np.conj((x * log2sin).sum(axis=1))
+        tau = 2j * (xt * sin).sum(axis=1)
+        l_twist[sel] = 1j * np.pi * tau / qt * np.conj((xt * lin).sum(axis=1)) / qt
+    return l_plain, l_twist
+
+
+def _delta_products(
+    t: _LogTables, primes: tuple[int, ...], chars: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Euler products of the characters of one Delta = prod(primes).
+
+    Row i of `chars` is (f(3), v_1, ..., v_k), the values of f at 3 and at
+    the support primes.  Returns one array per P-sum of the tables, (P,) or
+    (P, first form), and the exponent of chi(f)(3) for the rows with
+    f(3) = 0.  The grids and the residues below 9 Delta are classed and
+    bucketed once; each character then costs a few dot products over the
+    buckets."""
+    luts, e = _classes(primes, chars)
+    n_euler = e.shape[1] // 2  # the grids have no h digit
+    g = t.grids
+
+    def grid_ids(ps: np.ndarray, nine: np.ndarray) -> np.ndarray:
+        ids = nine.astype(np.int64)
+        for r, lut in zip(primes, luts):
+            ids += lut[ps % r]
+        return ids
+
+    zero = e[:, :n_euler] == 0
+
+    def masked(ids: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        return (zero * np.bincount(ids, diff, minlength=n_euler)[:n_euler]).sum(axis=1)
+
+    two = t.base[0] + masked(grid_ids(g.two, t.nine[1]), t.diffs[0])
+    ids = grid_ids(g.one, t.nine[0])
+    fix = _dead_fix(g.one[ids >= n_euler])  # the support primes on the grid
+    logs = [
+        b + masked(ids, df) + fx + two
+        for b, df, fx in zip(t.base[1:], t.diffs[1:], fix)
+    ]
+
+    f3 = chars[:, 0]
+    l_plain, l_twist = _l_values(prod(primes), luts, e, f3)
+    e3 = e[:, sum(int(lut[3]) for lut in luts)]  # the class of 3 mod Delta
+    c3 = np.where(e3 == 0, 2.0, -1.0)
+    three = np.where(f3 == 0, 1.0 - c3 / 3.0 + 1.0 / 9.0, 1.0)
+    scale = (abs(l_plain) * abs(l_twist)) ** 2 * three
+    return tuple(scale * np.exp(lo) for lo in logs), e3
 
 
 def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
@@ -234,18 +362,15 @@ def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     renormalized through |L(1,chi)|^2 |L(1,(./3)chi)|^2 so the truncated
     local factors are 1 + 2 p^(-3/2) + O(p^-2).
 
-    Each call builds the log tables of P and of the correction at the
-    primes = 2 mod 3 for its one character: two passes of logarithms per
-    grid where a direct product over c_p takes one.  h_constants builds
-    them once for all of its characters."""
+    The one-character case of h_constants: each call builds the log tables
+    of P and of the correction at the primes = 2 mod 3, then the class
+    buckets of Delta(f), and reads its one character off them."""
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
     t = _log_tables(_grids_cached(params.p_max), first=False)
-    e_one, ok = chi_exponent_arrays(f, t.grids.one)
-    e_two, _ = chi_exponent_arrays(f, t.grids.two)
-    dead = np.flatnonzero(~ok)
-    (pf,) = _products(t, f, e_one, e_two, dead, _dead_fix(t.grids.one[dead]))
-    return pf
+    row = [f.f3] + [v for p, v in f.entries if p != 3]
+    (pf,), _ = _delta_products(t, f.supp3, np.array([row], dtype=np.int64))
+    return float(pf[0])
 
 
 def _euler_tail_bound(p_max: int) -> float:
@@ -263,15 +388,6 @@ class HConstants:
     p_of_f_max: float
 
 
-def _exponent_rows(p: int, g: _PrimeGrids) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents of chi_p on both grids, as int8 (0 where chi_p vanishes)."""
-    f = SupportFunction(((p, 1),))
-    return (
-        chi_exponent_arrays(f, g.one)[0].astype(np.int8),
-        chi_exponent_arrays(f, g.two)[0].astype(np.int8),
-    )
-
-
 def h_constants(params: TruncationParams) -> HConstants:
     """The Delta-series H0, H1, H1', H2 and the literal first form of the
     starred constant (before the 2^-2 3^-3 alpha_3 prefactor).
@@ -279,10 +395,9 @@ def h_constants(params: TruncationParams) -> HConstants:
     chi(2f) is the conjugate of chi(f), so c_p, |L|^2 and the factor at 3
     agree and P(2f) = P(f): each conjugate pair, f with first value 1, is
     computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
-    the same H1 or H1' bucket."""
-    g = _grids_cached(params.p_max)
-    t = _log_tables(g, first=True)
-    nine_one, nine_two = _exponent_rows(3, g)
+    the same H1 or H1' bucket.  All characters of one Delta share one
+    _delta_products call."""
+    t = _log_tables(_grids_cached(params.p_max), first=True)
     h0 = _CompensatedSum()
     h1 = _CompensatedSum()
     h1p = _CompensatedSum()
@@ -291,38 +406,28 @@ def h_constants(params: TruncationParams) -> HConstants:
     p_max_seen = 0.0
     for dI in enumerate_deltas(params.delta_max):
         d = dI.delta
-        pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
+        k = len(dI.primes)
+        pref = float(psi_ell(d, 3)) * 3**k / d**1.5
         w = lambda_delta(d) * pref
-        rows = [_exponent_rows(r, g) for r in dI.primes]
-        # support primes above p_max have no entry on the grid to fix
-        rs = np.array([r for r in dI.primes if r <= params.p_max], dtype=np.int64)
-        dead = np.searchsorted(g.one, rs)
-        fix = _dead_fix(rs)
         # Delta = 1 adds to H2 only: f = 0, whose f(3) = 1 and 2 are conjugate
         f3s = (0, 1, 2) if d > 1 else (1,)
-        for f in enumerate_V(d, True):
-            if f.entries and f.entries[0][1] == 2:
-                continue  # the conjugate of an f already summed
-            e_one = np.zeros(len(g.one), dtype=np.int8)
-            e_two = np.zeros(len(g.two), dtype=np.int8)
-            for (_, v), (r_one, r_two) in zip(f.entries, rows):
-                e_one += v * r_one
-                e_two += v * r_two
-            for f3 in f3s:
-                gf = SupportFunction(((3, f3),) + f.entries) if f3 else f
-                pf, first = _products(
-                    t, gf, e_one + f3 * nine_one, e_two + f3 * nine_two, dead, fix
-                )
-                if f3:
-                    h2.add(w * pf)
-                    h2.add(w * pf)
-                    continue
-                p_max_seen = max(p_max_seen, pf)
-                bucket = h1 if chi_eval(f, 3) == ROOT(0) else h1p
-                for _ in range(2):
-                    h0.add(w * pf)
-                    bucket.add(w * pf)
-                    form1.add(pref * first)
+        # enumerate_V's order, less the second member of each conjugate pair
+        vs = [v for v in product((1, 2), repeat=k) if not v or v[0] == 1]
+        chars = np.array([(f3,) + v for v in vs for f3 in f3s], dtype=np.int64)
+        (pfs, firsts), e3 = _delta_products(t, dI.primes, chars)
+        for f3, pf, first, e in zip(
+            chars[:, 0].tolist(), pfs.tolist(), firsts.tolist(), e3.tolist()
+        ):
+            if f3:
+                h2.add(w * pf)
+                h2.add(w * pf)
+                continue
+            p_max_seen = max(p_max_seen, pf)
+            bucket = h1 if e == 0 else h1p
+            for _ in range(2):
+                h0.add(w * pf)
+                bucket.add(w * pf)
+                form1.add(pref * first)
     return HConstants(
         h0=h0.value,
         h1=h1.value,
@@ -503,11 +608,10 @@ def char_cancellation_profile(
         ok &= (vr >= 0) & (vs >= 0)
         e += k * (vr + vs)
     cls = np.where(ok, e % 3, 3)
-    w = np.exp(2j * np.pi * np.arange(3) / 3)
     out = []
     for end in np.searchsorted(ps, checkpoints, side="right").tolist():
         counts = np.bincount(cls[:end], minlength=4).tolist()
-        val = complex(counts[0] + counts[1] * w[1] + counts[2] * w[2])
+        val = complex(counts[0] + counts[1] * _W3[1] + counts[2] * _W3[2])
         out.append(CancellationSum(val, end))
     return out
 

@@ -312,6 +312,11 @@ def _check_x(x: int) -> None:
         raise ValueError(f"X = {x} exceeds the supported bound {X_MAX}")
 
 
+def _check_mode(mode: WeightMode) -> None:
+    if not isinstance(mode, WeightMode):
+        raise TypeError(f"mode must be a WeightMode, got {mode!r}")
+
+
 def _subsets(fac: Sequence[int]) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = [()]
     for p in fac:
@@ -522,9 +527,11 @@ def heis_total(x: int, mode: WeightMode = WeightMode.OMEGA_FULL) -> CountReport:
     """Raw census total, per-class subsums, and the divided count at X = x.
 
     The bound x must be an integer (not a bool) no larger than X_MAX =
-    10^18.  Integer arithmetic is exact throughout.
+    10^18, and mode a WeightMode (TypeError otherwise).  Integer
+    arithmetic is exact throughout.
     """
     _check_x(x)
+    _check_mode(mode)
     return _report(x, mode, _census(x)[0])
 
 
@@ -540,10 +547,15 @@ def enumerate_terms(
 ) -> Iterator[TermRecord]:
     """Stream the nonzero pair contributions in deterministic order:
     (Delta(f), Delta(f'), f entries, f' entries, d-class).  A limit keeps
-    the first limit terms; a negative one is a ValueError."""
+    the first limit terms: an integer (not a bool, else TypeError), and
+    nonnegative (else ValueError)."""
     _check_x(x)
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    _check_mode(mode)
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise TypeError(f"limit must be an integer, got {limit!r}")
+        if limit < 0:
+            raise ValueError(f"limit must be nonnegative, got {limit}")
     records = _census(x, collect=True)[1]
     if limit is not None:
         records = records[:limit]

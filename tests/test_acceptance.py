@@ -232,7 +232,7 @@ def test_criterion_6_constants():
     assert rep.h0 == pytest.approx(rep.h1 + rep.h1_prime, rel=1e-12)
     assert rep.tails["c_star_forms_gap"] <= 1e-3
     assert rep.c_heis3 > 0
-    assert time.monotonic() - t0 < 60
+    assert time.monotonic() - t0 < 30
 
 
 # 7. asymptotic trend ------------------------------------------------------

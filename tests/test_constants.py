@@ -2,12 +2,15 @@
 
 import cmath
 import json
+import time
 from dataclasses import astuple
 from math import sqrt
 
+import numpy as np
 import pytest
 
 from heisnine.charspace import (
+    DeltaIndex,
     SupportFunction,
     chi_eval,
     enumerate_deltas,
@@ -17,6 +20,8 @@ from heisnine.charspace import (
 from heisnine.constants import (
     CancellationSum,
     TruncationParams,
+    _classes,
+    _l_values,
     char_cancellation,
     char_cancellation_profile,
     constant_report,
@@ -28,6 +33,7 @@ from heisnine.constants import (
 )
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
+from heisnine.lfunctions import character_values, l_one, twisted_character_values
 
 import heisnine.constants
 import heisnine.eisenstein
@@ -61,6 +67,10 @@ LITERAL_CASES = [
     SupportFunction(((7, 2), (13, 1))),
     SupportFunction(((3, 1), (19, 2))),
     SupportFunction(((3, 2), (7, 1), (13, 1), (19, 2))),
+    # V(1729): three support primes, 81 Euler classes and 162 L classes
+    SupportFunction(((7, 1), (13, 2), (19, 2))),
+    SupportFunction(((7, 2), (13, 2), (19, 1))),
+    SupportFunction(((3, 1), (7, 2), (13, 1), (19, 1))),
 ]
 
 
@@ -80,14 +90,51 @@ def test_euler_product_matches_literal_past_int64_fourth_powers(f):
 
 @pytest.mark.parametrize(
     "params",
-    # (300, 200): support primes between p_max and delta_max lie off the grid
-    [SMALL, TruncationParams(300, 50000), TruncationParams(300, 200)],
+    # (300, 200): support primes between p_max and delta_max lie off the grid;
+    # (1729, 1000): the first Delta with three support primes
+    [
+        SMALL,
+        TruncationParams(300, 50000),
+        TruncationParams(300, 200),
+        TruncationParams(1729, 1000),
+    ],
     ids=str,
 )
 def test_h_constants_match_literal(params):
+    t0 = time.monotonic()
     got = astuple(h_constants(params))
     want = astuple(h_constants_literal(params))
     assert got == pytest.approx(want, rel=1e-13)
+    assert time.monotonic() - t0 < 30
+
+
+def test_bucketed_l_values_match_l_one():
+    # every g = f + f(3) e_3 of the pipeline, f in V*(Delta), against the
+    # closed forms over the full conductor; 1729 = 7 * 13 * 19 is the only
+    # Delta <= 2000 with three support primes
+    t0 = time.monotonic()
+    e3 = SupportFunction(((3, 1),))
+    checked = 0
+    for dI in list(enumerate_deltas(500)) + [DeltaIndex(1729, (7, 13, 19))]:
+        gs = [
+            linear_combination(1, f, f3, e3)
+            for f in enumerate_V(dI.delta, True)
+            for f3 in (0, 1, 2)
+        ]
+        gs = [g for g in gs if not g.is_zero]
+        chars = np.array(
+            [[g.f3] + [g.value(r) for r in dI.primes] for g in gs], dtype=np.int64
+        )
+        luts, e = _classes(dI.primes, chars)
+        l_plain, l_twist = _l_values(dI.delta, luts, e, chars[:, 0])
+        for g, lp, lt in zip(gs, l_plain, l_twist):
+            want = l_one(character_values(g))
+            assert abs(lp - want) <= 1e-12 * abs(want), str(g)
+            want = l_one(twisted_character_values(g))
+            assert abs(lt - want) <= 1e-12 * abs(want), str(g)
+            checked += 1
+    assert checked == 416
+    assert time.monotonic() - t0 < 30
 
 
 def test_euler_product_conjugate_symmetry():

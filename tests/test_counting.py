@@ -259,6 +259,22 @@ def test_census_rejects_bool():
             enumerate_terms(x, FULL)
 
 
+@pytest.mark.parametrize("mode", ["omega-full", None, 2])
+def test_census_rejects_mode_that_is_not_a_weight_mode(mode):
+    with pytest.raises(TypeError):
+        heis_total(10**13, mode)
+    with pytest.raises(TypeError):
+        heis_subsum(10**13, SubsumClass.C1, mode)
+    with pytest.raises(TypeError):
+        enumerate_terms(10**13, mode)
+
+
+@pytest.mark.parametrize("limit", [True, False, 2.0, "3"])
+def test_terms_rejects_limit_that_is_not_an_int(limit):
+    with pytest.raises(TypeError):
+        enumerate_terms(10**14, FULL, limit=limit)
+
+
 def _literal_report(x, mode):
     subs, _ = oracles.census_literal(x, mode.w3)
     raw = sum(subs.values())
