@@ -7,6 +7,8 @@ conditions: pi is primary (a = 2, b = 0 mod 3), Im(pi) > 0 (b > 0), and the
 residue r of j in Z[j]/(pi) = F_p is recorded alongside.  Cubic symbols are
 evaluated either by Euler's criterion inside Z[j] or through the F_p image;
 the two routes are kept as separate codepaths and cross-checked in tests.
+EisensteinInt is the API type: the Z[j] symbol route runs on plain (a, b)
+int pairs, and the decomposition on ints and int64 arrays.
 """
 
 from __future__ import annotations
@@ -148,8 +150,6 @@ class EisensteinInt:
         return f"{self.a}{self.b:+d}j"
 
 
-ONE = EisensteinInt(1, 0)
-J = EisensteinInt(0, 1)
 # 1, -1, j, -j, j^2, -j^2
 UNITS: tuple[EisensteinInt, ...] = (
     EisensteinInt(1, 0),
@@ -159,8 +159,6 @@ UNITS: tuple[EisensteinInt, ...] = (
     EisensteinInt(-1, -1),
     EisensteinInt(1, 1),
 )
-
-_J_POWERS = (EisensteinInt(1, 0), EisensteinInt(0, 1), EisensteinInt(-1, -1))
 
 
 def norm(z: EisensteinInt) -> int:
@@ -230,10 +228,6 @@ class StandardPrime:
     p: int
     pi: EisensteinInt
     r: int
-
-
-def _divisible(n: EisensteinInt, d: EisensteinInt) -> bool:
-    return divrem(n, d)[1].is_zero
 
 
 def _ideal_generator(p: int, c: int) -> tuple[int, int]:
@@ -388,6 +382,10 @@ def standard_prime_arrays(
     conjugate when b < 0.  int64 arithmetic is exact for limit <=
     STANDARD_ARRAY_MAX = 2^30 (see the derivation at the constant); a larger
     or non-integral limit raises ValueError.
+
+    A one-entry cache keeps the arrays of the last limit, so callers that
+    walk the same range again decompose it once.  The arrays are shared
+    between those callers and therefore read-only.
     """
     if not isinstance(limit, Integral):
         raise ValueError(f"limit must be an integer, got {limit!r}")
@@ -396,36 +394,61 @@ def standard_prime_arrays(
             f"limit {limit} exceeds {STANDARD_ARRAY_MAX}, past which int64 "
             "products in the array decomposition could overflow"
         )
-    p = primes_in_class(int(limit), 3, 1)
-    return (p, *_decompose_arrays(p))
+    return _standard_prime_arrays(int(limit))
+
+
+@lru_cache(maxsize=1)
+def _standard_prime_arrays(
+    limit: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    p = primes_in_class(limit, 3, 1)
+    cols = (p, *_decompose_arrays(p))
+    for col in cols:
+        col.setflags(write=False)
+    return cols
 
 
 # ---------------------------------------------------------------------------
 # cubic residue symbols
 
 
-def _mulmod(x: EisensteinInt, y: EisensteinInt, m: EisensteinInt) -> EisensteinInt:
-    return divrem(x * y, m)[1]
+def _rem(x: int, y: int, pa: int, pb: int, pn: int) -> tuple[int, int]:
+    """divrem's remainder of x + y*j by pa + pb*j, of norm pn > 0, on ints:
+    the same quotient, each component of (x + y*j) conj(pi) / pn rounded to
+    the nearest integer, ties toward zero."""
+    ta = x * (pa - pb) + y * pb
+    tb = y * pa - x * pb
+    qa, ra = divmod(ta, pn)
+    if 2 * ra > pn or (2 * ra == pn and qa < 0):
+        qa += 1
+    qb, rb = divmod(tb, pn)
+    if 2 * rb > pn or (2 * rb == pn and qb < 0):
+        qb += 1
+    return x - qa * pa + qb * pb, y - qa * pb - qb * pa + qb * pb
+
+
+# j^m as (a, b) pairs, indexed by m
+_ROOT_PAIRS = ((1, 0), (0, 1), (-1, -1))
 
 
 def _symbol_eis(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
     """Euler criterion inside Z[j]: alpha^((p-1)/3) = j^m (mod pi)."""
-    pi = sp.pi
-    _, a0 = divrem(alpha, pi)
-    if a0.is_zero:
+    pa, pb = sp.pi.a, sp.pi.b
+    pn = pa * pa - pa * pb + pb * pb
+    x, y = _rem(alpha.a, alpha.b, pa, pb, pn)
+    if x == 0 and y == 0:
         return ZERO
-    acc = ONE
-    base = a0
+    ua, ub = 1, 0
     e = (sp.p - 1) // 3
     while e:
         if e & 1:
-            acc = _mulmod(acc, base, pi)
-        base = _mulmod(base, base, pi)
+            ua, ub = _rem(ua * x - ub * y, ua * y + ub * x - ub * y, pa, pb, pn)
+        x, y = _rem(x * x - y * y, 2 * x * y - y * y, pa, pb, pn)
         e >>= 1
-    for m in range(3):
-        if _divisible(acc - _J_POWERS[m], pi):
+    for m, (ja, jb) in enumerate(_ROOT_PAIRS):
+        if _rem(ua - ja, ub - jb, pa, pb, pn) == (0, 0):
             return ROOT(m)
-    raise AssertionError(f"Euler criterion produced a non-root mod {pi!r}")
+    raise AssertionError(f"Euler criterion produced a non-root mod {sp.pi!r}")
 
 
 def _symbol_fp(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:

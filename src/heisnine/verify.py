@@ -28,11 +28,8 @@ from .eisenstein import (
     EisensteinInt,
     StandardPrime,
     ZERO,
-    _J_POWERS,
     chi_p,
     cubic_symbol,
-    divrem,
-    is_primary,
     standard_primes_up_to,
 )
 from .ksum import k_direct
@@ -65,38 +62,51 @@ class _Recorder:
         self.failures: list[str] = []
         self._cap = cap
 
-    def check(self, ok: bool, msg: str) -> None:
+    def check(self, ok: bool, fmt: str, *args: object) -> None:
+        """Count one check; on failure record fmt.format(*args), built only
+        then, since most suites run hundreds of thousands of checks."""
         self.checks += 1
         if not ok and len(self.failures) < self._cap:
-            self.failures.append(msg)
+            self.failures.append(fmt.format(*args))
 
 
 # ---------------------------------------------------------------------------
-# general cubic symbol for primary denominators (independent of the
-# StandardPrime-only routines in eisenstein)
+# general cubic symbol for primary denominators, on (a, b) int pairs with its
+# own reduction, so it shares no Z[j] arithmetic with eisenstein
 
 
-def _divisible(n: EisensteinInt, d: EisensteinInt) -> bool:
-    return divrem(n, d)[1].is_zero
+def _reduce(x: int, y: int, ba: int, bb: int, nb: int) -> tuple[int, int]:
+    """x + y*j minus a nearest multiple of beta = ba + bb*j, of norm nb:
+    the quotient rounds (x + y*j) conj(beta) / nb componentwise, ties up.
+    The result is zero exactly when beta divides x + y*j."""
+    ca, cb = ba - bb, -bb  # conj(beta)
+    qa = (2 * (x * ca - y * cb) + nb) // (2 * nb)
+    qb = (2 * (x * cb + y * ca - y * cb) + nb) // (2 * nb)
+    return x - qa * ba + qb * bb, y - qa * bb - qb * ba + qb * bb
+
+
+# j^m as (a, b) pairs, indexed by m
+_J_POWER_PAIRS = ((1, 0), (0, 1), (-1, -1))
 
 
 def _symbol_primary(alpha: EisensteinInt, beta: EisensteinInt) -> CharValue:
     """(alpha / beta)_3 by Euler's criterion for any primary prime beta."""
-    if not is_primary(beta):
+    ba, bb = beta.a, beta.b
+    if ba % 3 != 2 or bb % 3 != 0:
         raise ValueError(f"{beta!r} is not primary")
-    nb = beta.norm
-    _, acc = divrem(alpha, beta)
-    if acc.is_zero:
+    nb = ba * ba - ba * bb + bb * bb
+    x, y = _reduce(alpha.a, alpha.b, ba, bb, nb)
+    if x == 0 and y == 0:
         return ZERO
-    out = EisensteinInt(1, 0)
+    oa, ob = 1, 0
     e = (nb - 1) // 3
     while e:
         if e & 1:
-            out = divrem(out * acc, beta)[1]
-        acc = divrem(acc * acc, beta)[1]
+            oa, ob = _reduce(oa * x - ob * y, oa * y + ob * x - ob * y, ba, bb, nb)
+        x, y = _reduce(x * x - y * y, 2 * x * y - y * y, ba, bb, nb)
         e >>= 1
-    for m in range(3):
-        if _divisible(out - _J_POWERS[m], beta):
+    for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
+        if _reduce(oa - ja, ob - jb, ba, bb, nb) == (0, 0):
             return ROOT(m)
     raise AssertionError(f"Euler criterion failed mod {beta!r}")
 
@@ -154,13 +164,15 @@ def _suite_reciprocity(bound: int) -> _Recorder:
         for b, tb in prs[i + 1 :]:
             va = _symbol_fast(b, a, ta)
             vb = _symbol_fast(a, b, tb)
-            rec.check(va == vb, f"reciprocity fails for {a} and {b}")
+            rec.check(va == vb, "reciprocity fails for {} and {}", a, b)
             n += 1
             if n % slow_stride == 0:
                 # independent slow route keeps the fast residue routes honest
                 rec.check(
                     va == _symbol_primary(b, a) and vb == _symbol_primary(a, b),
-                    f"fast and general symbol routes differ at {a}, {b}",
+                    "fast and general symbol routes differ at {}, {}",
+                    a,
+                    b,
                 )
     return rec
 
@@ -175,11 +187,15 @@ def _suite_symbols(bound: int) -> _Recorder:
             want = _symbol_primary(alpha, sp.pi)
             rec.check(
                 cubic_symbol(alpha, sp, method="fp") == want,
-                f"fp symbol of {alpha} differs mod {sp.p}",
+                "fp symbol of {} differs mod {}",
+                alpha,
+                sp.p,
             )
             rec.check(
                 cubic_symbol(alpha, sp, method="eis") == want,
-                f"eis symbol of {alpha} differs mod {sp.p}",
+                "eis symbol of {} differs mod {}",
+                alpha,
+                sp.p,
             )
         # chi_p wraps the table route; spot-check and multiplicativity
         n1 = sp.p // 3 + 1
@@ -187,15 +203,21 @@ def _suite_symbols(bound: int) -> _Recorder:
         v1, v2 = chi_p(sp.p, n1), chi_p(sp.p, n2)
         rec.check(
             v1 == cubic_symbol(EisensteinInt(n1, 0), sp),
-            f"chi_{sp.p}({n1}) differs from the symbol",
+            "chi_{}({}) differs from the symbol",
+            sp.p,
+            n1,
         )
         rec.check(
             v1 * v2 == chi_p(sp.p, n1 * n2),
-            f"chi_{sp.p} not multiplicative at {n1},{n2}",
+            "chi_{} not multiplicative at {},{}",
+            sp.p,
+            n1,
+            n2,
         )
         rec.check(
             chi_p(sp.p, sp.p) == ZERO and chi_p(sp.p, 1) == ROOT(0),
-            f"chi_{sp.p} wrong at 0 or 1",
+            "chi_{} wrong at 0 or 1",
+            sp.p,
         )
     return rec
 
@@ -262,7 +284,7 @@ def _suite_indicator(bound: int) -> _Recorder:
         bases: dict[frozenset, int] = {}
         for u, v in vps:
             w = indicator(fn[u], fn[v])
-            rec.check(w in (0, 1), f"indicator on {sup} at {u},{v} is {w}")
+            rec.check(w in (0, 1), "indicator on {} at {},{} is {}", sup, u, v, w)
             vals[(u, v)] = w
             key = frozenset(
                 tuple((z * a + zp * b) % 3 for a, b in zip(u, v))
@@ -273,14 +295,18 @@ def _suite_indicator(bound: int) -> _Recorder:
             spans.setdefault(key, set()).add(w)
             bases[key] = bases.get(key, 0) + 1
         for (u, v), w in vals.items():
-            rec.check(w == vals[(v, u)], f"indicator not symmetric on {sup} at {u},{v}")
+            rec.check(
+                w == vals[(v, u)], "indicator not symmetric on {} at {},{}", sup, u, v
+            )
         for key, got in spans.items():
             rec.check(
-                len(got) == 1, f"indicator not constant on a span over {sup}"
+                len(got) == 1, "indicator not constant on a span over {}", sup
             )
             rec.check(
                 bases[key] == 48,
-                f"a span over {sup} has {bases[key]} ordered bases, not 48",
+                "a span over {} has {} ordered bases, not 48",
+                sup,
+                bases[key],
             )
     return rec
 
@@ -293,10 +319,12 @@ def _suite_integrality(bound: int) -> _Recorder:
         rep = heis_total(x, WeightMode.OMEGA_FULL)
         rec.check(
             rep.raw_total % 108 == 0,
-            f"raw_total({x}) = {rep.raw_total} not divisible by 108",
+            "raw_total({}) = {} not divisible by 108",
+            x,
+            rep.raw_total,
         )
         if prev is not None:
-            rec.check(rep.count >= prev, f"count decreases at {x}")
+            rec.check(rep.count >= prev, "count decreases at {}", x)
         prev = rep.count
     rec.check(
         heis_total(10**9, WeightMode.OMEGA_FULL).count == 0,
@@ -318,21 +346,25 @@ def _suite_subsums(bound: int) -> _Recorder:
             parts = [heis_subsum(x, c, mode) for c in SubsumClass]
             rec.check(
                 sum(parts) == total.raw_total,
-                f"subsums do not add up at {x} under {mode.value}",
+                "subsums do not add up at {} under {}",
+                x,
+                mode.value,
             )
         for k in range(2, 8):
             a = heis_subsum(x, SubsumClass(k), _STAR)
             b = heis_subsum(x, SubsumClass(k + 7), _STAR)
-            rec.check(a == b, f"C{k+7}({x}) != C{k}({x}) under omega-star")
+            rec.check(a == b, "C{}({}) != C{}({}) under omega-star", k + 7, x, k, x)
         c1 = heis_subsum(x // 3**12, SubsumClass.C1, _STAR)
         rec.check(
             heis_subsum(x, SubsumClass.C8, _STAR) == c1,
-            f"C8({x}) != C1({x}//3^12) under omega-star",
+            "C8({0}) != C1({0}//3^12) under omega-star",
+            x,
         )
         c1f = heis_subsum(x // 3**12, SubsumClass.C1, _FULL)
         rec.check(
             heis_subsum(x, SubsumClass.C8, _FULL) == 2 * c1f,
-            f"C8({x}) != 2 C1({x}//3^12) under omega-full",
+            "C8({0}) != 2 C1({0}//3^12) under omega-full",
+            x,
         )
     return rec
 
@@ -369,11 +401,16 @@ def _suite_ksum(bound: int) -> _Recorder:
         for x in (1, 2, 6, 7, 12, 48, 90, 91, hi // 2, hi):
             rec.check(
                 k_direct(x, 3, d) == brute[x],
-                f"k_direct({x},3,{d}) != brute force {brute[x]}",
+                "k_direct({},3,{}) != brute force {}",
+                x,
+                d,
+                brute[x],
             )
         rec.check(
             k_direct(hi, 3, d) <= k_direct(hi, 3, 1),
-            f"K({hi};3,{d}) exceeds K({hi};3,1)",
+            "K({0};3,{1}) exceeds K({0};3,1)",
+            hi,
+            d,
         )
     rec.check(k_direct(10, 3, 1) == 3, "k_direct(10,3,1) != 3")
     rec.check(k_direct(100, 3, 1) == 27, "k_direct(100,3,1) != 27")

@@ -4,9 +4,11 @@ Everything here recomputes results from definitions with arithmetic that
 shares no code with the package: ring elements are plain (a, b) tuples,
 divisibility goes through Cramer's rule, canonical primes come from an
 exhaustive lattice search, and censuses come from a brute-force scan.
-The literal Euler products, the prime walks and the literal census at the
-end are the exceptions: the products take character values and L(1, chi)
-from the package and redo only the product assembly, the walks keep the
+The object-route symbol, the literal Euler products, the prime walks and
+the literal census at the end are the exceptions: the symbol keeps the
+EisensteinInt Euler criterion that the package replaced with int pairs, on
+top of its divrem, the products take character values and L(1, chi) from
+the package and redo only the product assembly, the walks keep the
 per-prime loops that the package replaced with array code, on top of the
 package's scalar decomposition and symbols, and the census keeps the loop
 over validated support functions that the package replaced with tuple
@@ -44,10 +46,14 @@ from heisnine.counting import (
 )
 from heisnine.eisenstein import (
     ROOT,
+    ZERO,
+    CharValue,
     EisensteinInt,
+    StandardPrime,
     _primitive_root,
     _symbol_fp,
     cubic_symbol,
+    divrem,
     standard_decompose,
 )
 from heisnine.ksum import k_direct, psi_ell
@@ -162,6 +168,31 @@ def symbol_exp_by_euler(alpha: tuple[int, int], p: int) -> int | None:
     hits = [m for m in range(3) if t_divides(pi, t_sub(acc, T_J_POWERS[m]))]
     assert len(hits) == 1
     return hits[0]
+
+
+def symbol_eis_literal(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
+    """(alpha / pi)_3 by Euler's criterion on EisensteinInt objects, every
+    product reduced by divrem: the route cubic_symbol(method="eis") replaced
+    with the same criterion on int pairs."""
+    pi = sp.pi
+
+    def mulmod(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
+        return divrem(x * y, pi)[1]
+
+    _, base = divrem(alpha, pi)
+    if base.is_zero:
+        return ZERO
+    acc = EisensteinInt(1, 0)
+    e = (sp.p - 1) // 3
+    while e:
+        if e & 1:
+            acc = mulmod(acc, base)
+        base = mulmod(base, base)
+        e >>= 1
+    for m, jm in enumerate(T_J_POWERS):
+        if divrem(acc - EisensteinInt(*jm), pi)[1].is_zero:
+            return ROOT(m)
+    raise AssertionError(f"Euler criterion produced a non-root mod {pi!r}")
 
 
 def is_cubic_residue(q: int, n: int) -> bool:

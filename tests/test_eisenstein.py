@@ -6,6 +6,8 @@ import oracles
 from heisnine.eisenstein import (
     _TABLE_MAX,
     _decompose_arrays,
+    _rem,
+    _standard_prime_arrays,
     ROOT,
     STANDARD_ARRAY_MAX,
     UNITS,
@@ -66,6 +68,31 @@ def test_divrem_contract(n, d):
     q, r = divrem(n, d)
     assert q * d + r == n
     assert r.norm < d.norm
+
+
+@pytest.mark.parametrize(
+    "n, d, r",
+    [
+        # n conj(d) / norm(d) = +-1/2 on one or both components: ties go to 0
+        (E(2, 0), E(4, 0), E(2, 0)),
+        (E(-2, 0), E(4, 0), E(-2, 0)),
+        (E(2, 2), E(4, 0), E(2, 2)),
+        (E(-2, -2), E(4, 0), E(-2, -2)),
+        (E(6, 0), E(4, 0), E(2, 0)),
+        (E(-6, 0), E(4, 0), E(-2, 0)),
+    ],
+)
+def test_divrem_rounds_ties_toward_zero(n, d, r):
+    assert divrem(n, d)[1] == r
+    assert _rem(n.a, n.b, d.a, d.b, d.norm) == (r.a, r.b)
+
+
+@given(elements, elements)
+def test_int_remainder_matches_divrem(n, d):
+    if d.is_zero:
+        return
+    r = divrem(n, d)[1]
+    assert _rem(n.a, n.b, d.a, d.b, d.norm) == (r.a, r.b)
 
 
 @given(elements, elements)
@@ -152,6 +179,24 @@ def test_prime_arrays_exact_at_their_limit():
         n -= 1
     a, b, r = _decompose_arrays(np.array(ps, dtype=np.int64))
     assert list(zip(ps, a.tolist(), b.tolist(), r.tolist())) == _scalar_rows(ps)
+
+
+def test_prime_arrays_are_read_only():
+    for col in standard_prime_arrays(1000):
+        with pytest.raises(ValueError):
+            col[0] = 0
+
+
+def test_prime_arrays_cache_holds_one_limit():
+    want = {
+        lim: [(p, *oracles.standard_by_search(p)) for p in split_primes(lim)]
+        for lim in (300, 500)
+    }
+    for lim in (300, 500, 300, 500, 500, 300):
+        p, a, b, r = (col.tolist() for col in standard_prime_arrays(lim))
+        assert list(zip(p, zip(a, b), r)) == want[lim]
+        assert _standard_prime_arrays.cache_info().currsize <= 1
+    assert _standard_prime_arrays.cache_info().maxsize == 1
 
 
 @pytest.mark.parametrize("limit", [100.5, 1e4, STANDARD_ARRAY_MAX + 1])
@@ -255,6 +300,26 @@ def test_symbol_multiplicative(p, x, y):
 def test_symbol_codepaths_agree(p, x):
     sp = standard_decompose(p)
     assert cubic_symbol(x, sp, method="fp") == cubic_symbol(x, sp, method="eis")
+
+
+def test_eis_symbol_matches_object_route_on_small_grid():
+    grid = [E(x, y) for x in range(-8, 9) for y in range(-8, 9)]
+    for p in split_primes(400):
+        sp = standard_decompose(p)
+        other = StandardPrime(p, sp.pi.conj(), (-1 - sp.r) % p)
+        for sp in (sp, other):
+            for alpha in grid:
+                want = oracles.symbol_eis_literal(alpha, sp)
+                assert cubic_symbol(alpha, sp, method="eis") == want, (alpha, sp)
+
+
+def test_eis_symbol_matches_object_route_on_suite_alphas():
+    # the seven alphas of the symbols suite, at its default bound
+    alphas = [E(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
+    for sp in standard_primes_up_to(10**4):
+        for alpha in alphas:
+            want = oracles.symbol_eis_literal(alpha, sp)
+            assert cubic_symbol(alpha, sp, method="eis") == want, (alpha, sp.p)
 
 
 @given(st.sampled_from(split_primes(500)), elements)

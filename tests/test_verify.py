@@ -2,7 +2,8 @@
 
 import pytest
 
-from heisnine.eisenstein import EisensteinInt, standard_decompose
+from heisnine import verify
+from heisnine.eisenstein import ZERO, EisensteinInt, standard_decompose
 from heisnine.verify import (
     SUITE_NAMES,
     _symbol_inert,
@@ -46,6 +47,7 @@ def test_result_text_shape():
 
 
 def test_general_symbol_matches_oracle():
+    # (alpha / conj pi) = conj (conj alpha / pi): the branch reciprocity uses
     for p in (7, 13, 19, 31):
         sp = standard_decompose(p)
         for a in range(-3, 4):
@@ -53,9 +55,77 @@ def test_general_symbol_matches_oracle():
                 alpha = EisensteinInt(a, b)
                 e = symbol_exp_by_euler((a, b), p)
                 got = _symbol_primary(alpha, sp.pi)
-                assert (got.exp is None) == (e is None)
-                if e is not None:
-                    assert got.exp == e
+                assert got.exp == e
+                ec = symbol_exp_by_euler((a - b, -b), p)
+                got = _symbol_primary(alpha, sp.pi.conj())
+                assert got.exp == (None if ec is None else -ec % 3)
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [EisensteinInt(3, 1), EisensteinInt(-2, -3), EisensteinInt(7, 0)],
+)
+def test_general_symbol_rejects_beta_that_is_not_primary(beta):
+    # an associate of a prime (3 + j, -(2 + 3j)) or a split rational prime
+    with pytest.raises(ValueError):
+        _symbol_primary(EisensteinInt(2, 1), beta)
+
+
+def _flip_at_seven(orig):
+    def fast(alpha, beta, tag):
+        v = orig(alpha, beta, tag)
+        return v.conj() if beta == EisensteinInt(2, 3) else v
+
+    return fast
+
+
+# failure texts pinned byte for byte
+_RECIPROCITY_FLIP_TEXT = """\
+suite=reciprocity bound=50 checks=91 failures=10
+reciprocity fails for 2+0j and 2+3j
+reciprocity fails for 2+3j and -4-3j
+reciprocity fails for 2+3j and -1+3j
+reciprocity fails for 2+3j and 2-3j
+reciprocity fails for 2+3j and 5+3j
+reciprocity fails for 2+3j and 5+0j
+reciprocity fails for 2+3j and -1-6j
+reciprocity fails for 2+3j and -7-3j
+reciprocity fails for 2+3j and -7-6j
+reciprocity fails for 2+3j and -1+6j"""
+
+_RECIPROCITY_SLOW_TEXT = """\
+suite=reciprocity bound=600 checks=5465 failures=5
+fast and general symbol routes differ at -7-3j, -7-6j
+fast and general symbol routes differ at -7+3j, -16-9j
+fast and general symbol routes differ at 14+9j, 17+12j
+fast and general symbol routes differ at 17+12j, -16+3j
+fast and general symbol routes differ at 17+21j, 17-9j"""
+
+_SYMBOLS_TEXT = """\
+suite=symbols bound=7 checks=17 failures=14
+fp symbol of 1-1j differs mod 7
+eis symbol of 1-1j differs mod 7
+fp symbol of 2+2j differs mod 7
+eis symbol of 2+2j differs mod 7
+fp symbol of 3+0j differs mod 7
+eis symbol of 3+0j differs mod 7
+fp symbol of 4+0j differs mod 7
+eis symbol of 4+0j differs mod 7
+fp symbol of 5+2j differs mod 7
+eis symbol of 5+2j differs mod 7
+fp symbol of 6-1j differs mod 7
+eis symbol of 6-1j differs mod 7
+fp symbol of 7-2j differs mod 7
+eis symbol of 7-2j differs mod 7"""
+
+
+def test_failure_text_unchanged(monkeypatch):
+    monkeypatch.setattr(verify, "_symbol_fast", _flip_at_seven(verify._symbol_fast))
+    assert run_suite("reciprocity", 50).to_text() == _RECIPROCITY_FLIP_TEXT
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_symbol_primary", lambda alpha, beta: ZERO)
+    assert run_suite("reciprocity", 600).to_text() == _RECIPROCITY_SLOW_TEXT
+    assert run_suite("symbols", 7).to_text() == _SYMBOLS_TEXT
 
 
 def test_inert_symbol_cube_classes():
