@@ -20,23 +20,13 @@ from itertools import product
 from math import exp, gcd, log, prod
 from typing import Iterator, Sequence
 
-from .charspace import (
-    DeltaIndex,
-    SupportFunction,
-    chi_eval,
-    delta,
-    enumerate_deltas,
-    is_linearly_independent,
-    linear_combination,
-)
-from .eisenstein import _CHI_NINE_EXP, ROOT, chi_p_table, one_plus_v_plus_v2
+from .charspace import DeltaIndex, SupportFunction, delta, enumerate_deltas
+from .eisenstein import _CHI_NINE_EXP, chi_p_table
 from .ksum import k_direct
 
 __all__ = [
     "WeightMode",
     "SubsumClass",
-    "PairContext",
-    "pair_context",
     "free",
     "indicator",
     "mu",
@@ -44,7 +34,6 @@ __all__ = [
     "big_d",
     "isixth_root",
     "ifourth_root",
-    "s_sum",
     "classify",
     "TermRecord",
     "CountReport",
@@ -99,32 +88,64 @@ def free(d: int, a: int) -> int:
     return d // gcd(d, a)
 
 
-@dataclass(frozen=True)
-class PairContext:
-    """Support bookkeeping shared by the pair-local quantities."""
-
-    f: SupportFunction
-    fp: SupportFunction
-    delta_f: int
-    delta_fp: int
-    shared: tuple[int, ...]  # supp3 f  /\  supp3 f'
-    only_f: tuple[int, ...]
-    only_fp: tuple[int, ...]
-    union: tuple[int, ...]
+# The pair functions and the census loop work on SupportFunction.entries
+# tuples: sorted (prime, value) pairs with values in {1, 2}.  The census
+# builds objects only for the terms enumerate_terms emits.
+Entries = tuple[tuple[int, int], ...]
 
 
-def pair_context(f: SupportFunction, fp: SupportFunction) -> PairContext:
-    sf, sfp = set(f.supp3), set(fp.supp3)
-    return PairContext(
-        f,
-        fp,
-        delta(f),
-        delta(fp),
-        tuple(sorted(sf & sfp)),
-        tuple(sorted(sf - sfp)),
-        tuple(sorted(sfp - sf)),
-        tuple(sorted(sf | sfp)),
-    )
+def _exp(p: int, n: int) -> int:
+    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p."""
+    if p == 3:
+        return _CHI_NINE_EXP[n % 9]
+    return chi_p_table(p)[n % p]
+
+
+def _exp_at(ent: Entries, r: int) -> int:
+    """Exponent of chi(h)(r) mod 3, h given by its entries less the one at r."""
+    e = 0
+    for p, v in ent:
+        if p != r:
+            e += v * _exp(p, r)
+    return e % 3
+
+
+def _row(f3: int, fp3: int, e: int, ep: int) -> int:
+    """Row 1..7 of the local table at 3, from f(3), f'(3) and the exponents
+    e, ep of chi(f)(3), chi(f')(3) less their entries at 3.  With f(3) and
+    f'(3) both nonzero the row reads chi(g)(3) for g = f'(3) f + 2 f(3) f',
+    which vanishes at 3; chi(g)(3) is linear in g."""
+    if f3 == 0 and fp3 == 0:
+        return 1
+    if f3 == 0:
+        return 2 if e == 0 else 3
+    if fp3 == 0:
+        return 4 if ep == 0 else 5
+    return 6 if (fp3 * e + 2 * f3 * ep) % 3 == 0 else 7
+
+
+def _kernel_ones(base: Entries, at_f: Sequence[int], fp_ent: Entries) -> bool:
+    """True iff the indicator's factors at the primes r of supp3 f are all 1.
+
+    at_f holds the exponents of chi(f)(r) less the entry at r.  The kernel
+    generator at r is g = z f + f' with z = -f'(r) f(r) (g = f' when
+    f'(r) = 0); g(r) = 0, so chi(g)(r) has exponent z at_f + (that of
+    chi(f')(r) less the entry at r)."""
+    fpv = dict(fp_ent)
+    for (r, vr), e in zip(base, at_f):
+        if (_exp_at(fp_ent, r) - fpv.get(r, 0) * vr * e) % 3:
+            return False
+    return True
+
+
+_MU_BY_ROW = (None, 0, 8, 12, 12, 16, 12, 16)
+
+
+def _check_functions(f: SupportFunction, fp: SupportFunction) -> None:
+    if not isinstance(f, SupportFunction) or not isinstance(fp, SupportFunction):
+        raise TypeError(
+            f"a pair of SupportFunction values is needed, got {f!r} and {fp!r}"
+        )
 
 
 def indicator(f: SupportFunction, fp: SupportFunction) -> int:
@@ -133,51 +154,39 @@ def indicator(f: SupportFunction, fp: SupportFunction) -> int:
 
     Each factor is 1 or 0: the three kernel values form a subgroup image in
     the cube roots of unity, so it is enough to test the value at a kernel
-    generator.  Requires a linearly independent pair.
+    generator.  At a prime of f' outside supp f that generator is f itself.
+    Requires a linearly independent pair of SupportFunction values
+    (ValueError, TypeError otherwise).
     """
-    if not is_linearly_independent(f, fp):
+    _check_functions(f, fp)
+    f_ent, fp_ent = f.entries, fp.entries
+    f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
+    if not f_ent or not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
         raise ValueError("indicator needs a linearly independent pair")
-    for r in sorted(set(f.supp3) | set(fp.supp3)):
-        vr, vpr = f.value(r), fp.value(r)
-        if vr == 0:
-            z, zp = 1, 0
-        elif vpr == 0:
-            z, zp = 0, 1
-        else:
-            # z = -v'(r)/v(r), z' = 1 generates the kernel
-            z, zp = (-vpr * pow(vr, -1, 3)) % 3, 1
-        v = chi_eval(linear_combination(z, f, zp, fp), r)
-        if one_plus_v_plus_v2(v) == 0:
+    base = tuple((r, v) for r, v in f_ent if r != 3)
+    if not _kernel_ones(base, [_exp_at(f_ent, r) for r, _ in base], fp_ent):
+        return 0
+    own = {r for r, _ in base}
+    for r in fp.supp3:
+        if r not in own and _exp_at(f_ent, r):
             return 0
     return 1
 
 
-def _three_row(f: SupportFunction, fp: SupportFunction) -> int:
-    """Row 1..7 of the local table at 3, by the pair's values there."""
-    f3, fp3 = f.f3, fp.f3
-    if f3 == 0 and fp3 == 0:
-        return 1
-    if f3 == 0:
-        return 2 if chi_eval(f, 3) == ROOT(0) else 3
-    if fp3 == 0:
-        return 4 if chi_eval(fp, 3) == ROOT(0) else 5
-    g = linear_combination(fp3, f, 2 * f3, fp)
-    return 6 if chi_eval(g, 3) == ROOT(0) else 7
-
-
-_MU_BY_ROW = (None, 0, 8, 12, 12, 16, 12, 16)
+def _pair_row(f: SupportFunction, fp: SupportFunction) -> int:
+    _check_functions(f, fp)
+    return _row(f.f3, fp.f3, _exp_at(f.entries, 3), _exp_at(fp.entries, 3))
 
 
 def mu(f: SupportFunction, fp: SupportFunction) -> int:
     """Exponent of 3 in the local discriminant factor at 3."""
-    return _MU_BY_ROW[_three_row(f, fp)]
+    return _MU_BY_ROW[_pair_row(f, fp)]
 
 
 def mu_d(f: SupportFunction, fp: SupportFunction, three_divides_d: bool) -> int:
     """mu adjusted for 3 | d: the first row is promoted to 12."""
-    if three_divides_d and f.f3 == 0 and fp.f3 == 0:
-        return 12
-    return mu(f, fp)
+    row = _pair_row(f, fp)
+    return 12 if three_divides_d and row == 1 else _MU_BY_ROW[row]
 
 
 def big_d(f: SupportFunction, fp: SupportFunction, three_divides_d: bool) -> int:
@@ -217,21 +226,7 @@ def classify(
     f: SupportFunction, fp: SupportFunction, three_divides_d: bool
 ) -> SubsumClass:
     """Pair class C1..C7 (3 coprime to d) or C8..C14 (3 | d)."""
-    return SubsumClass(_three_row(f, fp) + (7 if three_divides_d else 0))
-
-
-def s_sum(x: int, f: SupportFunction, fp: SupportFunction, mode: WeightMode) -> int:
-    """S(X, f, f') = sum over admissible d of the 2^omega weight.
-
-    d runs over squarefree products of primes = 1 mod 3, optionally times 3,
-    coprime to Delta(f) Delta(f'), with free(d, 3)^6 <= X / D(d, f, f').
-    Splitting d = m vs d = 3m turns each branch into a K-sum.
-    """
-    _check_x(x)
-    dd = delta(f) * delta(fp)
-    m1 = isixth_root(x // big_d(f, fp, False))
-    m3 = isixth_root(x // big_d(f, fp, True))
-    return k_direct(m1, 3, dd) + mode.w3 * k_direct(m3, 3, dd)
+    return SubsumClass(_pair_row(f, fp) + (7 if three_divides_d else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,54 +326,6 @@ def _mu_floor(f3: int, fp3: int) -> int:
     if f3 == 0:
         return 8
     return 12
-
-
-# The census loop works on SupportFunction.entries tuples: sorted (prime,
-# value) pairs with values in {1, 2}.  Objects are built only for the terms
-# enumerate_terms emits.
-Entries = tuple[tuple[int, int], ...]
-
-
-def _exp(p: int, n: int) -> int:
-    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p."""
-    if p == 3:
-        return _CHI_NINE_EXP[n % 9]
-    return chi_p_table(p)[n % p]
-
-
-def _exp_at(ent: Entries, r: int) -> int:
-    """Exponent of chi(h)(r) mod 3, h given by its entries less the one at r."""
-    e = 0
-    for p, v in ent:
-        if p != r:
-            e += v * _exp(p, r)
-    return e % 3
-
-
-def _row(f3: int, fp3: int, e: int, ep: int) -> int:
-    """_three_row from f(3), f'(3) and the exponents e, ep of chi(f)(3),
-    chi(f')(3) less their entries at 3; chi(g)(3) is linear in g."""
-    if f3 == 0 and fp3 == 0:
-        return 1
-    if f3 == 0:
-        return 2 if e == 0 else 3
-    if fp3 == 0:
-        return 4 if ep == 0 else 5
-    return 6 if (fp3 * e + 2 * f3 * ep) % 3 == 0 else 7
-
-
-def _kernel_ones(base: Entries, at_f: Sequence[int], fp_ent: Entries) -> bool:
-    """True iff the indicator's factors at the primes r of supp3 f are all 1.
-
-    at_f holds the exponents of chi(f)(r) less the entry at r.  The kernel
-    generator at r is g = z f + f' with z = -f'(r) f(r) (g = f when
-    f'(r) = 0); g(r) = 0, so chi(g)(r) has exponent z at_f + (that of
-    chi(f')(r) less the entry at r)."""
-    fpv = dict(fp_ent)
-    for (r, vr), e in zip(base, at_f):
-        if (_exp_at(fp_ent, r) - fpv.get(r, 0) * vr * e) % 3:
-            return False
-    return True
 
 
 def _k_value(m: int, dd: int) -> int:

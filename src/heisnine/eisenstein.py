@@ -26,7 +26,6 @@ __all__ = [
     "CharValue",
     "ZERO",
     "ROOT",
-    "one_plus_v_plus_v2",
     "EisensteinInt",
     "UNITS",
     "norm",
@@ -98,13 +97,6 @@ ZERO = CharValue(None)
 
 def ROOT(e: int) -> CharValue:
     return CharValue(e % 3)
-
-
-def one_plus_v_plus_v2(v: CharValue) -> int:
-    """1 + v + v^2 for a root of unity v: 3 at v = 1, else 0."""
-    if v.is_zero:
-        raise ValueError("one_plus_v_plus_v2 is undefined at the zero value")
-    return 3 if v.exp == 0 else 0
 
 
 # ---------------------------------------------------------------------------

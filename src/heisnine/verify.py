@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 from ._primes import primes_up_to
-from .charspace import SupportFunction, chi_eval, enumerate_V
+from .charspace import SupportFunction
 from .counting import (
     SubsumClass,
     WeightMode,
@@ -239,7 +240,11 @@ def _pair_supports(prime_bound: int) -> list[tuple[int, ...]]:
     return sups
 
 
-def _vector_pairs(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+Vector = tuple[int, ...]
+VectorPair = tuple[Vector, Vector]
+
+
+def _vector_pairs(k: int) -> list[VectorPair]:
     """Ordered linearly independent pairs in F_3^k whose union support is
     all k coordinates."""
     vecs = [()]
@@ -258,27 +263,33 @@ def _vector_pairs(k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return out
 
 
-def indicator_pairs(prime_bound: int) -> list[tuple[SupportFunction, SupportFunction]]:
-    """Every ordered independent pair supported on at most two split primes
-    besides 3, each pair listed once, at its exact union support."""
-    out: list[tuple[SupportFunction, SupportFunction]] = []
+def _support_pairs(
+    prime_bound: int,
+) -> Iterator[tuple[tuple[int, ...], list[VectorPair], dict[Vector, SupportFunction]]]:
+    """Each support of _pair_supports with its vector pairs and one
+    SupportFunction per vector that occurs in them."""
+    vps_by_size = {k: _vector_pairs(k) for k in (1, 2, 3)}
     for sup in _pair_supports(prime_bound):
-        vps = _vector_pairs(len(sup))
-        fn: dict[tuple[int, ...], SupportFunction] = {}
+        vps = vps_by_size[len(sup)]
+        fn: dict[Vector, SupportFunction] = {}
         for pair in vps:
             for vec in pair:
                 if vec not in fn:
                     fn[vec] = SupportFunction.of(dict(zip(sup, vec)))
-        for u, v in vps:
-            out.append((fn[u], fn[v]))
-    return out
+        yield sup, vps, fn
+
+
+def indicator_pairs(prime_bound: int) -> list[tuple[SupportFunction, SupportFunction]]:
+    """Every ordered independent pair supported on at most two split primes
+    besides 3, each pair listed once, at its exact union support."""
+    return [
+        (fn[u], fn[v]) for _, vps, fn in _support_pairs(prime_bound) for u, v in vps
+    ]
 
 
 def _suite_indicator(bound: int) -> _Recorder:
     rec = _Recorder()
-    for sup in _pair_supports(bound):
-        vps = _vector_pairs(len(sup))
-        fn = {vec: SupportFunction.of(dict(zip(sup, vec))) for p in vps for vec in p}
+    for sup, vps, fn in _support_pairs(bound):
         vals: dict[tuple, int] = {}
         spans: dict[frozenset, set[int]] = {}
         bases: dict[frozenset, int] = {}

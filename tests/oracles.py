@@ -4,15 +4,26 @@ Everything here recomputes results from definitions with arithmetic that
 shares no code with the package: ring elements are plain (a, b) tuples,
 divisibility goes through Cramer's rule, canonical primes come from an
 exhaustive lattice search, and censuses come from a brute-force scan.
-The object-route symbol, the literal Euler products, the prime walks and
-the literal census at the end are the exceptions: the symbol keeps the
-EisensteinInt Euler criterion that the package replaced with int pairs, on
-top of its divrem, the products take character values and L(1, chi) from
-the package and redo only the product assembly, the walks keep the
-per-prime loops that the package replaced with array code, on top of the
-package's scalar decomposition and symbols, and the census keeps the loop
-over validated support functions that the package replaced with tuple
-code, on top of its public pair functions and K-sums.
+The object routes, the literal Euler products and the prime walks are the
+exceptions: they keep loops the package replaced, on top of package
+primitives.
+
+- The object-route symbol keeps the EisensteinInt Euler criterion that the
+  package replaced with int pairs, on top of its divrem.
+- The pair functions keep the route over validated support functions that
+  the package replaced with its tuple kernel: indicator_literal (kernel
+  generators through linear_combination and chi_eval, each factor tested
+  by one_plus_v_plus_v2), three_row_literal (the row of the table at 3),
+  big_d_literal and s_sum_literal (D and the pair weight S(X, f, f') from
+  that row and k_direct).
+- The literal Euler products take character values and L(1, chi) from the
+  package and redo only the product assembly.
+- The walks keep the per-prime loops that the package replaced with array
+  code, on top of the package's scalar decomposition and symbols.
+- The literal census keeps the loop over validated support functions that
+  the package replaced with tuple code.  It takes its indicator, row and D
+  from the pair functions above, not from the package, and only its
+  K-sums from k_direct.
 """
 
 from __future__ import annotations
@@ -38,10 +49,8 @@ from heisnine.constants import CancellationSum, HConstants, TruncationParams, la
 from heisnine.counting import (
     SubsumClass,
     TermRecord,
-    _three_row,
-    big_d,
+    WeightMode,
     ifourth_root,
-    indicator,
     isixth_root,
 )
 from heisnine.eisenstein import (
@@ -673,6 +682,81 @@ def chi_p_table_walk(p: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# pair functions on validated objects: the route the package's tuple kernel
+# replaced
+
+
+def one_plus_v_plus_v2(v: CharValue) -> int:
+    """1 + v + v^2 for a root of unity v: 3 at v = 1, else 0."""
+    if v.is_zero:
+        raise ValueError("one_plus_v_plus_v2 is undefined at the zero value")
+    return 3 if v.exp == 0 else 0
+
+
+def indicator_literal(f: SupportFunction, fp: SupportFunction) -> int:
+    """Product over union support primes r != 3 of the kernel averages
+    3^-1 sum over {(z, z'): z f(r) + z' f'(r) = 0} of chi(z f + z' f')(r).
+
+    Each factor is 1 or 0: the three kernel values form a subgroup image in
+    the cube roots of unity, so it is enough to test the value at a kernel
+    generator.  Requires a linearly independent pair.
+    """
+    if not is_linearly_independent(f, fp):
+        raise ValueError("indicator needs a linearly independent pair")
+    for r in sorted(set(f.supp3) | set(fp.supp3)):
+        vr, vpr = f.value(r), fp.value(r)
+        if vr == 0:
+            z, zp = 1, 0
+        elif vpr == 0:
+            z, zp = 0, 1
+        else:
+            # z = -v'(r)/v(r), z' = 1 generates the kernel
+            z, zp = (-vpr * pow(vr, -1, 3)) % 3, 1
+        v = chi_eval(linear_combination(z, f, zp, fp), r)
+        if one_plus_v_plus_v2(v) == 0:
+            return 0
+    return 1
+
+
+def three_row_literal(f: SupportFunction, fp: SupportFunction) -> int:
+    """Row 1..7 of the local table at 3, by the pair's values there."""
+    f3, fp3 = f.f3, fp.f3
+    if f3 == 0 and fp3 == 0:
+        return 1
+    if f3 == 0:
+        return 2 if chi_eval(f, 3) == ROOT(0) else 3
+    if fp3 == 0:
+        return 4 if chi_eval(fp, 3) == ROOT(0) else 5
+    g = linear_combination(fp3, f, 2 * f3, fp)
+    return 6 if chi_eval(g, 3) == ROOT(0) else 7
+
+
+_MU_BY_ROW_LITERAL = (None, 0, 8, 12, 12, 16, 12, 16)
+
+
+def big_d_literal(f: SupportFunction, fp: SupportFunction, three_divides_d: bool) -> int:
+    """D = Delta(f)^6 free(Delta(f'), Delta(f))^4 3^mu, mu by the row of
+    three_row_literal, with the first row promoted to 12 when 3 | d."""
+    row = three_row_literal(f, fp)
+    mu = 12 if three_divides_d and row == 1 else _MU_BY_ROW_LITERAL[row]
+    df, dfp = delta(f), delta(fp)
+    return df**6 * (dfp // gcd(dfp, df)) ** 4 * 3**mu
+
+
+def s_sum_literal(x: int, f: SupportFunction, fp: SupportFunction, mode: WeightMode) -> int:
+    """S(X, f, f') = sum over admissible d of the 2^omega weight.
+
+    d runs over squarefree products of primes = 1 mod 3, optionally times 3,
+    coprime to Delta(f) Delta(f'), with free(d, 3)^6 <= X / D(d, f, f').
+    Splitting d = m vs d = 3m turns each branch into a K-sum.
+    """
+    dd = delta(f) * delta(fp)
+    m1 = isixth_root(x // big_d_literal(f, fp, False))
+    m3 = isixth_root(x // big_d_literal(f, fp, True))
+    return k_direct(m1, 3, dd) + mode.w3 * k_direct(m3, 3, dd)
+
+
+# ---------------------------------------------------------------------------
 # the census loop on validated objects: the route the package's tuple loop
 # replaced
 
@@ -682,8 +766,9 @@ def census_literal(
 ) -> tuple[dict[SubsumClass, int], list[TermRecord]]:
     """Subsums and, if collect, the sorted term stream at X = x for the
     3 | d weight w3, one SupportFunction per candidate f': independence by
-    is_linearly_independent, D by big_d, the row by _three_row, the
-    indicator by indicator, and every K-sum by k_direct."""
+    is_linearly_independent, D by big_d_literal, the row by
+    three_row_literal, the indicator by indicator_literal, and every K-sum
+    by k_direct."""
     subs = {c: 0 for c in SubsumClass}
     records: list[TermRecord] = []
     if x < 3**8:
@@ -716,13 +801,13 @@ def census_literal(
                                 dd = df * delta(fp)
                                 terms = []
                                 for d_class, shift, w in ((1, 0, 1), (3, 7, w3)):
-                                    big = big_d(f, fp, d_class == 3)
+                                    big = big_d_literal(f, fp, d_class == 3)
                                     k = k_direct(isixth_root(x // big), 3, dd)
                                     if k:
                                         terms.append((d_class, big, shift, u * w * k))
-                                if not terms or indicator(f, fp) == 0:
+                                if not terms or indicator_literal(f, fp) == 0:
                                     continue
-                                row = _three_row(f, fp)
+                                row = three_row_literal(f, fp)
                                 for d_class, big, shift, w in terms:
                                     cls = SubsumClass(row + shift)
                                     subs[cls] += w

@@ -23,8 +23,6 @@ from heisnine.counting import (
     log_grid,
     mu,
     mu_d,
-    pair_context,
-    s_sum,
 )
 
 F = SupportFunction.of
@@ -51,6 +49,12 @@ def test_indicator_rejects_dependent():
         indicator(F({7: 1}), F({7: 2}))
     with pytest.raises(ValueError):
         indicator(F({}), F({7: 1}))
+    with pytest.raises(ValueError):
+        indicator(F({7: 1}), F({}))
+    with pytest.raises(TypeError):
+        indicator({7: 1}, F({13: 1}))
+    with pytest.raises(TypeError):
+        indicator(F({7: 1}), {13: 1})
 
 
 @st.composite
@@ -70,7 +74,9 @@ def independent_pairs(draw):
 @given(independent_pairs())
 def test_indicator_matches_splitting_oracle(pair):
     f, fp = pair
-    assert indicator(f, fp) == oracles.splitting_oracle(dict(f.entries), dict(fp.entries))
+    v = indicator(f, fp)
+    assert v == oracles.splitting_oracle(dict(f.entries), dict(fp.entries))
+    assert v == oracles.indicator_literal(f, fp)
 
 
 @given(independent_pairs())
@@ -97,6 +103,8 @@ def test_mu_d_examples():
 def test_mu_matches_literal_table(pair):
     f, fp = pair
     assert mu(f, fp) == oracles._mu_exp_literal(dict(f.entries), dict(fp.entries))
+    for b in (False, True):
+        assert classify(f, fp, b).value == oracles.three_row_literal(f, fp) + 7 * b
 
 
 def test_big_d_examples():
@@ -121,6 +129,7 @@ def test_integer_roots(n):
 
 
 def test_s_sum_examples():
+    s_sum = oracles.s_sum_literal
     f, fp = F({19: 1}), F({19: 1, 3: 1})
     assert s_sum(3 * 10**13, f, fp, STAR) == 2
     assert s_sum(3 * 10**13, f, fp, FULL) == 3
@@ -131,19 +140,30 @@ def test_s_sum_examples():
     assert s_sum(10**9, g, gp, FULL) == 0
 
 
+@pytest.mark.parametrize(
+    "x, f, fp",
+    [
+        (6 * 10**12, F({3: 1}), F({19: 1})),
+        (3 * 10**13, F({19: 1}), F({19: 1, 3: 1})),
+        (10**16, F({3: 1}), F({3: 1, 19: 1})),
+        (10**16, F({7: 2}), F({7: 1, 181: 1})),
+        (10**16, F({73: 2}), F({3: 2, 73: 2})),
+        (10**16, F({7: 1}), F({13: 1})),  # indicator 0, S = 3
+        (10**16, F({7: 1}), F({3: 1, 13: 1})),  # indicator 0, S = 3
+    ],
+)
+def test_pair_terms_match_literal_weight(x, f, fp):
+    union = set(f.supp3) | set(fp.supp3)
+    for mode in (STAR, FULL):
+        got = sum(t.weight for t in enumerate_terms(x, mode) if (t.f, t.fp) == (f, fp))
+        want = oracles.indicator_literal(f, fp) * 3 ** len(union)
+        assert got == want * oracles.s_sum_literal(x, f, fp, mode)
+
+
 def test_classify_examples():
     assert classify(F({7: 1}), F({13: 1}), False) == SubsumClass.C1
     assert classify(F({3: 1}), F({19: 1}), False) == SubsumClass.C5
     assert classify(F({7: 1}), F({13: 1}), True) == SubsumClass.C8
-
-
-def test_pair_context_partitions_support():
-    ctx = pair_context(F({3: 1, 7: 1, 13: 2}), F({13: 1, 19: 1}))
-    assert ctx.shared == (13,)
-    assert ctx.only_f == (7,)
-    assert ctx.only_fp == (19,)
-    assert ctx.union == (7, 13, 19)
-    assert (ctx.delta_f, ctx.delta_fp) == (91, 247)
 
 
 # ---------------------------------------------------------------------------

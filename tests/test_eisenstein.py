@@ -21,7 +21,6 @@ from heisnine.eisenstein import (
     divrem,
     eis_gcd,
     is_primary,
-    one_plus_v_plus_v2,
     primary_associate,
     standard_decompose,
     standard_prime_arrays,
@@ -284,10 +283,10 @@ def test_char_value_algebra():
     assert ZERO * ROOT(1) == ZERO
     assert ROOT(2) ** 2 == ROOT(1)
     assert ZERO**0 == ROOT(0)
-    assert one_plus_v_plus_v2(ROOT(0)) == 3
-    assert one_plus_v_plus_v2(ROOT(1)) == 0
+    assert oracles.one_plus_v_plus_v2(ROOT(0)) == 3
+    assert oracles.one_plus_v_plus_v2(ROOT(1)) == 0
     with pytest.raises(ValueError):
-        one_plus_v_plus_v2(ZERO)
+        oracles.one_plus_v_plus_v2(ZERO)
 
 
 @given(st.sampled_from(split_primes(500)), elements, elements)
