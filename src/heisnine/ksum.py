@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import pi as PI
+from math import isqrt, pi as PI
 
 import numpy as np
 
@@ -18,8 +18,12 @@ from ._primes import primes_up_to
 
 __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 
-# the leaf-counting DFS is exact but not sublinear: it visits every n <= x
-# that still has a child, and sieves all primes <= x; refuse beyond
+# above _SMALL_MAX the leaf-counting DFS reads its leaf counts off prime
+# counts at the values x // k, so it lists only the primes <= sqrt(x) and
+# holds O(ell sqrt(x)) integers, or x / ell bytes if fewer (at the cap,
+# ell = 3: ~0.25 s, ~7 MB).  The cap stays because a d whose cofactor
+# exceeds x takes a pass over (sqrt(x), x], which keeps its limb arithmetic
+# in int64 only for x <= 2^31
 K_DIRECT_MAX = 10**9
 
 # arguments at or below this threshold hit a cached table; the census asks
@@ -32,19 +36,11 @@ def _check_ell(ell: int) -> None:
         raise ValueError(f"ell must be prime, got {ell}")
 
 
-def _admissible_primes(x: int, ell: int, d: int) -> list[int]:
-    ps = primes_up_to(x)
-    ps = ps[ps % ell == 1]
-    if d >= 2**63:  # past int64: reduce d by each prime in Python
-        return [p for p in ps.tolist() if d % p]
-    return ps[d % ps != 0].tolist()
-
-
 @lru_cache(maxsize=8)
 def _small_table(ell: int) -> tuple[np.ndarray, np.ndarray]:
     """(values n, weights (ell-1)^omega(n)) for the small-x fast path."""
     ns, ws = [], []
-    ps = _admissible_primes(_SMALL_MAX, ell, 1)
+    ps = [p for p in primes_up_to(_SMALL_MAX).tolist() if p % ell == 1]
     stack = [(1, 1, 0)]
     while stack:
         n, w, i = stack.pop()
@@ -59,14 +55,101 @@ def _small_table(ell: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ns, dtype=np.int64)[order], np.asarray(ws, dtype=np.int64)[order]
 
 
+def _values(x: int) -> np.ndarray:
+    """0 and then every x // k, k >= 1, once, ascending: 0, 1, ..., isqrt(x),
+    then x // k for k descending to 1.  A value x // k above isqrt(x) sits
+    at index len - k."""
+    r = isqrt(x)
+    big = r if x // r > r else r - 1
+    return np.concatenate(
+        (np.arange(r + 1, dtype=np.int64), x // np.arange(big, 0, -1, dtype=np.int64))
+    )
+
+
+def _class_counts(x: int, ell: int, small: list[int]) -> np.ndarray:
+    """counts[c, i], the number of primes p <= _values(x)[i] with p = c
+    (mod ell); small lists the primes up to isqrt(x).
+
+    Legendre's sieve in residue classes: start from the integers 2..v of
+    each class, then for each prime p <= sqrt(x) strike, at every v >= p^2,
+    the p m with m >= p free of primes below p.  Those m <= v // p in class
+    c / p are counted at v // p, less the primes below p counted at p - 1;
+    p = ell strikes class 0 by the m of every class.
+    """
+    r = isqrt(x)
+    vals = _values(x)
+    size = len(vals)
+    # the n in 0..v of each class, less 0 and (from v = 1 on) 1
+    counts = (vals - np.arange(ell, dtype=np.int64)[:, None]) // ell + 1
+    counts[0] -= 1
+    counts[1, 1:] -= 1
+    rows = np.arange(ell)
+    for p in small:
+        lo = int(np.searchsorted(vals, p * p))
+        w = vals[lo:] // p
+        strike = counts[:, np.where(w <= r, w, size - x // w)] - counts[:, p - 1 : p]
+        if p == ell:
+            counts[0, lo:] -= strike.sum(axis=0)
+        else:
+            counts[:, lo:] -= strike[rows * pow(p, -1, ell) % ell]
+    return counts
+
+
+def _progression_primes(x: int, ell: int, small: list[int]) -> np.ndarray:
+    """The primes p = 1 (mod ell) up to x, sieved on the terms 1 + k ell by
+    small, the primes up to isqrt(x)."""
+    sieve = np.ones((x - 1) // ell + 1, dtype=bool)
+    sieve[0] = False
+    for p in small:
+        if p != ell:
+            k = -pow(ell, -1, p) % p  # 1 + k ell = 0 (mod p); skip p itself
+            sieve[k + p if 1 + k * ell == p else k :: p] = False
+    return 1 + ell * np.flatnonzero(sieve)
+
+
+def _divisors_above_root(c: int, x: int, ell: int) -> list[int]:
+    """The m = 1 (mod ell) in (isqrt(x), x] that divide c, ascending.
+
+    c has no prime factor <= isqrt(x), so each such m is prime.  The pass
+    runs over blocks of about sqrt(x) integers and reduces c by 32-bit
+    limbs, so c may be any size; m <= x <= 2^31 keeps every step in int64.
+    """
+    r = isqrt(x)
+    limbs = []
+    while c:
+        limbs.append(c & 0xFFFFFFFF)
+        c >>= 32
+    limbs.reverse()
+    step = ell * (r // ell + 1)
+    out: list[int] = []
+    for lo in range(r + 1 + (-r) % ell, x + 1, step):
+        ms = np.arange(lo, min(lo + step, x + 1), ell, dtype=np.int64)
+        rem = np.zeros_like(ms)
+        for limb in limbs:
+            rem = ((rem << 32) | limb) % ms
+        out += ms[rem == 0].tolist()
+    return out
+
+
 def k_direct(x: int, ell: int, d: int = 1) -> int:
     """Exact K(x; ell, d) by depth-first squarefree products.
 
     x <= 10^4 reads a cached table.  Above it, the DFS walks products n of
-    increasing admissible primes.  The children of n are n * ps[k] for
-    ps[k] <= x // n, found with one bisect.  Only children with
-    ps[k] * ps[k+1] <= x // n have children of their own and are pushed;
-    the rest are leaves, and each node adds their weight in one product.
+    increasing admissible primes: p = 1 (mod ell), p not dividing d.  The
+    children of n are n * p for admissible p <= x // n; only those with
+    p * p' <= x // n, p' the next admissible prime, have children of their
+    own and are pushed.  The rest are leaves, and each node adds their
+    weight in one product.  Their number is the count of primes = 1
+    (mod ell) up to x // n, from _class_counts or _progression_primes,
+    less the excluded primes up to x // n.  A pushed p is at most sqrt(x),
+    so only the primes up to sqrt(x) are listed.  Time is O(x^(3/4)) for
+    the counts plus one step per pushed node (20,018 nodes at 10^9 for
+    ell = 3); memory is O(ell sqrt(x)) integers or x / ell bytes, whichever
+    is smaller.
+
+    The excluded primes come from trial division of d by the primes up to
+    sqrt(x).  A cofactor c <= x is then prime; a larger one is searched for
+    divisors in (sqrt(x), x] in blocks (_divisors_above_root).
     """
     _check_ell(ell)
     if d < 1:
@@ -85,14 +168,43 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
             keep = np.gcd(ns, d) == 1
             return int(ws[keep].sum())
         return int(ws.sum())
-    ps = _admissible_primes(x, ell, d)
+    r = isqrt(x)
+    small = primes_up_to(r).tolist()
+    excluded, ps, c = [], [], d
+    for p in small:
+        if c % p == 0:
+            while c % p == 0:
+                c //= p
+            if p % ell == 1:
+                excluded.append(p)
+        elif p % ell == 1:
+            ps.append(p)
+    if c > x:
+        excluded += _divisors_above_root(c, x, ell)
+    elif c > 1 and c % ell == 1:
+        excluded.append(c)
+    # the pushing test reads the admissible prime after the last one <= r.
+    # r + 1 stands in for it: being a lower bound, it can only push a node
+    # with no children of its own, and that node counts itself and zero
+    # leaves, as a leaf would.  x + 1 ends the list past any q.
+    ps += [r + 1, x + 1]
+    # the primes = 1 (mod ell) up to each x // k: from the class counts, or
+    # by listing them when that sieve (x / ell bytes) is no larger than the
+    # int64 table of ell classes, as it is for large ell
+    vals = _values(x)
+    if x // ell <= 8 * ell * len(vals):
+        primes = _progression_primes(x, ell, small)
+        ones = np.searchsorted(primes, vals, side="right").tolist()
+    else:
+        ones = _class_counts(x, ell, small)[1].tolist()
+    top = len(ones)
     total = 0
     stack = [(1, 1, 0)]
     while stack:
         n, w, i = stack.pop()
         total += w
         q = x // n
-        hi = bisect_right(ps, q, i)
+        hi = ones[q if q <= r else top - n] - bisect_right(excluded, q)
         w *= ell - 1
         k = i
         while k + 1 < hi and ps[k] * ps[k + 1] <= q:

@@ -289,6 +289,17 @@ def indicator_pairs(prime_bound: int) -> list[tuple[SupportFunction, SupportFunc
 
 def _suite_indicator(bound: int) -> _Recorder:
     rec = _Recorder()
+    # a span is keyed by its nonzero vectors, which depend only on (u, v)
+    span_keys = {
+        (u, v): frozenset(
+            tuple((z * a + zp * b) % 3 for a, b in zip(u, v))
+            for z in range(3)
+            for zp in range(3)
+            if z or zp
+        )
+        for k in (1, 2, 3)
+        for u, v in _vector_pairs(k)
+    }
     for sup, vps, fn in _support_pairs(bound):
         vals: dict[tuple, int] = {}
         spans: dict[frozenset, set[int]] = {}
@@ -297,12 +308,7 @@ def _suite_indicator(bound: int) -> _Recorder:
             w = indicator(fn[u], fn[v])
             rec.check(w in (0, 1), "indicator on {} at {},{} is {}", sup, u, v, w)
             vals[(u, v)] = w
-            key = frozenset(
-                tuple((z * a + zp * b) % 3 for a, b in zip(u, v))
-                for z in range(3)
-                for zp in range(3)
-                if z or zp
-            )
+            key = span_keys[(u, v)]
             spans.setdefault(key, set()).add(w)
             bases[key] = bases.get(key, 0) + 1
         for (u, v), w in vals.items():

@@ -20,6 +20,11 @@ primitives.
   package and redo only the product assembly.
 - The walks keep the per-prime loops that the package replaced with array
   code, on top of the package's scalar decomposition and symbols.
+- k_direct_dfs keeps the full-sieve K-sum: it lists every admissible prime
+  up to x from the package's sieve and pushes every squarefree product,
+  leaves included.  The package no longer shares either step: it counts
+  leaves from prime counts in residue classes and lists primes only up to
+  sqrt(x).
 - The literal census keeps the loop over validated support functions that
   the package replaced with tuple code.  It takes its indicator, row and D
   from the pair functions above, not from the package, and only its

@@ -196,7 +196,7 @@ def test_criterion_5_tauberian():
         dev7 = abs(k_direct(10**7, 3, d) / (a3 * psi * 10**7) - 1)
         assert dev7 <= 0.02, (d, dev7)
         assert dev7 < dev5, (d, dev5, dev7)
-    assert time.monotonic() - t0 < 30
+    assert time.monotonic() - t0 < 5
 
 
 # 6. constant pipeline -----------------------------------------------------

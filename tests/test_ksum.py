@@ -1,10 +1,24 @@
+import time
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from heisnine.ksum import K_DIRECT_MAX, alpha_ell, k_direct, psi_ell
+from heisnine._primes import primes_up_to
+from heisnine.ksum import (
+    K_DIRECT_MAX,
+    _class_counts,
+    _progression_primes,
+    _values,
+    alpha_ell,
+    k_direct,
+    psi_ell,
+)
 
 
 def test_k_direct_examples():
@@ -36,6 +50,98 @@ def test_k_direct_matches_full_dfs(x):
     for d in (1, 7, 91, 2923):
         for ell in (2, 3, 7):
             assert k_direct(x, ell, d) == oracles.k_direct_dfs(x, ell, d), (x, d, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+@pytest.mark.parametrize("x", [10**6 + 1, 3 * 10**6])
+def test_class_counts_match_sieve(x, ell):
+    vals = _values(x)
+    assert vals.tolist() == [0] + np.unique(x // np.arange(1, x + 1)).tolist()
+    counts = _class_counts(x, ell, primes_up_to(isqrt(x)).tolist())
+    ps = primes_up_to(x)
+    for c in range(ell):
+        want = np.searchsorted(ps[ps % ell == c], vals, side="right")
+        assert np.array_equal(counts[c], want), c
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 101, 1009])
+@pytest.mark.parametrize("x", [10**4 + 1, 10**6 + 1])
+def test_progression_primes_match_sieve(x, ell):
+    ps = primes_up_to(x)
+    got = _progression_primes(x, ell, primes_up_to(isqrt(x)).tolist())
+    assert np.array_equal(got, ps[ps % ell == 1])
+
+
+@pytest.mark.parametrize("ell", [31, 101, 1009, 10007])
+def test_k_direct_large_ell_matches_full_dfs(ell):
+    # large ell takes the listed progression, not the ell class rows; d
+    # removes two admissible primes
+    adm = [p for p in primes_up_to(10**6).tolist() if p % ell == 1]
+    for x in (10**6 + 1, 3 * 10**6):
+        for d in (1, 6 * adm[0] * adm[len(adm) // 2]):
+            assert k_direct(x, ell, d) == oracles.k_direct_dfs(x, ell, d), (x, d)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7])
+@pytest.mark.parametrize("skip", [False, True])
+def test_k_direct_pushes_across_the_root(ell, skip):
+    # x = p * p' for consecutive admissible primes p < sqrt(x) < p': the
+    # root must push p, whose one child is x itself.  With skip, d removes
+    # the admissible prime that would otherwise follow p.
+    adm = [p for p in primes_up_to(2000).tolist() if p % ell == 1]
+    i = bisect_right(adm, 1000) - 1
+    d = adm[i + 1] if skip else 1
+    p, p_next = adm[i], adm[i + 2 if skip else i + 1]
+    x = p * p_next
+    assert p <= isqrt(x) < p_next
+    assert k_direct(x, ell, d) == oracles.k_direct_dfs(x, ell, d)
+
+
+@pytest.mark.parametrize("d", [7 * 1009, 2 * 500029, 1009 * 500029])
+def test_k_direct_d_with_a_factor_above_the_root(d):
+    # 1009 and 500029 are primes = 1 (mod 3) in (sqrt(x), x]
+    x = 10**6
+    assert k_direct(x, 3, d) == oracles.k_direct_dfs(x, 3, d)
+
+
+@pytest.mark.parametrize("big", [2000003, 2**89 - 1])
+def test_k_direct_cofactor_above_x(big):
+    # big is a prime past x (2^89 - 1 one past int64), so the cofactor
+    # 1000003 * big of d exceeds x and its factor 1000003 = 1 (mod 3) is
+    # found by the block pass over (sqrt(x), x]
+    x = 2 * 10**6
+    d = 7 * 1000003 * big
+    assert k_direct(x, 3, d) == oracles.k_direct_dfs(x, 3, d)
+    assert k_direct(x, 3, d) == k_direct(x, 3, 7 * 1000003)
+
+
+def test_k_direct_pinned_at_1e8():
+    # recorded with the route that sieved every prime <= x
+    assert [k_direct(10**8, 3, d) for d in (1, 7, 2923)] == [25940747, 20176285, 24002923]
+
+
+@pytest.mark.parametrize(
+    "x, ell, p",
+    [(10**8, 3, 7), (10**8, 3, 9973), (10**8, 3, 1000003), (98765431, 7, 29), (10**7 + 1, 2, 3)],
+)
+def test_k_direct_splits_on_one_prime(x, ell, p):
+    # n counted by K(x; ell, 1) is coprime to p, or p m with m <= x / p
+    # coprime to p and one more factor ell - 1
+    assert k_direct(x, ell) == k_direct(x, ell, p) + (ell - 1) * k_direct(x // p, ell, p)
+
+
+def test_k_direct_budget_at_the_cap():
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        k = k_direct(K_DIRECT_MAX, 3)
+        elapsed = time.monotonic() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k > 0
+    assert elapsed < 10
+    assert peak < 32 * 2**20
 
 
 def test_k_direct_huge_d():
