@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from numbers import Integral
 from typing import Iterator
 
@@ -61,19 +62,19 @@ class CharValue:
     def __mul__(self, other: "CharValue") -> "CharValue":
         if self.exp is None or other.exp is None:
             return ZERO
-        return CharValue((self.exp + other.exp) % 3)
+        return ROOT(self.exp + other.exp)
 
     def __pow__(self, k: int) -> "CharValue":
         if k == 0:
-            return CharValue(0)  # z^0 = 1 for every z, including zero
+            return ROOT(0)  # z^0 = 1 for every z, including zero
         if self.exp is None:
             return ZERO
-        return CharValue(self.exp * k % 3)
+        return ROOT(self.exp * k)
 
     def conj(self) -> "CharValue":
         if self.exp is None:
             return ZERO
-        return CharValue(-self.exp % 3)
+        return ROOT(-self.exp)
 
     def as_complex(self) -> complex:
         if self.exp is None:
@@ -93,10 +94,12 @@ _OMEGA_POWERS = (
 )
 
 ZERO = CharValue(None)
+_ROOTS = (CharValue(0), CharValue(1), CharValue(2))
 
 
 def ROOT(e: int) -> CharValue:
-    return CharValue(e % 3)
+    """j^e as one of three shared values, so no symbol allocates its result."""
+    return _ROOTS[e % 3]
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +427,26 @@ _ROOT_PAIRS = ((1, 0), (0, 1), (-1, -1))
 
 
 def _symbol_eis(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
-    """Euler criterion inside Z[j]: alpha^((p-1)/3) = j^m (mod pi)."""
+    """Euler criterion inside Z[j]: alpha^((p-1)/3) = j^m (mod pi).
+
+    The square-and-multiply runs in Z[j]/(p), each component reduced by a
+    plain % p: pi divides p, so (p) lies in (pi) and Z[j] -> Z[j]/(p) ->
+    Z[j]/(pi) is reduction mod pi.  The division by pi (_rem) is left to
+    the zero test at entry and the j^m test at exit.
+    """
     pa, pb = sp.pi.a, sp.pi.b
     pn = pa * pa - pa * pb + pb * pb
     x, y = _rem(alpha.a, alpha.b, pa, pb, pn)
     if x == 0 and y == 0:
         return ZERO
+    p = sp.p
+    x, y = x % p, y % p
     ua, ub = 1, 0
-    e = (sp.p - 1) // 3
+    e = (p - 1) // 3
     while e:
         if e & 1:
-            ua, ub = _rem(ua * x - ub * y, ua * y + ub * x - ub * y, pa, pb, pn)
-        x, y = _rem(x * x - y * y, 2 * x * y - y * y, pa, pb, pn)
+            ua, ub = (ua * x - ub * y) % p, (ua * y + ub * x - ub * y) % p
+        x, y = (x - y) * (x + y) % p, (2 * x - y) * y % p
         e >>= 1
     for m, (ja, jb) in enumerate(_ROOT_PAIRS):
         if _rem(ua - ja, ub - jb, pa, pb, pn) == (0, 0):
@@ -465,7 +476,9 @@ def cubic_symbol(
     """Cubic residue symbol (alpha / pi)_3 for the standard prime sp.
 
     method selects the codepath: "fp" reduces through Z[j]/(pi) = F_p,
-    "eis" runs Euler's criterion in Z[j].  Both agree everywhere.
+    "eis" runs Euler's criterion in Z[j].  Both agree everywhere, and both
+    hold as well for sp = (p, conj(pi), r^2 mod p), the conjugate factor
+    with its image of j.
     """
     if method == "fp":
         return _symbol_fp(alpha, sp)
@@ -497,27 +510,39 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
-# room for more tables than any workload uses (the symbols suite builds
-# 611, the census ~240), so none evicts, and memory stays bounded
+# The symbols suite builds 611 tables and the census ~240, so neither
+# evicts.  constant_report does at large delta_max, where every prime up to
+# delta_max is a Delta: at 3.2e4 it fills all 1024 entries, rebuilds 121
+# and holds ~17.5 MB (ROADMAP, open item 3).  The entry count bounds memory.
 @lru_cache(maxsize=1024)
 def chi_p_table(p: int) -> bytes:
-    """Exponent of chi_p(n) indexed by n mod p; 0xFF marks the zero value."""
+    """Exponent of chi_p(n) indexed by n mod p; 0xFF marks the zero value.
+
+    The powers g^k of a primitive root g come as a B x B grid, B =
+    ceil(sqrt(p - 1)): entry (i, l) is g^(B i) g^l mod p, k = B i + l, and
+    the two short lists of giant and baby steps are plain-int loops.  The
+    entry at g^k is k t mod 3 for chi_p(g) = j^t, which runs through
+    (0, t, 2t) mod 3 as k runs through the residues mod 3.  int64 holds the
+    grid products exactly for p < 3e9.
+    """
     sp = standard_decompose(p)
     g = _primitive_root(p)
     t = _symbol_fp(EisensteinInt(g, 0), sp).exp
     if t not in (1, 2):
         raise AssertionError(f"chi_{p} of a primitive root must have order 3")
-    # pw[k] = g^k mod p, filled by doubling: pw[m:2m] = pw[:m] * g^m mod p
-    pw = np.empty(p - 1, dtype=np.int64)
-    pw[0] = 1
-    m = 1
-    while m < p - 1:
-        k = min(m, p - 1 - m)
-        pw[m : m + k] = pw[:k] * pow(g, m, p) % p
-        m += k
+    n = p - 1
+    size = isqrt(n - 1) + 1
+    baby = [1] * size
+    for l in range(1, size):
+        baby[l] = baby[l - 1] * g % p
+    step = baby[-1] * g % p
+    giant = [1] * -(-n // size)
+    for i in range(1, len(giant)):
+        giant[i] = giant[i - 1] * step % p
+    pw = np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p
     tab = np.empty(p, dtype=np.uint8)
     tab[0] = 0xFF
-    tab[pw] = np.arange(p - 1, dtype=np.int64) * t % 3
+    tab[pw.ravel()[:n]] = np.tile(np.array([0, t, 2 * t % 3], dtype=np.uint8), n // 3)
     return tab.tobytes()
 
 

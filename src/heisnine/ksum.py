@@ -107,27 +107,33 @@ def _progression_primes(x: int, ell: int, small: list[int]) -> np.ndarray:
     return 1 + ell * np.flatnonzero(sieve)
 
 
-def _divisors_above_root(c: int, x: int, ell: int) -> list[int]:
-    """The m = 1 (mod ell) in (isqrt(x), x] that divide c, ascending.
-
-    c has no prime factor <= isqrt(x), so each such m is prime.  The pass
-    runs over blocks of about sqrt(x) integers and reduces c by 32-bit
-    limbs, so c may be any size; m <= x <= 2^31 keeps every step in int64.
-    """
-    r = isqrt(x)
+def _residues(c: int, ms: np.ndarray) -> np.ndarray:
+    """c mod m for each m of the int64 array ms, for c of any size: c is
+    reduced by 32-bit limbs from the top, and m <= 2^31 keeps every step in
+    int64."""
     limbs = []
     while c:
         limbs.append(c & 0xFFFFFFFF)
         c >>= 32
-    limbs.reverse()
+    rem = np.zeros_like(ms)
+    for limb in reversed(limbs):
+        rem = ((rem << 32) | limb) % ms
+    return rem
+
+
+def _divisors_above_root(c: int, x: int, ell: int) -> list[int]:
+    """The m = 1 (mod ell) in (isqrt(x), x] that divide c, ascending.
+
+    c has no prime factor <= isqrt(x), so each such m is prime.  The pass
+    runs over blocks of about sqrt(x) integers; x <= 2^31 lets c be any
+    size (_residues).
+    """
+    r = isqrt(x)
     step = ell * (r // ell + 1)
     out: list[int] = []
     for lo in range(r + 1 + (-r) % ell, x + 1, step):
         ms = np.arange(lo, min(lo + step, x + 1), ell, dtype=np.int64)
-        rem = np.zeros_like(ms)
-        for limb in limbs:
-            rem = ((rem << 32) | limb) % ms
-        out += ms[rem == 0].tolist()
+        out += ms[_residues(c, ms) == 0].tolist()
     return out
 
 
@@ -165,7 +171,8 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
             return 0
         ns, ws = ns[:hi], ws[:hi]
         if d > 1:
-            keep = np.gcd(ns, d) == 1
+            # gcd(n, d) = gcd(n, d mod n), and d mod n fits int64 for any d
+            keep = np.gcd(ns, _residues(d, ns)) == 1
             return int(ws[keep].sum())
         return int(ws.sum())
     r = isqrt(x)

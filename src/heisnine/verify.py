@@ -91,7 +91,13 @@ _J_POWER_PAIRS = ((1, 0), (0, 1), (-1, -1))
 
 
 def _symbol_primary(alpha: EisensteinInt, beta: EisensteinInt) -> CharValue:
-    """(alpha / beta)_3 by Euler's criterion for any primary prime beta."""
+    """(alpha / beta)_3 by Euler's criterion for any primary prime beta.
+
+    The powers are taken in Z[j]/(N), N = N(beta), each component reduced
+    by a plain % N: beta divides N = beta conj(beta), so Z[j] -> Z[j]/(N)
+    -> Z[j]/(beta) is reduction mod beta.  _reduce divides by beta only at
+    the zero test on entry and the j^m test on exit.
+    """
     ba, bb = beta.a, beta.b
     if ba % 3 != 2 or bb % 3 != 0:
         raise ValueError(f"{beta!r} is not primary")
@@ -99,12 +105,13 @@ def _symbol_primary(alpha: EisensteinInt, beta: EisensteinInt) -> CharValue:
     x, y = _reduce(alpha.a, alpha.b, ba, bb, nb)
     if x == 0 and y == 0:
         return ZERO
+    x, y = x % nb, y % nb
     oa, ob = 1, 0
     e = (nb - 1) // 3
     while e:
         if e & 1:
-            oa, ob = _reduce(oa * x - ob * y, oa * y + ob * x - ob * y, ba, bb, nb)
-        x, y = _reduce(x * x - y * y, 2 * x * y - y * y, ba, bb, nb)
+            oa, ob = (oa * x - ob * y) % nb, (oa * y + ob * x - ob * y) % nb
+        x, y = (x - y) * (x + y) % nb, (2 * x - y) * y % nb
         e >>= 1
     for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
         if _reduce(oa - ja, ob - jb, ba, bb, nb) == (0, 0):
@@ -135,11 +142,15 @@ def _symbol_inert(alpha: EisensteinInt, q: int) -> CharValue:
 
 def _primary_primes(norm_bound: int) -> list[tuple[EisensteinInt, object]]:
     """Primary primes of Z[j] with norm <= norm_bound, prime to 3, each
-    tagged with the data its fast symbol route needs."""
+    tagged with the data its fast symbol route needs: q for an inert q, and
+    for a split prime the StandardPrime of that factor itself.  conj(pi)
+    divides j - r^2 when pi divides j - r, so its tag carries r^2 = -1 - r
+    (mod p) as the image of j."""
     out: list[tuple[EisensteinInt, object]] = []
     for sp in standard_primes_up_to(norm_bound):
         out.append((sp.pi, sp))
-        out.append((sp.pi.conj(), sp))
+        bar = sp.pi.conj()
+        out.append((bar, StandardPrime(sp.p, bar, (-1 - sp.r) % sp.p)))
     for q in map(int, primes_up_to(isqrt(norm_bound))):
         if q % 3 == 2:
             out.append((EisensteinInt(q, 0), q))
@@ -150,10 +161,7 @@ def _primary_primes(norm_bound: int) -> list[tuple[EisensteinInt, object]]:
 def _symbol_fast(alpha: EisensteinInt, beta: EisensteinInt, tag: object) -> CharValue:
     if isinstance(tag, int):
         return _symbol_inert(alpha, tag)
-    sp: StandardPrime = tag
-    if beta == sp.pi:
-        return cubic_symbol(alpha, sp)
-    return cubic_symbol(alpha.conj(), sp).conj()
+    return cubic_symbol(alpha, tag)
 
 
 def _suite_reciprocity(bound: int) -> _Recorder:
@@ -180,11 +188,10 @@ def _suite_reciprocity(bound: int) -> _Recorder:
 
 def _suite_symbols(bound: int) -> _Recorder:
     rec = _Recorder()
-    sps = list(standard_primes_up_to(bound))
-    for sp in sps:
+    alphas = [EisensteinInt(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
+    for sp in standard_primes_up_to(bound):
         # both library codepaths against the independent general routine
-        for t in range(1, 8):
-            alpha = EisensteinInt(t, (t * t + 1) % 7 - 3)
+        for alpha in alphas:
             want = _symbol_primary(alpha, sp.pi)
             rec.check(
                 cubic_symbol(alpha, sp, method="fp") == want,

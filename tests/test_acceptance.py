@@ -108,7 +108,7 @@ def test_criterion_1_exact_arithmetic():
                 continue
             assert (chi_p(q, r) == ROOT(0)) == is_cubic_residue(q, r)
 
-    assert time.monotonic() - t0 < 60
+    assert time.monotonic() - t0 < 30
 
 
 # 2. indicator -------------------------------------------------------------

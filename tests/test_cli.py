@@ -106,6 +106,13 @@ def test_ksum_text(capsys):
     assert out == "x=100 ell=3 d=7 k=21\n"
 
 
+def test_ksum_d_past_int64(capsys):
+    d = 7 * 13 * 2**64
+    assert run(["ksum", "--x", "5000", "--ell", "3", "--d", str(d)]) == 0
+    out, _ = _out(capsys)
+    assert out == f"x=5000 ell=3 d={d} k=877\n"
+
+
 def test_symbol_text_and_zero(capsys):
     assert run(["symbol", "--p", "7", "--n", "2"]) == 0
     out, _ = _out(capsys)

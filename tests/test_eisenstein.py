@@ -12,6 +12,7 @@ from heisnine.eisenstein import (
     STANDARD_ARRAY_MAX,
     UNITS,
     ZERO,
+    CharValue,
     EisensteinInt,
     StandardPrime,
     chi_nine,
@@ -258,6 +259,23 @@ def test_chi_p_table_matches_walk():
         assert chi_p_table(p) == oracles.chi_p_table_walk(p), p
 
 
+def _first_split_prime_above(n):
+    n += 1
+    while n % 3 != 1 or not is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "p",
+    # p - 1 = 6 (a ragged last grid row), 6^2 and 24^2 (square grids), past
+    # the table bound, and near the primes the census reaches at X = 10^24
+    [7, 37, 577, _first_split_prime_above(_TABLE_MAX), 99991],
+)
+def test_chi_p_table_grid_edges_match_walk(p):
+    assert chi_p_table(p) == oracles.chi_p_table_walk(p)
+
+
 def test_chi_p_table_cache_is_bounded():
     size = chi_p_table.cache_info().maxsize
     assert size is not None and size >= 1024
@@ -276,6 +294,12 @@ def test_chi_nine_matches_walk_oracle():
     for n in range(-20, 40):
         e = oracles.chi_nine_exp_by_walk(n)
         assert chi_nine(n) == (ZERO if e is None else ROOT(e))
+
+
+@pytest.mark.parametrize("e", range(-5, 6))
+def test_root_is_the_shared_value_of_its_class(e):
+    assert ROOT(e) == CharValue(e % 3)
+    assert ROOT(e) is ROOT(e + 3)
 
 
 def test_char_value_algebra():
@@ -310,6 +334,22 @@ def test_eis_symbol_matches_object_route_on_small_grid():
             for alpha in grid:
                 want = oracles.symbol_eis_literal(alpha, sp)
                 assert cubic_symbol(alpha, sp, method="eis") == want, (alpha, sp)
+
+
+@pytest.mark.parametrize("p", [7, 13, 97, 9973])
+def test_eis_symbol_matches_object_route_past_p(p):
+    # coordinates past p, and multiples of pi, conj(pi) and p: the ladder
+    # reduces mod p, and only multiples of pi and p may read as zero
+    sp = standard_decompose(p)
+    other = StandardPrime(p, sp.pi.conj(), (-1 - sp.r) % p)
+    alphas = [E(3 * p + 2, -5 * p - 1), E(-p * p - 4, p * p + 7), E(p + 1, 2 * p - 1)]
+    alphas += [
+        z * m for z in (sp.pi, other.pi, E(p, 0)) for m in (E(1, 0), E(2, -1), E(p + 3, 5))
+    ]
+    for s in (sp, other):
+        for alpha in alphas:
+            want = oracles.symbol_eis_literal(alpha, s)
+            assert cubic_symbol(alpha, s, method="eis") == want, (alpha, s)
 
 
 def test_eis_symbol_matches_object_route_on_suite_alphas():

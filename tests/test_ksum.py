@@ -149,6 +149,14 @@ def test_k_direct_huge_d():
     assert k_direct(10**5, 3, d) == k_direct(10**5, 3, 91)
 
 
+def test_k_direct_huge_d_on_the_table_path():
+    # x <= 10^4 reads the cached table, where d meets an int64 gcd
+    d = 7 * 13 * 2**64
+    assert k_direct(5000, 3, d) == k_direct(5000, 3, 91) == oracles.k_brute(5000, 3, d)
+    d = 19 * 37 * (2**89 - 1)  # limbs that all differ from zero
+    assert k_direct(5000, 3, d) == oracles.k_brute(5000, 3, d)
+
+
 def test_k_direct_domain():
     assert k_direct(0, 3) == 0
     assert k_direct(1, 3) == 1

@@ -1,5 +1,7 @@
 """The verification suites at reduced bounds, and their helpers."""
 
+import time
+
 import pytest
 
 from heisnine import verify
@@ -59,6 +61,26 @@ def test_general_symbol_matches_oracle():
                 ec = symbol_exp_by_euler((a - b, -b), p)
                 got = _symbol_primary(alpha, sp.pi.conj())
                 assert got.exp == (None if ec is None else -ec % 3)
+
+
+@pytest.mark.parametrize("q", [2, 5, 11, 47])
+def test_general_symbol_at_inert_q_matches_inert_route(q):
+    # beta = q has norm q^2, so the ladder runs mod q^2; alpha is far past it
+    for a in (-3 * q * q - 1, 1, q, 7 * q * q + 2):
+        for b in (-5 * q * q + 3, 0, q * q, 4 * q * q * q - 1):
+            alpha = EisensteinInt(a, b)
+            assert _symbol_primary(alpha, EisensteinInt(q, 0)) == _symbol_inert(alpha, q)
+
+
+@pytest.mark.parametrize("p", [7, 13, 97, 9973])
+def test_general_symbol_matches_oracle_past_the_norm(p):
+    sp = standard_decompose(p)
+    for a, b in ((3 * p + 2, -5 * p - 1), (-p * p - 4, p * p + 7), (p, 2 * p)):
+        e = symbol_exp_by_euler((a, b), p)
+        assert _symbol_primary(EisensteinInt(a, b), sp.pi).exp == e
+        ec = symbol_exp_by_euler((a - b, -b), p)
+        got = _symbol_primary(EisensteinInt(a, b), sp.pi.conj())
+        assert got.exp == (None if ec is None else -ec % 3)
 
 
 @pytest.mark.parametrize(
@@ -126,6 +148,14 @@ def test_failure_text_unchanged(monkeypatch):
     monkeypatch.setattr(verify, "_symbol_primary", lambda alpha, beta: ZERO)
     assert run_suite("reciprocity", 600).to_text() == _RECIPROCITY_SLOW_TEXT
     assert run_suite("symbols", 7).to_text() == _SYMBOLS_TEXT
+
+
+def test_symbols_suite_at_its_default_bound_in_budget():
+    t0 = time.monotonic()
+    res = run_suite("symbols")
+    elapsed = time.monotonic() - t0
+    assert res.ok and (res.bound, res.checks) == (10**4, 10387)
+    assert elapsed < 3
 
 
 def test_inert_symbol_cube_classes():
