@@ -156,15 +156,20 @@ def _split_primes_up_to(limit: int) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _deltas_cached(limit: int) -> tuple[DeltaIndex, ...]:
+    """Depth-first over products of increasing split primes, each node's
+    children cut at the first prime that takes the product past limit."""
+    ps = _split_primes_up_to(limit)
     out = [DeltaIndex(1, ())]
-    for p in _split_primes_up_to(limit):
-        out.extend(
-            [
-                DeltaIndex(d.delta * p, d.primes + (p,))
-                for d in out
-                if d.delta * p <= limit
-            ]
-        )
+    stack = [(1, (), 0)]
+    while stack:
+        d, primes, i = stack.pop()
+        for k in range(i, len(ps)):
+            m = d * ps[k]
+            if m > limit:
+                break
+            node = primes + (ps[k],)
+            out.append(DeltaIndex(m, node))
+            stack.append((m, node, k + 1))
     return tuple(sorted(out, key=lambda d: d.delta))
 
 

@@ -8,6 +8,12 @@ moduli d below a sliding bound X / D(d, f, f').  The raw total is divisible
 by 108 = 2^2 3^3 under one weight normalization and the quotient is the
 number of counted objects with invariant <= X; divisibility is always
 observed from the computed integer, never assumed.
+
+The terms at a smaller X are the terms at a larger X with D <= X, so one
+enumeration serves every X: the term skeleton lists each pair with a term
+at a bound B, without its K-value.  Cost model of the census: the first X
+asked enumerates at B = X; the first larger X re-enumerates once at X_MAX;
+every other X costs one sixth root and one K lookup per term.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import exp, gcd, log, prod
 from typing import Iterator, Sequence
 
@@ -196,12 +202,16 @@ def big_d(f: SupportFunction, fp: SupportFunction, three_divides_d: bool) -> int
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) by integer Newton; comparisons never touch floats."""
+    """floor(n^(1/k)) by integer Newton from a float seed below 2^64, a
+    bit-length one above; the answer is settled by integer comparisons."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    r = 1 << -(-n.bit_length() // k)  # certainly >= the root
+    if n < 1 << 64:
+        r = int(n ** (1.0 / k))  # >= 1, and within one of the root
+    else:
+        r = 1 << -(-n.bit_length() // k)  # certainly >= the root
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
         if s >= r:
@@ -339,18 +349,21 @@ def _k_value(m: int, dd: int) -> int:
 # class value, weight without the w3 factor); the first five are its sort key
 RawTerm = tuple[int, int, Entries, Entries, int, int, int, int]
 
+# a skeleton entry: one pair with a term at some X up to the bound it was
+# built at, without its K-value: (Delta(f), Delta(f'), f entries, f'
+# entries, row, D for 3 coprime to d, D for 3 | d, u = 3^|union support|,
+# dd = Delta(f) Delta(f')); the first four are its sort key
+Skeleton = list[tuple[int, int, Entries, Entries, int, int, int, int, int]]
+
 
 def _census_for_delta(
-    x: int,
-    dI: DeltaIndex,
-    wide: Sequence[DeltaIndex],
-    collect: bool,
-) -> tuple[list[int], list[RawTerm]]:
-    """Subsums indexed by class value, the 3 | d classes without the w3
-    factor, over the pairs with Delta(f) = dI.delta; the raw terms too if
-    collect."""
-    subs = [0] * 15
-    records: list[RawTerm] = []
+    bound: int, dI: DeltaIndex, wide: Sequence[DeltaIndex]
+) -> Skeleton:
+    """The skeleton entries at X = bound of the pairs with Delta(f) =
+    dI.delta.  Every pruning bound here is necessary for D <= bound, and the
+    independence and kernel tests do not read X, so the entries at a smaller
+    X are exactly those with D <= X."""
+    out: Skeleton = []
     df, fac = dI.delta, dI.primes
     d6 = df**6
     shared_choices = [(s, prod(s)) for s in _subsets(fac)]
@@ -364,7 +377,8 @@ def _census_for_delta(
             e_f = _exp_at(base, 3)
             at_f = [_exp_at(f_ent, r) for r in fac]
             bounds = [
-                ifourth_root(x // (d6 * 3 ** _mu_floor(f3, fp3))) for fp3 in (0, 1, 2)
+                ifourth_root(bound // (d6 * 3 ** _mu_floor(f3, fp3)))
+                for fp3 in (0, 1, 2)
             ]
             top = max(bounds)
             # the indicator's factor at a prime r of f' outside supp f is 1
@@ -383,9 +397,9 @@ def _census_for_delta(
                         break
                 else:
                     news.append(eI)
-            for fp3, bound in zip((0, 1, 2), bounds):
+            for fp3, fp_bound in zip((0, 1, 2), bounds):
                 for eI in news:
-                    if eI.delta > bound:
+                    if eI.delta > fp_bound:
                         break
                     # free(Delta(f'), Delta(f)) = eI.delta: shared primes divide Delta(f)
                     d_base = d6 * eI.delta**4
@@ -393,7 +407,6 @@ def _census_for_delta(
                     for shared, shared_prod in shared_choices:
                         sup = tuple(sorted(shared + eI.primes))
                         dfp = shared_prod * eI.delta
-                        dd = df * dfp
                         for fp_vals in product((1, 2), repeat=len(sup)):
                             ent = tuple(zip(sup, fp_vals))
                             fp_ent = ((3, fp3),) + ent if fp3 else ent
@@ -401,27 +414,54 @@ def _census_for_delta(
                                 continue  # f' = 0, f or 2f: not independent
                             row = _row(f3, fp3, e_f, _exp_at(ent, 3))
                             d1 = d_base * 3 ** _MU_BY_ROW[row]
-                            m1 = isixth_root(x // d1)
-                            if m1 == 0:
-                                continue  # K(0) = 0, and D only grows when 3 | d
+                            if d1 > bound:
+                                continue  # no term: D only grows when 3 | d
                             if not _kernel_ones(base, at_f, fp_ent):
                                 continue
-                            w = u * _k_value(m1, dd)
-                            subs[row] += w
-                            if collect:
-                                records.append((df, dfp, f_ent, fp_ent, 1, d1, row, w))
-                            if row == 1:  # 3 | d raises mu from 0 to 12
-                                d3 = d_base * 3**12
-                                m3 = isixth_root(x // d3)
-                                if m3 == 0:
-                                    continue
-                                w = u * _k_value(m3, dd)
-                            else:
-                                d3 = d1  # same D, so the same weight
-                            subs[row + 7] += w
-                            if collect:
-                                records.append((df, dfp, f_ent, fp_ent, 3, d3, row + 7, w))
-    return subs, records
+                            # 3 | d raises mu from 0 to 12 in row 1 only
+                            d3 = d_base * 3**12 if row == 1 else d1
+                            out.append((df, dfp, f_ent, fp_ent, row, d1, d3, u, df * dfp))
+    return out
+
+
+# The term skeleton, by the bound B it was built at; at most one is held.
+# B is the first X asked, so a lone call enumerates no further than it
+# needs; the first X above B rebuilds once at X_MAX, which serves every X.
+_skeleton_cache: dict[int, Skeleton] = {}
+
+
+def _skeleton(x: int) -> Skeleton:
+    """The held skeleton if its bound covers x, else a new one built by the
+    rule above; entries in stream order."""
+    for bound, skel in _skeleton_cache.items():
+        if x <= bound:
+            return skel
+    bound = X_MAX if _skeleton_cache else x
+    _skeleton_cache.clear()
+    narrow = enumerate_deltas(isixth_root(bound))
+    # global bound for the new-prime part of f'; per-pair bounds are tighter
+    wide = list(enumerate_deltas(ifourth_root(bound // 3**8)))
+    skel = [t for dI in narrow for t in _census_for_delta(bound, dI, wide)]
+    skel.sort(key=lambda t: t[:4])
+    _skeleton_cache[bound] = skel
+    return skel
+
+
+def _terms(x: int) -> Iterator[RawTerm]:
+    """The raw terms at X = x in stream order: the skeleton entries with
+    D <= x, each weighted u * K(isixth_root(x // D), dd)."""
+    if x < 3**8:
+        return
+    for df, dfp, f_ent, fp_ent, row, d1, d3, u, dd in _skeleton(x):
+        if d1 > x:
+            continue
+        w = u * _k_value(isixth_root(x // d1), dd)
+        yield df, dfp, f_ent, fp_ent, 1, d1, row, w
+        if row == 1:  # 3 | d raises D; other rows keep D and so the weight
+            if d3 > x:
+                continue
+            w = u * _k_value(isixth_root(x // d3), dd)
+        yield df, dfp, f_ent, fp_ent, 3, d3, row + 7, w
 
 
 # Memo of finished censuses by X: the mode-free subsums C1..C14, the 3 | d
@@ -432,28 +472,19 @@ _report_cache: dict[int, tuple[int, ...]] = {}
 _REPORT_CACHE_MAX = 256
 
 
-def _census(x: int, collect: bool = False) -> tuple[tuple[int, ...], list[RawTerm]]:
-    """Mode-free subsums at X = x, and its raw terms in stream order if
-    collect.  One enumeration serves both weight modes: every 3 | d weight
-    is u * w3 * K."""
-    if not collect and x in _report_cache:
-        return _report_cache[x], []
-    narrow = enumerate_deltas(isixth_root(x))
-    # global bound for the new-prime part of f'; per-pair bounds are tighter
-    wide = list(enumerate_deltas(ifourth_root(x // 3**8)) if x >= 3**8 else [])
+def _census(x: int) -> tuple[int, ...]:
+    """Mode-free subsums at X = x.  One pass serves both weight modes: every
+    3 | d weight is u * w3 * K."""
+    if x in _report_cache:
+        return _report_cache[x]
     subs = [0] * 15
-    records: list[RawTerm] = []
-    if wide:
-        for dI in narrow:
-            psubs, precs = _census_for_delta(x, dI, wide, collect)
-            subs = [a + b for a, b in zip(subs, psubs)]
-            records.extend(precs)
-    records.sort(key=lambda t: t[:5])
+    for t in _terms(x):
+        subs[t[6]] += t[7]
     base = tuple(subs[1:])
     if len(_report_cache) >= _REPORT_CACHE_MAX:
         _report_cache.clear()
     _report_cache[x] = base
-    return base, records
+    return base
 
 
 def _report(x: int, mode: WeightMode, base: tuple[int, ...]) -> CountReport:
@@ -479,7 +510,7 @@ def heis_total(x: int, mode: WeightMode = WeightMode.OMEGA_FULL) -> CountReport:
     """
     _check_x(x)
     _check_mode(mode)
-    return _report(x, mode, _census(x)[0])
+    return _report(x, mode, _census(x))
 
 
 def heis_subsum(x: int, cls: SubsumClass, mode: WeightMode) -> int:
@@ -503,12 +534,10 @@ def enumerate_terms(
             raise TypeError(f"limit must be an integer, got {limit!r}")
         if limit < 0:
             raise ValueError(f"limit must be nonnegative, got {limit}")
-    records = _census(x, collect=True)[1]
-    if limit is not None:
-        records = records[:limit]
+    records = list(islice(_terms(x), limit))
     w3 = mode.w3
     # one object per function: terms share them, as pairs share f
-    funcs = {ent: SupportFunction(ent) for t in records for ent in t[2:4]}
+    funcs = {ent: SupportFunction(ent) for ent in {e for t in records for e in t[2:4]}}
     return (
         TermRecord(
             funcs[f_ent],

@@ -25,6 +25,8 @@ primitives.
   leaves included.  The package no longer shares either step: it counts
   leaves from prime counts in residue classes and lists primes only up to
   sqrt(x).
+- deltas_scan keeps the scan that extends every Delta found so far by each
+  split prime; the package walks a pruned DFS over the sorted primes.
 - The literal census keeps the loop over validated support functions that
   the package replaced with tuple code.  It takes its indicator, row and D
   from the pair functions above, not from the package, and only its
@@ -42,6 +44,7 @@ import numpy as np
 
 from heisnine._primes import primes_in_class, primes_up_to
 from heisnine.charspace import (
+    DeltaIndex,
     SupportFunction,
     chi_eval,
     delta,
@@ -287,6 +290,23 @@ def splitting_oracle(f: dict[int, int], fp: dict[int, int]) -> int:
         if deg != 1:
             return 0
     return 1
+
+
+# ---------------------------------------------------------------------------
+# squarefree moduli by the scan the package's pruned DFS replaced
+
+
+def deltas_scan(limit: int) -> tuple[DeltaIndex, ...]:
+    """Every Delta <= limit, a squarefree product of primes = 1 mod 3,
+    ascending with Delta = 1: for each split prime p, extend every Delta
+    found so far by p where it fits, (#primes) x (#Delta) steps."""
+    out = [DeltaIndex(1, ())]
+    for p in primes_up_to(limit).tolist():
+        if p % 3 == 1:
+            out.extend(
+                [DeltaIndex(d.delta * p, d.primes + (p,)) for d in out if d.delta * p <= limit]
+            )
+    return tuple(sorted(out, key=lambda d: d.delta))
 
 
 # ---------------------------------------------------------------------------

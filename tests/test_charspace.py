@@ -135,6 +135,11 @@ def test_enumerate_deltas_factorizations():
         assert prod == d.delta
 
 
+@pytest.mark.parametrize("limit", [15, 1000, 11100, 111111])
+def test_enumerate_deltas_matches_scan(limit):
+    assert tuple(enumerate_deltas(limit)) == oracles.deltas_scan(limit)
+
+
 def test_enumerate_V_examples():
     assert enumerate_V(1, True) == [ZERO_FUNCTION]
     assert len(enumerate_V(7, False)) == 6

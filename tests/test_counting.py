@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from heisnine import counting
 from heisnine.charspace import SupportFunction, enumerate_V, enumerate_deltas
 from heisnine.counting import (
     CountReport,
@@ -120,12 +122,42 @@ def test_isixth_root_examples():
     assert isixth_root(10**18) == 1000
 
 
-@given(st.integers(min_value=0, max_value=10**24))
-def test_integer_roots(n):
+def _assert_roots(n):
     r = isixth_root(n)
     assert r**6 <= n < (r + 1) ** 6
     s = ifourth_root(n)
     assert s**4 <= n < (s + 1) ** 4
+
+
+# past 2^64 the float seed gives way to the bit-length one; next to a
+# perfect power the float seed may land one off the root
+_next_to_powers = st.builds(
+    lambda r, k, off: r**k + off,
+    st.integers(min_value=1, max_value=2**17),
+    st.sampled_from([4, 6]),
+    st.integers(-1, 1),
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**24)
+    | st.integers(min_value=0, max_value=10**400)
+    | _next_to_powers
+)
+def test_integer_roots(n):
+    _assert_roots(n)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_integer_roots_around_the_float_seed_boundary(k):
+    # the roots of 2^64 are 2^16 and 2^(32/3): the k-th powers on either
+    # side of the switch from the float seed to the bit-length seed
+    r0 = isixth_root(2**64) if k == 6 else ifourth_root(2**64)
+    for r in range(r0 - 3, r0 + 4):
+        for n in (r**k - 1, r**k, r**k + 1):
+            _assert_roots(n)
+    for n in (2**64 - 1, 2**64, 2**64 + 1):
+        _assert_roots(n)
 
 
 def test_s_sum_examples():
@@ -314,16 +346,57 @@ def test_terms_stream_matches_literal_route(x):
         assert list(enumerate_terms(x, mode)) == recs
 
 
-def test_second_mode_at_one_x_matches_cold_call():
-    from heisnine import counting
+def _clear_census_caches():
+    counting._report_cache.clear()
+    counting._skeleton_cache.clear()
 
+
+def test_second_mode_at_one_x_matches_cold_call():
     for x in (6 * 10**12, 10**16):
         for first, second in ((FULL, STAR), (STAR, FULL)):
-            counting._report_cache.clear()
+            _clear_census_caches()
             cold = heis_total(x, second).to_json()
-            counting._report_cache.clear()
+            _clear_census_caches()
             heis_total(x, first)
             assert heis_total(x, second).to_json() == cold
+
+
+@pytest.mark.parametrize("mode", [STAR, FULL])
+def test_skeleton_reports_do_not_depend_on_call_order(mode):
+    xs = log_grid(10**9, 10**18, 12)
+
+    def reports(order):
+        _clear_census_caches()
+        return {x: heis_total(x, mode).to_json() for x in order}
+
+    ascending = reports(xs)
+    assert reports(xs[::-1]) == ascending
+    assert reports(random.Random(11).sample(xs, len(xs))) == ascending
+
+
+def test_terms_stream_unchanged_by_a_call_at_x_max():
+    x = 6 * 10**12
+    _clear_census_caches()
+    before = list(enumerate_terms(x, FULL))
+    assert list(counting._skeleton_cache) == [x]
+    heis_total(X_MAX, FULL)
+    assert list(counting._skeleton_cache) == [X_MAX]
+    assert list(enumerate_terms(x, FULL)) == before
+
+
+def test_one_skeleton_after_many_x():
+    _clear_census_caches()
+    for x in log_grid(10**9, 10**18, 300):
+        heis_total(x, STAR)
+    assert len(counting._skeleton_cache) == 1
+
+
+def test_lone_call_builds_at_its_own_x_and_a_larger_x_at_x_max():
+    _clear_census_caches()
+    heis_total(10**12, FULL)
+    assert list(counting._skeleton_cache) == [10**12]
+    heis_total(10**13, FULL)
+    assert list(counting._skeleton_cache) == [X_MAX]
 
 
 def test_report_serialization():
@@ -358,8 +431,8 @@ def test_log_grid_points_and_validation():
 
 
 def test_report_cache_is_bounded():
-    from heisnine import counting
-
+    _clear_census_caches()
     for x in range(counting._REPORT_CACHE_MAX + 10):
         heis_total(x, STAR)
     assert 0 < len(counting._report_cache) <= counting._REPORT_CACHE_MAX
+    assert not counting._skeleton_cache  # every x < 3^8 has no terms
