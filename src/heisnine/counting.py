@@ -12,8 +12,13 @@ observed from the computed integer, never assumed.
 The terms at a smaller X are the terms at a larger X with D <= X, so one
 enumeration serves every X: the term skeleton lists each pair with a term
 at a bound B, without its K-value.  Cost model of the census: the first X
-asked enumerates at B = X; the first larger X re-enumerates once at X_MAX;
-every other X costs one sixth root and one K lookup per term.
+asked enumerates at B = X; an X above B re-enumerates at min(X_MAX,
+max(X, B^(3/2))), so the bounds step geometrically and reach X_MAX only
+when asked near it; every other X costs one sixth root and one K lookup
+per term.  Each enumeration reads its cubic-character exponents chi_p(n)
+by Euler's criterion, n^((p-1)/3) = r_p^e (mod p) with r_p the image of j,
+once per Delta(f) and with no chi_p table: about 30 ms cold at X_MAX =
+10^18, and 0.6 s at a 10^24 bound (2 cores, Python 3.11).
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
-from math import exp, gcd, log, prod
+from math import exp, gcd, isqrt, log, prod
 from typing import Iterator, Sequence
 
 from .charspace import DeltaIndex, SupportFunction, delta, enumerate_deltas
-from .eisenstein import _CHI_NINE_EXP, chi_p_table
+from .eisenstein import _CHI_NINE_EXP, standard_decompose
 from .ksum import k_direct
 
 __all__ = [
@@ -100,11 +106,30 @@ def free(d: int, a: int) -> int:
 Entries = tuple[tuple[int, int], ...]
 
 
+# r_p, the image of j in F_p under the standard prime above p.  The largest
+# build (the 10^24 bound) reads ~5,300 primes, so the cache never evicts in
+# the census and stays below ~2 MB.
+@lru_cache(maxsize=8192)
+def _j_image(p: int) -> int:
+    return standard_decompose(p).r
+
+
 def _exp(p: int, n: int) -> int:
-    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p."""
+    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p.
+
+    Euler's criterion: n^((p-1)/3) mod p is 1, r_p or r_p^2 for the
+    exponents 0, 1, 2, in O(log p) and with no table."""
     if p == 3:
         return _CHI_NINE_EXP[n % 9]
-    return chi_p_table(p)[n % p]
+    t = pow(n, (p - 1) // 3, p)
+    if t == 1:
+        return 0
+    r = _j_image(p)
+    if t == r:
+        return 1
+    if t == r * r % p:
+        return 2
+    raise ValueError(f"chi_{p}({n}) is zero: {n} is not prime to {p}")
 
 
 def _exp_at(ent: Entries, r: int) -> int:
@@ -356,94 +381,170 @@ RawTerm = tuple[int, int, Entries, Entries, int, int, int, int]
 Skeleton = list[tuple[int, int, Entries, Entries, int, int, int, int, int]]
 
 
+def _summed(ent: Entries, vec: dict[int, tuple[int, ...]]) -> list[int]:
+    """The sum of v * vec[q] over the entries (q, v), mod 3."""
+    sums = [0] * len(vec[3])
+    for q, v in ent:
+        for i, e in enumerate(vec[q]):
+            sums[i] += v * e
+    return [e % 3 for e in sums]
+
+
 def _census_for_delta(
     bound: int, dI: DeltaIndex, wide: Sequence[DeltaIndex]
 ) -> Skeleton:
     """The skeleton entries at X = bound of the pairs with Delta(f) =
     dI.delta.  Every pruning bound here is necessary for D <= bound, and the
     independence and kernel tests do not read X, so the entries at a smaller
-    X are exactly those with D <= X."""
+    X are exactly those with D <= X.
+
+    Each character exponent is read once per call, not once per candidate:
+    the vector of a prime q of f or f' holds the exponents of chi_q at the
+    points (3, r_1, ..., r_k), the primes r_i of Delta(f), so that a sum over
+    a function's entries gives chi(h)(3) and each chi(h)(r_i) less the entry
+    at r_i.  The f' of each new part are listed with their sums once, for
+    every f and f'(3)."""
     out: Skeleton = []
     df, fac = dI.delta, dI.primes
     d6 = df**6
+    k = len(fac)
+    pts = (3,) + fac
+    # the bound on free(Delta(f'), Delta(f)) for each floor of mu
+    new_bound = {mu: ifourth_root(bound // (d6 * 3**mu)) for mu in (0, 8, 12)}
+    # f = 0 is skipped, so with Delta(f) = 1 every f has f(3) != 0
+    top = new_bound[0 if fac else 12]
+    # a prime's vector, then its place among the r_i (one-hot), so that the
+    # sum over f' also reads off f'(r_i)
+    vec = {
+        q: tuple(0 if s == q else _exp(q, s) for s in pts)
+        + tuple(int(q == r) for r in fac)
+        for q in pts
+    }
+    chi_nine_at = vec[3][1 : k + 1]
+    # new parts prime to Delta(f), each with the set of chi_p(r), p in pts,
+    # at its primes r: the indicator's factor at r is 1 iff chi(f)(r) = 1
+    at_new: dict[int, tuple[int, ...]] = {}
+    cands = []
+    for eI in wide:
+        if eI.delta > top:
+            break
+        if gcd(eI.delta, df) == 1:
+            for r in eI.primes:
+                if r not in at_new:
+                    at_new[r] = tuple(_exp(p, r) for p in pts)
+            cands.append((eI, {at_new[r] for r in eI.primes}))
+    new_vecs = set(at_new.values())
     shared_choices = [(s, prod(s)) for s in _subsets(fac)]
-    for f_vals in product((1, 2), repeat=len(fac)):
+    zero = (0,) * (2 * k + 1)
+    # per new part, built on first use: D less its 3^mu, u = 3^|union
+    # support| and the f' as (Delta(f'), entries away from 3, chi(f')(3)
+    # and each chi(f')(r_i) less f'(3) and the entry at r_i, f'(r_i))
+    parts: dict[int, tuple[int, int, list]] = {}
+
+    def parts_of(eI: DeltaIndex) -> tuple[int, int, list]:
+        if eI.delta not in parts:
+            for q in eI.primes:
+                if q not in vec:
+                    vec[q] = tuple(_exp(q, s) for s in pts) + zero[:k]
+            fps = []
+            for shared, shared_prod in shared_choices:
+                combos = [((), zero)]
+                for q in sorted(shared + eI.primes):
+                    vq = vec[q]
+                    combos = [
+                        (ent + ((q, v),), tuple(s + v * e for s, e in zip(sums, vq)))
+                        for ent, sums in combos
+                        for v in (1, 2)
+                    ]
+                dfp = shared_prod * eI.delta
+                for ent, sums in combos:
+                    e = [s % 3 for s in sums]
+                    fps.append((dfp, ent, e[0], e[1 : k + 1], tuple(e[k + 1 :])))
+            # free(Delta(f'), Delta(f)) = eI.delta: shared primes divide Delta(f)
+            parts[eI.delta] = (d6 * eI.delta**4, 3 ** (k + len(eI.primes)), fps)
+        return parts[eI.delta]
+
+    for f_vals in product((1, 2), repeat=k):
         base = tuple(zip(fac, f_vals))
         for f3 in (0, 1, 2):
             if f3 == 0 and not base:
                 continue  # f = 0
+            f_top = new_bound[_mu_floor(f3, 0)]
+            if f_top < 1:
+                continue  # D > bound for every f', even with no new prime
             f_ent = ((3, f3),) + base if f3 else base
             f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
-            e_f = _exp_at(base, 3)
-            at_f = [_exp_at(f_ent, r) for r in fac]
-            bounds = [
-                ifourth_root(bound // (d6 * 3 ** _mu_floor(f3, fp3)))
-                for fp3 in (0, 1, 2)
-            ]
-            top = max(bounds)
-            # the indicator's factor at a prime r of f' outside supp f is 1
-            # iff chi(f)(r) = 1, whatever f' is: keep the new parts passing it
-            news: list[DeltaIndex] = []
-            kern: dict[int, int] = {}
-            for eI in wide:
-                if eI.delta > top:
+            fvec = (f3,) + f_vals
+            e_f, *at_f = _summed(f_ent, vec)[: k + 1]
+            # f'(r_i) times this is the kernel generator's f-term at r_i
+            a_f = [v * e for v, e in zip(f_vals, at_f)]
+            ones = {w for w in new_vecs if sum(v * e for v, e in zip(fvec, w)) % 3 == 0}
+            news = []
+            for eI, ws in cands:
+                if eI.delta > f_top:
                     break
-                if gcd(eI.delta, df) != 1:
-                    continue
-                for r in eI.primes:
-                    if r not in kern:
-                        kern[r] = _exp_at(f_ent, r)
-                    if kern[r]:
-                        break
-                else:
+                if ws <= ones:
                     news.append(eI)
-            for fp3, fp_bound in zip((0, 1, 2), bounds):
+            for fp3 in (0, 1, 2):
+                fp_bound = new_bound[_mu_floor(f3, fp3)]
+                if not news or news[0].delta > fp_bound:
+                    continue
+                rows = [_row(f3, fp3, e_f, e) for e in range(3)]
+                pow3 = [3 ** _MU_BY_ROW[row] for row in rows]
+                # the kernel test at r_i: chi(f')(r_i) less the entry at r_i,
+                # f'(3) chi_nine(r_i) included, is f'(r_i) a_f[i]
+                shift = [fp3 * e for e in chi_nine_at]
+                want: dict[tuple[int, ...], list[int]] = {}
                 for eI in news:
                     if eI.delta > fp_bound:
                         break
-                    # free(Delta(f'), Delta(f)) = eI.delta: shared primes divide Delta(f)
-                    d_base = d6 * eI.delta**4
-                    u = 3 ** (len(fac) + len(eI.primes))
-                    for shared, shared_prod in shared_choices:
-                        sup = tuple(sorted(shared + eI.primes))
-                        dfp = shared_prod * eI.delta
-                        for fp_vals in product((1, 2), repeat=len(sup)):
-                            ent = tuple(zip(sup, fp_vals))
-                            fp_ent = ((3, fp3),) + ent if fp3 else ent
-                            if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
-                                continue  # f' = 0, f or 2f: not independent
-                            row = _row(f3, fp3, e_f, _exp_at(ent, 3))
-                            d1 = d_base * 3 ** _MU_BY_ROW[row]
-                            if d1 > bound:
-                                continue  # no term: D only grows when 3 | d
-                            if not _kernel_ones(base, at_f, fp_ent):
-                                continue
-                            # 3 | d raises mu from 0 to 12 in row 1 only
-                            d3 = d_base * 3**12 if row == 1 else d1
-                            out.append((df, dfp, f_ent, fp_ent, row, d1, d3, u, df * dfp))
+                    d_base, u, fps = parts_of(eI)
+                    for dfp, ent, e_fp, at_fp, fpv in fps:
+                        d1 = d_base * pow3[e_fp]
+                        if d1 > bound:
+                            continue  # no term: D only grows when 3 | d
+                        if fpv not in want:
+                            want[fpv] = [(x * a - s) % 3 for x, a, s in zip(fpv, a_f, shift)]
+                        if at_fp != want[fpv]:
+                            continue  # a kernel factor at some r_i is 0
+                        fp_ent = ((3, fp3),) + ent if fp3 else ent
+                        if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
+                            continue  # f' = 0, f or 2f: not independent
+                        row = rows[e_fp]
+                        # 3 | d raises mu from 0 to 12 in row 1 only
+                        d3 = d_base * 3**12 if row == 1 else d1
+                        out.append((df, dfp, f_ent, fp_ent, row, d1, d3, u, df * dfp))
     return out
 
 
 # The term skeleton, by the bound B it was built at; at most one is held.
 # B is the first X asked, so a lone call enumerates no further than it
-# needs; the first X above B rebuilds once at X_MAX, which serves every X.
+# needs; an X above B rebuilds at min(X_MAX, max(X, B isqrt(B))), about
+# B^(3/2), so a grid of X that stays low never pays for the enumeration at
+# X_MAX, and one that climbs rebuilds O(log log X_MAX) times.
 _skeleton_cache: dict[int, Skeleton] = {}
 
 
-def _skeleton(x: int) -> Skeleton:
-    """The held skeleton if its bound covers x, else a new one built by the
-    rule above; entries in stream order."""
-    for bound, skel in _skeleton_cache.items():
-        if x <= bound:
-            return skel
-    bound = X_MAX if _skeleton_cache else x
-    _skeleton_cache.clear()
+def _build_skeleton(bound: int) -> Skeleton:
+    """Every skeleton entry at X = bound, in stream order."""
     narrow = enumerate_deltas(isixth_root(bound))
     # global bound for the new-prime part of f'; per-pair bounds are tighter
     wide = list(enumerate_deltas(ifourth_root(bound // 3**8)))
     skel = [t for dI in narrow for t in _census_for_delta(bound, dI, wide)]
     skel.sort(key=lambda t: t[:4])
-    _skeleton_cache[bound] = skel
+    return skel
+
+
+def _skeleton(x: int) -> Skeleton:
+    """The held skeleton if its bound covers x, else a new one built by the
+    rule above."""
+    bound = x
+    for held, skel in _skeleton_cache.items():
+        if x <= held:
+            return skel
+        bound = min(X_MAX, max(x, held * isqrt(held)))
+    _skeleton_cache.clear()
+    _skeleton_cache[bound] = skel = _build_skeleton(bound)
     return skel
 
 

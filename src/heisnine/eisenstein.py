@@ -510,10 +510,11 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
-# The symbols suite builds 611 tables and the census ~240, so neither
-# evicts.  constant_report does at large delta_max, where every prime up to
-# delta_max is a Delta: at 3.2e4 it fills all 1024 entries, rebuilds 121
-# and holds ~17.5 MB (ROADMAP, open item 3).  The entry count bounds memory.
+# The symbols suite builds 611 tables and does not evict; the census builds
+# none (it reads chi_p by Euler's criterion).  constant_report evicts at
+# large delta_max, where every prime up to delta_max is a Delta: at 3.2e4
+# it fills all 1024 entries, rebuilds 121 and holds ~17.5 MB (ROADMAP, open
+# item 3).  The entry count bounds memory.
 @lru_cache(maxsize=1024)
 def chi_p_table(p: int) -> bytes:
     """Exponent of chi_p(n) indexed by n mod p; 0xFF marks the zero value.

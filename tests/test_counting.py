@@ -1,12 +1,14 @@
+import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from heisnine import counting
+from heisnine import charspace, counting
 from heisnine.charspace import SupportFunction, enumerate_V, enumerate_deltas
 from heisnine.counting import (
     CountReport,
@@ -26,6 +28,7 @@ from heisnine.counting import (
     mu,
     mu_d,
 )
+from heisnine.eisenstein import chi_p_table
 
 F = SupportFunction.of
 STAR = WeightMode.OMEGA_STAR
@@ -87,6 +90,20 @@ def test_indicator_symmetric_and_span_invariant(pair):
     v = indicator(f, fp)
     assert v in (0, 1)
     assert indicator(fp, f) == v
+
+
+def test_exp_by_euler_matches_table_route():
+    ns = [3] + charspace._split_primes_up_to(1000)
+    for p in charspace._split_primes_up_to(3600) + [20011, 99991]:
+        tab = chi_p_table(p)
+        for n in ns:
+            if n != p:
+                assert counting._exp(p, n) == tab[n % p], (p, n)
+
+
+def test_exp_rejects_a_multiple_of_p():
+    with pytest.raises(ValueError):
+        counting._exp(7, 14)
 
 
 def test_mu_examples():
@@ -349,6 +366,8 @@ def test_terms_stream_matches_literal_route(x):
 def _clear_census_caches():
     counting._report_cache.clear()
     counting._skeleton_cache.clear()
+    counting._j_image.cache_clear()
+    charspace._deltas_cached.cache_clear()
 
 
 def test_second_mode_at_one_x_matches_cold_call():
@@ -397,6 +416,35 @@ def test_lone_call_builds_at_its_own_x_and_a_larger_x_at_x_max():
     assert list(counting._skeleton_cache) == [10**12]
     heis_total(10**13, FULL)
     assert list(counting._skeleton_cache) == [X_MAX]
+
+
+def test_low_grid_never_builds_at_x_max():
+    # B is 10^9, then 10^9 isqrt(10^9), about 10^13.5, covers the grid
+    _clear_census_caches()
+    for x in log_grid(10**9, 10**13, 9):
+        heis_total(x, FULL)
+        assert X_MAX not in counting._skeleton_cache
+    assert list(counting._skeleton_cache) == [31622 * 10**9]
+
+
+def test_cold_build_at_x_max_within_budget():
+    _clear_census_caches()
+    t0 = time.monotonic()
+    skel = counting._build_skeleton(X_MAX)
+    assert time.monotonic() - t0 < 0.5
+    assert len(skel) == 744
+
+
+def test_skeleton_pinned_at_1e21():
+    # past X_MAX, through the build the census uses; count and digest
+    # recorded with the route that read every exponent from chi_p tables
+    _clear_census_caches()
+    t0 = time.monotonic()
+    skel = counting._build_skeleton(10**21)
+    assert time.monotonic() - t0 < 3
+    assert len(skel) == 4332
+    digest = hashlib.sha256(repr(skel).encode()).hexdigest()
+    assert digest == "87d2ebb0396c51239dd43d3e288187e3d5444533d47be3ee91402af0731f1300"
 
 
 def test_report_serialization():

@@ -115,6 +115,31 @@ def test_k_direct_cofactor_above_x(big):
     assert k_direct(x, 3, d) == k_direct(x, 3, 7 * 1000003)
 
 
+def test_k_direct_cofactor_above_x_with_x_as_its_prime():
+    # x = 1000003 = 1 (mod 3) is prime: the block pass reaches x itself
+    x = 1000003
+    d = 7 * x * (2**89 - 1)
+    assert k_direct(x, 3, d) == oracles.k_direct_dfs(x, 3, d) == k_direct(x, 3, 7 * x)
+
+
+def test_k_direct_cofactor_past_x_at_the_cap():
+    # both primes of d lie past x, so the pass over (sqrt(x), x] finds none
+    t0 = time.monotonic()
+    k = k_direct(K_DIRECT_MAX, 3, (10**9 + 7) * (10**9 + 9))
+    assert time.monotonic() - t0 < 2
+    assert k == k_direct(K_DIRECT_MAX, 3, 1)
+
+
+def test_k_direct_cofactor_above_x_with_a_prime_below_x_at_the_cap():
+    # 999999937 = 1 (mod 3) is the largest prime below 10^9; with 10^9 + 7
+    # beside it the cofactor exceeds x, alone it takes the c <= x path
+    q = 999999937
+    t0 = time.monotonic()
+    k = k_direct(K_DIRECT_MAX, 3, q * (10**9 + 7))
+    assert time.monotonic() - t0 < 2
+    assert k == k_direct(K_DIRECT_MAX, 3, q)
+
+
 def test_k_direct_pinned_at_1e8():
     # recorded with the route that sieved every prime <= x
     assert [k_direct(10**8, 3, d) for d in (1, 7, 2923)] == [25940747, 20176285, 24002923]
