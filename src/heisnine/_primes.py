@@ -1,14 +1,15 @@
 """Prime sieves and a deterministic Miller-Rabin test.
 
 Shared plumbing: the ring arithmetic needs a primality check for input
-validation, the summation and constant pipelines need dense prime arrays.
+validation, the summation and constant pipelines need dense prime arrays,
+and a few small moduli are factored by trial division.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["is_prime", "primes_up_to", "primes_in_class"]
+__all__ = ["is_prime", "prime_divisors", "primes_up_to", "primes_in_class"]
 
 # Deterministic witness set for n < 3.3e24 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -37,6 +38,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    m = n
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def primes_up_to(n: int) -> np.ndarray:

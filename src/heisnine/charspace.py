@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import prod
 from typing import Iterator, Mapping
 
-from ._primes import is_prime
-from .eisenstein import ROOT, ZERO, CharValue, chi_nine, chi_p
+from ._primes import is_prime, prime_divisors, primes_in_class
+from .eisenstein import ROOT, ZERO, CharValue, _chi_exp
 
 __all__ = [
     "SupportFunction",
@@ -123,10 +123,10 @@ def chi_eval(f: SupportFunction, m: int) -> CharValue:
     """chi(f)(m): zero iff a support prime divides m."""
     e = 0
     for p, v in f.entries:
-        t = chi_nine(m) if p == 3 else chi_p(p, m)
-        if t.exp is None:
+        t = _chi_exp(p, m)
+        if t is None:
             return ZERO
-        e += v * t.exp
+        e += v * t
     return ROOT(e)
 
 
@@ -142,23 +142,12 @@ class DeltaIndex:
     primes: tuple[int, ...]
 
 
-def _split_primes_up_to(limit: int) -> list[int]:
-    # simple local sieve; limits here stay small (<= X^(1/6) scale)
-    if limit < 7:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(7, limit + 1) if sieve[p] and p % 3 == 1]
-
-
 @lru_cache(maxsize=64)
 def _deltas_cached(limit: int) -> tuple[DeltaIndex, ...]:
     """Depth-first over products of increasing split primes, each node's
     children cut at the first prime that takes the product past limit."""
-    ps = _split_primes_up_to(limit)
+    # plain ints: a product of int64 primes would wrap past 2^63
+    ps = primes_in_class(limit, 3, 1).tolist()
     out = [DeltaIndex(1, ())]
     stack = [(1, (), 0)]
     while stack:
@@ -182,21 +171,10 @@ def enumerate_deltas(limit: int) -> Iterator[DeltaIndex]:
 
 
 def _factor_delta(d: int) -> tuple[int, ...]:
-    primes = []
-    m = d
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            m //= q
-            if m % q == 0 or q % 3 != 1:
-                raise ValueError(f"{d} is not a squarefree product of split primes")
-            primes.append(q)
-        q += 1
-    if m > 1:
-        if m % 3 != 1:
-            raise ValueError(f"{d} is not a squarefree product of split primes")
-        primes.append(m)
-    return tuple(primes)
+    primes = tuple(prime_divisors(d))
+    if prod(primes) != d or any(q % 3 != 1 for q in primes):
+        raise ValueError(f"{d} is not a squarefree product of split primes")
+    return primes
 
 
 def enumerate_V(d: int, star: bool) -> list[SupportFunction]:

@@ -28,15 +28,10 @@ from numbers import Integral
 
 import numpy as np
 
-from ._primes import primes_up_to
+from ._primes import prime_divisors, primes_up_to
 from .charspace import SupportFunction, enumerate_deltas, linear_combination
 from .counting import WeightMode, heis_total
-from .eisenstein import (
-    _CHI_NINE_EXP,
-    chi_p_table,
-    standard_decompose,
-    standard_prime_arrays,
-)
+from .eisenstein import W3, _chi_exps, standard_decompose, standard_prime_arrays
 from .ksum import alpha_ell, psi_ell
 from .lfunctions import chi_exponent_arrays
 
@@ -91,16 +86,8 @@ class _CompensatedSum:
 def lambda_delta(d: int) -> float:
     """prod over p | d of (1 + 2 / (sqrt p (p + 2)))^(-1)."""
     out = 1.0
-    m = d
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out /= 1.0 + 2.0 / (sqrt(q) * (q + 2))
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out /= 1.0 + 2.0 / (sqrt(m) * (m + 2))
+    for q in prime_divisors(d):
+        out /= 1.0 + 2.0 / (sqrt(q) * (q + 2))
     return out
 
 
@@ -171,10 +158,6 @@ def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
 # e_(r_i) is j^(f(3) e_9 + sum v_i e_i), so a character is a function of
 # the class, and a sum of chi(f)(n) w(n) is a sum over the bucket sums of w.
 
-# exponent of chi_9 at n mod 9, -1 where 3 | n
-_NINE_EXP = np.array([_CHI_NINE_EXP.get(n, -1) for n in range(9)], dtype=np.int64)
-_W3 = np.exp(2j * np.pi * np.arange(3) / 3)
-
 
 @dataclass(frozen=True)
 class _LogTables:
@@ -208,7 +191,7 @@ def _log_tables(g: _PrimeGrids, first: bool) -> _LogTables:
         diff = logs(*args, 2.0)
         diff -= lo
         diffs.append(diff)
-    nine = tuple(_NINE_EXP[ps % 9].astype(np.int8) for ps in (g.one, g.two))
+    nine = tuple(_chi_exps(3, ps).astype(np.int8) for ps in (g.one, g.two))
     return _LogTables(g, tuple(base), tuple(diffs), nine)
 
 
@@ -232,7 +215,7 @@ def _classes(
     n_ids = 2 * 3 ** (len(primes) + 1)
     luts = []
     for i, r in enumerate(primes, 1):
-        tab = np.frombuffer(chi_p_table(r), dtype=np.int8).astype(np.int64)
+        tab = _chi_exps(r, np.arange(r))
         luts.append(np.where(tab >= 0, 3**i * tab, n_ids))
     cls = np.arange(n_ids)
     digits = np.stack([cls // 3**i % 3 for i in range(len(primes) + 1)])
@@ -259,9 +242,8 @@ def _bucket_sums(
     cos, sin = np.cos(ang), np.sin(ang)
     log2sin = np.log(2.0 * np.sin(0.5 * ang))
     n_euler = n_ids // 2
-    nine = np.array(
-        [n_ids if x < 0 else x + n_euler * (n % 3 == 2) for n, x in enumerate(_NINE_EXP)]
-    )
+    e9 = _chi_exps(3, np.arange(9))
+    nine = np.where(e9 >= 0, e9 + n_euler * (np.arange(9) % 3 == 2), n_ids)
 
     def tiled(lut: np.ndarray) -> np.ndarray:  # lut[a mod len(lut)] for 0 <= a < half
         return np.tile(lut, -(-half // len(lut)))[:half]
@@ -298,7 +280,7 @@ def _l_values(
     (./3) chi(f) 3d; with f(3) != 0 both have 9d."""
     n_ids = e.shape[1]
     even, odd = _bucket_sums(d, luts, n_ids)
-    chi = _W3[e]
+    chi = W3[e]
     chi_t = np.where(np.arange(n_ids) >= n_ids // 2, -chi, chi)
     l_plain = np.empty(len(e), dtype=complex)
     l_twist = np.empty(len(e), dtype=complex)
@@ -601,17 +583,15 @@ def char_cancellation_profile(
         k = 2 * e1 + e2
         if k == 0:
             continue
-        # int8 exponents; 0xFF reads as -1, the zero value
-        tab = np.frombuffer(chi_p_table(r), dtype=np.int8)
-        vr = tab[ps % r].astype(np.int64)
-        vs = tab[(a + b * standard_decompose(r).r) % r].astype(np.int64)
+        vr = _chi_exps(r, ps)
+        vs = _chi_exps(r, a + b * standard_decompose(r).r)
         ok &= (vr >= 0) & (vs >= 0)
         e += k * (vr + vs)
     cls = np.where(ok, e % 3, 3)
     out = []
     for end in np.searchsorted(ps, checkpoints, side="right").tolist():
         counts = np.bincount(cls[:end], minlength=4).tolist()
-        val = complex(counts[0] + counts[1] * _W3[1] + counts[2] * _W3[2])
+        val = complex(counts[0] + counts[1] * W3[1] + counts[2] * W3[2])
         out.append(CancellationSum(val, end))
     return out
 

@@ -16,9 +16,10 @@ asked enumerates at B = X; an X above B re-enumerates at min(X_MAX,
 max(X, B^(3/2))), so the bounds step geometrically and reach X_MAX only
 when asked near it; every other X costs one sixth root and one K lookup
 per term.  Each enumeration reads its cubic-character exponents chi_p(n)
-by Euler's criterion, n^((p-1)/3) = r_p^e (mod p) with r_p the image of j,
-once per Delta(f) and with no chi_p table: about 30 ms cold at X_MAX =
-10^18, and 0.6 s at a 10^24 bound (2 cores, Python 3.11).
+once per Delta(f) through eisenstein._chi_exp, Euler's criterion
+n^((p-1)/3) = r_p^e (mod p) with r_p the image of j, and builds no chi_p
+table: about 30 ms cold at X_MAX = 10^18, and 0.6 s at a 10^24 bound
+(2 cores, Python 3.11).
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice, product
 from math import exp, gcd, isqrt, log, prod
 from typing import Iterator, Sequence
 
 from .charspace import DeltaIndex, SupportFunction, delta, enumerate_deltas
-from .eisenstein import _CHI_NINE_EXP, standard_decompose
+from .eisenstein import _chi_exp
 from .ksum import k_direct
 
 __all__ = [
@@ -106,30 +106,12 @@ def free(d: int, a: int) -> int:
 Entries = tuple[tuple[int, int], ...]
 
 
-# r_p, the image of j in F_p under the standard prime above p.  The largest
-# build (the 10^24 bound) reads ~5,300 primes, so the cache never evicts in
-# the census and stays below ~2 MB.
-@lru_cache(maxsize=8192)
-def _j_image(p: int) -> int:
-    return standard_decompose(p).r
-
-
 def _exp(p: int, n: int) -> int:
-    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p.
-
-    Euler's criterion: n^((p-1)/3) mod p is 1, r_p or r_p^2 for the
-    exponents 0, 1, 2, in O(log p) and with no table."""
-    if p == 3:
-        return _CHI_NINE_EXP[n % 9]
-    t = pow(n, (p - 1) // 3, p)
-    if t == 1:
-        return 0
-    r = _j_image(p)
-    if t == r:
-        return 1
-    if t == r * r % p:
-        return 2
-    raise ValueError(f"chi_{p}({n}) is zero: {n} is not prime to {p}")
+    """Exponent of chi_p(n), or of chi_nine(n) at p = 3; n must be prime to p."""
+    e = _chi_exp(p, n)
+    if e is None:
+        raise ValueError(f"chi_{p}({n}) is zero: {n} is not prime to {p}")
+    return e
 
 
 def _exp_at(ent: Entries, r: int) -> int:

@@ -9,6 +9,11 @@ evaluated either by Euler's criterion inside Z[j] or through the F_p image;
 the two routes are kept as separate codepaths and cross-checked in tests.
 EisensteinInt is the API type: the Z[j] symbol route runs on plain (a, b)
 int pairs, and the decomposition on ints and int64 arrays.
+
+Every other module reads the exponent of chi_p(n), or of chi_9(n) at p = 3,
+through one of two routes here: _chi_exp(p, n) for one value (Euler's
+criterion in F_p, None at the zero value) and _chi_exps(p, ns) for an
+integer array (a lookup in chi_p_table, -1 at the zero value).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._primes import is_prime, primes_in_class
+from ._primes import is_prime, prime_divisors, primes_in_class
 
 __all__ = [
     "CharValue",
@@ -79,7 +84,7 @@ class CharValue:
     def as_complex(self) -> complex:
         if self.exp is None:
             return 0j
-        return _OMEGA_POWERS[self.exp]
+        return complex(W3[self.exp])
 
     def __repr__(self) -> str:
         if self.exp is None:
@@ -87,11 +92,8 @@ class CharValue:
         return f"CharValue(j^{self.exp})"
 
 
-_OMEGA_POWERS = (
-    complex(1.0, 0.0),
-    complex(-0.5, 3**0.5 / 2),
-    complex(-0.5, -(3**0.5) / 2),
-)
+# j^e as a complex number, indexed by e
+W3 = np.exp(2j * np.pi * np.arange(3) / 3)
 
 ZERO = CharValue(None)
 _ROOTS = (CharValue(0), CharValue(1), CharValue(2))
@@ -454,20 +456,29 @@ def _symbol_eis(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
     raise AssertionError(f"Euler criterion produced a non-root mod {sp.pi!r}")
 
 
-def _symbol_fp(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
-    """F_p image route: reduce a + b*r mod p and take the cube-power class."""
-    p, r = sp.p, sp.r
-    n = (alpha.a + alpha.b * r) % p
+def _euler_exp(n: int, p: int, r: int) -> int | None:
+    """Euler's criterion in F_p: the e with n^((p-1)/3) = r^e (mod p), r the
+    image of j, or None where p | n."""
+    n %= p
     if n == 0:
-        return ZERO
+        return None
     t = pow(n, (p - 1) // 3, p)
     if t == 1:
-        return ROOT(0)
+        return 0
     if t == r:
-        return ROOT(1)
+        return 1
     if t == r * r % p:
-        return ROOT(2)
+        return 2
     raise AssertionError(f"cube-power class of {n} mod {p} is not a root of unity")
+
+
+def _value(e: int | None) -> CharValue:
+    return ZERO if e is None else ROOT(e)
+
+
+def _symbol_fp(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
+    """F_p image route: reduce a + b*r mod p and take the cube-power class."""
+    return _value(_euler_exp(alpha.a + alpha.b * sp.r, sp.p, sp.r))
 
 
 def cubic_symbol(
@@ -487,31 +498,16 @@ def cubic_symbol(
     raise ValueError(f"unknown cubic_symbol method {method!r}")
 
 
-# Exponent tables make the rational-argument symbol O(1) for the small
-# support primes that dominate the census and constant pipelines.
-_TABLE_MAX = 20000
-
-
 def _primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
+    fac = prime_divisors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
     raise AssertionError(f"no primitive root mod {p}")
 
 
-# The symbols suite builds 611 tables and does not evict; the census builds
-# none (it reads chi_p by Euler's criterion).  constant_report evicts at
+# Only _chi_exps builds tables: the census and the symbols suite build none
+# (they read _chi_exp, Euler's criterion).  constant_report evicts at
 # large delta_max, where every prime up to delta_max is a Delta: at 3.2e4
 # it fills all 1024 entries, rebuilds 121 and holds ~17.5 MB (ROADMAP, open
 # item 3).  The entry count bounds memory.
@@ -547,21 +543,44 @@ def chi_p_table(p: int) -> bytes:
     return tab.tobytes()
 
 
+# Exponent of chi_9, the order-3 character mod 9 with chi_9(2) = j, at
+# n mod 9; -1 marks the zero value at multiples of 3.
+_CHI_NINE = (-1, 0, 1, -1, 2, 2, -1, 1, 0)
+
+
+# r_p, the image of j in F_p under the standard prime above p.  The largest
+# census build (the 10^24 bound) reads ~5,300 primes, so the cache never
+# evicts there and stays below ~2 MB.
+@lru_cache(maxsize=8192)
+def _j_image(p: int) -> int:
+    return standard_decompose(p).r
+
+
+def _chi_exp(p: int, n: int) -> int | None:
+    """Exponent of chi_p(n), or of chi_9(n) at p = 3; None at the zero value.
+    O(log p) by Euler's criterion; ValueError unless p is 3 or a split prime."""
+    if p == 3:
+        e = _CHI_NINE[n % 9]
+        return None if e < 0 else e
+    return _euler_exp(n, p, _j_image(p))
+
+
+def _chi_exps(p: int, ns: np.ndarray) -> np.ndarray:
+    """_chi_exp over an integer array, as int64 with -1 at the zero value:
+    a lookup in chi_p_table, whose 0xFF byte reads as int8 -1."""
+    if p == 3:
+        return np.array(_CHI_NINE, dtype=np.int64)[ns % 9]
+    return np.frombuffer(chi_p_table(p), dtype=np.int8)[ns % p].astype(np.int64)
+
+
 def chi_p(p: int, n: int) -> CharValue:
-    """chi_p(n) = (n / pi)_3 for the standard prime above p."""
-    if p <= _TABLE_MAX:
-        e = chi_p_table(p)[n % p]
-        return ZERO if e == 0xFF else ROOT(e)
-    return _symbol_fp(EisensteinInt(n % p, 0), standard_decompose(p))
-
-
-# Order-3 character mod 9 with chi_nine(2) = j; kills multiples of 3.
-_CHI_NINE_EXP = {1: 0, 2: 1, 4: 2, 5: 2, 7: 1, 8: 0}
+    """chi_p(n) = (n / pi)_3 for the standard prime above p; ValueError
+    unless p is a prime = 1 (mod 3), so p = 3 too (chi_9 is chi_nine)."""
+    return _value(_euler_exp(n, p, _j_image(p)))
 
 
 def chi_nine(n: int) -> CharValue:
-    e = _CHI_NINE_EXP.get(n % 9)
-    return ZERO if e is None else ROOT(e)
+    return _value(_chi_exp(3, n))
 
 
 # ---------------------------------------------------------------------------

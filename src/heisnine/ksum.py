@@ -14,7 +14,7 @@ from math import isqrt, pi as PI, prod
 
 import numpy as np
 
-from ._primes import primes_up_to
+from ._primes import is_prime, prime_divisors, primes_up_to
 
 __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 
@@ -32,7 +32,7 @@ _SMALL_MAX = 10**4
 
 
 def _check_ell(ell: int) -> None:
-    if ell < 2 or any(ell % q == 0 for q in range(2, ell)):
+    if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
 
 
@@ -239,16 +239,8 @@ def psi_ell(d: int, ell: int) -> Fraction:
     if d < 1:
         raise ValueError("d must be positive")
     out = Fraction(1)
-    m = d
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out *= Fraction(q, q + ell - 1)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out *= Fraction(m, m + ell - 1)
+    for q in prime_divisors(d):
+        out *= Fraction(q, q + ell - 1)
     return out
 
 

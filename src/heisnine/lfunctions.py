@@ -14,7 +14,7 @@ from math import pi as PI
 import numpy as np
 
 from .charspace import SupportFunction, conductor, delta
-from .eisenstein import chi_p_table
+from .eisenstein import W3, _chi_exps
 
 __all__ = [
     "chi_exponent_arrays",
@@ -27,10 +27,6 @@ __all__ = [
     "l_one_cubic",
 ]
 
-_W3 = np.exp(2j * PI * np.arange(3) / 3)
-# exponent of chi_9 at n mod 9; -1 kills multiples of 3
-_T9 = np.array([-1, 0, 1, -1, 2, 2, -1, 1, 0], dtype=np.int64)
-
 
 def chi_exponent_arrays(
     f: SupportFunction, ns: np.ndarray
@@ -39,10 +35,7 @@ def chi_exponent_arrays(
     e = np.zeros(len(ns), dtype=np.int64)
     ok = np.ones(len(ns), dtype=bool)
     for p, v in f.entries:
-        if p == 3:
-            t = _T9[ns % 9]
-        else:
-            t = np.frombuffer(chi_p_table(p), dtype=np.int8)[ns % p].astype(np.int64)
+        t = _chi_exps(p, ns)
         ok &= t >= 0
         e += v * np.where(t >= 0, t, 0)
     return e % 3, ok
@@ -53,7 +46,7 @@ def character_values(f: SupportFunction) -> np.ndarray:
     q = conductor(f)
     a = np.arange(q, dtype=np.int64)
     e, ok = chi_exponent_arrays(f, a)
-    vals = np.where(ok, _W3[e], 0.0)
+    vals = np.where(ok, W3[e], 0.0)
     if q == 1:
         vals = np.ones(1, dtype=complex)  # trivial character
     return vals
@@ -65,7 +58,7 @@ def twisted_character_values(f: SupportFunction) -> np.ndarray:
     a = np.arange(q, dtype=np.int64)
     e, ok = chi_exponent_arrays(f, a)
     leg3 = np.array([0, 1, -1])[a % 3]
-    return np.where(ok, _W3[e], 0.0) * leg3
+    return np.where(ok, W3[e], 0.0) * leg3
 
 
 def gauss_sum(vals: np.ndarray) -> complex:

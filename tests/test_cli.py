@@ -106,6 +106,12 @@ def test_ksum_text(capsys):
     assert out == "x=100 ell=3 d=7 k=21\n"
 
 
+def test_ksum_large_prime_ell(capsys):
+    assert run(["ksum", "--x", "100", "--ell", "1000000000039"]) == 0
+    out, _ = _out(capsys)
+    assert out == "x=100 ell=1000000000039 d=1 k=1\n"
+
+
 def test_ksum_d_past_int64(capsys):
     d = 7 * 13 * 2**64
     assert run(["ksum", "--x", "5000", "--ell", "3", "--d", str(d)]) == 0

@@ -4,11 +4,13 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from heisnine import charspace, counting
+from heisnine import charspace, counting, eisenstein
+from heisnine._primes import primes_in_class
 from heisnine.charspace import SupportFunction, enumerate_V, enumerate_deltas
 from heisnine.counting import (
     CountReport,
@@ -28,7 +30,7 @@ from heisnine.counting import (
     mu,
     mu_d,
 )
-from heisnine.eisenstein import chi_p_table
+from heisnine.eisenstein import chi_nine, chi_p, chi_p_table
 
 F = SupportFunction.of
 STAR = WeightMode.OMEGA_STAR
@@ -93,12 +95,25 @@ def test_indicator_symmetric_and_span_invariant(pair):
 
 
 def test_exp_by_euler_matches_table_route():
-    ns = [3] + charspace._split_primes_up_to(1000)
-    for p in charspace._split_primes_up_to(3600) + [20011, 99991]:
+    ns = [3] + primes_in_class(1000, 3, 1).tolist()
+    for p in primes_in_class(3600, 3, 1).tolist() + [20011, 99991]:
         tab = chi_p_table(p)
         for n in ns:
             if n != p:
                 assert counting._exp(p, n) == tab[n % p], (p, n)
+        # the scalar and the array route, n = 0 and n = p at the zero value
+        grid = ns + [0]
+        want = [-1 if tab[n % p] == 0xFF else tab[n % p] for n in grid]
+        assert eisenstein._chi_exps(p, np.array(grid)).tolist() == want, p
+        assert [chi_p(p, n).exp for n in grid] == [
+            None if e < 0 else e for e in want
+        ], p
+    grid = list(range(-9, 18)) + ns
+    want = [-1 if chi_nine(n).is_zero else chi_nine(n).exp for n in grid]
+    assert eisenstein._chi_exps(3, np.array(grid)).tolist() == want
+    assert [counting._exp(3, n) for n in grid if n % 3] == [
+        e for e in want if e >= 0
+    ]
 
 
 def test_exp_rejects_a_multiple_of_p():
@@ -366,7 +381,7 @@ def test_terms_stream_matches_literal_route(x):
 def _clear_census_caches():
     counting._report_cache.clear()
     counting._skeleton_cache.clear()
-    counting._j_image.cache_clear()
+    eisenstein._j_image.cache_clear()
     charspace._deltas_cached.cache_clear()
 
 

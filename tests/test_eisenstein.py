@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from heisnine.eisenstein import (
-    _TABLE_MAX,
     _decompose_arrays,
     _rem,
     _standard_prime_arrays,
@@ -252,10 +251,13 @@ def test_chi_p_examples():
     assert chi_p(7, 2) == ROOT(1)
     assert chi_p(7, 9) == chi_p(7, 2)
     assert chi_p(13, 7) == ROOT(1)
+    for p in (3, 25):  # chi_3 is chi_nine; 25 is not prime
+        with pytest.raises(ValueError):
+            chi_p(p, 2)
 
 
 def test_chi_p_table_matches_walk():
-    for p in split_primes(5000) + split_primes(_TABLE_MAX)[-50:]:
+    for p in split_primes(5000) + split_primes(20000)[-50:]:
         assert chi_p_table(p) == oracles.chi_p_table_walk(p), p
 
 
@@ -268,9 +270,10 @@ def _first_split_prime_above(n):
 
 @pytest.mark.parametrize(
     "p",
-    # p - 1 = 6 (a ragged last grid row), 6^2 and 24^2 (square grids), past
-    # the table bound, and near the primes the census reaches at X = 10^24
-    [7, 37, 577, _first_split_prime_above(_TABLE_MAX), 99991],
+    # p - 1 = 6 (a ragged last grid row), 6^2 and 24^2 (square grids), the
+    # first split prime above 20000, and near the primes the census reaches
+    # at X = 10^24
+    [7, 37, 577, _first_split_prime_above(20000), 99991],
 )
 def test_chi_p_table_grid_edges_match_walk(p):
     assert chi_p_table(p) == oracles.chi_p_table_walk(p)
@@ -279,7 +282,7 @@ def test_chi_p_table_grid_edges_match_walk(p):
 def test_chi_p_table_cache_is_bounded():
     size = chi_p_table.cache_info().maxsize
     assert size is not None and size >= 1024
-    for p in split_primes(_TABLE_MAX)[: size + 10]:
+    for p in split_primes(20000)[: size + 10]:
         chi_p_table(p)
     assert chi_p_table.cache_info().currsize <= size
 

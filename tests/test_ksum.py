@@ -193,6 +193,19 @@ def test_k_direct_domain():
         k_direct(100, 3, 0)
 
 
+def test_large_prime_ell_is_checked_by_miller_rabin():
+    ell = 10**12 + 39
+    t0 = time.monotonic()
+    assert k_direct(100, ell) == 1
+    assert psi_ell(7, ell) == Fraction(7, ell + 6)
+    assert time.monotonic() - t0 < 0.1
+    for composite in (1, (10**6 + 3) * (10**6 + 33), ell * ell):
+        with pytest.raises(ValueError, match="ell must be prime"):
+            k_direct(100, composite)
+        with pytest.raises(ValueError, match="ell must be prime"):
+            psi_ell(7, composite)
+
+
 @given(st.integers(1, 3000), st.integers(1, 3000))
 def test_k_direct_monotone(x, y):
     if x > y:
