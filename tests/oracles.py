@@ -53,7 +53,13 @@ from heisnine.charspace import (
     is_linearly_independent,
     linear_combination,
 )
-from heisnine.constants import CancellationSum, HConstants, TruncationParams, lambda_delta
+from heisnine.constants import (
+    CancellationSum,
+    HConstants,
+    TruncationParams,
+    _LogTables,
+    lambda_delta,
+)
 from heisnine.counting import (
     SubsumClass,
     TermRecord,
@@ -67,6 +73,7 @@ from heisnine.eisenstein import (
     CharValue,
     EisensteinInt,
     StandardPrime,
+    _chi_exps,
     _primitive_root,
     _symbol_fp,
     cubic_symbol,
@@ -613,6 +620,40 @@ def h_constants_literal(params: TruncationParams) -> HConstants:
         c_star_form1=fsum(form1),
         p_of_f_max=p_max_seen,
     )
+
+
+def grid_sums_by_prime(
+    t: _LogTables, primes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, list[int], list[np.ndarray]]:
+    """The grid side of constants._delta_products one support prime at a
+    time: the id of p is e_9(p) + sum lut_i[p mod r_i], lut_i the digit
+    3^i e_i of r_i by residue (n_ids where r_i | p), and the dead primes are
+    found by a scan of the ids.  Returns the ids on the primes = 1 mod 3 and
+    on the primes = 2 mod 3 (both without the h digit), the dead primes in
+    grid order, and the difference arrays of t bucketed by those ids."""
+    n_ids = 2 * 3 ** (len(primes) + 1)
+    n_euler = n_ids // 2
+    luts = []
+    for i, r in enumerate(primes, 1):
+        tab = _chi_exps(r, np.arange(r))
+        luts.append(np.where(tab >= 0, 3**i * tab, n_ids))
+
+    def grid_ids(ps: np.ndarray) -> np.ndarray:
+        ps = ps.astype(np.int64)
+        ids = _chi_exps(3, ps)
+        for r, lut in zip(primes, luts):
+            ids += lut[ps % r]
+        return ids
+
+    one = grid_ids(t.grids.one)
+    two = grid_ids(t.grids.two)
+    dead = t.grids.one[one >= n_euler].tolist()
+
+    def bins(ids: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(ids, w, minlength=n_euler)[:n_euler]
+
+    sums = [bins(two, t.diffs[0])] + [bins(one, df) for df in t.diffs[1:]]
+    return one, two, dead, sums
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Front-end behavior: flag parsing, exit codes, deterministic output."""
 
 import json
+import time
 
 import pytest
 
@@ -59,6 +60,24 @@ def test_x_above_bound_is_domain_error(capsys):
     assert run(["count", "--x", "1e19"]) == 1
     _, err = _out(capsys)
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--p-max", "100000000000"],
+        ["--p-max", "1e11"],
+        ["--delta-max", "2000000"],
+        ["--delta-max", "0"],
+    ],
+)
+def test_constant_truncation_out_of_range_is_domain_error(flags, capsys):
+    # rejected by TruncationParams before the sieve is allocated
+    t0 = time.monotonic()
+    assert run(["constant"] + flags) == 1
+    _, err = _out(capsys)
+    assert err.startswith("error:") and "must be in" in err
+    assert time.monotonic() - t0 < 1
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -18,10 +18,18 @@ from heisnine.charspace import (
     linear_combination,
 )
 from heisnine.constants import (
+    DELTA_MAX_CAP,
+    P_MAX_CAP,
     CancellationSum,
     TruncationParams,
     _classes,
+    _delta_weights,
+    _gauss_sums,
+    _grid_ids,
+    _grid_sums,
+    _grids_cached,
     _l_values,
+    _log_tables,
     char_cancellation,
     char_cancellation_profile,
     constant_report,
@@ -33,13 +41,20 @@ from heisnine.constants import (
 )
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
-from heisnine.lfunctions import character_values, l_one, twisted_character_values
+from heisnine.ksum import psi_ell
+from heisnine.lfunctions import (
+    character_values,
+    gauss_sum,
+    l_one,
+    twisted_character_values,
+)
 
 import heisnine.constants
 import heisnine.eisenstein
 from oracles import (
     char_cancellation_profile_literal,
     euler_product_P_literal,
+    grid_sums_by_prime,
     h_constants_literal,
 )
 
@@ -108,13 +123,11 @@ def test_h_constants_match_literal(params):
     assert time.monotonic() - t0 < 30
 
 
-def test_bucketed_l_values_match_l_one():
-    # every g = f + f(3) e_3 of the pipeline, f in V*(Delta), against the
-    # closed forms over the full conductor; 1729 = 7 * 13 * 19 is the only
-    # Delta <= 2000 with three support primes
-    t0 = time.monotonic()
+def _pipeline_characters():
+    """Every g = f + f(3) e_3 of the pipeline, f in V*(Delta), with its row
+    (f(3), v_1, ..., v_k), for Delta <= 500 and 1729 = 7 * 13 * 19, the
+    only Delta <= 2000 with three support primes."""
     e3 = SupportFunction(((3, 1),))
-    checked = 0
     for dI in list(enumerate_deltas(500)) + [DeltaIndex(1729, (7, 13, 19))]:
         gs = [
             linear_combination(1, f, f3, e3)
@@ -125,8 +138,18 @@ def test_bucketed_l_values_match_l_one():
         chars = np.array(
             [[g.f3] + [g.value(r) for r in dI.primes] for g in gs], dtype=np.int64
         )
-        luts, e = _classes(dI.primes, chars)
-        l_plain, l_twist = _l_values(dI.delta, luts, e, chars[:, 0])
+        yield dI, gs, chars
+
+
+def test_bucketed_l_values_match_l_one():
+    # the bucketed closed forms against lfunctions' closed forms over the
+    # full conductor
+    t0 = time.monotonic()
+    taus = {}
+    checked = 0
+    for dI, gs, chars in _pipeline_characters():
+        digits, ids9, e = _classes(dI.primes, chars)
+        l_plain, l_twist = _l_values(dI.primes, digits, ids9, e, chars, taus)
         for g, lp, lt in zip(gs, l_plain, l_twist):
             want = l_one(character_values(g))
             assert abs(lp - want) <= 1e-12 * abs(want), str(g)
@@ -135,6 +158,74 @@ def test_bucketed_l_values_match_l_one():
             checked += 1
     assert checked == 416
     assert time.monotonic() - t0 < 30
+
+
+def test_product_gauss_sums_match_gauss_sum():
+    # tau(chi_1 chi_2) = chi_1(q_2) chi_2(q_1) tau(chi_1) tau(chi_2) over the
+    # support primes and 9 (or 3), against the sum over the whole modulus
+    t0 = time.monotonic()
+    taus = {}
+    checked = 0
+    for dI, gs, chars in _pipeline_characters():
+        tau, tau_t = _gauss_sums(dI.primes, chars, taus)
+        for g, tp, tt in zip(gs, tau, tau_t):
+            for got, vals in (
+                (tp, character_values(g)),
+                (tt, twisted_character_values(g)),
+            ):
+                assert abs(got - gauss_sum(vals)) <= 1e-12 * sqrt(len(vals)), str(g)
+            checked += 1
+    assert checked == 416
+    # one O(r) sum per support prime, shared by every Delta
+    assert set(taus) == {r for dI, _, _ in _pipeline_characters() for r in dI.primes}
+    assert time.monotonic() - t0 < 30
+
+
+@pytest.mark.parametrize(
+    "params",
+    # (300, 200): support primes above p_max are off the grid, not dead
+    [TruncationParams(2000, 10**6), TruncationParams(300, 200)],
+    ids=str,
+)
+def test_grid_classes_match_per_prime_route(params):
+    t0 = time.monotonic()
+    t = _log_tables(_grids_cached(params.p_max), first=True)
+    deltas = list(enumerate_deltas(params.delta_max))
+    off_grid = 0
+    for dI in deltas:
+        k = len(dI.primes)
+        n_ids = 2 * 3 ** (k + 1)
+        n_euler = n_ids // 2
+        _, ids9, _ = _classes(dI.primes, np.ones((1, k + 1), dtype=np.int64))
+        one, two = _grid_ids(t.grids, ids9)
+        sums, dead = _grid_sums(t, dI.primes, ids9, n_ids)
+        want_one, want_two, want_dead, want_sums = grid_sums_by_prime(t, dI.primes)
+        live = want_one < n_euler
+        assert np.array_equal(one < n_euler, live), dI
+        assert np.array_equal(one[live], want_one[live]), dI
+        assert np.array_equal(two - n_euler, want_two), dI  # h = 1 on every p
+        assert dead == want_dead, dI
+        assert len(sums) == 3
+        for got, want in zip(sums, want_sums):
+            assert np.array_equal(got, want), dI  # bit for bit
+        off_grid += len(dI.primes) - len(dead)
+    if params.p_max == 10**6:
+        assert DeltaIndex(1729, (7, 13, 19)) in deltas and off_grid == 0
+    else:
+        assert off_grid > 0
+    assert time.monotonic() - t0 < 10
+
+
+def test_delta_weights_match_psi_ell_and_lambda_delta():
+    # h_constants reads psi_3 and lambda off the primes of each Delta
+    t0 = time.monotonic()
+    deltas = list(enumerate_deltas(20000))
+    for dI in deltas:
+        d = dI.delta
+        pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
+        assert _delta_weights(d, dI.primes) == (pref, lambda_delta(d) * pref), d
+    assert len(deltas) > 1000
+    assert time.monotonic() - t0 < 5
 
 
 def test_euler_product_conjugate_symmetry():
@@ -199,6 +290,38 @@ def test_truncation_params_validated():
         TruncationParams(delta_max=0)
     with pytest.raises(ValueError):
         TruncationParams(p_max=10)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"delta_max": 2000.5},
+        {"delta_max": 2000.0},
+        {"delta_max": True},
+        {"delta_max": "2000"},
+        {"p_max": 10**6 + 0.5},
+        {"p_max": True},
+        {"p_max": np.float64(10**6)},
+        {"delta_max": DELTA_MAX_CAP + 1},
+        {"p_max": P_MAX_CAP + 1},
+        {"p_max": 10**11},
+    ],
+    ids=repr,
+)
+def test_truncation_params_rejected_at_the_boundary(kwargs):
+    # no sieve is allocated: the constructor raises before any work
+    t0 = time.monotonic()
+    with pytest.raises(ValueError):
+        TruncationParams(**kwargs)
+    assert time.monotonic() - t0 < 0.1
+
+
+def test_truncation_params_accept_the_caps_and_numpy_ints():
+    t0 = time.monotonic()
+    TruncationParams(DELTA_MAX_CAP, P_MAX_CAP)
+    TruncationParams(1, 100)
+    assert TruncationParams(np.int64(300), np.int64(1000)).p_max == 1000
+    assert time.monotonic() - t0 < 0.1
 
 
 def test_cancellation_pattern_validation():
