@@ -14,10 +14,10 @@ import json
 import sys
 from decimal import Decimal, InvalidOperation
 
-from .charspace import delta
+from .charspace import SupportFunction
 from .constants import (
-    RATIO_CSV_HEADER,
     TruncationParams,
+    char_cancellation_profile,
     constant_report,
     ratio_csv,
     ratio_report,
@@ -111,6 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_exact_int, default=None)
     _add_common(sp, ("json", "text"))
 
+    sp = sub.add_parser("probe")
+    sp.add_argument("--x-max", type=_exact_int, default=10**7)
+    sp.add_argument("--out", default=None, help="write the report to this file")
+
     sp = sub.add_parser("report")
     sp.add_argument("--x-min", type=_exact_int, required=True)
     sp.add_argument("--x-max", type=_exact_int, required=True)
@@ -185,26 +189,49 @@ def _terms_text(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+def _record(obj: dict, keys: tuple[str, ...], fmt: str) -> str:
+    """obj as compact JSON, or its keys as CSV header and row, or as k=v text."""
+    if fmt == "json":
+        return json.dumps(obj, separators=(",", ":"))
+    vals = [str(obj[k]) for k in keys]
+    if fmt == "csv":
+        return ",".join(keys) + "\n" + ",".join(vals)
+    return " ".join(f"{k}={v}" for k, v in zip(keys, vals))
+
+
 def _symbol_text(p: int, n: int, fmt: str) -> str:
     v = chi_p(p, n)
-    sym = "0" if v.is_zero else f"j^{v.exp}"
-    if fmt == "json":
-        return json.dumps(
-            {"p": p, "n": n, "symbol": sym, "exp": v.exp}, separators=(",", ":")
-        )
-    if fmt == "csv":
-        return f"p,n,symbol\n{p},{n},{sym}"
-    return f"p={p} n={n} symbol={sym}"
+    obj = {"p": p, "n": n, "symbol": "0" if v.is_zero else f"j^{v.exp}", "exp": v.exp}
+    return _record(obj, ("p", "n", "symbol"), fmt)
 
 
 def _decompose_text(p: int, fmt: str) -> str:
     sp = standard_decompose(p)
-    if fmt == "json":
-        obj = {"p": p, "pi": str(sp.pi), "a": sp.pi.a, "b": sp.pi.b, "r": sp.r}
-        return json.dumps(obj, separators=(",", ":"))
-    if fmt == "csv":
-        return f"p,pi,r\n{p},{sp.pi},{sp.r}"
-    return f"p={p} pi={sp.pi} r={sp.r}"
+    obj = {"p": p, "pi": str(sp.pi), "a": sp.pi.a, "b": sp.pi.b, "r": sp.r}
+    return _record(obj, ("p", "pi", "r"), fmt)
+
+
+# (label, support entries, (eps1, eps2), exponent pattern) of each probe
+_PROBES = (
+    ("chi(f) * [chi_7 (pi/rho_7)]", ((7, 1),), (1, 0), {7: (1, 0)}),
+    ("[chi_19 (pi/rho_19)]^2", ((19, 1),), (0, 0), {19: (0, 1)}),
+    ("chi(f) * [chi_7 (pi/rho_7)]^2 [chi_13 (pi/rho_13)]",
+     ((7, 1), (13, 2)), (1, 0), {7: (0, 1), 13: (1, 0)}),
+)
+
+
+def _probe_text(x_max: int) -> str:
+    """CSV of |sum| and |sum| / terms for twisted character sums over the
+    standard primes, at the cutoffs 10^4, ..., 10^8 up to x_max."""
+    checkpoints = tuple(10**k for k in range(4, 9) if 10**k <= x_max)
+    if not checkpoints:
+        raise ValueError(f"x-max must be at least 10000, got {x_max}")
+    lines = ["pattern,x,terms,abs_sum,normalized"]
+    for label, entries, eps, pattern in _PROBES:
+        prof = char_cancellation_profile(SupportFunction(entries), checkpoints, eps, pattern)
+        for x, cs in zip(checkpoints, prof):
+            lines.append(f"{label},{x},{cs.terms},{abs(cs.value)!r},{cs.normalized!r}")
+    return "\n".join(lines)
 
 
 def _ratio_text(args: argparse.Namespace) -> str:
@@ -239,32 +266,23 @@ def run(argv: list[str] | None = None) -> int:
             rep = constant_report(params)
             _emit(rep.to_json() if args.format == "json" else rep.to_text(), args.out)
         elif args.command == "ksum":
-            k = k_direct(args.x, args.ell, args.d)
-            if args.format == "json":
-                obj = {"x": args.x, "ell": args.ell, "d": args.d, "k": k}
-                _emit(json.dumps(obj, separators=(",", ":")), args.out)
-            elif args.format == "csv":
-                _emit(f"x,ell,d,k\n{args.x},{args.ell},{args.d},{k}", args.out)
-            else:
-                _emit(f"x={args.x} ell={args.ell} d={args.d} k={k}", args.out)
+            obj = {"x": args.x, "ell": args.ell, "d": args.d}
+            obj["k"] = k_direct(args.x, args.ell, args.d)
+            _emit(_record(obj, tuple(obj), args.format), args.out)
         elif args.command == "symbol":
             _emit(_symbol_text(args.p, args.n, args.format), args.out)
         elif args.command == "decompose":
             _emit(_decompose_text(args.p, args.format), args.out)
         elif args.command == "verify":
             res = run_suite(args.suite, args.bound)
-            if args.format == "json":
-                obj = {
-                    "suite": res.suite,
-                    "bound": res.bound,
-                    "checks": res.checks,
-                    "failures": list(res.failures),
-                }
-                _emit(json.dumps(obj, separators=(",", ":")), args.out)
-            else:
-                _emit(res.to_text(), args.out)
+            obj = {"suite": res.suite, "bound": res.bound, "checks": res.checks,
+                   "failures": list(res.failures)}
+            text = _record(obj, (), "json") if args.format == "json" else res.to_text()
+            _emit(text, args.out)
             if not res.ok:
                 return 1
+        elif args.command == "probe":
+            _emit(_probe_text(args.x_max), args.out)
         elif args.command == "report":
             _emit(_ratio_text(args), args.out)
     except (ValueError, TypeError) as exc:

@@ -627,7 +627,9 @@ def _delta_tail_bound(params: TruncationParams, p_cap: float) -> float:
 
 def constant_report(params: TruncationParams = TruncationParams()) -> ConstantReport:
     """alpha_3, the H-constants, and the assembled leading constants, with
-    crude tail bounds for every truncation."""
+    crude tail bounds for every truncation.  tails["c_star_forms_gap"] is no
+    such bound: its two forms of c_star sum the same truncated series, so
+    the gap is float rounding (about 1e-14 at the default truncation)."""
     a3 = alpha_ell(3, params.p_max)
     hc = h_constants(params)
     c3 = 0.25 * (_C_H0 * hc.h0 + _C_H1 * hc.h1 + _C_H2 * hc.h2) * a3

@@ -14,7 +14,7 @@ from math import isqrt, pi as PI, prod
 
 import numpy as np
 
-from ._primes import is_prime, prime_divisors, primes_up_to
+from ._primes import is_prime, prime_divisors, primes_up_to, progression_sieve
 
 __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 
@@ -95,16 +95,20 @@ def _class_counts(x: int, ell: int, small: list[int]) -> np.ndarray:
     return counts
 
 
-def _progression_primes(x: int, ell: int, small: list[int]) -> np.ndarray:
-    """The primes p = 1 (mod ell) up to x, sieved on the terms 1 + k ell by
-    small, the primes up to isqrt(x)."""
-    sieve = np.ones((x - 1) // ell + 1, dtype=bool)
-    sieve[0] = False
-    for p in small:
-        if p != ell:
-            k = -pow(ell, -1, p) % p  # 1 + k ell = 0 (mod p); skip p itself
-            sieve[k + p if 1 + k * ell == p else k :: p] = False
-    return 1 + ell * np.flatnonzero(sieve)
+@lru_cache(maxsize=4)  # an entry is ~0.5 MB at K_DIRECT_MAX
+def _one_counts(x: int, ell: int) -> np.ndarray:
+    """The number of primes = 1 (mod ell) up to each value of _values(x),
+    read-only, for every d.  The primes are listed when their sieve (x / ell
+    bytes) is no larger than the int64 table of ell classes."""
+    small = primes_up_to(isqrt(x)).tolist()
+    vals = _values(x)
+    if x // ell <= 8 * ell * len(vals):
+        primes = 1 + ell * np.flatnonzero(progression_sieve(x, ell, small))
+        ones = np.searchsorted(primes, vals, side="right")
+    else:
+        ones = _class_counts(x, ell, small)[1].copy()
+    ones.setflags(write=False)
+    return ones
 
 
 def _residues(c: int, ms: np.ndarray) -> np.ndarray:
@@ -158,12 +162,11 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
     p * p' <= x // n, p' the next admissible prime, have children of their
     own and are pushed.  The rest are leaves, and each node adds their
     weight in one product.  Their number is the count of primes = 1
-    (mod ell) up to x // n, from _class_counts or _progression_primes,
-    less the excluded primes up to x // n.  A pushed p is at most sqrt(x),
-    so only the primes up to sqrt(x) are listed.  Time is O(x^(3/4)) for
-    the counts plus one step per pushed node (20,018 nodes at 10^9 for
-    ell = 3); memory is O(ell sqrt(x)) integers or x / ell bytes, whichever
-    is smaller.
+    (mod ell) up to x // n, from _one_counts, less the excluded primes up
+    to x // n.  A pushed p is at most sqrt(x), so only the primes up to
+    sqrt(x) are listed.  Time is O(x^(3/4)) for the counts, once per
+    (x, ell), plus one step per pushed node (20,018 nodes at 10^9 for
+    ell = 3); memory is the lesser of O(ell sqrt(x)) integers, x / ell bytes.
 
     The excluded primes come from trial division of d by the primes up to
     sqrt(x).  A cofactor c <= x is then prime; a larger one is searched for
@@ -207,15 +210,7 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
     # with no children of its own, and that node counts itself and zero
     # leaves, as a leaf would.  x + 1 ends the list past any q.
     ps += [r + 1, x + 1]
-    # the primes = 1 (mod ell) up to each x // k: from the class counts, or
-    # by listing them when that sieve (x / ell bytes) is no larger than the
-    # int64 table of ell classes, as it is for large ell
-    vals = _values(x)
-    if x // ell <= 8 * ell * len(vals):
-        primes = _progression_primes(x, ell, small)
-        ones = np.searchsorted(primes, vals, side="right").tolist()
-    else:
-        ones = _class_counts(x, ell, small)[1].tolist()
+    ones = _one_counts(x, ell).tolist()
     top = len(ones)
     total = 0
     stack = [(1, 1, 0)]

@@ -25,6 +25,10 @@ primitives.
   leaves included.  The package no longer shares either step: it counts
   leaves from prime counts in residue classes and lists primes only up to
   sqrt(x).
+- standard_prime_arrays_by_reduction keeps the array decomposition the
+  package replaced with a walk over primary lattice points: a cube root
+  of unity c mod p, Gauss reduction of the lattice of (p, j - c), the
+  primary associate and the conjugate where b < 0, on int64 arrays.
 - deltas_scan keeps the scan that extends every Delta found so far by each
   split prime; the package walks a pruned DFS over the sorted primes.
 - The literal census keeps the loop over validated support functions that
@@ -159,6 +163,76 @@ def standard_by_search(p: int) -> tuple[tuple[int, int], int]:
     pinned = [r for r in roots if t_divides(pi, (-r, 1))]
     assert len(pinned) == 1
     return pi, pinned[0]
+
+
+def _powmod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise, by square-and-multiply on int64 arrays."""
+    out = np.ones_like(p)
+    base = base % p
+    e = e.copy()
+    while e.any():
+        out = np.where(e & 1 == 1, out * base % p, out)
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _ideal_generators(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with a + b*j generating the prime (p, j - c), for arrays: Gauss
+    reduction of the lattice with basis (p, 0), (-c, 1) under the norm form,
+    run until every lattice has reached its shortest vector."""
+    ga = np.empty_like(p)
+    gb = np.empty_like(p)
+    idx = np.arange(len(p))
+    ua, ub, nu = p.copy(), np.zeros_like(p), p * p
+    va, vb = -c, np.ones_like(p)
+    nv = c * c + c + 1
+    while len(idx):
+        swap = nv < nu
+        ua, va = np.where(swap, va, ua), np.where(swap, ua, va)
+        ub, vb = np.where(swap, vb, ub), np.where(swap, ub, vb)
+        nu, nv = np.where(swap, nv, nu), np.where(swap, nu, nv)
+        t = 2 * (ua * va + ub * vb) - ua * vb - ub * va
+        q = (t + nu) // (2 * nu)
+        done = q == 0
+        ga[idx[done]] = ua[done]
+        gb[idx[done]] = ub[done]
+        keep = ~done
+        idx, ua, ub, nu, q = idx[keep], ua[keep], ub[keep], nu[keep], q[keep]
+        va = va[keep] - q * ua
+        vb = vb[keep] - q * ub
+        nv = va * va - va * vb + vb * vb
+    return ga, gb
+
+
+def standard_prime_arrays_by_reduction(
+    limit: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, a, b, r) of standard_prime_arrays by lattice reduction: for each
+    split p <= limit (exact in int64 up to about 1.1e9), c = g^((p-1)/3)
+    for the least g that gives c != 1, the reduced generator of (p, j - c),
+    its primary associate, and its conjugate (with c^2) where b < 0."""
+    p = primes_in_class(limit, 3, 1)
+    e = (p - 1) // 3
+    c = _powmod(np.full_like(p, 2), e, p)
+    g = 3
+    todo = np.nonzero(c == 1)[0]
+    while len(todo):
+        c[todo] = _powmod(np.full(len(todo), g, dtype=np.int64), e[todo], p[todo])
+        todo = todo[c[todo] == 1]
+        g += 1
+    a0, b0 = _ideal_generators(p, c)
+    assert np.all(a0 * a0 - a0 * b0 + b0 * b0 == p), "reduction missed the norm-p element"
+    # the six associates u * (a0 + b0*j); exactly one is primary
+    cand_a = np.stack((a0, -a0, -b0, b0, b0 - a0, a0 - b0))
+    cand_b = np.stack((b0, -b0, a0 - b0, b0 - a0, -a0, a0))
+    primary = (cand_a % 3 == 2) & (cand_b % 3 == 0)
+    assert np.all(primary.sum(axis=0) == 1), "expected exactly one primary associate"
+    which = primary.argmax(axis=0)
+    cols = np.arange(len(p))
+    a, b = cand_a[which, cols], cand_b[which, cols]
+    up = b > 0
+    return p, np.where(up, a, a - b), np.where(up, b, -b), np.where(up, c, c * c % p)
 
 
 @lru_cache(maxsize=None)

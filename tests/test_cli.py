@@ -209,3 +209,85 @@ def test_verify_bound_below_grid_is_domain_error(suite, bound, capsys):
     out, err = _out(capsys)
     assert out == ""
     assert err.startswith("error:")
+
+
+PSI_12 = 318_665_857_834_031_151_167_461  # passes Miller-Rabin to the first 12 primes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ksum", "--x", "100", "--ell", str(PSI_12)],
+        ["decompose", "--p", str(PSI_12)],
+        ["symbol", "--p", str(PSI_12), "--n", "2"],
+    ],
+)
+def test_strong_pseudoprime_is_domain_error(argv, capsys):
+    assert run(argv) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# the bytes of the cancellation probe at --x-max 1e6, as first recorded
+PROBE_1E6 = """\
+pattern,x,terms,abs_sum,normalized
+chi(f) * [chi_7 (pi/rho_7)],10000,611,6.999999999999996,0.011456628477905066
+chi(f) * [chi_7 (pi/rho_7)],100000,4784,26.05762844159009,0.005446828687623346
+chi(f) * [chi_7 (pi/rho_7)],1000000,39231,64.8613906727317,0.001653319840756843
+[chi_19 (pi/rho_19)]^2,10000,611,10.583005244258363,0.017320794180455585
+[chi_19 (pi/rho_19)]^2,100000,4784,128.2926342390704,0.026817022207163543
+[chi_19 (pi/rho_19)]^2,1000000,39231,200.00749985937793,0.005098200399158266
+chi(f) * [chi_7 (pi/rho_7)]^2 [chi_13 (pi/rho_13)],10000,611,7.549834435270698,0.012356521170655808
+chi(f) * [chi_7 (pi/rho_7)]^2 [chi_13 (pi/rho_13)],100000,4784,40.50925820105844,0.008467654306241312
+chi(f) * [chi_7 (pi/rho_7)]^2 [chi_13 (pi/rho_13)],1000000,39231,133.91041781729152,0.003413382728385499
+"""
+
+
+def test_probe_csv_bytes(capsys):
+    assert run(["probe", "--x-max", "1e6"]) == 0
+    out, _ = _out(capsys)
+    assert out == PROBE_1E6
+    assert run(["probe", "--x-max", "999999"]) == 0
+    out, _ = _out(capsys)
+    assert out == "".join(line for line in PROBE_1E6.splitlines(True) if ",1000000," not in line)
+
+
+@pytest.mark.parametrize("x_max", ["9999", "0", "-5"])
+def test_probe_below_the_first_cutoff_is_domain_error(x_max, capsys):
+    assert run(["probe", "--x-max", x_max]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_probe_non_integral_x_max_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["probe", "--x-max", "12345.5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, text, csv, json_text",
+    [
+        (["decompose", "--p", "7"], "p=7 pi=2+3j r=4", "p,pi,r\n7,2+3j,4",
+         '{"p":7,"pi":"2+3j","a":2,"b":3,"r":4}'),
+        (["ksum", "--x", "100", "--ell", "3"], "x=100 ell=3 d=1 k=27",
+         "x,ell,d,k\n100,3,1,27", '{"x":100,"ell":3,"d":1,"k":27}'),
+        (["symbol", "--p", "7", "--n", "3"], "p=7 n=3 symbol=j^2",
+         "p,n,symbol\n7,3,j^2", '{"p":7,"n":3,"symbol":"j^2","exp":2}'),
+        (["symbol", "--p", "7", "--n", "14"], "p=7 n=14 symbol=0",
+         "p,n,symbol\n7,14,0", '{"p":7,"n":14,"symbol":"0","exp":null}'),
+    ],
+)
+def test_record_bytes_in_every_format(argv, text, csv, json_text, capsys):
+    for fmt, want in (("text", text), ("csv", csv), ("json", json_text)):
+        assert run(argv + ["--format", fmt]) == 0
+        out, _ = _out(capsys)
+        assert out == want + "\n"
+
+
+def test_verify_json_bytes(capsys):
+    assert run(["verify", "--suite", "ksum", "--bound", "200", "--format", "json"]) == 0
+    out, _ = _out(capsys)
+    assert out == '{"suite":"ksum","bound":200,"checks":47,"failures":[]}\n'

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from heisnine import charspace, counting, eisenstein
+from heisnine import charspace, counting, eisenstein, ksum
 from heisnine._primes import primes_in_class
 from heisnine.charspace import SupportFunction, enumerate_V, enumerate_deltas
 from heisnine.counting import (
@@ -383,6 +383,8 @@ def _clear_census_caches():
     counting._skeleton_cache.clear()
     eisenstein._j_image.cache_clear()
     charspace._deltas_cached.cache_clear()
+    ksum._one_counts.cache_clear()
+    ksum._small_table.cache_clear()
 
 
 def test_second_mode_at_one_x_matches_cold_call():

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from heisnine.eisenstein import (
-    _decompose_arrays,
+    _j_images,
     _rem,
     _standard_prime_arrays,
     ROOT,
@@ -176,8 +178,22 @@ def test_prime_arrays_exact_at_their_limit():
         if n % 3 == 1 and is_prime(n):
             ps.append(n)
         n -= 1
-    a, b, r = _decompose_arrays(np.array(ps, dtype=np.int64))
-    assert list(zip(ps, a.tolist(), b.tolist(), r.tolist())) == _scalar_rows(ps)
+    rows = _scalar_rows(ps)
+    p, a, b = (np.array(col, dtype=np.int64) for col in list(zip(*rows))[:3])
+    r = _j_images(p, a, b)
+    assert list(zip(ps, a.tolist(), b.tolist(), r.tolist())) == rows
+
+
+@pytest.mark.parametrize("limit, budget", [(10**6, 0.1), (10**7, 0.5)])
+def test_prime_arrays_match_reduction_oracle(limit, budget):
+    _standard_prime_arrays.cache_clear()
+    t0 = time.monotonic()
+    got = standard_prime_arrays(limit)
+    elapsed = time.monotonic() - t0
+    want = oracles.standard_prime_arrays_by_reduction(limit)
+    assert all(g.dtype == np.int64 for g in got)
+    assert tuple(g.tolist() for g in got) == tuple(w.tolist() for w in want)
+    assert elapsed < budget
 
 
 def test_prime_arrays_are_read_only():

@@ -9,16 +9,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from heisnine._primes import primes_up_to
+from heisnine import ksum
+from heisnine._primes import primes_up_to, progression_sieve
 from heisnine.ksum import (
     K_DIRECT_MAX,
+    _SMALL_MAX,
     _class_counts,
-    _progression_primes,
+    _one_counts,
     _values,
     alpha_ell,
     k_direct,
     psi_ell,
 )
+
+
+def _clear_ksum_caches():
+    ksum._one_counts.cache_clear()
+    ksum._small_table.cache_clear()
 
 
 def test_k_direct_examples():
@@ -68,8 +75,8 @@ def test_class_counts_match_sieve(x, ell):
 @pytest.mark.parametrize("x", [10**4 + 1, 10**6 + 1])
 def test_progression_primes_match_sieve(x, ell):
     ps = primes_up_to(x)
-    got = _progression_primes(x, ell, primes_up_to(isqrt(x)).tolist())
-    assert np.array_equal(got, ps[ps % ell == 1])
+    sieve = progression_sieve(x, ell, primes_up_to(isqrt(x)).tolist())
+    assert np.array_equal(1 + ell * np.flatnonzero(sieve), ps[ps % ell == 1])
 
 
 @pytest.mark.parametrize("ell", [31, 101, 1009, 10007])
@@ -156,6 +163,7 @@ def test_k_direct_splits_on_one_prime(x, ell, p):
 
 
 def test_k_direct_budget_at_the_cap():
+    _clear_ksum_caches()  # a cold call: the prime counts are built in the budget
     tracemalloc.start()
     try:
         t0 = time.monotonic()
@@ -216,6 +224,50 @@ def test_k_direct_monotone(x, y):
 @given(st.sampled_from([1, 7, 13, 91, 133]))
 def test_k_direct_antitone_in_d(d):
     assert k_direct(5000, 3, d) <= k_direct(5000, 3)
+
+
+def test_k_direct_reuses_the_counts_across_d():
+    ds = (1, 7, 91, 2923)
+    cold = {}
+    for d in ds:
+        _clear_ksum_caches()
+        cold[d] = k_direct(10**7, 3, d)
+    _clear_ksum_caches()
+    assert [k_direct(10**7, 3, d) for d in ds] == [cold[d] for d in ds]
+    assert _one_counts.cache_info().misses == 1
+    assert [k_direct(10**7, 3, d) for d in reversed(ds)] == [cold[d] for d in reversed(ds)]
+    assert _one_counts.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("ell, path", [(2, "_class_counts"), (3, "progression_sieve")])
+def test_k_direct_above_the_table_on_each_count_path(ell, path, monkeypatch):
+    # just above _SMALL_MAX, ell = 2 counts by classes and ell = 3 lists
+    # its progression; both must match the brute-force scan, cold and warm
+    calls = []
+    orig = getattr(ksum, path)
+    monkeypatch.setattr(ksum, path, lambda *a: calls.append(a) or orig(*a))
+    x = _SMALL_MAX + 1
+    for d in (1, 91):
+        _clear_ksum_caches()
+        want = oracles.k_brute(x, ell, d)
+        assert k_direct(x, ell, d) == want
+        assert k_direct(x, ell, d) == want
+    assert len(calls) == 2
+
+
+def test_one_counts_cache_is_bounded_and_read_only():
+    _clear_ksum_caches()
+    assert _one_counts.cache_info().maxsize == 4
+    for x in range(10**5, 10**5 + 6):
+        k_direct(x, 3, 7)
+    assert _one_counts.cache_info().currsize == 4
+    ones = _one_counts(10**5 + 5, 3)
+    assert ones.dtype == np.int64
+    with pytest.raises(ValueError):
+        ones[0] = 1
+    ps = primes_up_to(10**5 + 5)
+    want = np.searchsorted(ps[ps % 3 == 1], _values(10**5 + 5), side="right")
+    assert np.array_equal(ones, want)
 
 
 def test_psi_examples():
