@@ -3,17 +3,16 @@
 P3 is {3} together with the primes p = 1 (mod 3).  A support function f
 encodes the character chi(f) = prod_p chi_p^f(p) (with chi_3 the order-3
 character mod 9), of conductor Delta(f) or 9 Delta(f); the F_3 structure
-(linear combinations, independence) mirrors composition of characters.
+(linear combinations) mirrors composition of characters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Iterator, Mapping
 
-from ._primes import is_prime, prime_divisors, primes_in_class
+from ._primes import is_prime, primes_in_class
 from .eisenstein import ROOT, ZERO, CharValue, _chi_exp
 
 __all__ = [
@@ -22,11 +21,9 @@ __all__ = [
     "delta",
     "conductor",
     "linear_combination",
-    "is_linearly_independent",
     "chi_eval",
     "DeltaIndex",
     "enumerate_deltas",
-    "enumerate_V",
 ]
 
 
@@ -112,13 +109,6 @@ def linear_combination(
     return SupportFunction.of(vals)
 
 
-def is_linearly_independent(f: SupportFunction, fp: SupportFunction) -> bool:
-    """True iff no (z, z') != (0, 0) combines f, f' to the zero function."""
-    if f.is_zero or fp.is_zero:
-        return False
-    return fp != f and fp != linear_combination(2, f, 0, f)
-
-
 def chi_eval(f: SupportFunction, m: int) -> CharValue:
     """chi(f)(m): zero iff a support prime divides m."""
     e = 0
@@ -168,31 +158,3 @@ def enumerate_deltas(limit: int) -> Iterator[DeltaIndex]:
     if limit < 1:
         return iter(())
     return iter(_deltas_cached(limit))
-
-
-def _factor_delta(d: int) -> tuple[int, ...]:
-    primes = tuple(prime_divisors(d))
-    if prod(primes) != d or any(q % 3 != 1 for q in primes):
-        raise ValueError(f"{d} is not a squarefree product of split primes")
-    return primes
-
-
-def enumerate_V(d: int, star: bool) -> list[SupportFunction]:
-    """V*(Delta) (star=True): f with Delta(f) = Delta and f(3) = 0, size
-    2^omega; V(Delta) additionally ranges f(3) over F_3, size 3 * 2^omega.
-    Delta = 1, star=True yields exactly the zero function."""
-    if d < 1:
-        raise ValueError("Delta must be positive")
-    primes = _factor_delta(d)
-    out: list[list[tuple[int, int]]] = [[]]
-    for p in primes:
-        out = [ent + [(p, v)] for ent in out for v in (1, 2)]
-    star_funcs = [SupportFunction(tuple(ent)) for ent in out]
-    if star:
-        return star_funcs
-    full = []
-    for f in star_funcs:
-        for v3 in (0, 1, 2):
-            ent = ((3, v3),) + f.entries if v3 else f.entries
-            full.append(SupportFunction(ent))
-    return full

@@ -12,16 +12,11 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 
 from .charspace import SupportFunction
-from .constants import (
-    TruncationParams,
-    char_cancellation_profile,
-    constant_report,
-    ratio_csv,
-    ratio_report,
-)
+from .constants import TruncationParams, char_cancellation_profile, constant_report
 from .counting import (
     CountReport,
     TermRecord,
@@ -50,6 +45,11 @@ def _exact_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if not d.is_finite() or d != d.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an exact integer: {text!r}")
+    # more digits than int(str) accepts (0: no limit); int(d) would build
+    # the whole integer first, and the reports could not print it
+    limit = sys.get_int_max_str_digits()
+    if d and 0 < limit <= d.adjusted():
+        raise argparse.ArgumentTypeError(f"integer too large: {text!r}")
     return int(d)
 
 
@@ -234,22 +234,56 @@ def _probe_text(x_max: int) -> str:
     return "\n".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# census-to-constant comparison grid
+
+
+@dataclass(frozen=True)
+class RatioRow:
+    x: int
+    count: float
+    x_quarter: float
+    ratio: float
+    c_estimate: float
+    ratio_over_c: float
+
+
+RATIO_CSV_HEADER = "x,count,x_quarter,ratio,c_estimate,ratio_over_c"
+
+
+def ratio_report(
+    x_values: list[int],
+    mode: WeightMode = WeightMode.OMEGA_FULL,
+    c_estimate: float | None = None,
+) -> list[RatioRow]:
+    """count(X) / X^(1/4) along a grid, against the predicted constant (by
+    default c_heis3 at the default truncation)."""
+    if c_estimate is None:
+        c_estimate = constant_report().c_heis3
+    rows = []
+    for x in x_values:
+        count = float(heis_total(x, mode).count)
+        xq = x**0.25
+        ratio = count / xq
+        rows.append(RatioRow(x, count, xq, ratio, c_estimate, ratio / c_estimate))
+    return rows
+
+
+def ratio_csv(rows: list[RatioRow]) -> str:
+    out = [RATIO_CSV_HEADER]
+    for r in rows:
+        out.append(
+            f"{r.x},{r.count!r},{r.x_quarter!r},{r.ratio!r},"
+            f"{r.c_estimate!r},{r.ratio_over_c!r}"
+        )
+    return "\n".join(out)
+
+
 def _ratio_text(args: argparse.Namespace) -> str:
     rows = log_grid(args.x_min, args.x_max, args.points)
     out = ratio_report(rows, args.weight_mode)
     if args.format == "json":
-        obj = [
-            {
-                "x": r.x,
-                "count": r.count,
-                "x_quarter": r.x_quarter,
-                "ratio": r.ratio,
-                "c_estimate": r.c_estimate,
-                "ratio_over_c": r.ratio_over_c,
-            }
-            for r in out
-        ]
-        return json.dumps(obj, separators=(",", ":"))
+        return json.dumps([asdict(r) for r in out], separators=(",", ":"))
     return ratio_csv(out)
 
 

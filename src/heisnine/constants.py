@@ -17,15 +17,14 @@ log 2 sin(pi a/q) and a) are summed per class with bincount, and each
 character's masked Euler sum and closed-form L-sum is a sum over at most
 2 * 3^(k+1) buckets.  Gauss sums come from per-prime factors instead:
 tau(chi_r) once per support prime r and call, tau of chi_9 and its
-twists once, multiplied out per character.  lfunctions keeps the
-per-character closed forms over the whole conductor as the independent
-route.
+twists once, multiplied out per character.  The per-character closed
+forms over the whole conductor stay in tests/oracles.py as the
+independent route.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -34,32 +33,27 @@ from numbers import Integral
 
 import numpy as np
 
-from ._primes import prime_divisors, primes_up_to
+from ._primes import primes_up_to
 from .charspace import SupportFunction, enumerate_deltas, linear_combination
-from .counting import WeightMode, heis_total
 from .eisenstein import (
     W3,
     _chi_exp,
+    _chi_exponent_arrays,
     _chi_exps,
     standard_decompose,
     standard_prime_arrays,
 )
 from .ksum import alpha_ell
-from .lfunctions import chi_exponent_arrays
 
 __all__ = [
     "TruncationParams",
-    "lambda_delta",
     "euler_product_P",
     "HConstants",
     "h_constants",
     "ConstantReport",
     "constant_report",
     "CancellationSum",
-    "char_cancellation",
     "char_cancellation_profile",
-    "RatioRow",
-    "ratio_report",
 ]
 
 
@@ -112,20 +106,6 @@ class _CompensatedSum:
     @property
     def value(self) -> float:
         return self.s + self.c
-
-
-def _lambda(primes: Iterable[int]) -> float:
-    """prod over the given primes p of (1 + 2 / (sqrt p (p + 2)))^(-1), in
-    their order."""
-    out = 1.0
-    for q in primes:
-        out /= 1.0 + 2.0 / (sqrt(q) * (q + 2))
-    return out
-
-
-def lambda_delta(d: int) -> float:
-    """prod over p | d of (1 + 2 / (sqrt p (p + 2)))^(-1)."""
-    return _lambda(prime_divisors(d))
 
 
 @dataclass(frozen=True)
@@ -336,13 +316,14 @@ def _bucket_sums(
     chi(f) mod d and 9d, and {modulus: a sums} of the odd ones, (./3) chi(f)
     mod 3d and 9d.  Their Gauss sums come from _gauss_sums.
 
-    A residue q - a has the digits of a and the opposite h, so each form of
-    lfunctions.l_one folds a with q - a (q is odd): the log-sine sum is
-    2 sum conj(chi)(a) log 2 sin(pi a/q) for even chi, and sum conj(chi)(a) a
-    is sum conj(chi)(a) (2a - q) for odd chi; both over 1 <= a < q/2.  One
-    pass of log sin over a < 9d/2 serves the three moduli: a mod 3d and a
-    mod d sit at 3a and 9a.  The classes of these a are the slice
-    ids9[1:half]; mod d they are `digits`, which carry no 3-digits."""
+    A residue q - a has the digits of a and the opposite h, so each closed
+    form of L(1, chi) (l_one in tests/oracles.py) folds a with q - a (q is
+    odd): the log-sine sum is 2 sum conj(chi)(a) log 2 sin(pi a/q) for even
+    chi, and sum conj(chi)(a) a is sum conj(chi)(a) (2a - q) for odd chi;
+    both over 1 <= a < q/2.  One pass of log sin over a < 9d/2 serves the
+    three moduli: a mod 3d and a mod d sit at 3a and 9a.  The classes of
+    these a are the slice ids9[1:half]; mod d they are `digits`, which
+    carry no 3-digits."""
     half = (9 * d + 1) // 2
     log2sin = np.log(2.0 * np.sin(np.arange(1, half) * (np.pi / (9 * d))))
     ids = ids9[1:half]
@@ -492,12 +473,16 @@ def _euler_tail_bound(p_max: int) -> float:
 
 
 def _delta_weights(d: int, primes: tuple[int, ...]) -> tuple[float, float]:
-    """psi_3(Delta) 3^k / Delta^(3/2), and that times lambda(Delta), from the
-    k ascending primes of Delta = d, bit for bit as from psi_ell(d, 3) and
-    lambda_delta(d), which factor d: the exact int quotient d / prod(r + 2)
-    rounds once, as float(Fraction) does."""
+    """psi_3(Delta) 3^k / Delta^(3/2), and that times lambda(Delta) =
+    prod over r | Delta of (1 + 2 / (sqrt r (r + 2)))^(-1), from the k
+    ascending primes of Delta = d, bit for bit as from psi_ell(d, 3) and the
+    oracle lambda_delta(d) in tests/oracles.py, which factor d: the exact
+    int quotient d / prod(r + 2) rounds once, as float(Fraction) does."""
     pref = d / prod(r + 2 for r in primes) * 3 ** len(primes) / d**1.5
-    return pref, _lambda(primes) * pref
+    lam = 1.0
+    for r in primes:
+        lam /= 1.0 + 2.0 / (sqrt(r) * (r + 2))
+    return pref, lam * pref
 
 
 @dataclass(frozen=True)
@@ -533,7 +518,8 @@ def h_constants(params: TruncationParams) -> HConstants:
         pref, w = _delta_weights(d, dI.primes)
         # Delta = 1 adds to H2 only: f = 0, whose f(3) = 1 and 2 are conjugate
         f3s = (0, 1, 2) if d > 1 else (1,)
-        # enumerate_V's order, less the second member of each conjugate pair
+        # V*(Delta) in the order of the oracle enumerate_V, less the second
+        # member of each conjugate pair
         vs = [v for v in product((1, 2), repeat=k) if not v or v[0] == 1]
         chars = np.array([(f3,) + v for v in vs for f3 in f3s], dtype=np.int64)
         (pfs, firsts), e3 = _delta_products(t, dI.primes, chars, taus)
@@ -718,7 +704,7 @@ def char_cancellation_profile(
     ok = np.ones(len(ps), dtype=bool)
     for use, g in ((eps[0], f), (eps[1], linear_combination(2, f, 0, f))):
         if use:
-            eg, okg = chi_exponent_arrays(g, ps)
+            eg, okg = _chi_exponent_arrays(g, ps)
             e += eg
             ok &= okg
     for r, (e1, e2) in pattern.items():
@@ -736,68 +722,3 @@ def char_cancellation_profile(
         val = complex(counts[0] + counts[1] * W3[1] + counts[2] * W3[2])
         out.append(CancellationSum(val, end))
     return out
-
-
-def char_cancellation(
-    f: SupportFunction,
-    x: int,
-    eps: tuple[int, int] = (0, 0),
-    pattern: dict[int, tuple[int, int]] | None = None,
-) -> CancellationSum:
-    """One-checkpoint form of char_cancellation_profile."""
-    return char_cancellation_profile(f, (x,), eps, pattern)[0]
-
-
-# ---------------------------------------------------------------------------
-# census-to-constant comparison grid
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    x: int
-    count: float
-    x_quarter: float
-    ratio: float
-    c_estimate: float
-    ratio_over_c: float
-
-
-RATIO_CSV_HEADER = "x,count,x_quarter,ratio,c_estimate,ratio_over_c"
-
-
-def ratio_report(
-    x_values: list[int],
-    mode: WeightMode = WeightMode.OMEGA_FULL,
-    c_estimate: float | None = None,
-    params: TruncationParams = TruncationParams(),
-) -> list[RatioRow]:
-    """count(X) / X^(1/4) along a grid, against the predicted constant."""
-    if c_estimate is None:
-        c_estimate = constant_report(params).c_heis3
-    rows = []
-    for x in x_values:
-        rep = heis_total(x, mode)
-        count = float(rep.count)
-        xq = x**0.25
-        ratio = count / xq
-        rows.append(
-            RatioRow(
-                x=x,
-                count=count,
-                x_quarter=xq,
-                ratio=ratio,
-                c_estimate=c_estimate,
-                ratio_over_c=ratio / c_estimate,
-            )
-        )
-    return rows
-
-
-def ratio_csv(rows: list[RatioRow]) -> str:
-    out = [RATIO_CSV_HEADER]
-    for r in rows:
-        out.append(
-            f"{r.x},{r.count!r},{r.x_quarter!r},{r.ratio!r},"
-            f"{r.c_estimate!r},{r.ratio_over_c!r}"
-        )
-    return "\n".join(out)

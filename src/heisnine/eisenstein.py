@@ -13,7 +13,8 @@ int pairs, and the decomposition on ints and int64 arrays.
 Every other module reads the exponent of chi_p(n), or of chi_9(n) at p = 3,
 through one of two routes here: _chi_exp(p, n) for one value (Euler's
 criterion in F_p, None at the zero value) and _chi_exps(p, ns) for an
-integer array (a lookup in chi_p_table, -1 at the zero value).
+integer array (a lookup in chi_p_table, -1 at the zero value);
+_chi_exponent_arrays sums the latter over the support of chi(f).
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from numbers import Integral
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ._primes import is_prime, prime_divisors, primes_up_to, progression_sieve
+
+if TYPE_CHECKING:
+    from .charspace import SupportFunction
 
 __all__ = [
     "CharValue",
@@ -81,11 +85,6 @@ class CharValue:
             return ZERO
         return ROOT(-self.exp)
 
-    def as_complex(self) -> complex:
-        if self.exp is None:
-            return 0j
-        return complex(W3[self.exp])
-
     def __repr__(self) -> str:
         if self.exp is None:
             return "CharValue(ZERO)"
@@ -138,10 +137,6 @@ class EisensteinInt:
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    @property
-    def is_unit(self) -> bool:
-        return self.norm == 1
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}j"
@@ -526,6 +521,19 @@ def _chi_exps(p: int, ns: np.ndarray) -> np.ndarray:
     if p == 3:
         return np.array(_CHI_NINE, dtype=np.int64)[ns % 9]
     return np.frombuffer(chi_p_table(p), dtype=np.int8)[ns % p].astype(np.int64)
+
+
+def _chi_exponent_arrays(
+    f: SupportFunction, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(exponent of chi(f) mod 3, nonzero mask) over an integer array."""
+    e = np.zeros(len(ns), dtype=np.int64)
+    ok = np.ones(len(ns), dtype=bool)
+    for p, v in f.entries:
+        t = _chi_exps(p, ns)
+        ok &= t >= 0
+        e += v * np.where(t >= 0, t, 0)
+    return e % 3, ok
 
 
 def chi_p(p: int, n: int) -> CharValue:

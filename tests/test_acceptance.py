@@ -13,15 +13,13 @@ from heisnine.charspace import (
     SupportFunction,
     ZERO_FUNCTION,
     conductor,
-    enumerate_V,
     enumerate_deltas,
 )
+from heisnine.cli import ratio_csv, ratio_report
 from heisnine.constants import (
     TruncationParams,
     char_cancellation_profile,
     constant_report,
-    ratio_csv,
-    ratio_report,
 )
 from heisnine.counting import SubsumClass, WeightMode, heis_total, log_grid
 from heisnine.eisenstein import (
@@ -34,21 +32,20 @@ from heisnine.eisenstein import (
     standard_primes_up_to,
 )
 from heisnine.ksum import alpha_ell, k_direct, psi_ell
-from heisnine.lfunctions import (
-    character_values,
-    l_one,
-    l_one_series,
-    twisted_character_values,
-)
 from heisnine.verify import indicator_pairs, run_suite
 from heisnine.counting import indicator
 
 from oracles import (
     census_scan_raw_total,
+    character_values,
+    enumerate_V,
     is_cubic_residue,
+    l_one,
+    l_one_series,
     l_one_series_oracle,
     splitting_oracle,
     standard_by_search,
+    twisted_character_values,
 )
 
 FULL = WeightMode.OMEGA_FULL

@@ -8,12 +8,11 @@ from heisnine.charspace import (
     chi_eval,
     conductor,
     delta,
-    enumerate_V,
     enumerate_deltas,
-    is_linearly_independent,
     linear_combination,
 )
 from heisnine.eisenstein import ROOT, ZERO
+from oracles import enumerate_V, is_linearly_independent
 
 F = SupportFunction.of
 

@@ -1,10 +1,13 @@
-"""Front-end behavior: flag parsing, exit codes, deterministic output."""
+"""Front-end behavior: flag parsing, exit codes, deterministic output, and
+the package's public names."""
 
+import importlib
 import json
 import time
 
 import pytest
 
+import heisnine
 from heisnine.cli import run
 
 
@@ -44,10 +47,15 @@ def test_count_scientific_notation(capsys):
     assert obj["raw_total"] == 72
 
 
-def test_non_integral_mantissa_is_usage_error(capsys):
+@pytest.mark.parametrize("x", ["1.23e1", "1e1000000000"])
+def test_inexact_or_oversized_integer_flag_is_usage_error(x, capsys):
+    # 1e1000000000 has more digits than int(str) accepts: refused before
+    # any integer is built
+    t0 = time.monotonic()
     with pytest.raises(SystemExit) as exc:
-        run(["count", "--x", "1.23e1"])
+        run(["count", "--x", x])
     assert exc.value.code == 2
+    assert time.monotonic() - t0 < 1
 
 
 def test_integral_mantissa_accepted(capsys):
@@ -291,3 +299,22 @@ def test_verify_json_bytes(capsys):
     assert run(["verify", "--suite", "ksum", "--bound", "200", "--format", "json"]) == 0
     out, _ = _out(capsys)
     assert out == '{"suite":"ksum","bound":200,"checks":47,"failures":[]}\n'
+
+
+def test_public_names():
+    assert sorted(heisnine.__all__) == [
+        "CancellationSum", "CharValue", "ConstantReport", "CountReport",
+        "EisensteinInt", "ROOT", "SUITE_NAMES", "StandardPrime", "SubsumClass",
+        "SuiteResult", "SupportFunction", "TermRecord", "TruncationParams",
+        "WeightMode", "X_MAX", "ZERO", "ZERO_FUNCTION", "alpha_ell", "big_d",
+        "char_cancellation_profile", "chi_eval", "chi_nine", "chi_p",
+        "conductor", "constant_report", "cubic_symbol", "delta", "divrem",
+        "eis_gcd", "enumerate_deltas", "enumerate_terms", "euler_product_P",
+        "h_constants", "heis_subsum", "heis_total", "indicator", "is_primary",
+        "k_direct", "linear_combination", "mu", "mu_d", "primary_associate",
+        "psi_ell", "run_suite", "standard_decompose", "standard_primes_up_to",
+    ]
+    for name in heisnine.__all__:
+        getattr(heisnine, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("heisnine.lfunctions")

@@ -14,7 +14,6 @@ from heisnine.charspace import (
     SupportFunction,
     chi_eval,
     enumerate_deltas,
-    enumerate_V,
     linear_combination,
 )
 from heisnine.constants import (
@@ -30,32 +29,29 @@ from heisnine.constants import (
     _grids_cached,
     _l_values,
     _log_tables,
-    char_cancellation,
     char_cancellation_profile,
     constant_report,
     euler_product_P,
     h_constants,
-    lambda_delta,
-    ratio_csv,
-    ratio_report,
 )
+from heisnine.cli import ratio_csv, ratio_report
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
 from heisnine.ksum import psi_ell
-from heisnine.lfunctions import (
-    character_values,
-    gauss_sum,
-    l_one,
-    twisted_character_values,
-)
 
 import heisnine.constants
 import heisnine.eisenstein
 from oracles import (
     char_cancellation_profile_literal,
+    character_values,
+    enumerate_V,
     euler_product_P_literal,
+    gauss_sum,
     grid_sums_by_prime,
     h_constants_literal,
+    l_one,
+    lambda_delta,
+    twisted_character_values,
 )
 
 SMALL = TruncationParams(delta_max=100, p_max=20000)
@@ -142,7 +138,7 @@ def _pipeline_characters():
 
 
 def test_bucketed_l_values_match_l_one():
-    # the bucketed closed forms against lfunctions' closed forms over the
+    # the bucketed closed forms against the oracle closed forms over the
     # full conductor
     t0 = time.monotonic()
     taus = {}
@@ -326,13 +322,13 @@ def test_truncation_params_accept_the_caps_and_numpy_ints():
 
 def test_cancellation_pattern_validation():
     with pytest.raises(ValueError):
-        char_cancellation(F7, 1000, pattern={7: (0, 0)})
+        char_cancellation_profile(F7, (1000,), pattern={7: (0, 0)})
     with pytest.raises(ValueError):
-        char_cancellation(F7, 1000, pattern={13: (1, 0)})
+        char_cancellation_profile(F7, (1000,), pattern={13: (1, 0)})
     with pytest.raises(ValueError):
-        char_cancellation(F7, 1000, pattern={7: (1, 1)})
+        char_cancellation_profile(F7, (1000,), pattern={7: (1, 1)})
     with pytest.raises(ValueError):
-        char_cancellation(F7, 1000, eps=(1, 1))
+        char_cancellation_profile(F7, (1000,), eps=(1, 1))
     with pytest.raises(ValueError):
         char_cancellation_profile(F7, (1000, 100))
 
@@ -343,7 +339,7 @@ def test_cancellation_matches_complex_product():
     eps = (1, 0)
     pattern = {7: (0, 1), 13: (1, 0)}
     x = 2000
-    got = char_cancellation(f, x, eps, pattern)
+    (got,) = char_cancellation_profile(f, (x,), eps, pattern)
     total = 0.0 + 0.0j
     terms = 0
     w = [cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
@@ -414,7 +410,7 @@ def test_cancellation_rejects_bad_checkpoints(checkpoints):
 
 def test_cancellation_profile_single_pass_consistency():
     prof = char_cancellation_profile(F7, (500, 2000, 8000))
-    one = [char_cancellation(F7, x) for x in (500, 2000, 8000)]
+    one = [char_cancellation_profile(F7, (x,))[0] for x in (500, 2000, 8000)]
     assert [c.value for c in prof] == [c.value for c in one]
     assert [c.terms for c in prof] == [c.terms for c in one]
     assert prof[0].terms < prof[1].terms < prof[2].terms

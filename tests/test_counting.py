@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from heisnine import charspace, counting, eisenstein, ksum
 from heisnine._primes import primes_in_class
-from heisnine.charspace import SupportFunction, enumerate_V, enumerate_deltas
+from heisnine.charspace import SupportFunction, enumerate_deltas
 from heisnine.counting import (
     CountReport,
     SubsumClass,
@@ -71,9 +71,7 @@ def independent_pairs(draw):
     f = F({p: draw(st.integers(1, 2)) for p in pool})
     pool2 = draw(st.sets(st.sampled_from(primes), min_size=1, max_size=3))
     fp = F({p: draw(st.integers(1, 2)) for p in pool2})
-    from heisnine.charspace import is_linearly_independent
-
-    if not is_linearly_independent(f, fp):
+    if not oracles.is_linearly_independent(f, fp):
         fp = F(dict(fp.entries) | {97: 1})
     return f, fp
 

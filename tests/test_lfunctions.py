@@ -1,22 +1,22 @@
-"""Closed-form L(1, chi) evaluation against known values and the
-partial-sum series oracle."""
+"""The L-value oracle: closed-form L(1, chi) against known values and the
+partial-sum series."""
 
 from math import pi, sqrt
 
 import pytest
 
-from heisnine.charspace import SupportFunction, ZERO_FUNCTION, conductor, enumerate_V
-from heisnine.lfunctions import (
+from heisnine.charspace import SupportFunction, ZERO_FUNCTION, conductor
+
+from oracles import (
     character_values,
+    enumerate_V,
     gauss_sum,
     is_even,
     l_one,
-    l_one_cubic,
     l_one_series,
+    l_one_series_oracle,
     twisted_character_values,
 )
-
-from oracles import l_one_series_oracle
 
 F7 = SupportFunction(((7, 1),))
 F7_13 = SupportFunction(((7, 1), (13, 1)))
@@ -83,14 +83,6 @@ def test_conjugate_character_conjugates_the_value():
     a = l_one(character_values(F7))
     b = l_one(character_values(f2))
     assert abs(a - b.conjugate()) < 1e-12
-
-
-def test_method_switch():
-    closed = l_one_cubic(F7, method="closed")
-    series = l_one_cubic(F7, method="series", n_terms=2 * 10**5)
-    assert abs(closed - series) < 1e-8
-    with pytest.raises(ValueError):
-        l_one_cubic(F7, method="exact")
 
 
 def test_trivial_modulus_rejected():
