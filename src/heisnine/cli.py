@@ -82,28 +82,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("terms")
     sp.add_argument("--x", type=_exact_int, required=True)
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--limit", type=_exact_int, default=None)
     sp.add_argument("--weight-mode", type=_weight_mode, default=WeightMode.OMEGA_FULL)
     _add_common(sp, ("json", "csv", "text"))
 
     sp = sub.add_parser("constant")
-    sp.add_argument("--delta-max", type=int, default=2000)
+    sp.add_argument("--delta-max", type=_exact_int, default=2000)
     sp.add_argument("--p-max", type=_exact_int, default=10**6)
     _add_common(sp, ("json", "text"))
 
     sp = sub.add_parser("ksum")
     sp.add_argument("--x", type=_exact_int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--ell", type=_exact_int, required=True)
     sp.add_argument("--d", type=_exact_int, default=1)
     _add_common(sp, ("json", "csv", "text"))
 
     sp = sub.add_parser("symbol")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_exact_int, required=True)
     sp.add_argument("--n", type=_exact_int, required=True)
     _add_common(sp, ("json", "csv", "text"))
 
     sp = sub.add_parser("decompose")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_exact_int, required=True)
     _add_common(sp, ("json", "csv", "text"))
 
     sp = sub.add_parser("verify")
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report")
     sp.add_argument("--x-min", type=_exact_int, required=True)
     sp.add_argument("--x-max", type=_exact_int, required=True)
-    sp.add_argument("--points", type=int, required=True)
+    sp.add_argument("--points", type=_exact_int, required=True)
     sp.add_argument("--weight-mode", type=_weight_mode, default=WeightMode.OMEGA_FULL)
     _add_common(sp, ("json", "csv", "text"))
 

@@ -636,10 +636,12 @@ def enumerate_terms(
 
 def log_grid(lo: int, hi: int, n: int) -> list[int]:
     """n log-spaced integers from lo to hi inclusive, rounded, deduplicated
-    and ascending; n = 1 gives [hi]."""
-    if lo < 1 or hi < lo or n < 1:
+    and ascending; n = 1 gives [hi].  n is at most 1000, since every X of
+    the grid costs one census."""
+    if lo < 1 or hi < lo or not 1 <= n <= 1000:
         raise ValueError(
-            f"a log grid needs 1 <= lo <= hi and n >= 1, got lo={lo} hi={hi} n={n}"
+            f"a log grid needs 1 <= lo <= hi and 1 <= n <= 1000, "
+            f"got lo={lo} hi={hi} n={n}"
         )
     if n == 1:
         return [hi]

@@ -5,10 +5,10 @@ and elements are written a + b*j with integer a, b.  A prime p = 1 (mod 3)
 splits as p = pi * conj(pi); the standard factor pi is pinned by three
 conditions: pi is primary (a = 2, b = 0 mod 3), Im(pi) > 0 (b > 0), and the
 residue r of j in Z[j]/(pi) = F_p is recorded alongside.  Cubic symbols are
-evaluated either by Euler's criterion inside Z[j] or through the F_p image;
-the two routes are kept as separate codepaths and cross-checked in tests.
-EisensteinInt is the API type: the Z[j] symbol route runs on plain (a, b)
-int pairs, and the decomposition on ints and int64 arrays.
+evaluated through the F_p image; Euler's criterion inside Z[j], the
+independent route they are checked against, lives in the verify module.
+EisensteinInt is the API type: the decomposition runs on ints and int64
+arrays.
 
 Every other module reads the exponent of chi_p(n), or of chi_9(n) at p = 3,
 through one of two routes here: _chi_exp(p, n) for one value (Euler's
@@ -202,10 +202,15 @@ def primary_associate(z: EisensteinInt) -> EisensteinInt:
     """
     if z.is_zero or z.norm % 3 == 0:
         raise ValueError(f"no primary associate: {z!r} is not prime to 3")
-    for u in UNITS:
-        w = u * z
-        if is_primary(w):
-            return w
+    return EisensteinInt(*_primary_pair(z.a, z.b))
+
+
+def _primary_pair(a: int, b: int) -> tuple[int, int]:
+    """The primary one of the six associates u * (a + b*j), u in UNITS
+    order, on ints; a + b*j must be prime to 3."""
+    for x, y in ((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a)):
+        if x % 3 == 2 and y % 3 == 0:
+            return x, y
     raise AssertionError("unreachable: one of six associates must be primary")
 
 
@@ -249,19 +254,7 @@ def standard_decompose(p: int) -> StandardPrime:
     a0, b0 = r1, -t1
     if a0 * a0 - a0 * b0 + b0 * b0 != p:
         raise AssertionError(f"the Euclid on ({p}, {c}) missed the norm-{p} element")
-    # the six associates u * (a0 + b0*j); exactly one is primary
-    for a, b in (
-        (a0, b0),
-        (-a0, -b0),
-        (-b0, a0 - b0),
-        (b0, b0 - a0),
-        (b0 - a0, -a0),
-        (a0 - b0, a0),
-    ):
-        if a % 3 == 2 and b % 3 == 0:
-            break
-    else:
-        raise AssertionError("unreachable: one of six associates must be primary")
+    a, b = _primary_pair(a0, b0)
     # pi | (j - c); the conjugate, which keeps primariness, divides j - c^2
     if b > 0:
         return StandardPrime(p, EisensteinInt(a, b), c)
@@ -359,53 +352,6 @@ def _standard_prime_arrays(limit: int) -> tuple[np.ndarray, ...]:
 # cubic residue symbols
 
 
-def _rem(x: int, y: int, pa: int, pb: int, pn: int) -> tuple[int, int]:
-    """divrem's remainder of x + y*j by pa + pb*j, of norm pn > 0, on ints:
-    the same quotient, each component of (x + y*j) conj(pi) / pn rounded to
-    the nearest integer, ties toward zero."""
-    ta = x * (pa - pb) + y * pb
-    tb = y * pa - x * pb
-    qa, ra = divmod(ta, pn)
-    if 2 * ra > pn or (2 * ra == pn and qa < 0):
-        qa += 1
-    qb, rb = divmod(tb, pn)
-    if 2 * rb > pn or (2 * rb == pn and qb < 0):
-        qb += 1
-    return x - qa * pa + qb * pb, y - qa * pb - qb * pa + qb * pb
-
-
-# j^m as (a, b) pairs, indexed by m
-_ROOT_PAIRS = ((1, 0), (0, 1), (-1, -1))
-
-
-def _symbol_eis(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
-    """Euler criterion inside Z[j]: alpha^((p-1)/3) = j^m (mod pi).
-
-    The square-and-multiply runs in Z[j]/(p), each component reduced by a
-    plain % p: pi divides p, so (p) lies in (pi) and Z[j] -> Z[j]/(p) ->
-    Z[j]/(pi) is reduction mod pi.  The division by pi (_rem) is left to
-    the zero test at entry and the j^m test at exit.
-    """
-    pa, pb = sp.pi.a, sp.pi.b
-    pn = pa * pa - pa * pb + pb * pb
-    x, y = _rem(alpha.a, alpha.b, pa, pb, pn)
-    if x == 0 and y == 0:
-        return ZERO
-    p = sp.p
-    x, y = x % p, y % p
-    ua, ub = 1, 0
-    e = (p - 1) // 3
-    while e:
-        if e & 1:
-            ua, ub = (ua * x - ub * y) % p, (ua * y + ub * x - ub * y) % p
-        x, y = (x - y) * (x + y) % p, (2 * x - y) * y % p
-        e >>= 1
-    for m, (ja, jb) in enumerate(_ROOT_PAIRS):
-        if _rem(ua - ja, ub - jb, pa, pb, pn) == (0, 0):
-            return ROOT(m)
-    raise AssertionError(f"Euler criterion produced a non-root mod {sp.pi!r}")
-
-
 def _euler_exp(n: int, p: int, r: int) -> int | None:
     """Euler's criterion in F_p: the e with n^((p-1)/3) = r^e (mod p), r the
     image of j, or None where p | n."""
@@ -426,26 +372,12 @@ def _value(e: int | None) -> CharValue:
     return ZERO if e is None else ROOT(e)
 
 
-def _symbol_fp(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
-    """F_p image route: reduce a + b*r mod p and take the cube-power class."""
+def cubic_symbol(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
+    """Cubic residue symbol (alpha / pi)_3 for the standard prime sp: reduce
+    a + b*r mod p through Z[j]/(pi) = F_p and take the cube-power class.
+    It holds as well for sp = (p, conj(pi), r^2 mod p), the conjugate factor
+    with its image of j."""
     return _value(_euler_exp(alpha.a + alpha.b * sp.r, sp.p, sp.r))
-
-
-def cubic_symbol(
-    alpha: EisensteinInt, sp: StandardPrime, *, method: str = "fp"
-) -> CharValue:
-    """Cubic residue symbol (alpha / pi)_3 for the standard prime sp.
-
-    method selects the codepath: "fp" reduces through Z[j]/(pi) = F_p,
-    "eis" runs Euler's criterion in Z[j].  Both agree everywhere, and both
-    hold as well for sp = (p, conj(pi), r^2 mod p), the conjugate factor
-    with its image of j.
-    """
-    if method == "fp":
-        return _symbol_fp(alpha, sp)
-    if method == "eis":
-        return _symbol_eis(alpha, sp)
-    raise ValueError(f"unknown cubic_symbol method {method!r}")
 
 
 def _primitive_root(p: int) -> int:
@@ -472,9 +404,9 @@ def chi_p_table(p: int) -> bytes:
     (0, t, 2t) mod 3 as k runs through the residues mod 3.  int64 holds the
     grid products exactly for p < 3e9.
     """
-    sp = standard_decompose(p)
+    r = _j_image(p)  # ValueError unless p is a split prime
     g = _primitive_root(p)
-    t = _symbol_fp(EisensteinInt(g, 0), sp).exp
+    t = _euler_exp(g, p, r)
     if t not in (1, 2):
         raise AssertionError(f"chi_{p} of a primitive root must have order 3")
     n = p - 1

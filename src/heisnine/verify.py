@@ -140,17 +140,20 @@ def _symbol_inert(alpha: EisensteinInt, q: int) -> CharValue:
     raise AssertionError(f"cube-power class mod {q} is not a root of unity")
 
 
+def _conjugate(sp: StandardPrime) -> StandardPrime:
+    """The conjugate factor: conj(pi) divides j - r^2 when pi divides j - r,
+    so it carries r^2 = -1 - r (mod p) as the image of j."""
+    return StandardPrime(sp.p, sp.pi.conj(), (-1 - sp.r) % sp.p)
+
+
 def _primary_primes(norm_bound: int) -> list[tuple[EisensteinInt, object]]:
     """Primary primes of Z[j] with norm <= norm_bound, prime to 3, each
     tagged with the data its fast symbol route needs: q for an inert q, and
-    for a split prime the StandardPrime of that factor itself.  conj(pi)
-    divides j - r^2 when pi divides j - r, so its tag carries r^2 = -1 - r
-    (mod p) as the image of j."""
+    for a split prime the StandardPrime of that factor itself."""
     out: list[tuple[EisensteinInt, object]] = []
     for sp in standard_primes_up_to(norm_bound):
-        out.append((sp.pi, sp))
-        bar = sp.pi.conj()
-        out.append((bar, StandardPrime(sp.p, bar, (-1 - sp.r) % sp.p)))
+        bar = _conjugate(sp)
+        out += [(sp.pi, sp), (bar.pi, bar)]
     for q in map(int, primes_up_to(isqrt(norm_bound))):
         if q % 3 == 2:
             out.append((EisensteinInt(q, 0), q))
@@ -190,18 +193,18 @@ def _suite_symbols(bound: int) -> _Recorder:
     rec = _Recorder()
     alphas = [EisensteinInt(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
     for sp in standard_primes_up_to(bound):
-        # both library codepaths against the independent general routine
+        # the library's F_p route at pi and at conj(pi) against the Z[j] one
+        bar = _conjugate(sp)
         for alpha in alphas:
-            want = _symbol_primary(alpha, sp.pi)
             rec.check(
-                cubic_symbol(alpha, sp, method="fp") == want,
+                cubic_symbol(alpha, sp) == _symbol_primary(alpha, sp.pi),
                 "fp symbol of {} differs mod {}",
                 alpha,
                 sp.p,
             )
             rec.check(
-                cubic_symbol(alpha, sp, method="eis") == want,
-                "eis symbol of {} differs mod {}",
+                cubic_symbol(alpha, bar) == _symbol_primary(alpha, bar.pi),
+                "fp symbol of {} differs mod the conjugate factor of {}",
                 alpha,
                 sp.p,
             )
@@ -211,7 +214,7 @@ def _suite_symbols(bound: int) -> _Recorder:
         n2 = sp.p // 2 + 1
         v1, v2 = chi_p(sp.p, n1), chi_p(sp.p, n2)
         rec.check(
-            v1 == cubic_symbol(EisensteinInt(n1, 0), sp, method="eis"),
+            v1 == _symbol_primary(EisensteinInt(n1, 0), sp.pi),
             "chi_{}({}) differs from the symbol",
             sp.p,
             n1,

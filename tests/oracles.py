@@ -8,8 +8,8 @@ The object routes, the L-value closed forms, the literal Euler products
 and the prime walks are the exceptions: they keep loops the package
 replaced, on top of package primitives.
 
-- The object-route symbol keeps the EisensteinInt Euler criterion that the
-  package replaced with int pairs, on top of its divrem.
+- The object-route symbol keeps the EisensteinInt Euler criterion, on top
+  of the package's divrem, that verify._symbol_primary runs on int pairs.
 - The pair functions keep the route over validated support functions that
   the package replaced with its tuple kernel: indicator_literal (kernel
   generators through linear_combination and chi_eval, each factor tested
@@ -94,7 +94,6 @@ from heisnine.eisenstein import (
     _chi_exponent_arrays,
     _chi_exps,
     _primitive_root,
-    _symbol_fp,
     cubic_symbol,
     divrem,
     standard_decompose,
@@ -279,8 +278,8 @@ def symbol_exp_by_euler(alpha: tuple[int, int], p: int) -> int | None:
 
 def symbol_eis_literal(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
     """(alpha / pi)_3 by Euler's criterion on EisensteinInt objects, every
-    product reduced by divrem: the route cubic_symbol(method="eis") replaced
-    with the same criterion on int pairs."""
+    product reduced by divrem: the route verify._symbol_primary runs as the
+    same criterion on int pairs."""
     pi = sp.pi
 
     def mulmod(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
@@ -934,7 +933,7 @@ def chi_p_table_walk(p: int) -> bytes:
     multiplication at a time: the entry at g^k is k * t mod 3, where
     chi_p(g) = j^t."""
     g = _primitive_root(p)
-    t = _symbol_fp(EisensteinInt(g, 0), standard_decompose(p)).exp
+    t = cubic_symbol(EisensteinInt(g, 0), standard_decompose(p)).exp
     tab = bytearray(p)
     tab[0] = 0xFF
     x = 1

@@ -32,7 +32,7 @@ from heisnine.eisenstein import (
     standard_primes_up_to,
 )
 from heisnine.ksum import alpha_ell, k_direct, psi_ell
-from heisnine.verify import indicator_pairs, run_suite
+from heisnine.verify import _symbol_primary, indicator_pairs, run_suite
 from heisnine.counting import indicator
 
 from oracles import (
@@ -86,15 +86,13 @@ def test_criterion_1_exact_arithmetic():
     res = run_suite("reciprocity", 10**4)
     assert res.ok and res.checks > 7 * 10**5
 
-    # dual-codepath symbol equality on 10^4 random cases
+    # F_p symbol against the Z[j] Euler criterion on 10^4 random cases
     rng = random.Random(90001)
     split = [int(p) for p in primes_up_to(2000) if p % 3 == 1]
     for _ in range(10**4):
         sp = standard_decompose(rng.choice(split))
         alpha = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        assert cubic_symbol(alpha, sp, method="fp") == cubic_symbol(
-            alpha, sp, method="eis"
-        )
+        assert cubic_symbol(alpha, sp) == _symbol_primary(alpha, sp.pi)
 
     # rational cube test against the Euler-criterion oracle
     for q in map(int, primes_up_to(10**4)):

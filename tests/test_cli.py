@@ -58,6 +58,38 @@ def test_inexact_or_oversized_integer_flag_is_usage_error(x, capsys):
     assert time.monotonic() - t0 < 1
 
 
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["constant", "--p-max", "1000", "--delta-max", "1e2"], "100"),
+        (["terms", "--x", "6e12", "--limit", "1e1"], "10"),
+        (["report", "--x-min", "1e12", "--x-max", "1e13", "--points", "3e0"], "3"),
+        (["ksum", "--x", "100", "--d", "7", "--ell", "3e0"], "3"),
+        (["symbol", "--n", "2", "--p", "1.3e1"], "13"),
+        (["decompose", "--p", "1.3e1"], "13"),
+    ],
+)
+def test_every_integer_flag_takes_exact_scientific_notation(argv, plain, capsys):
+    # the last flag's value in scientific notation, then as a plain integer,
+    # then not integral
+    assert run(argv) == 0
+    sci = _out(capsys)
+    assert run(argv[:-1] + [plain]) == 0
+    assert _out(capsys) == sci
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:-1] + ["2.5"])
+    assert exc.value.code == 2
+
+
+def test_report_points_past_the_grid_cap_is_domain_error(capsys):
+    # log_grid refuses n > 1000 before any census or constant is computed
+    t0 = time.monotonic()
+    assert run(["report", "--x-min", "1e12", "--x-max", "1e13", "--points", "1001"]) == 1
+    assert time.monotonic() - t0 < 1
+    out, err = _out(capsys)
+    assert out == "" and "error:" in err and "1000" in err
+
+
 def test_integral_mantissa_accepted(capsys):
     assert run(["count", "--x", "15e0", "--format", "json"]) == 0
     out, _ = _out(capsys)

@@ -488,7 +488,7 @@ def test_log_grid_points_and_validation():
     assert log_grid(10**9, 10**16, 20)[:3] == [10**9, 2335721469, 5455594781]
     assert log_grid(5, 5, 4) == [5]
     assert log_grid(5, 80, 1) == [80]
-    for lo, hi, n in ((0, 10, 3), (10, 9, 3), (1, 10, 0)):
+    for lo, hi, n in ((0, 10, 3), (10, 9, 3), (1, 10, 0), (1, 10, 1001)):
         with pytest.raises(ValueError):
             log_grid(lo, hi, n)
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import oracles
 from heisnine.eisenstein import (
     _j_images,
-    _rem,
     _standard_prime_arrays,
     ROOT,
     STANDARD_ARRAY_MAX,
@@ -29,6 +28,7 @@ from heisnine.eisenstein import (
     standard_primes_up_to,
 )
 from heisnine._primes import is_prime, primes_in_class
+from heisnine.verify import _symbol_primary
 
 E = EisensteinInt
 
@@ -85,15 +85,6 @@ def test_divrem_contract(n, d):
 )
 def test_divrem_rounds_ties_toward_zero(n, d, r):
     assert divrem(n, d)[1] == r
-    assert _rem(n.a, n.b, d.a, d.b, d.norm) == (r.a, r.b)
-
-
-@given(elements, elements)
-def test_int_remainder_matches_divrem(n, d):
-    if d.is_zero:
-        return
-    r = divrem(n, d)[1]
-    assert _rem(n.a, n.b, d.a, d.b, d.norm) == (r.a, r.b)
 
 
 @given(elements, elements)
@@ -249,7 +240,7 @@ def test_decomposition_invariants_large(p):
     assert 2 <= sp.r <= p - 2 and (sp.r * sp.r + sp.r + 1) % p == 0
     assert divrem(E(-sp.r, 1), pi)[1].is_zero
     for n in (2, 7):
-        assert chi_p(p, n) == cubic_symbol(E(n, 0), sp, method="eis")
+        assert chi_p(p, n) == _symbol_primary(E(n, 0), pi)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +252,8 @@ def test_cubic_symbol_examples():
     assert cubic_symbol(E(2, 0), s7) == ROOT(1)
     assert cubic_symbol(E(6, 0), s7) == ROOT(0)
     assert cubic_symbol(E(7, 0), s7) == ZERO
+    with pytest.raises(TypeError):  # one route: no method= to choose
+        cubic_symbol(E(2, 0), s7, method="eis")
 
 
 def test_chi_p_examples():
@@ -341,7 +334,7 @@ def test_symbol_multiplicative(p, x, y):
 @given(st.sampled_from(split_primes(500)), elements)
 def test_symbol_codepaths_agree(p, x):
     sp = standard_decompose(p)
-    assert cubic_symbol(x, sp, method="fp") == cubic_symbol(x, sp, method="eis")
+    assert cubic_symbol(x, sp) == _symbol_primary(x, sp.pi)
 
 
 def test_eis_symbol_matches_object_route_on_small_grid():
@@ -352,7 +345,7 @@ def test_eis_symbol_matches_object_route_on_small_grid():
         for sp in (sp, other):
             for alpha in grid:
                 want = oracles.symbol_eis_literal(alpha, sp)
-                assert cubic_symbol(alpha, sp, method="eis") == want, (alpha, sp)
+                assert _symbol_primary(alpha, sp.pi) == want, (alpha, sp)
 
 
 @pytest.mark.parametrize("p", [7, 13, 97, 9973])
@@ -368,7 +361,7 @@ def test_eis_symbol_matches_object_route_past_p(p):
     for s in (sp, other):
         for alpha in alphas:
             want = oracles.symbol_eis_literal(alpha, s)
-            assert cubic_symbol(alpha, s, method="eis") == want, (alpha, s)
+            assert _symbol_primary(alpha, s.pi) == want, (alpha, s)
 
 
 def test_eis_symbol_matches_object_route_on_suite_alphas():
@@ -377,7 +370,7 @@ def test_eis_symbol_matches_object_route_on_suite_alphas():
     for sp in standard_primes_up_to(10**4):
         for alpha in alphas:
             want = oracles.symbol_eis_literal(alpha, sp)
-            assert cubic_symbol(alpha, sp, method="eis") == want, (alpha, sp.p)
+            assert _symbol_primary(alpha, sp.pi) == want, (alpha, sp.p)
 
 
 @given(st.sampled_from(split_primes(500)), elements)

@@ -5,7 +5,13 @@ import time
 import pytest
 
 from heisnine import verify
-from heisnine.eisenstein import ZERO, EisensteinInt, standard_decompose
+from heisnine.eisenstein import (
+    ROOT,
+    ZERO,
+    EisensteinInt,
+    cubic_symbol,
+    standard_decompose,
+)
 from heisnine.verify import (
     SUITE_NAMES,
     _symbol_inert,
@@ -124,21 +130,22 @@ fast and general symbol routes differ at 17+12j, -16+3j
 fast and general symbol routes differ at 17+21j, 17-9j"""
 
 _SYMBOLS_TEXT = """\
-suite=symbols bound=7 checks=17 failures=14
+suite=symbols bound=7 checks=17 failures=15
 fp symbol of 1-1j differs mod 7
-eis symbol of 1-1j differs mod 7
+fp symbol of 1-1j differs mod the conjugate factor of 7
 fp symbol of 2+2j differs mod 7
-eis symbol of 2+2j differs mod 7
+fp symbol of 2+2j differs mod the conjugate factor of 7
 fp symbol of 3+0j differs mod 7
-eis symbol of 3+0j differs mod 7
+fp symbol of 3+0j differs mod the conjugate factor of 7
 fp symbol of 4+0j differs mod 7
-eis symbol of 4+0j differs mod 7
+fp symbol of 4+0j differs mod the conjugate factor of 7
 fp symbol of 5+2j differs mod 7
-eis symbol of 5+2j differs mod 7
+fp symbol of 5+2j differs mod the conjugate factor of 7
 fp symbol of 6-1j differs mod 7
-eis symbol of 6-1j differs mod 7
+fp symbol of 6-1j differs mod the conjugate factor of 7
 fp symbol of 7-2j differs mod 7
-eis symbol of 7-2j differs mod 7"""
+fp symbol of 7-2j differs mod the conjugate factor of 7
+chi_7(3) differs from the symbol"""
 
 
 def test_failure_text_unchanged(monkeypatch):
@@ -148,6 +155,22 @@ def test_failure_text_unchanged(monkeypatch):
     monkeypatch.setattr(verify, "_symbol_primary", lambda alpha, beta: ZERO)
     assert run_suite("reciprocity", 600).to_text() == _RECIPROCITY_SLOW_TEXT
     assert run_suite("symbols", 7).to_text() == _SYMBOLS_TEXT
+
+
+def test_symbols_suite_checks_the_conjugate_factor(monkeypatch):
+    # a symbol wrong only at conj(pi), the factor with b < 0: every nonzero
+    # value times j differs, and at p = 7 no alpha of the suite is zero
+    def wrong_at_conjugate(alpha, sp):
+        v = cubic_symbol(alpha, sp)
+        return v * ROOT(1) if sp.pi.b < 0 else v
+
+    monkeypatch.setattr(verify, "cubic_symbol", wrong_at_conjugate)
+    res = run_suite("symbols", 7)
+    alphas = [EisensteinInt(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
+    assert res.checks == 17
+    assert res.failures == tuple(
+        f"fp symbol of {alpha} differs mod the conjugate factor of 7" for alpha in alphas
+    )
 
 
 def test_symbols_suite_at_its_default_bound_in_budget():
