@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["is_prime", "prime_divisors", "primes_up_to", "primes_in_class",
-           "progression_sieve"]
+__all__ = ["check_int", "is_prime", "prime_divisors", "primes_up_to",
+           "primes_in_class", "progression_sieve"]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -19,6 +19,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # 2015).  The first 12 primes fail at psi_12 = 318,665,857,834,031,151,167,461.
 _MR_TIERS = ((4_759_123_141, (2, 7, 61)),
              (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES))
+
+
+def check_int(v: object, name: str) -> None:
+    """TypeError unless v is an int; a bool is not one."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
 
 
 def is_prime(n: int) -> bool:

@@ -34,7 +34,7 @@ from numbers import Integral
 import numpy as np
 
 from ._primes import primes_up_to
-from .charspace import SupportFunction, enumerate_deltas, linear_combination
+from .charspace import SupportFunction, enumerate_deltas
 from .eisenstein import (
     W3,
     _chi_exp,
@@ -155,15 +155,6 @@ def _p_logs(p: np.ndarray, sqrt_p: np.ndarray, c: float) -> np.ndarray:
     return np.log((1.0 + 2.0 * c / (p + 2.0) + 2.0 / (sqrt_p * (p + 2.0))) * loc)
 
 
-def _first_logs(p: np.ndarray, sqrt_p: np.ndarray, c: float) -> np.ndarray:
-    """The same for the first form: (1 + 2c/(p + 2)) times
-    1 + 2/(sqrt p (p + 2 + 2c)), renormalized by |1 - chi(p)/p|^4."""
-    loc = (1.0 - c / p + 1.0 / p**2) ** 2
-    out = np.log((1.0 + 2.0 * c / (p + 2.0)) * loc)
-    out += np.log(1.0 + 2.0 / (sqrt_p * (p + 2.0 + 2.0 * c)))
-    return out
-
-
 def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
     """Logs of the correction at primes p = 2 mod 3 with c_p = c.  p**4 is
     formed in int64 (the explicit astype: the grids are uint32) and wraps
@@ -187,22 +178,19 @@ class _LogTables:
 
     Each sum is a scalar in `base`, with every prime at c_p = -1, plus a
     difference array in `diffs` added where the exponent of chi(f)(p) is 0.
-    The sums are, in order: the correction over the primes = 2 mod 3, P,
-    and (when built) the first form.  One Delta buckets each difference
-    array by the class ids of its grid (_grid_sums), and each of its
-    characters sums the 3^(k+1) buckets where the exponent of chi(f) is
-    0."""
+    The sums are, in order: the correction over the primes = 2 mod 3 and
+    P.  One Delta buckets each difference array by the class ids of its
+    grid (_grid_sums), and each of its characters sums the 3^(k+1) buckets
+    where the exponent of chi(f) is 0."""
 
     grids: _PrimeGrids
     base: tuple[float, ...]
     diffs: tuple[np.ndarray, ...]
 
 
-def _log_tables(g: _PrimeGrids, first: bool) -> _LogTables:
+def _log_tables(g: _PrimeGrids) -> _LogTables:
     p = g.one.astype(np.float64)
     sums = [(_two_grid_logs, (g.two,)), (_p_logs, (p, g.sqrt_one))]
-    if first:
-        sums.append((_first_logs, (p, g.sqrt_one)))
     base = []
     diffs = []
     for logs, args in sums:
@@ -214,15 +202,13 @@ def _log_tables(g: _PrimeGrids, first: bool) -> _LogTables:
     return _LogTables(g, tuple(base), tuple(diffs))
 
 
-def _dead_fix(rs: list[int]) -> tuple[float, float]:
+def _dead_fix(rs: list[int]) -> float:
     """Moves the support primes r out of the c_p = -1 class: chi(f)(r) = 0,
-    so the local factor is 1 + 2/(sqrt r (r + 2)) for P and 1 for the
-    first form."""
+    so the local factor of P is 1 + 2/(sqrt r (r + 2))."""
     r = np.array(rs, dtype=np.float64)
     sqrt_r = np.sqrt(r)
     dead_p = np.log(1.0 + 2.0 / (sqrt_r * (r + 2.0)))
-    fix_p = float((dead_p - _p_logs(r, sqrt_r, -1.0)).sum())
-    return fix_p, -float(_first_logs(r, sqrt_r, -1.0).sum())
+    return float((dead_p - _p_logs(r, sqrt_r, -1.0)).sum())
 
 
 def _classes(
@@ -393,18 +379,18 @@ def _grid_ids(g: _PrimeGrids, ids9: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _grid_sums(
     t: _LogTables, primes: tuple[int, ...], ids9: np.ndarray, n_ids: int
-) -> tuple[list[np.ndarray], list[int]]:
-    """The difference arrays of t bucketed by the Euler class ids (the ids
-    less their h digit) of the grid they run over, and the dead primes of
-    the grid of primes = 1 mod 3: the support primes up to p_max, read off
-    `primes` in the grid's descending order."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The two difference arrays of t bucketed by the Euler class ids (the
+    ids less their h digit) of the grid they run over, and the dead primes
+    of the grid of primes = 1 mod 3: the support primes up to p_max, read
+    off `primes` in the grid's descending order."""
     one, two = _grid_ids(t.grids, ids9)
     n_euler = n_ids // 2
     # the h offset of the primes = 2 mod 3 comes off by reading their bins
     # from n_euler on
-    sums = [np.bincount(two, t.diffs[0], minlength=n_ids)[n_euler:n_ids]]
-    sums += [np.bincount(one, df, minlength=n_euler)[:n_euler] for df in t.diffs[1:]]
-    return sums, [r for r in reversed(primes) if r <= t.grids.p_max]
+    two_bins = np.bincount(two, t.diffs[0], minlength=n_ids)[n_euler:n_ids]
+    one_bins = np.bincount(one, t.diffs[1], minlength=n_euler)[:n_euler]
+    return two_bins, one_bins, [r for r in reversed(primes) if r <= t.grids.p_max]
 
 
 def _delta_products(
@@ -412,14 +398,13 @@ def _delta_products(
     primes: tuple[int, ...],
     chars: np.ndarray,
     taus: dict[int, np.ndarray],
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Euler products of the characters of one Delta = prod(primes).
 
     Row i of `chars` is (f(3), v_1, ..., v_k), the values of f at 3 and at
     the support primes; `taus` is the per-prime Gauss-sum dict of
-    _gauss_sums.  Returns one array per P-sum of the tables, (P,) or
-    (P, first form), and the exponent of chi(f)(3) for the rows with
-    f(3) = 0.
+    _gauss_sums.  Returns P(f) for each row, and the exponent of
+    chi(f)(3) for the rows with f(3) = 0.
 
     One table of class ids over the residues mod 9 Delta (_classes) serves
     both sides: each prime grid reads it at p mod 9 Delta (_grid_sums), and
@@ -433,13 +418,9 @@ def _delta_products(
     def masked(bins: np.ndarray) -> np.ndarray:
         return (zero * bins).sum(axis=1)
 
-    (two_bins, *one_bins), dead = _grid_sums(t, primes, ids9, n_ids)
+    two_bins, one_bins, dead = _grid_sums(t, primes, ids9, n_ids)
     two = t.base[0] + masked(two_bins)
-    fix = _dead_fix(dead)
-    logs = [
-        b + masked(bins) + fx + two
-        for b, bins, fx in zip(t.base[1:], one_bins, fix)
-    ]
+    logs = t.base[1] + masked(one_bins) + _dead_fix(dead) + two
 
     f3 = chars[:, 0]
     l_plain, l_twist = _l_values(primes, digits, ids9, e, chars, taus)
@@ -447,7 +428,7 @@ def _delta_products(
     c3 = np.where(e3 == 0, 2.0, -1.0)
     three = np.where(f3 == 0, 1.0 - c3 / 3.0 + 1.0 / 9.0, 1.0)
     scale = (abs(l_plain) * abs(l_twist)) ** 2 * three
-    return tuple(scale * np.exp(lo) for lo in logs), e3
+    return scale * np.exp(logs), e3
 
 
 def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
@@ -461,9 +442,9 @@ def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     buckets of Delta(f), and reads its one character off them."""
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
-    t = _log_tables(_grids_cached(params.p_max), first=False)
+    t = _log_tables(_grids_cached(params.p_max))
     row = [f.f3] + [v for p, v in f.entries if p != 3]
-    (pf,), _ = _delta_products(t, f.supp3, np.array([row], dtype=np.int64), {})
+    pf, _ = _delta_products(t, f.supp3, np.array([row], dtype=np.int64), {})
     return float(pf[0])
 
 
@@ -472,8 +453,8 @@ def _euler_tail_bound(p_max: int) -> float:
     return 2.0 / (sqrt(p_max) * log(p_max)) * 2.0
 
 
-def _delta_weights(d: int, primes: tuple[int, ...]) -> tuple[float, float]:
-    """psi_3(Delta) 3^k / Delta^(3/2), and that times lambda(Delta) =
+def _delta_weights(d: int, primes: tuple[int, ...]) -> float:
+    """lambda(Delta) psi_3(Delta) 3^k / Delta^(3/2), lambda(Delta) =
     prod over r | Delta of (1 + 2 / (sqrt r (r + 2)))^(-1), from the k
     ascending primes of Delta = d, bit for bit as from psi_ell(d, 3) and the
     oracle lambda_delta(d) in tests/oracles.py, which factor d: the exact
@@ -482,7 +463,7 @@ def _delta_weights(d: int, primes: tuple[int, ...]) -> tuple[float, float]:
     lam = 1.0
     for r in primes:
         lam /= 1.0 + 2.0 / (sqrt(r) * (r + 2))
-    return pref, lam * pref
+    return lam * pref
 
 
 @dataclass(frozen=True)
@@ -491,41 +472,39 @@ class HConstants:
     h1: float
     h1_prime: float
     h2: float
-    c_star_form1: float
     p_of_f_max: float
 
 
 def h_constants(params: TruncationParams) -> HConstants:
-    """The Delta-series H0, H1, H1', H2 and the literal first form of the
-    starred constant (before the 2^-2 3^-3 alpha_3 prefactor).
+    """The Delta-series H0, H1, H1', H2 and the largest P(f) with
+    f(3) = 0.  H0 is the starred constant before its 2^-2 3^-3 alpha_3
+    prefactor; the oracle h_constants_literal in tests/oracles.py also
+    sums its first product form, as an independent route.
 
     chi(2f) is the conjugate of chi(f), so c_p, |L|^2 and the factor at 3
     agree and P(2f) = P(f): each conjugate pair, f with first value 1, is
     computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
     the same H1 or H1' bucket.  All characters of one Delta share one
     _delta_products call."""
-    t = _log_tables(_grids_cached(params.p_max), first=True)
+    t = _log_tables(_grids_cached(params.p_max))
     taus: dict[int, np.ndarray] = {}  # tau(chi_r^v) by support prime r
     h0 = _CompensatedSum()
     h1 = _CompensatedSum()
     h1p = _CompensatedSum()
     h2 = _CompensatedSum()
-    form1 = _CompensatedSum()
     p_max_seen = 0.0
     for dI in enumerate_deltas(params.delta_max):
         d = dI.delta
         k = len(dI.primes)
-        pref, w = _delta_weights(d, dI.primes)
+        w = _delta_weights(d, dI.primes)
         # Delta = 1 adds to H2 only: f = 0, whose f(3) = 1 and 2 are conjugate
         f3s = (0, 1, 2) if d > 1 else (1,)
         # V*(Delta) in the order of the oracle enumerate_V, less the second
         # member of each conjugate pair
         vs = [v for v in product((1, 2), repeat=k) if not v or v[0] == 1]
         chars = np.array([(f3,) + v for v in vs for f3 in f3s], dtype=np.int64)
-        (pfs, firsts), e3 = _delta_products(t, dI.primes, chars, taus)
-        for f3, pf, first, e in zip(
-            chars[:, 0].tolist(), pfs.tolist(), firsts.tolist(), e3.tolist()
-        ):
+        pfs, e3 = _delta_products(t, dI.primes, chars, taus)
+        for f3, pf, e in zip(chars[:, 0].tolist(), pfs.tolist(), e3.tolist()):
             if f3:
                 h2.add(w * pf)
                 h2.add(w * pf)
@@ -535,13 +514,11 @@ def h_constants(params: TruncationParams) -> HConstants:
             for _ in range(2):
                 h0.add(w * pf)
                 bucket.add(w * pf)
-                form1.add(pref * first)
     return HConstants(
         h0=h0.value,
         h1=h1.value,
         h1_prime=h1p.value,
         h2=h2.value,
-        c_star_form1=form1.value,
         p_of_f_max=p_max_seen,
     )
 
@@ -613,19 +590,16 @@ def _delta_tail_bound(params: TruncationParams, p_cap: float) -> float:
 
 def constant_report(params: TruncationParams = TruncationParams()) -> ConstantReport:
     """alpha_3, the H-constants, and the assembled leading constants, with
-    crude tail bounds for every truncation.  tails["c_star_forms_gap"] is no
-    such bound: its two forms of c_star sum the same truncated series, so
-    the gap is float rounding (about 1e-14 at the default truncation)."""
+    crude tail bounds for every truncation: tails["euler"], ["delta"] and
+    ["alpha"]."""
     a3 = alpha_ell(3, params.p_max)
     hc = h_constants(params)
     c3 = 0.25 * (_C_H0 * hc.h0 + _C_H1 * hc.h1 + _C_H2 * hc.h2) * a3
     c_star = 0.25 / 27.0 * a3 * hc.h0
-    c_star_f1 = 0.25 / 27.0 * a3 * hc.c_star_form1
     tails = {
         "euler": _euler_tail_bound(params.p_max),
         "delta": _delta_tail_bound(params, hc.p_of_f_max),
         "alpha": 3.0 / params.p_max,
-        "c_star_forms_gap": abs(c_star_f1 - c_star) / c_star if c_star else 0.0,
     }
     return ConstantReport(
         alpha3=a3,
@@ -702,11 +676,10 @@ def char_cancellation_profile(
     # e: exponent of M(pi) as a power of j; ok: M(pi) != 0
     e = np.zeros(len(ps), dtype=np.int64)
     ok = np.ones(len(ps), dtype=bool)
-    for use, g in ((eps[0], f), (eps[1], linear_combination(2, f, 0, f))):
-        if use:
-            eg, okg = _chi_exponent_arrays(g, ps)
-            e += eg
-            ok &= okg
+    if any(eps):  # chi(2f)(p) = chi(f)(p)^2
+        ef, okf = _chi_exponent_arrays(f, ps)
+        e += (eps[0] + 2 * eps[1]) * ef
+        ok &= okf
     for r, (e1, e2) in pattern.items():
         k = 2 * e1 + e2
         if k == 0:

@@ -32,6 +32,7 @@ from itertools import islice, product
 from math import exp, gcd, isqrt, log, prod
 from typing import Iterator, Sequence
 
+from ._primes import check_int
 from .charspace import DeltaIndex, SupportFunction, delta, enumerate_deltas
 from .eisenstein import _chi_exp
 from .ksum import k_direct
@@ -316,8 +317,7 @@ class CountReport:
 
 
 def _check_x(x: int) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError("X must be an integer")
+    check_int(x, "X")
     if x < 0:
         raise ValueError("X must be nonnegative")
     if x > X_MAX:
@@ -613,8 +613,7 @@ def enumerate_terms(
     _check_x(x)
     _check_mode(mode)
     if limit is not None:
-        if isinstance(limit, bool) or not isinstance(limit, int):
-            raise TypeError(f"limit must be an integer, got {limit!r}")
+        check_int(limit, "limit")
         if limit < 0:
             raise ValueError(f"limit must be nonnegative, got {limit}")
     records = list(islice(_terms(x), limit))
@@ -636,8 +635,11 @@ def enumerate_terms(
 
 def log_grid(lo: int, hi: int, n: int) -> list[int]:
     """n log-spaced integers from lo to hi inclusive, rounded, deduplicated
-    and ascending; n = 1 gives [hi].  n is at most 1000, since every X of
-    the grid costs one census."""
+    and ascending; n = 1 gives [hi].  lo, hi and n are integers (TypeError
+    otherwise), and n is at most 1000, since every X of the grid costs one
+    census."""
+    for v, name in ((lo, "lo"), (hi, "hi"), (n, "n")):
+        check_int(v, name)
     if lo < 1 or hi < lo or not 1 <= n <= 1000:
         raise ValueError(
             f"a log grid needs 1 <= lo <= hi and 1 <= n <= 1000, "

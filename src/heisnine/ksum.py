@@ -14,7 +14,8 @@ from math import isqrt, pi as PI, prod
 
 import numpy as np
 
-from ._primes import is_prime, prime_divisors, primes_up_to, progression_sieve
+from ._primes import (check_int, is_prime, prime_divisors, primes_up_to,
+                      progression_sieve)
 
 __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 
@@ -170,8 +171,11 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
 
     The excluded primes come from trial division of d by the primes up to
     sqrt(x).  A cofactor c <= x is then prime; a larger one is searched for
-    divisors in (sqrt(x), x] in blocks (_divisors_above_root).
+    divisors in (sqrt(x), x] in blocks (_divisors_above_root).  x, ell and
+    d are integers (TypeError otherwise).
     """
+    for v, name in ((x, "x"), (ell, "ell"), (d, "d")):
+        check_int(v, name)
     _check_ell(ell)
     if d < 1:
         raise ValueError("d must be positive")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
-from ._primes import primes_in_class, primes_up_to
+from ._primes import check_int, primes_in_class, primes_up_to
 from .charspace import SupportFunction
 from .counting import (
     SubsumClass,
@@ -57,17 +57,20 @@ class SuiteResult:
         return "\n".join([head, *self.failures])
 
 
+# failures kept per suite; the check count goes on past it
+_FAILURE_CAP = 20
+
+
 class _Recorder:
-    def __init__(self, cap: int = 20) -> None:
+    def __init__(self) -> None:
         self.checks = 0
         self.failures: list[str] = []
-        self._cap = cap
 
     def check(self, ok: bool, fmt: str, *args: object) -> None:
         """Count one check; on failure record fmt.format(*args), built only
         then, since most suites run hundreds of thousands of checks."""
         self.checks += 1
-        if not ok and len(self.failures) < self._cap:
+        if not ok and len(self.failures) < _FAILURE_CAP:
             self.failures.append(fmt.format(*args))
 
 
@@ -421,7 +424,7 @@ def _suite_ksum(bound: int) -> _Recorder:
     rec = _Recorder()
     hi = min(bound, 3000)
     for d in (1, 7, 13, 91):
-        acc = 1 if d >= 1 else 0
+        acc = 1
         brute = {1: 1}
         for n in range(2, hi + 1):
             acc += _squarefree_split_weight(n, d)
@@ -463,6 +466,7 @@ def run_suite(name: str, bound: int | None = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn, default = _SUITES[name]
     b = default if bound is None else bound
+    check_int(b, "bound")
     if b < 1:
         raise ValueError("bound must be positive")
     rec = fn(b)

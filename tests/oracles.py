@@ -782,10 +782,13 @@ def _form1_literal(f: SupportFunction, p_max: int) -> float:
     return _literal_scale(f) * float(np.exp(_literal_logs(f, p_max)[1]))
 
 
-def h_constants_literal(params: TruncationParams) -> HConstants:
+def h_constants_literal(params: TruncationParams) -> tuple[HConstants, float]:
     """The Delta-series term by term, each sum exact in math.fsum: every f
     in V*(Delta) and both of its f(3) != 0 shifts get their own Euler
-    products."""
+    products.  Also returns the first product form of the starred
+    constant, sum psi_3 3^k / Delta^(3/2) times _form1_literal over f with
+    f(3) = 0, which equals H0 in exact arithmetic; the package computes
+    only H0."""
     h0: list[float] = []
     h1: list[float] = []
     h1p: list[float] = []
@@ -808,14 +811,14 @@ def h_constants_literal(params: TruncationParams) -> HConstants:
             h0.append(lam * pref * pf)
             (h1 if chi_eval(f, 3) == ROOT(0) else h1p).append(lam * pref * pf)
             form1.append(pref * _form1_literal(f, params.p_max))
-    return HConstants(
+    hc = HConstants(
         h0=fsum(h0),
         h1=fsum(h1),
         h1_prime=fsum(h1p),
         h2=fsum(h2),
-        c_star_form1=fsum(form1),
         p_of_f_max=p_max_seen,
     )
+    return hc, fsum(form1)
 
 
 def grid_sums_by_prime(
@@ -826,7 +829,8 @@ def grid_sums_by_prime(
     3^i e_i of r_i by residue (n_ids where r_i | p), and the dead primes are
     found by a scan of the ids.  Returns the ids on the primes = 1 mod 3 and
     on the primes = 2 mod 3 (both without the h digit), the dead primes in
-    grid order, and the difference arrays of t bucketed by those ids."""
+    grid order, and the two difference arrays of t (the correction over the
+    primes = 2 mod 3, then P) bucketed by those ids."""
     n_ids = 2 * 3 ** (len(primes) + 1)
     n_euler = n_ids // 2
     luts = []
@@ -848,8 +852,7 @@ def grid_sums_by_prime(
     def bins(ids: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.bincount(ids, w, minlength=n_euler)[:n_euler]
 
-    sums = [bins(two, t.diffs[0])] + [bins(one, df) for df in t.diffs[1:]]
-    return one, two, dead, sums
+    return one, two, dead, [bins(two, t.diffs[0]), bins(one, t.diffs[1])]
 
 
 # ---------------------------------------------------------------------------

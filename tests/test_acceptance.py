@@ -20,6 +20,7 @@ from heisnine.constants import (
     TruncationParams,
     char_cancellation_profile,
     constant_report,
+    h_constants,
 )
 from heisnine.counting import SubsumClass, WeightMode, heis_total, log_grid
 from heisnine.eisenstein import (
@@ -39,6 +40,7 @@ from oracles import (
     census_scan_raw_total,
     character_values,
     enumerate_V,
+    h_constants_literal,
     is_cubic_residue,
     l_one,
     l_one_series,
@@ -225,7 +227,11 @@ def test_criterion_6_constants():
 
     assert rep.h0 > 0
     assert rep.h0 == pytest.approx(rep.h1 + rep.h1_prime, rel=1e-12)
-    assert rep.tails["c_star_forms_gap"] <= 1e-3
+    # the P-form against the oracle's first form of the starred constant,
+    # both truncations below p = 55,108, where p**4 wraps in int64
+    for params in (TruncationParams(100, 20000), TruncationParams(300, 50000)):
+        _, form1 = h_constants_literal(params)
+        assert h_constants(params).h0 == pytest.approx(form1, rel=1e-12)
     assert rep.c_heis3 > 0
     assert time.monotonic() - t0 < 30
 

@@ -114,7 +114,8 @@ def test_euler_product_matches_literal_past_int64_fourth_powers(f):
 def test_h_constants_match_literal(params):
     t0 = time.monotonic()
     got = astuple(h_constants(params))
-    want = astuple(h_constants_literal(params))
+    want = astuple(h_constants_literal(params)[0])
+    assert len(got) == 5
     assert got == pytest.approx(want, rel=1e-13)
     assert time.monotonic() - t0 < 30
 
@@ -185,7 +186,7 @@ def test_product_gauss_sums_match_gauss_sum():
 )
 def test_grid_classes_match_per_prime_route(params):
     t0 = time.monotonic()
-    t = _log_tables(_grids_cached(params.p_max), first=True)
+    t = _log_tables(_grids_cached(params.p_max))
     deltas = list(enumerate_deltas(params.delta_max))
     off_grid = 0
     for dI in deltas:
@@ -194,14 +195,14 @@ def test_grid_classes_match_per_prime_route(params):
         n_euler = n_ids // 2
         _, ids9, _ = _classes(dI.primes, np.ones((1, k + 1), dtype=np.int64))
         one, two = _grid_ids(t.grids, ids9)
-        sums, dead = _grid_sums(t, dI.primes, ids9, n_ids)
+        *sums, dead = _grid_sums(t, dI.primes, ids9, n_ids)
         want_one, want_two, want_dead, want_sums = grid_sums_by_prime(t, dI.primes)
         live = want_one < n_euler
         assert np.array_equal(one < n_euler, live), dI
         assert np.array_equal(one[live], want_one[live]), dI
         assert np.array_equal(two - n_euler, want_two), dI  # h = 1 on every p
         assert dead == want_dead, dI
-        assert len(sums) == 3
+        assert len(sums) == 2
         for got, want in zip(sums, want_sums):
             assert np.array_equal(got, want), dI  # bit for bit
         off_grid += len(dI.primes) - len(dead)
@@ -219,7 +220,7 @@ def test_delta_weights_match_psi_ell_and_lambda_delta():
     for dI in deltas:
         d = dI.delta
         pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
-        assert _delta_weights(d, dI.primes) == (pref, lambda_delta(d) * pref), d
+        assert _delta_weights(d, dI.primes) == lambda_delta(d) * pref, d
     assert len(deltas) > 1000
     assert time.monotonic() - t0 < 5
 
@@ -254,8 +255,11 @@ def test_h_partition_and_positivity():
 
 
 def test_star_constant_two_routes_agree():
-    hc = h_constants(SMALL)
-    assert hc.c_star_form1 == pytest.approx(hc.h0, rel=1e-3)
+    # the package's H0 (the P-form) against the oracle's first form, both
+    # truncations below p = 55,108, where p**4 wraps in int64
+    for params in (SMALL, TruncationParams(300, 50000)):
+        _, form1 = h_constants_literal(params)
+        assert h_constants(params).h0 == pytest.approx(form1, rel=1e-12), params
 
 
 def test_report_shape_and_key_order():
@@ -274,6 +278,7 @@ def test_report_shape_and_key_order():
         "tails",
         "params",
     ]
+    assert list(obj["tails"]) == ["euler", "delta", "alpha"]
     assert obj["c_heis3"] > 0
     assert obj["c_heis_star"] > 0
     assert obj["params"]["delta_max"] == 100

@@ -31,6 +31,7 @@ from heisnine.counting import (
     mu_d,
 )
 from heisnine.eisenstein import chi_nine, chi_p, chi_p_table
+from heisnine.verify import run_suite
 
 F = SupportFunction.of
 STAR = WeightMode.OMEGA_STAR
@@ -491,6 +492,27 @@ def test_log_grid_points_and_validation():
     for lo, hi, n in ((0, 10, 3), (10, 9, 3), (1, 10, 0), (1, 10, 1001)):
         with pytest.raises(ValueError):
             log_grid(lo, hi, n)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ksum.k_direct, (10.5, 3)),
+        (ksum.k_direct, (True, 3)),
+        (ksum.k_direct, (100, 3.0)),
+        (ksum.k_direct, (100, 3, 7.0)),
+        (run_suite, ("ksum", True)),
+        (run_suite, ("ksum", 200.0)),
+        (log_grid, (1.5, 10, 3)),
+        (log_grid, (1, 10.0, 3)),
+        (log_grid, (1, 10, True)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or repr(v),
+)
+def test_non_integer_arguments_fail_at_the_boundary(fn, args):
+    # one shared integer test, as for the census bound X and terms' limit
+    with pytest.raises(TypeError, match="must be an integer"):
+        fn(*args)
 
 
 def test_report_cache_is_bounded():
