@@ -319,7 +319,7 @@ def run(argv: list[str] | None = None) -> int:
             _emit(_probe_text(args.x_max), args.out)
         elif args.command == "report":
             _emit(_ratio_text(args), args.out)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -38,7 +38,6 @@ __all__ = [
     "ROOT",
     "EisensteinInt",
     "UNITS",
-    "norm",
     "divrem",
     "eis_gcd",
     "is_primary",
@@ -151,10 +150,6 @@ UNITS: tuple[EisensteinInt, ...] = (
     EisensteinInt(-1, -1),
     EisensteinInt(1, 1),
 )
-
-
-def norm(z: EisensteinInt) -> int:
-    return z.norm
 
 
 def _round_half_to_zero(num: int, den: int) -> int:

@@ -19,7 +19,7 @@ from ._primes import (check_int, is_prime, prime_divisors, primes_up_to,
 
 __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 
-# above _SMALL_MAX the leaf-counting DFS reads its leaf counts off prime
+# the leaf-counting DFS reads its leaf counts off prime
 # counts at the values x // k, so it lists only the primes <= sqrt(x) and
 # holds O(ell sqrt(x)) integers, or x / ell bytes if fewer (at the cap,
 # ell = 3: ~0.25 s, ~7 MB).  The cap stays because a d whose cofactor
@@ -27,33 +27,10 @@ __all__ = ["k_direct", "psi_ell", "alpha_ell"]
 # its limb arithmetic in uint64 only for x <= 2^32
 K_DIRECT_MAX = 10**9
 
-# arguments at or below this threshold hit a cached table; the census asks
-# for tiny x thousands of times
-_SMALL_MAX = 10**4
-
 
 def _check_ell(ell: int) -> None:
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
-
-
-@lru_cache(maxsize=8)
-def _small_table(ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values n, weights (ell-1)^omega(n)) for the small-x fast path."""
-    ns, ws = [], []
-    ps = [p for p in primes_up_to(_SMALL_MAX).tolist() if p % ell == 1]
-    stack = [(1, 1, 0)]
-    while stack:
-        n, w, i = stack.pop()
-        ns.append(n)
-        ws.append(w)
-        for k in range(i, len(ps)):
-            m = n * ps[k]
-            if m > _SMALL_MAX:
-                break
-            stack.append((m, w * (ell - 1), k + 1))
-    order = np.argsort(ns)
-    return np.asarray(ns, dtype=np.int64)[order], np.asarray(ws, dtype=np.int64)[order]
 
 
 def _values(x: int) -> np.ndarray:
@@ -100,7 +77,8 @@ def _class_counts(x: int, ell: int, small: list[int]) -> np.ndarray:
 def _one_counts(x: int, ell: int) -> np.ndarray:
     """The number of primes = 1 (mod ell) up to each value of _values(x),
     read-only, for every d.  The primes are listed when their sieve (x / ell
-    bytes) is no larger than the int64 table of ell classes."""
+    bytes) is no larger than the int64 table of ell classes, as for the
+    census's x = 7; Legendre's class counts serve large x, as 10^7."""
     small = primes_up_to(isqrt(x)).tolist()
     vals = _values(x)
     if x // ell <= 8 * ell * len(vals):
@@ -157,17 +135,17 @@ def _divisors_above_root(c: int, x: int, ell: int) -> list[int]:
 def k_direct(x: int, ell: int, d: int = 1) -> int:
     """Exact K(x; ell, d) by depth-first squarefree products.
 
-    x <= 10^4 reads a cached table.  Above it, the DFS walks products n of
-    increasing admissible primes: p = 1 (mod ell), p not dividing d.  The
-    children of n are n * p for admissible p <= x // n; only those with
-    p * p' <= x // n, p' the next admissible prime, have children of their
-    own and are pushed.  The rest are leaves, and each node adds their
-    weight in one product.  Their number is the count of primes = 1
-    (mod ell) up to x // n, from _one_counts, less the excluded primes up
-    to x // n.  A pushed p is at most sqrt(x), so only the primes up to
-    sqrt(x) are listed.  Time is O(x^(3/4)) for the counts, once per
-    (x, ell), plus one step per pushed node (20,018 nodes at 10^9 for
-    ell = 3); memory is the lesser of O(ell sqrt(x)) integers, x / ell bytes.
+    The DFS walks products n of increasing admissible primes: p = 1
+    (mod ell), p not dividing d.  The children of n are n * p for
+    admissible p <= x // n; only those with p * p' <= x // n, p' the next
+    admissible prime, have children of their own and are pushed.  The rest
+    are leaves, and each node adds their weight in one product.  Their
+    number is the count of primes = 1 (mod ell) up to x // n, from
+    _one_counts, less the excluded primes up to x // n.  A pushed p is at
+    most sqrt(x), so only the primes up to sqrt(x) are listed.  Time is
+    O(x^(3/4)) for the counts, once per (x, ell), plus one step per pushed
+    node (20,018 nodes at 10^9 for ell = 3); memory is the lesser of
+    O(ell sqrt(x)) integers, x / ell bytes.
 
     The excluded primes come from trial division of d by the primes up to
     sqrt(x).  A cofactor c <= x is then prime; a larger one is searched for
@@ -183,17 +161,6 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
         raise ValueError(f"x = {x} exceeds the supported bound {K_DIRECT_MAX}")
     if x < 1:
         return 0
-    if x <= _SMALL_MAX:
-        ns, ws = _small_table(ell)
-        hi = int(np.searchsorted(ns, x, side="right"))
-        if hi == 0:
-            return 0
-        ns, ws = ns[:hi], ws[:hi]
-        if d > 1:
-            # gcd(n, d) = gcd(n, d mod n), and d mod n fits int64 for any d
-            keep = np.gcd(ns, _residues(d, ns)) == 1
-            return int(ws[keep].sum())
-        return int(ws.sum())
     r = isqrt(x)
     small = primes_up_to(r).tolist()
     excluded, ps, c = [], [], d

@@ -218,6 +218,15 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_out_path_that_cannot_be_opened_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.txt"
+    assert run(["count", "--x", "1e12", "--out", str(path)]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert err.startswith("error: ") and "r.txt" in err
+    assert not path.exists()
+
+
 def test_runs_are_byte_identical(capsys):
     argv = ["count", "--x", "3e13", "--format", "csv"]
     assert run(argv) == 0

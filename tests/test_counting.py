@@ -383,7 +383,17 @@ def _clear_census_caches():
     eisenstein._j_image.cache_clear()
     charspace._deltas_cached.cache_clear()
     ksum._one_counts.cache_clear()
-    ksum._small_table.cache_clear()
+
+
+def test_census_k_values_reach_the_prime_counts(monkeypatch):
+    # the census's K-sums at 10^18 all sit at x = 7, where the leaf-counting
+    # DFS reads the primes it lists in the progression 1 (mod 3)
+    _clear_census_caches()
+    calls = []
+    orig = ksum._one_counts
+    monkeypatch.setattr(ksum, "_one_counts", lambda x, ell: calls.append((x, ell)) or orig(x, ell))
+    heis_total(10**18)
+    assert (7, 3) in calls
 
 
 def test_second_mode_at_one_x_matches_cold_call():

@@ -13,7 +13,6 @@ from heisnine import ksum
 from heisnine._primes import primes_up_to, progression_sieve
 from heisnine.ksum import (
     K_DIRECT_MAX,
-    _SMALL_MAX,
     _class_counts,
     _one_counts,
     _values,
@@ -25,7 +24,6 @@ from heisnine.ksum import (
 
 def _clear_ksum_caches():
     ksum._one_counts.cache_clear()
-    ksum._small_table.cache_clear()
 
 
 def test_k_direct_examples():
@@ -42,10 +40,8 @@ def test_k_direct_matches_brute_force():
 
 
 def test_k_direct_small_equals_dfs():
-    # the cached-table path and the DFS must agree across the threshold
-    from heisnine.ksum import _SMALL_MAX
-
-    for x in (_SMALL_MAX - 1, _SMALL_MAX, _SMALL_MAX + 1):
+    # the DFS against the brute-force scan around x = 10^4, at d = 91
+    for x in (9999, 10**4, 10**4 + 1):
         assert k_direct(x, 3, 91) == oracles.k_brute(x, 3, 91)
 
 
@@ -182,8 +178,9 @@ def test_k_direct_huge_d():
     assert k_direct(10**5, 3, d) == k_direct(10**5, 3, 91)
 
 
-def test_k_direct_huge_d_on_the_table_path():
-    # x <= 10^4 reads the cached table, where d meets an int64 gcd
+def test_k_direct_huge_d_with_a_cofactor_above_x():
+    # at x = 5000 trial division clears 7 13 2^64, while the prime cofactor
+    # 2^89 - 1 exceeds x and is searched for divisors by _divisors_above_root
     d = 7 * 13 * 2**64
     assert k_direct(5000, 3, d) == k_direct(5000, 3, 91) == oracles.k_brute(5000, 3, d)
     d = 19 * 37 * (2**89 - 1)  # limbs that all differ from zero
@@ -240,13 +237,13 @@ def test_k_direct_reuses_the_counts_across_d():
 
 
 @pytest.mark.parametrize("ell, path", [(2, "_class_counts"), (3, "progression_sieve")])
-def test_k_direct_above_the_table_on_each_count_path(ell, path, monkeypatch):
-    # just above _SMALL_MAX, ell = 2 counts by classes and ell = 3 lists
-    # its progression; both must match the brute-force scan, cold and warm
+def test_k_direct_on_each_count_path(ell, path, monkeypatch):
+    # at 10^4 + 1, ell = 2 counts by classes and ell = 3 lists its
+    # progression; both must match the brute-force scan, cold and warm
     calls = []
     orig = getattr(ksum, path)
     monkeypatch.setattr(ksum, path, lambda *a: calls.append(a) or orig(*a))
-    x = _SMALL_MAX + 1
+    x = 10**4 + 1
     for d in (1, 91):
         _clear_ksum_caches()
         want = oracles.k_brute(x, ell, d)
