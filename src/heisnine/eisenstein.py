@@ -267,6 +267,9 @@ STANDARD_ARRAY_MAX = 2**30
 # lattice points per block of b-rows, which bounds the working memory
 _BLOCK_POINTS = 2**15
 
+# primes per block that standard_primes_up_to converts to Python ints
+_WALK_ROWS = 2**12
+
 
 def _j_images(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """r = -a / b (mod p), the image of j: pi = a + b*j divides j - r
@@ -482,7 +485,12 @@ def standard_primes_up_to(limit: int) -> Iterator[StandardPrime]:
 
     Built from standard_prime_arrays, so the limit must be an integer no
     larger than STANDARD_ARRAY_MAX = 2^30 (ValueError otherwise, raised at
-    the call).
+    the call).  The arrays turn into Python ints _WALK_ROWS rows at a time,
+    so a walk holds one such block of them, not the whole range.
     """
-    cols = [col.tolist() for col in standard_prime_arrays(limit)]
-    return (StandardPrime(p, EisensteinInt(a, b), r) for p, a, b, r in zip(*cols))
+    cols = standard_prime_arrays(limit)
+    return (
+        StandardPrime(p, EisensteinInt(a, b), r)
+        for start in range(0, len(cols[0]), _WALK_ROWS)
+        for p, a, b, r in zip(*(c[start : start + _WALK_ROWS].tolist() for c in cols))
+    )

@@ -1,16 +1,29 @@
 """Self-contained verification suites behind the `verify` subcommand.
 
 Each suite re-derives a property with an independent route where one exists
-(general Euler criterion for reciprocity, trial-division brute force for the
-K-sum) and reports a deterministic check count plus any failures.  Suites
-never sample randomly, so two runs produce identical output.
+(a general Euler criterion in Z[j] for the cubic symbols and reciprocity,
+trial-division brute force for the K-sum) and reports a deterministic check
+count plus any failures.  Suites never sample randomly, so two runs produce
+identical output.
+
+The Euler criterion runs batched: _euler_symbols takes a block of
+(alpha, beta) int pairs and raises each alpha to its own (N - 1)/3 in
+Z[j]/(N), N = N(beta), on int64 numpy arrays.  The suites' primes come from
+standard_primes_up_to, which refuses limits past STANDARD_ARRAY_MAX = 2^30,
+so N <= 2^30; with both coordinates in [0, N), every product the ladder
+forms is below 2 N^2 <= 2^61 and none wraps.  The suites hand it at most
+_EULER_BLOCK pairs a call, so its working memory does not grow with the
+bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, tee
 from math import isqrt
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ._primes import check_int, primes_in_class, primes_up_to
 from .charspace import SupportFunction
@@ -25,6 +38,7 @@ from .counting import (
 )
 from .eisenstein import (
     ROOT,
+    STANDARD_ARRAY_MAX,
     CharValue,
     EisensteinInt,
     StandardPrime,
@@ -75,14 +89,16 @@ class _Recorder:
 
 
 # ---------------------------------------------------------------------------
-# general cubic symbol for primary denominators, on (a, b) int pairs with its
-# own reduction, so it shares no Z[j] arithmetic with eisenstein
+# general cubic symbol for primary denominators: Euler's criterion in
+# Z[j]/(N(beta)), batched on int64 arrays with its own reduction, so it
+# shares no Z[j] arithmetic with eisenstein and never reads r
 
 
-def _reduce(x: int, y: int, ba: int, bb: int, nb: int) -> tuple[int, int]:
+def _reduce(x, y, ba, bb, nb):
     """x + y*j minus a nearest multiple of beta = ba + bb*j, of norm nb:
     the quotient rounds (x + y*j) conj(beta) / nb componentwise, ties up.
-    The result is zero exactly when beta divides x + y*j."""
+    The result is zero exactly when beta divides x + y*j.  Works alike on
+    ints and on int64 arrays, whose // floors as Python's does."""
     ca, cb = ba - bb, -bb  # conj(beta)
     qa = (2 * (x * ca - y * cb) + nb) // (2 * nb)
     qb = (2 * (x * cb + y * ca - y * cb) + nb) // (2 * nb)
@@ -92,34 +108,68 @@ def _reduce(x: int, y: int, ba: int, bb: int, nb: int) -> tuple[int, int]:
 # j^m as (a, b) pairs, indexed by m
 _J_POWER_PAIRS = ((1, 0), (0, 1), (-1, -1))
 
+# N(beta) <= 2^30, the suites' own cap, keeps every ladder product below
+# 2 N^2 <= 2^61, inside int64
+_EULER_NORM_MAX = STANDARD_ARRAY_MAX
 
-def _symbol_primary(alpha: EisensteinInt, beta: EisensteinInt) -> CharValue:
-    """(alpha / beta)_3 by Euler's criterion for any primary prime beta.
+# (alpha, beta) pairs per call of _euler_symbols in the suites, which bounds
+# the working memory whatever the suite bound
+_EULER_BLOCK = 2**12
 
-    The powers are taken in Z[j]/(N), N = N(beta), each component reduced
+# exponent -1 marks the zero value
+_VALUE_OF_EXP = (ROOT(0), ROOT(1), ROOT(2), ZERO)
+
+
+def _euler_symbols(
+    alphas: Sequence[tuple[int, int]], betas: Sequence[tuple[int, int]]
+) -> list[CharValue]:
+    """(alpha / beta)_3 by Euler's criterion for each pair of (a, b) ints,
+    beta a primary prime of norm N <= 2^30.
+
+    The powers alpha^((N-1)/3) are taken in Z[j]/(N), each component reduced
     by a plain % N: beta divides N = beta conj(beta), so Z[j] -> Z[j]/(N)
-    -> Z[j]/(beta) is reduction mod beta.  _reduce divides by beta only at
-    the zero test on entry and the j^m test on exit.
+    -> Z[j]/(beta) is reduction mod beta.  alpha is reduced mod N as Python
+    ints before it enters the arrays, so any coordinates are fine.  _reduce
+    divides by beta only at the zero test on entry and the j^m test on exit.
     """
-    ba, bb = beta.a, beta.b
-    if ba % 3 != 2 or bb % 3 != 0:
-        raise ValueError(f"{beta!r} is not primary")
-    nb = ba * ba - ba * bb + bb * bb
-    x, y = _reduce(alpha.a, alpha.b, ba, bb, nb)
-    if x == 0 and y == 0:
-        return ZERO
-    x, y = x % nb, y % nb
-    oa, ob = 1, 0
+    if len(alphas) != len(betas):
+        raise ValueError("alphas and betas differ in length")
+    norms = []
+    for ba, bb in betas:
+        if ba % 3 != 2 or bb % 3 != 0:
+            raise ValueError(f"{EisensteinInt(ba, bb)!r} is not primary")
+        nb = ba * ba - ba * bb + bb * bb
+        if nb > _EULER_NORM_MAX:
+            raise ValueError(
+                f"norm of {EisensteinInt(ba, bb)!r} exceeds {_EULER_NORM_MAX}"
+            )
+        norms.append(nb)
+    nb = np.array(norms, dtype=np.int64)
+    ba, bb = np.array(betas, dtype=np.int64).reshape(-1, 2).T
+    x = np.array([a % n for (a, _), n in zip(alphas, norms)], dtype=np.int64)
+    y = np.array([b % n for (_, b), n in zip(alphas, norms)], dtype=np.int64)
+    rx, ry = _reduce(x, y, ba, bb, nb)
+    zero = (rx == 0) & (ry == 0)
+    oa, ob = np.ones_like(nb), np.zeros_like(nb)
     e = (nb - 1) // 3
-    while e:
-        if e & 1:
-            oa, ob = (oa * x - ob * y) % nb, (oa * y + ob * x - ob * y) % nb
+    while e.any():
+        odd = (e & 1) == 1
+        oa, ob = (
+            np.where(odd, (oa * x - ob * y) % nb, oa),
+            np.where(odd, (oa * y + ob * x - ob * y) % nb, ob),
+        )
         x, y = (x - y) * (x + y) % nb, (2 * x - y) * y % nb
         e >>= 1
+    exps = np.full(len(norms), -1, dtype=np.int64)
     for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
-        if _reduce(oa - ja, ob - jb, ba, bb, nb) == (0, 0):
-            return ROOT(m)
-    raise AssertionError(f"Euler criterion failed mod {beta!r}")
+        rx, ry = _reduce(oa - ja, ob - jb, ba, bb, nb)
+        exps[(rx == 0) & (ry == 0)] = m
+    exps[zero] = -1  # beta | alpha reads as zero, even for a unit beta
+    bad = np.flatnonzero((exps < 0) & ~zero)
+    if len(bad):
+        beta = EisensteinInt(*map(int, betas[bad[0]]))
+        raise AssertionError(f"Euler criterion failed mod {beta!r}")
+    return [_VALUE_OF_EXP[m] for m in exps.tolist()]
 
 
 def _symbol_inert(alpha: EisensteinInt, q: int) -> CharValue:
@@ -170,10 +220,40 @@ def _symbol_fast(alpha: EisensteinInt, beta: EisensteinInt, tag: object) -> Char
     return cubic_symbol(alpha, tag)
 
 
+def _sampled_pairs(m: int, stride: int) -> Iterator[tuple[int, int]]:
+    """(i, j) at every stride-th place, counting from 1, in the row-major
+    order of the pairs i < j < m."""
+    seen = 0  # pairs in the rows before row i
+    for i in range(m - 1):
+        row = m - 1 - i
+        for k in range(stride - seen % stride, row + 1, stride):
+            yield i, i + k
+        seen += row
+
+
+def _euler_stream(
+    pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]],
+) -> Iterator[CharValue]:
+    """_euler_symbols along a stream of (alpha, beta) int pairs, at most
+    _EULER_BLOCK of them per call, in stream order."""
+    it = iter(pairs)
+    while block := list(islice(it, _EULER_BLOCK)):
+        alphas, betas = zip(*block)
+        yield from _euler_symbols(alphas, betas)
+
+
 def _suite_reciprocity(bound: int) -> _Recorder:
     rec = _Recorder()
     prs = _primary_primes(bound)
     slow_stride = 997
+    # the independent slow route keeps the fast residue routes honest at
+    # every slow_stride-th pair: (b / a) then (a / b), read in pair order
+    coords = [(beta.a, beta.b) for beta, _ in prs]
+    slow = _euler_stream(
+        pair
+        for i, j in _sampled_pairs(len(prs), slow_stride)
+        for pair in ((coords[j], coords[i]), (coords[i], coords[j]))
+    )
     n = 0
     for i, (a, ta) in enumerate(prs):
         for b, tb in prs[i + 1 :]:
@@ -182,9 +262,9 @@ def _suite_reciprocity(bound: int) -> _Recorder:
             rec.check(va == vb, "reciprocity fails for {} and {}", a, b)
             n += 1
             if n % slow_stride == 0:
-                # independent slow route keeps the fast residue routes honest
+                sa, sb = next(slow), next(slow)
                 rec.check(
-                    va == _symbol_primary(b, a) and vb == _symbol_primary(a, b),
+                    va == sa and vb == sb,
                     "fast and general symbol routes differ at {}, {}",
                     a,
                     b,
@@ -192,21 +272,37 @@ def _suite_reciprocity(bound: int) -> _Recorder:
     return rec
 
 
+def _symbol_pairs(
+    sps: Iterable[StandardPrime], alphas: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (alpha, beta) int pairs the symbols suite reads off the Z[j]
+    route, 15 per prime in the order of its checks."""
+    for sp in sps:
+        pi, bar = sp.pi, sp.pi.conj()
+        for alpha in alphas:
+            yield alpha, (pi.a, pi.b)
+            yield alpha, (bar.a, bar.b)
+        yield (sp.p // 3 + 1, 0), (pi.a, pi.b)
+
+
 def _suite_symbols(bound: int) -> _Recorder:
     rec = _Recorder()
     alphas = [EisensteinInt(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
-    for sp in standard_primes_up_to(bound):
+    # the Z[j] route runs at most one block ahead of the checks
+    sps, ahead = tee(standard_primes_up_to(bound))
+    slow = _euler_stream(_symbol_pairs(ahead, [(a.a, a.b) for a in alphas]))
+    for sp in sps:
         # the library's F_p route at pi and at conj(pi) against the Z[j] one
         bar = _conjugate(sp)
         for alpha in alphas:
             rec.check(
-                cubic_symbol(alpha, sp) == _symbol_primary(alpha, sp.pi),
+                cubic_symbol(alpha, sp) == next(slow),
                 "fp symbol of {} differs mod {}",
                 alpha,
                 sp.p,
             )
             rec.check(
-                cubic_symbol(alpha, bar) == _symbol_primary(alpha, bar.pi),
+                cubic_symbol(alpha, bar) == next(slow),
                 "fp symbol of {} differs mod the conjugate factor of {}",
                 alpha,
                 sp.p,
@@ -217,7 +313,7 @@ def _suite_symbols(bound: int) -> _Recorder:
         n2 = sp.p // 2 + 1
         v1, v2 = chi_p(sp.p, n1), chi_p(sp.p, n2)
         rec.check(
-            v1 == _symbol_primary(EisensteinInt(n1, 0), sp.pi),
+            v1 == next(slow),
             "chi_{}({}) differs from the symbol",
             sp.p,
             n1,

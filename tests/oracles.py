@@ -9,7 +9,8 @@ and the prime walks are the exceptions: they keep loops the package
 replaced, on top of package primitives.
 
 - The object-route symbol keeps the EisensteinInt Euler criterion, on top
-  of the package's divrem, that verify._symbol_primary runs on int pairs.
+  of the package's divrem, that verify._euler_symbols runs batched on int64
+  arrays.
 - The pair functions keep the route over validated support functions that
   the package replaced with its tuple kernel: indicator_literal (kernel
   generators through linear_combination and chi_eval, each factor tested
@@ -278,8 +279,8 @@ def symbol_exp_by_euler(alpha: tuple[int, int], p: int) -> int | None:
 
 def symbol_eis_literal(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
     """(alpha / pi)_3 by Euler's criterion on EisensteinInt objects, every
-    product reduced by divrem: the route verify._symbol_primary runs as the
-    same criterion on int pairs."""
+    product reduced by divrem: the route verify._euler_symbols runs as the
+    same criterion, batched on int64 arrays.  Python ints, so any norm."""
     pi = sp.pi
 
     def mulmod(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from heisnine.eisenstein import (
+    _WALK_ROWS,
     _j_images,
     _standard_prime_arrays,
     ROOT,
@@ -28,7 +29,7 @@ from heisnine.eisenstein import (
     standard_primes_up_to,
 )
 from heisnine._primes import is_prime, primes_in_class
-from heisnine.verify import _symbol_primary
+from heisnine.verify import _euler_symbols
 
 E = EisensteinInt
 
@@ -219,6 +220,14 @@ def test_standard_primes_small_limits():
     assert list(standard_primes_up_to(np.int64(7))) == [standard_decompose(7)]
 
 
+def test_standard_primes_walk_matches_arrays_across_blocks():
+    # 4,784 split primes up to 10^5 reach the walk in two blocks of ints
+    rows = list(zip(*(col.tolist() for col in standard_prime_arrays(10**5))))
+    walk = [(sp.p, sp.pi.a, sp.pi.b, sp.r) for sp in standard_primes_up_to(10**5)]
+    assert len(walk) == 4784 > _WALK_ROWS
+    assert walk == rows
+
+
 def _split_primes_from(start, k):
     out = []
     n = start + (1 - start) % 3
@@ -239,8 +248,9 @@ def test_decomposition_invariants_large(p):
     assert is_primary(pi) and pi.b > 0
     assert 2 <= sp.r <= p - 2 and (sp.r * sp.r + sp.r + 1) % p == 0
     assert divrem(E(-sp.r, 1), pi)[1].is_zero
+    # past the 2^30 norms of the batched Z[j] route: the object route
     for n in (2, 7):
-        assert chi_p(p, n) == _symbol_primary(E(n, 0), pi)
+        assert chi_p(p, n) == oracles.symbol_eis_literal(E(n, 0), sp)
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +341,29 @@ def test_symbol_multiplicative(p, x, y):
     assert cubic_symbol(x * y, sp) == cubic_symbol(x, sp) * cubic_symbol(y, sp)
 
 
+def _euler_at(pairs):
+    """The batched Z[j] route on (alpha, StandardPrime) pairs, at each pi."""
+    return _euler_symbols(
+        [(alpha.a, alpha.b) for alpha, _ in pairs],
+        [(s.pi.a, s.pi.b) for _, s in pairs],
+    )
+
+
 @given(st.sampled_from(split_primes(500)), elements)
 def test_symbol_codepaths_agree(p, x):
     sp = standard_decompose(p)
-    assert cubic_symbol(x, sp) == _symbol_primary(x, sp.pi)
+    assert [cubic_symbol(x, sp)] == _euler_at([(x, sp)])
 
 
 def test_eis_symbol_matches_object_route_on_small_grid():
     grid = [E(x, y) for x in range(-8, 9) for y in range(-8, 9)]
+    pairs = []
     for p in split_primes(400):
         sp = standard_decompose(p)
         other = StandardPrime(p, sp.pi.conj(), (-1 - sp.r) % p)
-        for sp in (sp, other):
-            for alpha in grid:
-                want = oracles.symbol_eis_literal(alpha, sp)
-                assert _symbol_primary(alpha, sp.pi) == want, (alpha, sp)
+        pairs += [(alpha, s) for s in (sp, other) for alpha in grid]
+    want = [oracles.symbol_eis_literal(alpha, s) for alpha, s in pairs]
+    assert _euler_at(pairs) == want
 
 
 @pytest.mark.parametrize("p", [7, 13, 97, 9973])
@@ -358,19 +376,17 @@ def test_eis_symbol_matches_object_route_past_p(p):
     alphas += [
         z * m for z in (sp.pi, other.pi, E(p, 0)) for m in (E(1, 0), E(2, -1), E(p + 3, 5))
     ]
-    for s in (sp, other):
-        for alpha in alphas:
-            want = oracles.symbol_eis_literal(alpha, s)
-            assert _symbol_primary(alpha, s.pi) == want, (alpha, s)
+    pairs = [(alpha, s) for s in (sp, other) for alpha in alphas]
+    want = [oracles.symbol_eis_literal(alpha, s) for alpha, s in pairs]
+    assert _euler_at(pairs) == want
 
 
 def test_eis_symbol_matches_object_route_on_suite_alphas():
     # the seven alphas of the symbols suite, at its default bound
     alphas = [E(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
-    for sp in standard_primes_up_to(10**4):
-        for alpha in alphas:
-            want = oracles.symbol_eis_literal(alpha, sp)
-            assert _symbol_primary(alpha, sp.pi) == want, (alpha, sp.p)
+    pairs = [(alpha, sp) for sp in standard_primes_up_to(10**4) for alpha in alphas]
+    want = [oracles.symbol_eis_literal(alpha, sp) for alpha, sp in pairs]
+    assert _euler_at(pairs) == want
 
 
 @given(st.sampled_from(split_primes(500)), elements)

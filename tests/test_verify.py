@@ -5,22 +5,30 @@ import time
 import pytest
 
 from heisnine import verify
+from heisnine._primes import is_prime
 from heisnine.eisenstein import (
     ROOT,
     ZERO,
     EisensteinInt,
+    StandardPrime,
     cubic_symbol,
     standard_decompose,
 )
 from heisnine.verify import (
     SUITE_NAMES,
+    _euler_symbols,
+    _sampled_pairs,
     _symbol_inert,
-    _symbol_primary,
     indicator_pairs,
     run_suite,
 )
 
+import oracles
 from oracles import symbol_exp_by_euler
+
+
+def _pairs(zs):
+    return [(z.a, z.b) for z in zs]
 
 
 SMALL_BOUNDS = {
@@ -56,37 +64,46 @@ def test_result_text_shape():
 
 def test_general_symbol_matches_oracle():
     # (alpha / conj pi) = conj (conj alpha / pi): the branch reciprocity uses
+    alphas, betas, want = [], [], []
     for p in (7, 13, 19, 31):
-        sp = standard_decompose(p)
+        pi = standard_decompose(p).pi
+        bar = pi.conj()
         for a in range(-3, 4):
             for b in range(-3, 4):
-                alpha = EisensteinInt(a, b)
                 e = symbol_exp_by_euler((a, b), p)
-                got = _symbol_primary(alpha, sp.pi)
-                assert got.exp == e
                 ec = symbol_exp_by_euler((a - b, -b), p)
-                got = _symbol_primary(alpha, sp.pi.conj())
-                assert got.exp == (None if ec is None else -ec % 3)
+                alphas += [(a, b), (a, b)]
+                betas += [(pi.a, pi.b), (bar.a, bar.b)]
+                want += [e, None if ec is None else -ec % 3]
+    assert [v.exp for v in _euler_symbols(alphas, betas)] == want
 
 
 @pytest.mark.parametrize("q", [2, 5, 11, 47])
 def test_general_symbol_at_inert_q_matches_inert_route(q):
     # beta = q has norm q^2, so the ladder runs mod q^2; alpha is far past it
-    for a in (-3 * q * q - 1, 1, q, 7 * q * q + 2):
-        for b in (-5 * q * q + 3, 0, q * q, 4 * q * q * q - 1):
-            alpha = EisensteinInt(a, b)
-            assert _symbol_primary(alpha, EisensteinInt(q, 0)) == _symbol_inert(alpha, q)
+    alphas = [
+        EisensteinInt(a, b)
+        for a in (-3 * q * q - 1, 1, q, 7 * q * q + 2)
+        for b in (-5 * q * q + 3, 0, q * q, 4 * q * q * q - 1)
+    ]
+    got = _euler_symbols(_pairs(alphas), [(q, 0)] * len(alphas))
+    assert got == [_symbol_inert(alpha, q) for alpha in alphas]
 
 
 @pytest.mark.parametrize("p", [7, 13, 97, 9973])
 def test_general_symbol_matches_oracle_past_the_norm(p):
-    sp = standard_decompose(p)
-    for a, b in ((3 * p + 2, -5 * p - 1), (-p * p - 4, p * p + 7), (p, 2 * p)):
+    pi = standard_decompose(p).pi
+    bar = pi.conj()
+    grid = ((3 * p + 2, -5 * p - 1), (-p * p - 4, p * p + 7), (p, 2 * p))
+    got = _euler_symbols(
+        [ab for ab in grid for _ in range(2)], [(pi.a, pi.b), (bar.a, bar.b)] * 3
+    )
+    want = []
+    for a, b in grid:
         e = symbol_exp_by_euler((a, b), p)
-        assert _symbol_primary(EisensteinInt(a, b), sp.pi).exp == e
         ec = symbol_exp_by_euler((a - b, -b), p)
-        got = _symbol_primary(EisensteinInt(a, b), sp.pi.conj())
-        assert got.exp == (None if ec is None else -ec % 3)
+        want += [e, None if ec is None else -ec % 3]
+    assert [v.exp for v in got] == want
 
 
 @pytest.mark.parametrize(
@@ -94,9 +111,56 @@ def test_general_symbol_matches_oracle_past_the_norm(p):
     [EisensteinInt(3, 1), EisensteinInt(-2, -3), EisensteinInt(7, 0)],
 )
 def test_general_symbol_rejects_beta_that_is_not_primary(beta):
-    # an associate of a prime (3 + j, -(2 + 3j)) or a split rational prime
-    with pytest.raises(ValueError):
-        _symbol_primary(EisensteinInt(2, 1), beta)
+    # an associate of a prime (3 + j, -(2 + 3j)) or a split rational prime,
+    # in a batch whose other betas are primary primes
+    with pytest.raises(ValueError, match="not primary"):
+        _euler_symbols([(2, 1)] * 3, [(2, 3), (beta.a, beta.b), (5, 0)])
+
+
+def test_general_symbol_rejects_norm_past_int64_ladder():
+    # 32771 = 2 mod 3 is primary, and its norm 32771^2 exceeds 2^30
+    with pytest.raises(ValueError, match="exceeds"):
+        _euler_symbols([(2, 1)] * 2, [(2, 3), (32771, 0)])
+
+
+def test_general_symbol_raises_when_the_power_is_not_a_root():
+    # 5 - 3j = -(2 + 3j)^2 is primary but not prime: 3^16 is no j^m mod it
+    with pytest.raises(AssertionError, match=r"a=5, b=-3\)"):
+        _euler_symbols([(2, 1), (3, 0), (2, 1)], [(2, 3), (5, -3), (5, 0)])
+
+
+def test_general_symbol_at_the_int64_edge():
+    # the largest split p <= 2^30 and inert q with q^2 <= 2^30 put the
+    # ladder's products nearest 2^61; coordinates past 2^63 must be reduced
+    # mod N before they enter the arrays
+    p = max(n for n in range(2**30 - 300, 2**30 + 1) if n % 3 == 1 and is_prime(n))
+    q = max(n for n in range(2**15 - 300, 2**15) if n % 3 == 2 and is_prime(n))
+    assert (p, q) == (1073741719, 32717)
+    sp = standard_decompose(p)
+    bar = StandardPrime(p, sp.pi.conj(), (-1 - sp.r) % p)
+    big = 2**64
+    alphas = [EisensteinInt(big + 5 * t, -3 * big + t * t) for t in range(1, 9)]
+    alphas += [EisensteinInt(-(2**63) - t, 2**70 + 7 * t) for t in range(1, 9)]
+    alphas += [
+        z * EisensteinInt(big + 1, 2) for z in (sp.pi, bar.pi, EisensteinInt(q, 0))
+    ]
+    betas = [(sp.pi.a, sp.pi.b), (bar.pi.a, bar.pi.b), (q, 0)]
+    got = _euler_symbols(_pairs(alphas) * 3, [beta for beta in betas for _ in alphas])
+    want = [oracles.symbol_eis_literal(alpha, s) for s in (sp, bar) for alpha in alphas]
+    want += [_symbol_inert(alpha, q) for alpha in alphas]
+    assert got == want
+    assert {v.exp for v in want} == {None, 0, 1, 2}
+
+
+def test_sampled_pairs_match_the_counted_walk():
+    for m in (0, 1, 2, 5, 40, 150):
+        walk = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for stride in (1, 3, 7, 997):
+            assert list(_sampled_pairs(m, stride)) == walk[stride - 1 :: stride]
+
+
+def _all_zero(alphas, betas):
+    return [ZERO] * len(alphas)
 
 
 def _flip_at_seven(orig):
@@ -152,9 +216,28 @@ def test_failure_text_unchanged(monkeypatch):
     monkeypatch.setattr(verify, "_symbol_fast", _flip_at_seven(verify._symbol_fast))
     assert run_suite("reciprocity", 50).to_text() == _RECIPROCITY_FLIP_TEXT
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "_symbol_primary", lambda alpha, beta: ZERO)
+    monkeypatch.setattr(verify, "_euler_symbols", _all_zero)
     assert run_suite("reciprocity", 600).to_text() == _RECIPROCITY_SLOW_TEXT
     assert run_suite("symbols", 7).to_text() == _SYMBOLS_TEXT
+
+
+def test_reciprocity_failures_keep_the_walk_order(monkeypatch):
+    # the slow route's values are read in pair order, so a slow failure
+    # lands between the fast ones around it, as the walk meets them
+    last = verify._primary_primes(600)[-1][0]
+    orig = verify._symbol_fast
+
+    def fast(alpha, beta, tag):
+        v = orig(alpha, beta, tag)
+        return v.conj() if beta == last else v
+
+    monkeypatch.setattr(verify, "_symbol_fast", fast)
+    monkeypatch.setattr(verify, "_euler_symbols", _all_zero)
+    res = run_suite("reciprocity", 600)
+    slow = [i for i, f in enumerate(res.failures) if f.startswith("fast and general")]
+    assert (res.checks, len(res.failures), slow) == (5465, 20, [6, 17])
+    assert res.failures[6] == "fast and general symbol routes differ at -7-3j, -7-6j"
+    assert res.failures[5] == f"reciprocity fails for -1-6j and {last}"
 
 
 def test_symbols_suite_checks_the_conjugate_factor(monkeypatch):
@@ -178,7 +261,7 @@ def test_symbols_suite_at_its_default_bound_in_budget():
     res = run_suite("symbols")
     elapsed = time.monotonic() - t0
     assert res.ok and (res.bound, res.checks) == (10**4, 10387)
-    assert elapsed < 3
+    assert elapsed < 0.5
 
 
 def test_inert_symbol_cube_classes():
