@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from math import log, prod, sqrt
 from numbers import Integral
@@ -67,8 +67,9 @@ DELTA_MAX_CAP = 10**6
 @dataclass(frozen=True)
 class TruncationParams:
     """delta_max in [1, DELTA_MAX_CAP] and p_max in [100, P_MAX_CAP], both
-    integers (not bool); anything else raises ValueError here, before any
-    sieve is allocated."""
+    integers (not bool), with delta_max <= p_max, so every support prime
+    lies on the prime grids; anything else raises ValueError here, before
+    any sieve is allocated."""
 
     delta_max: int = 2000
     p_max: int = 10**6
@@ -84,6 +85,8 @@ class TruncationParams:
             )
         if not 100 <= self.p_max <= P_MAX_CAP:
             raise ValueError(f"p_max must be in [100, {P_MAX_CAP}], got {self.p_max}")
+        if self.delta_max > self.p_max:
+            raise ValueError(f"delta_max {self.delta_max} exceeds p_max {self.p_max}")
 
 
 class _CompensatedSum:
@@ -108,40 +111,6 @@ class _CompensatedSum:
         return self.s + self.c
 
 
-@dataclass(frozen=True)
-class _PrimeGrids:
-    """The primes up to p_max, split by their residue mod 3 and stored once
-    as uint32 (exact below 2^32; TruncationParams caps p_max at 10^8), so a
-    grid's residues mod 9 Delta are uint32 arithmetic (_residues).
-    Descending, so that the sequential bucket sums of _delta_products add
-    the local log differences, all of one sign, smallest first."""
-
-    p_max: int
-    one: np.ndarray  # primes = 1 mod 3 up to p_max
-    two: np.ndarray  # primes = 2 mod 3 up to p_max (includes 2)
-    sqrt_one: np.ndarray
-
-
-def _grids(p_max: int) -> _PrimeGrids:
-    ps = primes_up_to(p_max)[::-1]
-    one = ps[ps % 3 == 1].astype(np.uint32)
-    two = ps[ps % 3 == 2].astype(np.uint32)
-    return _PrimeGrids(p_max, one, two, np.sqrt(one.astype(np.float64)))
-
-
-_grid_cache: dict[int, _PrimeGrids] = {}
-
-
-def _grids_cached(p_max: int) -> _PrimeGrids:
-    g = _grid_cache.get(p_max)
-    if g is None:
-        g = _grids(p_max)
-        if len(_grid_cache) > 4:
-            _grid_cache.clear()
-        _grid_cache[p_max] = g
-    return g
-
-
 # The local factors see chi(f)(p) only through c_p = 2 Re chi(f)(p): 2 where
 # the exponent of chi(f)(p) is 0, -1 where it is 1 or 2, and 0 at support
 # primes.
@@ -163,6 +132,63 @@ def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
     return np.log1p((-c * two**2 + 1.0) / two**4)
 
 
+@dataclass(frozen=True)
+class _Grids:
+    """Everything of one p_max that no Delta changes.
+
+    The primes up to p_max, split by their residue mod 3 and stored once as
+    uint32 (exact below 2^32; TruncationParams caps p_max at 10^8), so a
+    grid's residues mod 9 Delta are uint32 arithmetic (_residues).
+    Descending, so that the sequential bucket sums of _delta_products add
+    the local log differences, all of one sign, smallest first.
+
+    Over each grid a log-sum of the local factors, the correction over the
+    primes = 2 mod 3 (`two_*`) and P (`one_*`): a scalar base with every
+    prime at c_p = -1, plus a difference array added where the exponent of
+    chi(f)(p) is 0.  One Delta buckets each difference array by the class
+    ids of its grid (_grid_sums), and each of its characters sums the
+    3^(k+1) buckets where the exponent of chi(f) is 0.  `full` is the Euler
+    product of the Delta-series of 6^omega / Delta^(3/2) (_delta_tail_bound).
+    """
+
+    one: np.ndarray  # primes = 1 mod 3 up to p_max
+    two: np.ndarray  # primes = 2 mod 3 up to p_max (includes 2)
+    two_base: float
+    two_diff: np.ndarray
+    one_base: float
+    one_diff: np.ndarray
+    full: float
+
+
+def _log_sum(logs, *args: np.ndarray) -> tuple[float, np.ndarray]:
+    """One grid's log-sum: base (c_p = -1) and difference (2 less -1)."""
+    lo = logs(*args, -1.0)
+    diff = logs(*args, 2.0)
+    diff -= lo
+    return float(lo.sum()), diff
+
+
+# an entry holds 12 bytes per prime: about 69 MB at P_MAX_CAP
+@lru_cache(maxsize=2)
+def _grids(p_max: int) -> _Grids:
+    ps = primes_up_to(p_max)[::-1]
+    one = ps[ps % 3 == 1].astype(np.uint32)
+    two = ps[ps % 3 == 2].astype(np.uint32)
+    # each temporary is freed before the next is made: with ps or the
+    # terms of `full` alive, the build peaked 0.6 MB higher at p_max 10^6
+    del ps
+    p = one.astype(np.float64)
+    full = float(np.exp(np.log1p(6.0 / p**1.5).sum()))
+    two_base, two_diff = _log_sum(_two_grid_logs, two)
+    one_base, one_diff = _log_sum(_p_logs, p, np.sqrt(p))
+    for a in (one, two, two_diff, one_diff):  # shared by every caller
+        a.setflags(write=False)
+    return _Grids(
+        one=one, two=two, two_base=two_base, two_diff=two_diff,
+        one_base=one_base, one_diff=one_diff, full=full,
+    )
+
+
 # Class ids.  A residue n of one Delta = r_1 ... r_k gets the id
 #   e_9 + 3 e_1 + ... + 3^k e_k + 3^(k+1) h,
 # e_9 and e_i the exponents of chi_9(n) and chi_(r_i)(n), and h = 1 iff
@@ -172,37 +198,7 @@ def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
 # the class, and a sum of chi(f)(n) w(n) is a sum over the bucket sums of w.
 
 
-@dataclass(frozen=True)
-class _LogTables:
-    """Log-sums of the local factors over the prime grids of one p_max.
-
-    Each sum is a scalar in `base`, with every prime at c_p = -1, plus a
-    difference array in `diffs` added where the exponent of chi(f)(p) is 0.
-    The sums are, in order: the correction over the primes = 2 mod 3 and
-    P.  One Delta buckets each difference array by the class ids of its
-    grid (_grid_sums), and each of its characters sums the 3^(k+1) buckets
-    where the exponent of chi(f) is 0."""
-
-    grids: _PrimeGrids
-    base: tuple[float, ...]
-    diffs: tuple[np.ndarray, ...]
-
-
-def _log_tables(g: _PrimeGrids) -> _LogTables:
-    p = g.one.astype(np.float64)
-    sums = [(_two_grid_logs, (g.two,)), (_p_logs, (p, g.sqrt_one))]
-    base = []
-    diffs = []
-    for logs, args in sums:
-        lo = logs(*args, -1.0)
-        base.append(float(lo.sum()))
-        diff = logs(*args, 2.0)
-        diff -= lo
-        diffs.append(diff)
-    return _LogTables(g, tuple(base), tuple(diffs))
-
-
-def _dead_fix(rs: list[int]) -> float:
+def _dead_fix(rs: tuple[int, ...]) -> float:
     """Moves the support primes r out of the c_p = -1 class: chi(f)(r) = 0,
     so the local factor of P is 1 + 2/(sqrt r (r + 2))."""
     r = np.array(rs, dtype=np.float64)
@@ -368,7 +364,7 @@ def _residues(ps: np.ndarray, m: np.uint32) -> np.ndarray:
     return r
 
 
-def _grid_ids(g: _PrimeGrids, ids9: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_ids(g: _Grids, ids9: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The class ids of both grids, ids9 at p mod 9 Delta: one uint32
     residue and one gather per grid.  A prime = 1 mod 3 has h = 0, and is
     dead only if it is a support prime; a prime = 2 mod 3 has h = 1 and is
@@ -378,23 +374,21 @@ def _grid_ids(g: _PrimeGrids, ids9: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _grid_sums(
-    t: _LogTables, primes: tuple[int, ...], ids9: np.ndarray, n_ids: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The two difference arrays of t bucketed by the Euler class ids (the
-    ids less their h digit) of the grid they run over, and the dead primes
-    of the grid of primes = 1 mod 3: the support primes up to p_max, read
-    off `primes` in the grid's descending order."""
-    one, two = _grid_ids(t.grids, ids9)
+    g: _Grids, ids9: np.ndarray, n_ids: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two difference arrays of g bucketed by the Euler class ids (the
+    ids less their h digit) of the grid they run over."""
+    one, two = _grid_ids(g, ids9)
     n_euler = n_ids // 2
     # the h offset of the primes = 2 mod 3 comes off by reading their bins
     # from n_euler on
-    two_bins = np.bincount(two, t.diffs[0], minlength=n_ids)[n_euler:n_ids]
-    one_bins = np.bincount(one, t.diffs[1], minlength=n_euler)[:n_euler]
-    return two_bins, one_bins, [r for r in reversed(primes) if r <= t.grids.p_max]
+    two_bins = np.bincount(two, g.two_diff, minlength=n_ids)[n_euler:n_ids]
+    one_bins = np.bincount(one, g.one_diff, minlength=n_euler)[:n_euler]
+    return two_bins, one_bins
 
 
 def _delta_products(
-    t: _LogTables,
+    g: _Grids,
     primes: tuple[int, ...],
     chars: np.ndarray,
     taus: dict[int, np.ndarray],
@@ -418,9 +412,10 @@ def _delta_products(
     def masked(bins: np.ndarray) -> np.ndarray:
         return (zero * bins).sum(axis=1)
 
-    two_bins, one_bins, dead = _grid_sums(t, primes, ids9, n_ids)
-    two = t.base[0] + masked(two_bins)
-    logs = t.base[1] + masked(one_bins) + _dead_fix(dead) + two
+    two_bins, one_bins = _grid_sums(g, ids9, n_ids)
+    two = g.two_base + masked(two_bins)
+    # the support primes are dead on the grid, in its descending order
+    logs = g.one_base + masked(one_bins) + _dead_fix(primes[::-1]) + two
 
     f3 = chars[:, 0]
     l_plain, l_twist = _l_values(primes, digits, ids9, e, chars, taus)
@@ -437,14 +432,15 @@ def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     renormalized through |L(1,chi)|^2 |L(1,(./3)chi)|^2 so the truncated
     local factors are 1 + 2 p^(-3/2) + O(p^-2).
 
-    The one-character case of h_constants: each call builds the log tables
-    of P and of the correction at the primes = 2 mod 3, then the class
-    buckets of Delta(f), and reads its one character off them."""
+    The one-character case of h_constants: each call builds the class
+    buckets of Delta(f) and reads its one character off them."""
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
-    t = _log_tables(_grids_cached(params.p_max))
+    if prod(f.supp3) > params.p_max:  # the domain of TruncationParams
+        raise ValueError(f"Delta(f) = {prod(f.supp3)} exceeds p_max {params.p_max}")
     row = [f.f3] + [v for p, v in f.entries if p != 3]
-    pf, _ = _delta_products(t, f.supp3, np.array([row], dtype=np.int64), {})
+    chars = np.array([row], dtype=np.int64)
+    pf, _ = _delta_products(_grids(params.p_max), f.supp3, chars, {})
     return float(pf[0])
 
 
@@ -486,7 +482,7 @@ def h_constants(params: TruncationParams) -> HConstants:
     computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
     the same H1 or H1' bucket.  All characters of one Delta share one
     _delta_products call."""
-    t = _log_tables(_grids_cached(params.p_max))
+    g = _grids(params.p_max)
     taus: dict[int, np.ndarray] = {}  # tau(chi_r^v) by support prime r
     h0 = _CompensatedSum()
     h1 = _CompensatedSum()
@@ -503,7 +499,7 @@ def h_constants(params: TruncationParams) -> HConstants:
         # member of each conjugate pair
         vs = [v for v in product((1, 2), repeat=k) if not v or v[0] == 1]
         chars = np.array([(f3,) + v for v in vs for f3 in f3s], dtype=np.int64)
-        pfs, e3 = _delta_products(t, dI.primes, chars, taus)
+        pfs, e3 = _delta_products(g, dI.primes, chars, taus)
         for f3, pf, e in zip(chars[:, 0].tolist(), pfs.tolist(), e3.tolist()):
             if f3:
                 h2.add(w * pf)
@@ -580,12 +576,10 @@ def _delta_tail_bound(params: TruncationParams, p_cap: float) -> float:
     """Positivity bound: the full Delta-series of 6^omega / Delta^(3/2) is
     an Euler product; whatever the truncation misses is below the product
     minus the partial sum, times the largest P(f) lambda psi seen."""
-    ps = _grids_cached(params.p_max).one.astype(np.float64)
-    full = float(np.exp(np.log1p(6.0 / ps**1.5).sum()))
     partial = 0.0
     for dI in enumerate_deltas(params.delta_max):
         partial += 6 ** len(dI.primes) / dI.delta**1.5
-    return max(full - partial, 0.0) * p_cap
+    return max(_grids(params.p_max).full - partial, 0.0) * p_cap
 
 
 def constant_report(params: TruncationParams = TruncationParams()) -> ConstantReport:

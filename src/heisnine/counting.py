@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
 from math import exp, gcd, isqrt, log, prod
 from typing import Iterator, Sequence
@@ -547,27 +548,17 @@ def _terms(x: int) -> Iterator[RawTerm]:
         yield df, dfp, f_ent, fp_ent, 3, d3, row + 7, w
 
 
-# Memo of finished censuses by X: the mode-free subsums C1..C14, the 3 | d
-# classes without the w3 factor.  Both weight modes, verify suites, ratio
-# grids and subsum lookups ask for the same X many times.  Cleared when
-# full, so it stays bounded.
-_report_cache: dict[int, tuple[int, ...]] = {}
-_REPORT_CACHE_MAX = 256
-
-
+# Memoized by X: both weight modes, verify suites, ratio grids and subsum
+# lookups ask for the same X many times.
+@lru_cache(maxsize=256)
 def _census(x: int) -> tuple[int, ...]:
-    """Mode-free subsums at X = x.  One pass serves both weight modes: every
-    3 | d weight is u * w3 * K."""
-    if x in _report_cache:
-        return _report_cache[x]
+    """Mode-free subsums C1..C14 at X = x, the 3 | d classes without the w3
+    factor.  One pass serves both weight modes: every 3 | d weight is
+    u * w3 * K."""
     subs = [0] * 15
     for t in _terms(x):
         subs[t[6]] += t[7]
-    base = tuple(subs[1:])
-    if len(_report_cache) >= _REPORT_CACHE_MAX:
-        _report_cache.clear()
-    _report_cache[x] = base
-    return base
+    return tuple(subs[1:])
 
 
 def _report(x: int, mode: WeightMode, base: tuple[int, ...]) -> CountReport:

@@ -303,14 +303,14 @@ def standard_prime_arrays(
     2^15 of the ~0.2 limit lattice points, with a sieve of limit / 6 bytes;
     each block finds its r by one vectorised extended Euclid, and the rows
     are sorted by norm.  That takes about 20 ms at 10^6 and 0.2 s at 10^7
-    (2 cores, Python 3.11).  A limit that is not an integer or exceeds
-    STANDARD_ARRAY_MAX = 2^30 raises ValueError.
+    (2 cores, Python 3.11).  A limit that is not an integer (a bool is not
+    one) or exceeds STANDARD_ARRAY_MAX = 2^30 raises ValueError.
 
     A one-entry cache keeps the arrays of the last limit, so callers that
     walk the same range again decompose it once.  The arrays are shared
     between those callers and therefore read-only.
     """
-    if not isinstance(limit, Integral):
+    if isinstance(limit, bool) or not isinstance(limit, Integral):
         raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit > STANDARD_ARRAY_MAX:
         raise ValueError(f"limit {limit} exceeds the supported {STANDARD_ARRAY_MAX}")

@@ -211,36 +211,21 @@ def psi_ell(d: int, ell: int) -> Fraction:
 
 
 def alpha_ell(ell: int, p_max: int = 10**6) -> float:
-    """Leading density alpha_ell in K(x; ell, 1) ~ alpha_ell x.
-
-    ell = 3 uses the absolutely convergent rewriting
+    """Leading density alpha_ell in K(x; ell, 1) ~ alpha_ell x, for ell = 3
+    only (ValueError otherwise), from the absolutely convergent rewriting
         alpha_3 = (3/4) L(1, (./3)) prod_p g(p),
     g(p) = 1 - 1/p^2 (p = 2 mod 3), (1 + 2/p)(1 - 1/p)^2 (p = 1 mod 3),
     8/9 (p = 3), with L(1, (./3)) = pi / 3^(3/2); the truncation error is
-    O(1/p_max).  Other ell fall back to Cesaro-damped partial products of
-    the conditionally convergent Euler product; accuracy is poor (a few
-    percent) and documented as such.
+    O(1/p_max).
     """
-    _check_ell(ell)
+    if ell != 3:
+        raise ValueError(f"alpha_ell is computed for ell = 3 only, got {ell}")
     ps = primes_up_to(p_max).astype(np.float64)
-    if ell == 3:
-        l_value = PI / 3**1.5
-        one = ps[ps % 3 == 1]
-        two = ps[ps % 3 == 2]
-        log_prod = (
-            np.log1p(-1.0 / two**2).sum()
-            + (np.log1p(2.0 / one) + 2.0 * np.log1p(-1.0 / one)).sum()
-            + np.log(8.0 / 9.0)
-        )
-        return 0.75 * l_value * float(np.exp(log_prod))
-    # sum over all nontrivial characters mod ell collapses to a real form:
-    # factor (1 + (ell-1)[p = 1 mod ell]/p)(1 - 1/p), damped by averaging
-    # the partial products over the second half of the prime cutoffs
-    factors = np.where(
-        ps % ell == 1, 1.0 + (ell - 1.0) / ps, np.where(ps == ell, 1.0 + 1.0 / ps, 1.0)
+    one = ps[ps % 3 == 1]
+    two = ps[ps % 3 == 2]
+    log_prod = (
+        np.log1p(-1.0 / two**2).sum()
+        + (np.log1p(2.0 / one) + 2.0 * np.log1p(-1.0 / one)).sum()
+        + np.log(8.0 / 9.0)
     )
-    logs = np.log(factors) + np.log1p(-1.0 / ps)
-    partial = np.cumsum(logs)
-    half = len(partial) // 2
-    damped = np.exp(partial[half:]).mean()
-    return float(ell / (ell + 1.0) * damped)
+    return 0.75 * (PI / 3**1.5) * float(np.exp(log_prod))

@@ -1,8 +1,10 @@
 """Front-end behavior: flag parsing, exit codes, deterministic output, and
-the package's public names."""
+the package's public names and module caches."""
 
 import importlib
+import inspect
 import json
+import pkgutil
 import time
 
 import pytest
@@ -118,6 +120,14 @@ def test_constant_truncation_out_of_range_is_domain_error(flags, capsys):
     _, err = _out(capsys)
     assert err.startswith("error:") and "must be in" in err
     assert time.monotonic() - t0 < 1
+
+
+def test_constant_delta_max_above_p_max_is_domain_error(capsys):
+    # refused before any report, so no tail.delta of 0.0 is printed
+    assert run(["constant", "--delta-max", "2000", "--p-max", "100"]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert err.startswith("error:") and "exceeds p_max" in err
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -359,3 +369,22 @@ def test_public_names():
         getattr(heisnine, name)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("heisnine.lfunctions")
+
+
+def test_no_module_cache_grows_with_every_call():
+    # every functools cache has a finite maxsize or wraps a function of no
+    # parameters; the one module-level cache dict keeps its own one-entry
+    # rule (the census skeleton)
+    caches, dicts = [], []
+    for info in pkgutil.iter_modules(heisnine.__path__):
+        mod = importlib.import_module(f"heisnine.{info.name}")
+        for attr, val in vars(mod).items():
+            name = f"{info.name}.{attr}"
+            if hasattr(val, "cache_info") and val.__module__ == mod.__name__:
+                caches.append(name)
+                params = inspect.signature(val).parameters
+                assert val.cache_info().maxsize is not None or not params, name
+            elif isinstance(val, dict) and attr.endswith("_cache"):
+                dicts.append(name)
+    assert {"constants._grids", "counting._census"} <= set(caches)
+    assert dicts == ["counting._skeleton_cache"]

@@ -26,9 +26,8 @@ from heisnine.constants import (
     _gauss_sums,
     _grid_ids,
     _grid_sums,
-    _grids_cached,
+    _grids,
     _l_values,
-    _log_tables,
     char_cancellation_profile,
     constant_report,
     euler_product_P,
@@ -101,13 +100,13 @@ def test_euler_product_matches_literal_past_int64_fourth_powers(f):
 
 @pytest.mark.parametrize(
     "params",
-    # (300, 200): support primes between p_max and delta_max lie off the grid;
-    # (1729, 1000): the first Delta with three support primes
+    # (300, 300): p_max as small as delta_max allows; (1729, 1729): the
+    # first Delta with three support primes
     [
         SMALL,
         TruncationParams(300, 50000),
-        TruncationParams(300, 200),
-        TruncationParams(1729, 1000),
+        TruncationParams(300, 300),
+        TruncationParams(1729, 1729),
     ],
     ids=str,
 )
@@ -180,36 +179,35 @@ def test_product_gauss_sums_match_gauss_sum():
 
 @pytest.mark.parametrize(
     "params",
-    # (300, 200): support primes above p_max are off the grid, not dead
-    [TruncationParams(2000, 10**6), TruncationParams(300, 200)],
+    # (300, 300): p_max as small as delta_max allows
+    [TruncationParams(2000, 10**6), TruncationParams(300, 300)],
     ids=str,
 )
 def test_grid_classes_match_per_prime_route(params):
     t0 = time.monotonic()
-    t = _log_tables(_grids_cached(params.p_max))
+    g = _grids(params.p_max)
+    assert not any(a.flags.writeable for a in (g.one, g.two, g.one_diff, g.two_diff))
     deltas = list(enumerate_deltas(params.delta_max))
-    off_grid = 0
     for dI in deltas:
         k = len(dI.primes)
         n_ids = 2 * 3 ** (k + 1)
         n_euler = n_ids // 2
         _, ids9, _ = _classes(dI.primes, np.ones((1, k + 1), dtype=np.int64))
-        one, two = _grid_ids(t.grids, ids9)
-        *sums, dead = _grid_sums(t, dI.primes, ids9, n_ids)
-        want_one, want_two, want_dead, want_sums = grid_sums_by_prime(t, dI.primes)
+        one, two = _grid_ids(g, ids9)
+        sums = _grid_sums(g, ids9, n_ids)
+        want_one, want_two, want_dead, want_sums = grid_sums_by_prime(g, dI.primes)
         live = want_one < n_euler
         assert np.array_equal(one < n_euler, live), dI
         assert np.array_equal(one[live], want_one[live]), dI
         assert np.array_equal(two - n_euler, want_two), dI  # h = 1 on every p
-        assert dead == want_dead, dI
+        # the dead scan finds every support prime (none is off the grid), in
+        # the grid's order: the primes the library hands to _dead_fix
+        assert want_dead == list(reversed(dI.primes)), dI
         assert len(sums) == 2
         for got, want in zip(sums, want_sums):
             assert np.array_equal(got, want), dI  # bit for bit
-        off_grid += len(dI.primes) - len(dead)
     if params.p_max == 10**6:
-        assert DeltaIndex(1729, (7, 13, 19)) in deltas and off_grid == 0
-    else:
-        assert off_grid > 0
+        assert DeltaIndex(1729, (7, 13, 19)) in deltas
     assert time.monotonic() - t0 < 10
 
 
@@ -245,6 +243,20 @@ def test_euler_product_conjugate_symmetry():
 def test_euler_product_rejects_zero_function():
     with pytest.raises(ValueError):
         euler_product_P(SupportFunction(()), SMALL)
+
+
+def test_euler_product_rejects_support_past_p_max():
+    # the domain rule of TruncationParams: Delta(f) <= p_max.  A support
+    # prime above p_max is not on the grid, so its dead-prime correction
+    # would divide out a factor the product never had
+    f = SupportFunction(((211, 1),))
+    with pytest.raises(ValueError, match="exceeds p_max"):
+        euler_product_P(f, TruncationParams(100, 200))
+    with pytest.raises(ValueError, match="exceeds p_max"):
+        # Delta = 133: both primes on the grid, Delta itself past p_max
+        euler_product_P(SupportFunction(((7, 1), (19, 1))), TruncationParams(100, 100))
+    got = euler_product_P(f, TruncationParams(100, 211))
+    assert got == pytest.approx(euler_product_P_literal(f, 211), rel=1e-12)
 
 
 def test_h_partition_and_positivity():
@@ -315,6 +327,27 @@ def test_truncation_params_rejected_at_the_boundary(kwargs):
     with pytest.raises(ValueError):
         TruncationParams(**kwargs)
     assert time.monotonic() - t0 < 0.1
+
+
+def test_truncation_params_refuse_delta_max_above_p_max():
+    # delta_max <= p_max puts every support prime on the grids; the range
+    # checks run first, so their messages do not change
+    for dm, pm in ((2000, 100), (20000, 1000)):
+        with pytest.raises(ValueError, match=f"delta_max {dm} exceeds p_max {pm}"):
+            TruncationParams(dm, pm)
+    with pytest.raises(ValueError, match="delta_max must be in"):
+        TruncationParams(DELTA_MAX_CAP + 1, 100)
+    with pytest.raises(ValueError, match="p_max must be in"):
+        TruncationParams(2000, 10)
+
+
+@pytest.mark.parametrize(
+    "params", [(100, 100), (300, 300), (1729, 1729), (100, 20000)], ids=str
+)
+def test_delta_tail_is_positive_on_the_truncation_domain(params):
+    # every support prime is on the grid, so the Euler product of the
+    # Delta-series exceeds its partial sum
+    assert constant_report(TruncationParams(*params)).tails["delta"] > 0
 
 
 def test_truncation_params_accept_the_caps_and_numpy_ints():

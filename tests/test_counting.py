@@ -378,7 +378,7 @@ def test_terms_stream_matches_literal_route(x):
 
 
 def _clear_census_caches():
-    counting._report_cache.clear()
+    counting._census.cache_clear()
     counting._skeleton_cache.clear()
     eisenstein._j_image.cache_clear()
     charspace._deltas_cached.cache_clear()
@@ -527,7 +527,8 @@ def test_non_integer_arguments_fail_at_the_boundary(fn, args):
 
 def test_report_cache_is_bounded():
     _clear_census_caches()
-    for x in range(counting._REPORT_CACHE_MAX + 10):
+    info = counting._census.cache_info()
+    for x in range(info.maxsize + 10):
         heis_total(x, STAR)
-    assert 0 < len(counting._report_cache) <= counting._REPORT_CACHE_MAX
+    assert counting._census.cache_info().currsize == info.maxsize
     assert not counting._skeleton_cache  # every x < 3^8 has no terms

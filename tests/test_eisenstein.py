@@ -206,7 +206,8 @@ def test_prime_arrays_cache_holds_one_limit():
     assert _standard_prime_arrays.cache_info().maxsize == 1
 
 
-@pytest.mark.parametrize("limit", [100.5, 1e4, STANDARD_ARRAY_MAX + 1])
+# a bool is not an integer limit, though it passes as an Integral
+@pytest.mark.parametrize("limit", [100.5, 1e4, True, False, STANDARD_ARRAY_MAX + 1])
 def test_standard_primes_reject_bad_limit(limit):
     with pytest.raises(ValueError):
         standard_primes_up_to(limit)
@@ -218,6 +219,7 @@ def test_standard_primes_small_limits():
     assert list(standard_primes_up_to(6)) == []
     assert [sp.p for sp in standard_primes_up_to(13)] == [7, 13]
     assert list(standard_primes_up_to(np.int64(7))) == [standard_decompose(7)]
+    assert standard_prime_arrays(np.int64(7))[0].tolist() == [7]
 
 
 def test_standard_primes_walk_matches_arrays_across_blocks():

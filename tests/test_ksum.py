@@ -285,10 +285,7 @@ def test_alpha3_stable_under_pmax():
     assert abs(alpha_ell(3, 10**6) - alpha_ell(3, 2 * 10**6)) < 1e-4
 
 
-def test_alpha_generic_ell_rough():
-    # conditionally convergent route: only rough agreement is promised
-    a7 = alpha_ell(7, 10**6)
-    assert 0 < a7 < 1
-    x = 10**5
-    ratio = k_direct(x, 7) / (a7 * x)
-    assert 0.8 < ratio < 1.25
+@pytest.mark.parametrize("ell", [2, 7])
+def test_alpha_is_for_ell_3_only(ell):
+    with pytest.raises(ValueError, match="ell = 3 only"):
+        alpha_ell(ell)
