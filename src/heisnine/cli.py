@@ -21,6 +21,8 @@ from .counting import (
     CountReport,
     TermRecord,
     WeightMode,
+    _check_mode,
+    _check_x,
     enumerate_terms,
     heis_total,
     log_grid,
@@ -257,7 +259,11 @@ def ratio_report(
     c_estimate: float | None = None,
 ) -> list[RatioRow]:
     """count(X) / X^(1/4) along a grid, against the predicted constant (by
-    default c_heis3 at the default truncation)."""
+    default c_heis3 at the default truncation).  Every X and the mode are
+    checked as heis_total checks them before any constant is computed."""
+    for x in x_values:
+        _check_x(x)
+        _check_mode(mode)
     if c_estimate is None:
         c_estimate = constant_report().c_heis3
     rows = []

@@ -9,17 +9,24 @@ summation in a fixed deterministic order.
 
 The characters chi(f) of one Delta = r_1 ... r_k take their values on
 residue classes: n is classed by the exponents of chi_(r_i)(n) and
-chi_9(n) and by (n/3).  So the work over primes and residues happens once
-per Delta, on one table of class ids over the residues mod 9 Delta: each
-prime grid reads it at p mod 9 Delta, and the L side reads its slice
-below 9 Delta / 2.  The weights (log differences of the local factors,
-log 2 sin(pi a/q) and a) are summed per class with bincount, and each
-character's masked Euler sum and closed-form L-sum is a sum over at most
-2 * 3^(k+1) buckets.  Gauss sums come from per-prime factors instead:
-tau(chi_r) once per support prime r and call, tau of chi_9 and its
-twists once, multiplied out per character.  The per-character closed
-forms over the whole conductor stay in tests/oracles.py as the
-independent route.
+chi_9(n) and by (n/3).  The work is split by what it depends on:
+- per Delta, only what scales with Delta or the prime grid: one table of
+  class ids over the residues mod 9 Delta (_classes), one pass of the grid
+  over it at p mod 9 Delta (_grid_bins), and the L side's bucket sums over
+  its slice below 9 Delta / 2 (_bucket_sums).  The weights (log
+  differences of the local factors, log 2 sin(pi a/q) and a) are summed
+  per class with bincount;
+- per k, once per call: the character rows, their exponents on the
+  2 * 3^(k+1) classes, the zero masks and chi on the classes
+  (_Characters);
+- per support prime r, once per call: tau(chi_r^v) and the dead-prime
+  term (_prime), with chi_r read off a view of the cached chi_p_table;
+- per block of Deltas with the same k: the Gauss sums, from per-prime
+  factors, the L-values, the masked grid sums, the factor at 3 and P(f),
+  each a few elementwise steps and sums over the buckets on (B, rows)
+  arrays (_block_products).
+The per-character closed forms over the whole conductor stay in
+tests/oracles.py as the independent route.
 """
 
 from __future__ import annotations
@@ -30,20 +37,22 @@ from functools import cache, lru_cache
 from itertools import product
 from math import log, prod, sqrt
 from numbers import Integral
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ._primes import primes_up_to
-from .charspace import SupportFunction, enumerate_deltas
+from .charspace import DeltaIndex, SupportFunction, enumerate_deltas
 from .eisenstein import (
     W3,
     _chi_exp,
     _chi_exponent_arrays,
     _chi_exps,
+    chi_p_table,
     standard_decompose,
     standard_prime_arrays,
 )
-from .ksum import alpha_ell
+from .ksum import _alpha3
 
 __all__ = [
     "TruncationParams",
@@ -62,6 +71,12 @@ __all__ = [
 # Delta holds 9 Delta ids.
 P_MAX_CAP = 10**8
 DELTA_MAX_CAP = 10**6
+
+# characters times classes per _block_products call in h_constants: a
+# block of Deltas with k support primes takes _BLOCK_CELLS // (rows n_ids)
+# of them (at least one), so its complex work arrays stay near 64 KB
+# whatever k
+_BLOCK_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -136,32 +151,34 @@ def _two_grid_logs(two: np.ndarray, c: float) -> np.ndarray:
 class _Grids:
     """Everything of one p_max that no Delta changes.
 
-    The primes up to p_max, split by their residue mod 3 and stored once as
-    uint32 (exact below 2^32; TruncationParams caps p_max at 10^8), so a
-    grid's residues mod 9 Delta are uint32 arithmetic (_residues).
-    Descending, so that the sequential bucket sums of _delta_products add
-    the local log differences, all of one sign, smallest first.
+    `primes` is one descending uint32 grid of the primes up to p_max (exact
+    below 2^32; TruncationParams caps p_max at 10^8): the primes = 1 mod 3,
+    then from `split` on the primes = 2 mod 3.  Each half is bucketed by a
+    uint32 residue mod 9 Delta (_residues), a gather and a bincount
+    (_grid_bins).  Descending, so that the sequential bucket sums add the
+    local log differences, all of one sign, smallest first.
 
-    Over each grid a log-sum of the local factors, the correction over the
-    primes = 2 mod 3 (`two_*`) and P (`one_*`): a scalar base with every
-    prime at c_p = -1, plus a difference array added where the exponent of
-    chi(f)(p) is 0.  One Delta buckets each difference array by the class
-    ids of its grid (_grid_sums), and each of its characters sums the
-    3^(k+1) buckets where the exponent of chi(f) is 0.  `full` is the Euler
-    product of the Delta-series of 6^omega / Delta^(3/2) (_delta_tail_bound).
+    Over each half a log-sum of the local factors, P over the primes = 1
+    mod 3 (`one_base`) and the correction over the primes = 2 mod 3
+    (`two_base`): a scalar base with every prime at c_p = -1, plus the
+    difference in `diff`, aligned with `primes`, added where the exponent
+    of chi(f)(p) is 0.  A prime = 1 mod 3 has h = 0 and a prime = 2 mod 3
+    has h = 1, so the halves fill disjoint bins, each in the order of the
+    grid, and each character sums the 3^(k+1) bins of each half where the
+    exponent of chi(f) is 0.  `full` is the Euler product of the
+    Delta-series of 6^omega / Delta^(3/2) (_delta_tail_bound).
     """
 
-    one: np.ndarray  # primes = 1 mod 3 up to p_max
-    two: np.ndarray  # primes = 2 mod 3 up to p_max (includes 2)
-    two_base: float
-    two_diff: np.ndarray
+    primes: np.ndarray
+    split: int
+    diff: np.ndarray
     one_base: float
-    one_diff: np.ndarray
+    two_base: float
     full: float
 
 
 def _log_sum(logs, *args: np.ndarray) -> tuple[float, np.ndarray]:
-    """One grid's log-sum: base (c_p = -1) and difference (2 less -1)."""
+    """One half's log-sum: base (c_p = -1) and difference (2 less -1)."""
     lo = logs(*args, -1.0)
     diff = logs(*args, 2.0)
     diff -= lo
@@ -171,21 +188,23 @@ def _log_sum(logs, *args: np.ndarray) -> tuple[float, np.ndarray]:
 # an entry holds 12 bytes per prime: about 69 MB at P_MAX_CAP
 @lru_cache(maxsize=2)
 def _grids(p_max: int) -> _Grids:
-    ps = primes_up_to(p_max)[::-1]
-    one = ps[ps % 3 == 1].astype(np.uint32)
-    two = ps[ps % 3 == 2].astype(np.uint32)
-    # each temporary is freed before the next is made: with ps or the
-    # terms of `full` alive, the build peaked 0.6 MB higher at p_max 10^6
-    del ps
-    p = one.astype(np.float64)
+    ps = primes_up_to(p_max)[::-1].astype(np.uint32)
+    res = ps % 3
+    primes = np.concatenate((ps[res == 1], ps[res == 2]))
+    split = int(np.count_nonzero(res == 1))
+    # each temporary is freed before the next is made
+    del ps, res
+    p = primes[:split].astype(np.float64)
     full = float(np.exp(np.log1p(6.0 / p**1.5).sum()))
-    two_base, two_diff = _log_sum(_two_grid_logs, two)
     one_base, one_diff = _log_sum(_p_logs, p, np.sqrt(p))
-    for a in (one, two, two_diff, one_diff):  # shared by every caller
+    del p
+    two_base, two_diff = _log_sum(_two_grid_logs, primes[split:])
+    diff = np.concatenate((one_diff, two_diff))
+    for a in (primes, diff):  # shared by every caller
         a.setflags(write=False)
     return _Grids(
-        one=one, two=two, two_base=two_base, two_diff=two_diff,
-        one_base=one_base, one_diff=one_diff, full=full,
+        primes=primes, split=split, diff=diff,
+        one_base=one_base, two_base=two_base, full=full,
     )
 
 
@@ -198,40 +217,46 @@ def _grids(p_max: int) -> _Grids:
 # the class, and a sum of chi(f)(n) w(n) is a sum over the bucket sums of w.
 
 
-def _dead_fix(rs: tuple[int, ...]) -> float:
-    """Moves the support primes r out of the c_p = -1 class: chi(f)(r) = 0,
-    so the local factor of P is 1 + 2/(sqrt r (r + 2))."""
-    r = np.array(rs, dtype=np.float64)
-    sqrt_r = np.sqrt(r)
-    dead_p = np.log(1.0 + 2.0 / (sqrt_r * (r + 2.0)))
-    return float((dead_p - _p_logs(r, sqrt_r, -1.0)).sum())
+def _rows(k: int) -> list[tuple[int, ...]]:
+    """The rows (f(3), v_1, ..., v_k) that h_constants computes for a Delta
+    with k support primes: the v of V*(Delta) in the order of the oracle
+    enumerate_V, less the second member 2v of each conjugate pair, times
+    f(3) in (0, 1, 2).  Delta = 1 has f = 0 only, whose f(3) = 1 and 2 are
+    conjugate."""
+    f3s = (0, 1, 2) if k else (1,)
+    vs = [v for v in product((1, 2), repeat=k) if not v or v[0] == 1]
+    return [(f3,) + v for v in vs for f3 in f3s]
 
 
-def _classes(
-    primes: tuple[int, ...], chars: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The class tables of Delta = prod(primes) and the characters' exponents.
+class _Characters(NamedTuple):
+    """What the characters of every Delta with k support primes share.
 
-    Returns `digits`, sum 3^i e_i over the residues mod Delta (the ids
-    without their 3-digits; dead where some r_i | n), `ids9`, the class
-    id over the residues mod 9 Delta, and the exponent of chi(f) on every
-    live class for each row (f(3), v_1, ..., v_k) of chars.  Every dead
-    entry is at least n_ids = 2 * 3^(k+1)."""
-    d = prod(primes)
-    n_ids = 2 * 3 ** (len(primes) + 1)
-    # each table as rows of length r (or 9), so its digit broadcasts in place
-    digits = np.zeros(d, dtype=np.int64)
-    for i, r in enumerate(primes, 1):
-        tab = _chi_exps(r, np.arange(r))
-        digits.reshape(-1, r)[:] += np.where(tab >= 0, 3**i * tab, n_ids)
-    ids9 = np.tile(digits, 9)
-    e9 = _chi_exps(3, np.arange(9))
-    ids9.reshape(-1, 9)[:] += np.where(
-        e9 >= 0, e9 + n_ids // 2 * (np.arange(9) % 3 == 2), n_ids
-    )
+    Row i of `chars` is (f(3), v_1, ..., v_k); `e` is the exponent of
+    chi(f) on each of the n_ids = 2 * 3^(k+1) live classes, `zero` marks
+    e = 0 on the Euler classes (the ids without their h digit), `chi` and
+    `chi_t` are chi(f) and (./3) chi(f) on the live classes, and `row9` is
+    the part of a class id that n mod 9 fixes (e_9 and h; dead where 3 | n).
+    """
+
+    chars: np.ndarray
+    e: np.ndarray
+    zero: np.ndarray
+    chi: np.ndarray
+    chi_t: np.ndarray
+    row9: np.ndarray
+
+
+def _characters(rows: list[tuple[int, ...]]) -> _Characters:
+    chars = np.array(rows, dtype=np.int64)
+    k = chars.shape[1] - 1
+    n_ids = 2 * 3 ** (k + 1)
     cls = np.arange(n_ids)
-    exps = np.stack([cls // 3**i % 3 for i in range(len(primes) + 1)])
-    return digits, ids9, chars @ exps % 3
+    e = chars @ np.stack([cls // 3**i % 3 for i in range(k + 1)]) % 3
+    chi = W3[e]
+    e9 = _chi_exps(3, np.arange(9))
+    row9 = np.where(e9 >= 0, e9 + n_ids // 2 * (np.arange(9) % 3 == 2), n_ids)
+    chi_t = np.where(cls >= n_ids // 2, -chi, chi)
+    return _Characters(chars, e, e[:, : n_ids // 2] == 0, chi, chi_t, row9)
 
 
 def _gauss_table(exps: np.ndarray, sign: np.ndarray | None = None) -> np.ndarray:
@@ -259,98 +284,21 @@ def _nine_taus() -> tuple[np.ndarray, np.ndarray]:
     return _gauss_table(e9), _gauss_table(e9, sign)
 
 
-def _gauss_sums(
-    primes: tuple[int, ...], chars: np.ndarray, taus: dict[int, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """tau(chi(f)) and tau((./3) chi(f)) for each row (f(3), v_1, ..., v_k)
-    of chars, at the moduli of _l_values, from per-prime factors:
-    tau(chi_1 chi_2) = chi_1(q_2) chi_2(q_1) tau(chi_1) tau(chi_2) for
-    characters of coprime moduli q_1, q_2 (Iwaniec & Kowalski, ch. 3).
-    `taus` maps a support prime r to tau(chi_r^v), v = 0, 1, 2; a prime
-    not yet in it is added, so one dict serves every Delta of a call.
-    (Delta/3) = 1, as every r = 1 mod 3."""
-    d = prod(primes)
-    f3 = chars[:, 0]
-    v = chars[:, 1:]
-    t = np.ones(len(chars), dtype=complex)
-    for i, r in enumerate(primes):
-        tr = taus.get(r)
-        if tr is None:
-            tr = taus[r] = _gauss_table(_chi_exps(r, np.arange(r)))
-        t *= tr[v[:, i]]
-
-    def at(q: int) -> np.ndarray:  # prod over r of chi_r^(v_r)(q / r), times t
-        e = v @ np.array([_chi_exp(r, q // r) for r in primes], dtype=np.int64)
-        return W3[e % 3] * t
-
-    tau9, tau9_t = _nine_taus()
-    nine = W3[f3 * _chi_exp(3, d) % 3] * at(9 * d)  # chi_9^f(3)(Delta)
-    plain = np.where(f3 == 0, at(d), nine * tau9[f3])
-    twist = np.where(f3 == 0, 1j * sqrt(3.0) * at(3 * d), nine * tau9_t[f3])
-    return plain, twist
+def _row(r: int) -> np.ndarray:
+    """The exponent of chi_r(n) by n mod r, -1 at the zero value: an int8
+    view of chi_p_table (0xFF reads as -1), no copy."""
+    return np.frombuffer(chi_p_table(r), dtype=np.int8)
 
 
-def _bucket_sums(
-    d: int, digits: np.ndarray, ids9: np.ndarray, n_ids: int
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The class bucket sums behind the closed forms of L(1, chi) for the
-    characters of one Delta = d: {modulus: log-sine sums} of the even ones,
-    chi(f) mod d and 9d, and {modulus: a sums} of the odd ones, (./3) chi(f)
-    mod 3d and 9d.  Their Gauss sums come from _gauss_sums.
-
-    A residue q - a has the digits of a and the opposite h, so each closed
-    form of L(1, chi) (l_one in tests/oracles.py) folds a with q - a (q is
-    odd): the log-sine sum is 2 sum conj(chi)(a) log 2 sin(pi a/q) for even
-    chi, and sum conj(chi)(a) a is sum conj(chi)(a) (2a - q) for odd chi;
-    both over 1 <= a < q/2.  One pass of log sin over a < 9d/2 serves the
-    three moduli: a mod 3d and a mod d sit at 3a and 9a.  The classes of
-    these a are the slice ids9[1:half]; mod d they are `digits`, which
-    carry no 3-digits."""
-    half = (9 * d + 1) // 2
-    log2sin = np.log(2.0 * np.sin(np.arange(1, half) * (np.pi / (9 * d))))
-    ids = ids9[1:half]
-
-    def bins(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.bincount(idx, w, minlength=n_ids)[:n_ids]
-
-    n1, n3 = (d - 1) // 2, (3 * d - 1) // 2
-    even = {
-        d: bins(digits[1 : n1 + 1], log2sin[8::9][:n1]),
-        9 * d: bins(ids, log2sin),
-    }
-    odd = {
-        3 * d: bins(ids[:n3], 2.0 * np.arange(1, n3 + 1) - 3 * d),
-        9 * d: bins(ids, 2.0 * np.arange(1, half) - 9 * d),
-    }
-    return even, odd
-
-
-def _l_values(
-    primes: tuple[int, ...],
-    digits: np.ndarray,
-    ids9: np.ndarray,
-    e: np.ndarray,
-    chars: np.ndarray,
-    taus: dict[int, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """L(1, chi(f)) and L(1, (./3) chi(f)) for the rows of chars, off the
-    classes of _classes of Delta = prod(primes).  chi(f) has conductor
-    Delta and (./3) chi(f) 3 Delta; with f(3) != 0 both have 9 Delta."""
-    d = prod(primes)
-    n_ids = e.shape[1]
-    even, odd = _bucket_sums(d, digits, ids9, n_ids)
-    tau, tau_t = _gauss_sums(primes, chars, taus)
-    chi = W3[e]
-    chi_t = np.where(np.arange(n_ids) >= n_ids // 2, -chi, chi)
-    f3 = chars[:, 0]
-    l_plain = np.empty(len(e), dtype=complex)
-    l_twist = np.empty(len(e), dtype=complex)
-    for sel, q, qt in ((f3 == 0, d, 3 * d), (f3 != 0, 9 * d, 9 * d)):
-        s = np.conj((chi[sel] * even[q]).sum(axis=1))
-        l_plain[sel] = -(tau[sel] / q) * 2.0 * s
-        s = np.conj((chi_t[sel] * odd[qt]).sum(axis=1))
-        l_twist[sel] = 1j * np.pi * tau_t[sel] / qt * s / qt
-    return l_plain, l_twist
+def _prime(r: int) -> tuple[np.ndarray, float]:
+    """What every Delta with the support prime r shares, O(1) of it:
+    tau(chi_r^v) for v = 0, 1, 2, and the dead-prime term, the log of the
+    local factor of P at r less the c_p = -1 log of the grid (chi(f)(r) =
+    0, so that factor is 1 + 2/(sqrt r (r + 2)))."""
+    p = np.array([r], dtype=np.float64)
+    sqrt_p = np.sqrt(p)
+    dead = np.log(1.0 + 2.0 / (sqrt_p * (p + 2.0))) - _p_logs(p, sqrt_p, -1.0)
+    return _gauss_table(_row(r)), float(dead[0])
 
 
 def _residues(ps: np.ndarray, m: np.uint32) -> np.ndarray:
@@ -364,62 +312,188 @@ def _residues(ps: np.ndarray, m: np.uint32) -> np.ndarray:
     return r
 
 
-def _grid_ids(g: _Grids, ids9: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class ids of both grids, ids9 at p mod 9 Delta: one uint32
-    residue and one gather per grid.  A prime = 1 mod 3 has h = 0, and is
-    dead only if it is a support prime; a prime = 2 mod 3 has h = 1 and is
-    never dead, so its ids lie in [n_ids / 2, n_ids)."""
-    m = np.uint32(len(ids9))
-    return ids9.take(_residues(g.one, m)), ids9.take(_residues(g.two, m))
-
-
-def _grid_sums(
-    g: _Grids, ids9: np.ndarray, n_ids: int
+def _classes(
+    ch: _Characters, primes: tuple[int, ...], rows: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two difference arrays of g bucketed by the Euler class ids (the
-    ids less their h digit) of the grid they run over."""
-    one, two = _grid_ids(g, ids9)
+    """The class tables of Delta = prod(primes), from the _row of each
+    prime: `digits`, sum 3^i e_i over the residues mod Delta (the ids
+    without their 3-digits; dead where some r_i | n), and `ids9`, the class
+    id over the residues mod 9 Delta.  Every dead entry is at least n_ids."""
+    n_ids = ch.e.shape[1]
+    digits = np.zeros(prod(primes), dtype=np.int64)
+    # each table as rows of length r (or 9), so its digit broadcasts in place
+    for i, (r, row) in enumerate(zip(primes, rows), 1):
+        digits.reshape(-1, r)[:] += np.where(row >= 0, row * np.int64(3**i), n_ids)
+    ids9 = np.tile(digits, 9)
+    ids9.reshape(-1, 9)[:] += ch.row9
+    return digits, ids9
+
+
+def _grid_ids(g: _Grids, ids9: np.ndarray, half: slice) -> np.ndarray:
+    """The class ids of one half of the grid, ids9 at p mod 9 Delta.  A
+    prime = 1 mod 3 has h = 0, and is dead only if it is a support prime; a
+    prime = 2 mod 3 has h = 1 and is never dead, so its ids lie in
+    [n_ids / 2, n_ids)."""
+    return ids9.take(_residues(g.primes[half], np.uint32(len(ids9))))
+
+
+def _grid_bins(g: _Grids, ids9: np.ndarray, n_ids: int) -> np.ndarray:
+    """g.diff bucketed by the class ids of the grid: P's Euler classes in
+    bins [0, n_ids / 2), the correction's (their h digit set) in the rest.
+    One bincount per half: one over the whole grid would hold twice the
+    index memory, as numpy's bincount copies its index array."""
     n_euler = n_ids // 2
-    # the h offset of the primes = 2 mod 3 comes off by reading their bins
-    # from n_euler on
-    two_bins = np.bincount(two, g.two_diff, minlength=n_ids)[n_euler:n_ids]
-    one_bins = np.bincount(one, g.one_diff, minlength=n_euler)[:n_euler]
-    return two_bins, one_bins
+    one, two = slice(None, g.split), slice(g.split, None)
+    one_bins = np.bincount(_grid_ids(g, ids9, one), g.diff[one], minlength=n_euler)
+    two_bins = np.bincount(_grid_ids(g, ids9, two), g.diff[two], minlength=n_ids)
+    return np.concatenate((one_bins[:n_euler], two_bins[n_euler:n_ids]))
 
 
-def _delta_products(
-    g: _Grids,
-    primes: tuple[int, ...],
-    chars: np.ndarray,
-    taus: dict[int, np.ndarray],
+def _bucket_sums(
+    d: int, digits: np.ndarray, ids9: np.ndarray, n_ids: int
+) -> tuple[np.ndarray, ...]:
+    """The class bucket sums behind the closed forms of L(1, chi) for the
+    characters of one Delta = d: the log-sine sums of the even ones, chi(f)
+    mod d and 9d, and the a sums of the odd ones, (./3) chi(f) mod 3d and
+    9d.  Their Gauss sums come from _gauss_sums.
+
+    A residue q - a has the digits of a and the opposite h, so each closed
+    form of L(1, chi) (l_one in tests/oracles.py) folds a with q - a (q is
+    odd): the log-sine sum is 2 sum conj(chi)(a) log 2 sin(pi a/q) for even
+    chi, and sum conj(chi)(a) a is sum conj(chi)(a) (2a - q) for odd chi;
+    both over 1 <= a < q/2.  One pass of log sin over a < 9d/2 serves the
+    three moduli: a mod 3d and a mod d sit at 3a and 9a.  The classes of
+    these a are the slice ids9[1:half]; mod d they are `digits`, which
+    carry no 3-digits."""
+    half = (9 * d + 1) // 2
+    # in place, so one array of length 9d/2 is alive at a time
+    log2sin = np.arange(1, half) * (np.pi / (9 * d))
+    np.sin(log2sin, out=log2sin)
+    log2sin *= 2.0
+    np.log(log2sin, out=log2sin)
+    ids = ids9[1:half]
+
+    def bins(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(idx, w, minlength=n_ids)[:n_ids]
+
+    n1, n3 = (d - 1) // 2, (3 * d - 1) // 2
+    even = bins(digits[1 : n1 + 1], log2sin[8::9][:n1]), bins(ids, log2sin)
+    del log2sin
+    a = np.arange(1.0, half)  # then 2a - 9d in place; 2a - 3d is 6d more,
+    a *= 2.0  # and all are exact integers
+    a -= 9 * d
+    return *even, bins(ids[:n3], a[:n3] + 6 * d), bins(ids, a)
+
+
+def _delta_sums(
+    g: _Grids, ch: _Characters, dIs: list[DeltaIndex]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler products of the characters of one Delta = prod(primes).
+    """The per-Delta work of a block, each step O(Delta) or O(grid): the
+    class tables, one pass over the grid and the L bucket sums.  Returns
+    (5, B, n_ids) sums, the _grid_bins and the four _bucket_sums of each
+    Delta, and the class of 3 of each, digits[3 mod Delta]."""
+    n_ids = ch.e.shape[1]
+    sums = np.empty((5, len(dIs), n_ids))
+    cls3 = np.empty(len(dIs), dtype=np.int64)
+    for b, dI in enumerate(dIs):
+        digits, ids9 = _classes(ch, dI.primes, [_row(r) for r in dI.primes])
+        sums[0, b] = _grid_bins(g, ids9, n_ids)
+        sums[1:, b] = _bucket_sums(dI.delta, digits, ids9, n_ids)
+        cls3[b] = digits[3 % dI.delta]
+        del digits, ids9  # freed before the next Delta builds its tables
+    return sums, cls3
 
-    Row i of `chars` is (f(3), v_1, ..., v_k), the values of f at 3 and at
-    the support primes; `taus` is the per-prime Gauss-sum dict of
-    _gauss_sums.  Returns P(f) for each row, and the exponent of
-    chi(f)(3) for the rows with f(3) = 0.
 
-    One table of class ids over the residues mod 9 Delta (_classes) serves
-    both sides: each prime grid reads it at p mod 9 Delta (_grid_sums), and
-    the L side reads its slice below 9 Delta / 2 (_bucket_sums).  The class
-    of 3 is digits[3 mod Delta].  Each character then costs a few dot
-    products over the buckets."""
-    digits, ids9, e = _classes(primes, chars)
-    n_ids = e.shape[1]
-    zero = e[:, : n_ids // 2] == 0  # the grids have no h digit
+def _gauss_sums(
+    ch: _Characters,
+    dIs: list[DeltaIndex],
+    primes: dict[int, tuple[np.ndarray, float]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau(chi(f)) and tau((./3) chi(f)), (B, rows), for each Delta of the
+    block and each row (f(3), v_1, ..., v_k) of ch, at the moduli of
+    _l_values, from per-prime factors: tau(chi_1 chi_2) = chi_1(q_2)
+    chi_2(q_1) tau(chi_1) tau(chi_2) for characters of coprime moduli q_1,
+    q_2 (Iwaniec & Kowalski, ch. 3).  `primes` maps a support prime to its
+    _prime; a prime not yet in it is added, so one dict serves every block
+    of a call.  (Delta/3) = 1, as every r = 1 mod 3."""
+    f3 = ch.chars[:, 0]
+    v = ch.chars[:, 1:]
+    for r in {r for dI in dIs for r in dI.primes} - primes.keys():
+        primes[r] = _prime(r)
+    # t has at least 3 entries when a factor comes in: numpy's in-place
+    # complex multiply rounds a 1-entry array by another route
+    t = np.ones((len(dIs), len(f3)), dtype=complex)
+    for i in range(v.shape[1]):
+        t *= np.array([primes[dI.primes[i]][0] for dI in dIs])[:, v[:, i]]
 
-    def masked(bins: np.ndarray) -> np.ndarray:
-        return (zero * bins).sum(axis=1)
+    def at(m: int) -> np.ndarray:  # prod over r of chi_r^(v_r)(q / r), times t
+        x = [[_row(r)[m * dI.delta // r % r] for r in dI.primes] for dI in dIs]
+        return W3[np.array(x, dtype=np.int64).reshape(len(dIs), -1) @ v.T % 3] * t
 
-    two_bins, one_bins = _grid_sums(g, ids9, n_ids)
-    two = g.two_base + masked(two_bins)
+    tau9, tau9_t = _nine_taus()
+    e9 = np.array([[_chi_exp(3, dI.delta)] for dI in dIs])  # chi_9(Delta)
+    nine = W3[f3 * e9 % 3] * at(9)
+    plain = np.where(f3 == 0, at(1), nine * tau9[f3])
+    twist = np.where(f3 == 0, 1j * sqrt(3.0) * at(3), nine * tau9_t[f3])
+    return plain, twist
+
+
+def _l_values(
+    ch: _Characters,
+    dIs: list[DeltaIndex],
+    sums: np.ndarray,
+    primes: dict[int, tuple[np.ndarray, float]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """L(1, chi(f)) and L(1, (./3) chi(f)), (B, rows), for each Delta of the
+    block and each row of ch, off the bucket sums of _delta_sums.  chi(f)
+    has conductor Delta and (./3) chi(f) 3 Delta; with f(3) != 0 both have
+    9 Delta."""
+    tau, tau_t = _gauss_sums(ch, dIs, primes)
+    f3 = ch.chars[:, 0]
+    d = np.array([[dI.delta] for dI in dIs])
+    _, even_d, even_9d, odd_3d, odd_9d = sums
+    l_plain = np.empty(tau.shape, dtype=complex)
+    l_twist = np.empty(tau.shape, dtype=complex)
+    for sel, q, qt, even, odd in (
+        (f3 == 0, d, 3 * d, even_d, odd_3d),
+        (f3 != 0, 9 * d, 9 * d, even_9d, odd_9d),
+    ):
+        s = np.conj((ch.chi[sel] * even[:, None]).sum(axis=2))
+        l_plain[:, sel] = -(tau[:, sel] / q) * 2.0 * s
+        s = np.conj((ch.chi_t[sel] * odd[:, None]).sum(axis=2))
+        l_twist[:, sel] = 1j * np.pi * tau_t[:, sel] / qt * s / qt
+    return l_plain, l_twist
+
+
+def _block_products(
+    g: _Grids,
+    ch: _Characters,
+    dIs: list[DeltaIndex],
+    primes: dict[int, tuple[np.ndarray, float]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler products of the characters of a block of Deltas with k support
+    primes: P(f) for each Delta and each row (f(3), v_1, ..., v_k) of ch,
+    and the exponent of chi(f)(3), both (B, rows).
+
+    After the per-Delta work of _delta_sums, the Gauss sums, L-values,
+    masked grid sums, the factor at 3 and P(f) are assembled for the whole
+    block at once.  Each step is elementwise or a sum along the last axis,
+    so the values of a Delta do not depend on its block."""
+    sums, cls3 = _delta_sums(g, ch, dIs)
+    l_plain, l_twist = _l_values(ch, dIs, sums, primes)
+    n_euler = ch.zero.shape[1]
+    bins = sums[0][:, None]
+
+    def masked(b: np.ndarray) -> np.ndarray:
+        return (ch.zero * b).sum(axis=2)
+
     # the support primes are dead on the grid, in its descending order
-    logs = g.one_base + masked(one_bins) + _dead_fix(primes[::-1]) + two
-
-    f3 = chars[:, 0]
-    l_plain, l_twist = _l_values(primes, digits, ids9, e, chars, taus)
-    e3 = e[:, digits[3 % len(digits)]]
+    dead = [[primes[r][1] for r in dI.primes[::-1]] for dI in dIs]
+    dead = np.array(dead).reshape(len(dIs), -1).sum(axis=1, keepdims=True)
+    two = g.two_base + masked(bins[..., n_euler:])
+    logs = g.one_base + masked(bins[..., :n_euler]) + dead + two
+    f3 = ch.chars[:, 0]
+    e3 = ch.e.T[cls3]
     c3 = np.where(e3 == 0, 2.0, -1.0)
     three = np.where(f3 == 0, 1.0 - c3 / 3.0 + 1.0 / 9.0, 1.0)
     scale = (abs(l_plain) * abs(l_twist)) ** 2 * three
@@ -432,16 +506,22 @@ def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     renormalized through |L(1,chi)|^2 |L(1,(./3)chi)|^2 so the truncated
     local factors are 1 + 2 p^(-3/2) + O(p^-2).
 
-    The one-character case of h_constants: each call builds the class
-    buckets of Delta(f) and reads its one character off them."""
+    A block of one Delta: the rows h_constants computes for Delta(f),
+    read at the row of f, or of its conjugate 2f when the first value of f
+    is 2 (P(2f) = P(f)), so the float is the one h_constants adds."""
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
-    if prod(f.supp3) > params.p_max:  # the domain of TruncationParams
-        raise ValueError(f"Delta(f) = {prod(f.supp3)} exceeds p_max {params.p_max}")
-    row = [f.f3] + [v for p, v in f.entries if p != 3]
-    chars = np.array([row], dtype=np.int64)
-    pf, _ = _delta_products(_grids(params.p_max), f.supp3, chars, {})
-    return float(pf[0])
+    d = prod(f.supp3)
+    if d > params.p_max:  # the domain of TruncationParams
+        raise ValueError(f"Delta(f) = {d} exceeds p_max {params.p_max}")
+    k = len(f.supp3)
+    row = (f.f3,) + tuple(f.value(r) for r in f.supp3)
+    if row[min(k, 1)] == 2:  # v_1, or f(3) when Delta = 1
+        row = tuple(2 * x % 3 for x in row)
+    rows = _rows(k)
+    dI = DeltaIndex(d, f.supp3)
+    pf, _ = _block_products(_grids(params.p_max), _characters(rows), [dI], {})
+    return float(pf[0, rows.index(row)])
 
 
 def _euler_tail_bound(p_max: int) -> float:
@@ -471,6 +551,24 @@ class HConstants:
     p_of_f_max: float
 
 
+def _block_rows(
+    g: _Grids,
+    k: int,
+    dIs: list[DeltaIndex],
+    primes: dict[int, tuple[np.ndarray, float]],
+) -> Iterator[zip]:
+    """For each of the Deltas dIs, all with k support primes, in order: its
+    rows as (f(3), P(f), exponent of chi(f)(3)), one block of Deltas per
+    _block_products call."""
+    ch = _characters(_rows(k))
+    f3s = ch.chars[:, 0].tolist()
+    size = max(1, _BLOCK_CELLS // ch.e.size)
+    for i in range(0, len(dIs), size):
+        pfs, e3 = _block_products(g, ch, dIs[i : i + size], primes)
+        for pf, e in zip(pfs, e3):
+            yield zip(f3s, pf.tolist(), e.tolist())
+
+
 def h_constants(params: TruncationParams) -> HConstants:
     """The Delta-series H0, H1, H1', H2 and the largest P(f) with
     f(3) = 0.  H0 is the starred constant before its 2^-2 3^-3 alpha_3
@@ -480,27 +578,24 @@ def h_constants(params: TruncationParams) -> HConstants:
     chi(2f) is the conjugate of chi(f), so c_p, |L|^2 and the factor at 3
     agree and P(2f) = P(f): each conjugate pair, f with first value 1, is
     computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
-    the same H1 or H1' bucket.  All characters of one Delta share one
-    _delta_products call."""
+    the same H1 or H1' bucket.  The Deltas with k support primes share one
+    _Characters and go through _block_products a block at a time; the sums
+    then add every P(f) in the order of the Deltas."""
     g = _grids(params.p_max)
-    taus: dict[int, np.ndarray] = {}  # tau(chi_r^v) by support prime r
+    by_k: dict[int, list[DeltaIndex]] = {}
+    for dI in enumerate_deltas(params.delta_max):
+        by_k.setdefault(len(dI.primes), []).append(dI)
+    primes: dict[int, tuple[np.ndarray, float]] = {}  # support prime -> _prime
+    # one stream per k, each holding at most one block
+    streams = {k: _block_rows(g, k, dIs, primes) for k, dIs in by_k.items()}
     h0 = _CompensatedSum()
     h1 = _CompensatedSum()
     h1p = _CompensatedSum()
     h2 = _CompensatedSum()
     p_max_seen = 0.0
     for dI in enumerate_deltas(params.delta_max):
-        d = dI.delta
-        k = len(dI.primes)
-        w = _delta_weights(d, dI.primes)
-        # Delta = 1 adds to H2 only: f = 0, whose f(3) = 1 and 2 are conjugate
-        f3s = (0, 1, 2) if d > 1 else (1,)
-        # V*(Delta) in the order of the oracle enumerate_V, less the second
-        # member of each conjugate pair
-        vs = [v for v in product((1, 2), repeat=k) if not v or v[0] == 1]
-        chars = np.array([(f3,) + v for v in vs for f3 in f3s], dtype=np.int64)
-        pfs, e3 = _delta_products(g, dI.primes, chars, taus)
-        for f3, pf, e in zip(chars[:, 0].tolist(), pfs.tolist(), e3.tolist()):
+        w = _delta_weights(dI.delta, dI.primes)
+        for f3, pf, e in next(streams[len(dI.primes)]):
             if f3:
                 h2.add(w * pf)
                 h2.add(w * pf)
@@ -586,7 +681,13 @@ def constant_report(params: TruncationParams = TruncationParams()) -> ConstantRe
     """alpha_3, the H-constants, and the assembled leading constants, with
     crude tail bounds for every truncation: tails["euler"], ["delta"] and
     ["alpha"]."""
-    a3 = alpha_ell(3, params.p_max)
+    g = _grids(params.p_max)
+    # alpha_3 over the primes of the grid: its ascending float64 halves are
+    # the arrays ksum.alpha_ell sieves for, so no second sieve is run
+    a3 = _alpha3(
+        g.primes[: g.split][::-1].astype(np.float64),
+        g.primes[g.split :][::-1].astype(np.float64),
+    )
     hc = h_constants(params)
     c3 = 0.25 * (_C_H0 * hc.h0 + _C_H1 * hc.h1 + _C_H2 * hc.h2) * a3
     c_star = 0.25 / 27.0 * a3 * hc.h0

@@ -221,8 +221,12 @@ def alpha_ell(ell: int, p_max: int = 10**6) -> float:
     if ell != 3:
         raise ValueError(f"alpha_ell is computed for ell = 3 only, got {ell}")
     ps = primes_up_to(p_max).astype(np.float64)
-    one = ps[ps % 3 == 1]
-    two = ps[ps % 3 == 2]
+    return _alpha3(ps[ps % 3 == 1], ps[ps % 3 == 2])
+
+
+def _alpha3(one: np.ndarray, two: np.ndarray) -> float:
+    """alpha_3 of alpha_ell from the primes = 1 and = 2 mod 3 up to p_max,
+    as ascending float64 arrays."""
     log_prod = (
         np.log1p(-1.0 / two**2).sum()
         + (np.log1p(2.0 / one) + 2.0 * np.log1p(-1.0 / one)).sum()

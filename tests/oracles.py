@@ -825,13 +825,13 @@ def h_constants_literal(params: TruncationParams) -> tuple[HConstants, float]:
 def grid_sums_by_prime(
     g: _Grids, primes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[np.ndarray]]:
-    """The grid side of constants._delta_products one support prime at a
-    time: the id of p is e_9(p) + sum lut_i[p mod r_i], lut_i the digit
-    3^i e_i of r_i by residue (n_ids where r_i | p), and the dead primes are
-    found by a scan of the ids.  Returns the ids on the primes = 1 mod 3 and
-    on the primes = 2 mod 3 (both without the h digit), the dead primes in
-    grid order, and the two difference arrays of g (the correction over the
-    primes = 2 mod 3, then P) bucketed by those ids."""
+    """The grid side of constants._grid_bins one support prime at a time:
+    the id of p is e_9(p) + sum lut_i[p mod r_i], lut_i the digit 3^i e_i
+    of r_i by residue (n_ids where r_i | p), and the dead primes are found
+    by a scan of the ids.  Returns the ids on the primes = 1 mod 3 and on
+    the primes = 2 mod 3 (the two halves of g.primes, both without the h
+    digit), the dead primes in grid order, and g.diff over each half (the
+    correction over the primes = 2 mod 3, then P) bucketed by those ids."""
     n_ids = 2 * 3 ** (len(primes) + 1)
     n_euler = n_ids // 2
     luts = []
@@ -846,14 +846,14 @@ def grid_sums_by_prime(
             ids += lut[ps % r]
         return ids
 
-    one = grid_ids(g.one)
-    two = grid_ids(g.two)
-    dead = g.one[one >= n_euler].tolist()
+    one = grid_ids(g.primes[: g.split])
+    two = grid_ids(g.primes[g.split :])
+    dead = g.primes[: g.split][one >= n_euler].tolist()
 
     def bins(ids: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.bincount(ids, w, minlength=n_euler)[:n_euler]
 
-    return one, two, dead, [bins(two, g.two_diff), bins(one, g.one_diff)]
+    return one, two, dead, [bins(two, g.diff[g.split :]), bins(one, g.diff[: g.split])]
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,24 @@ def test_report_points_past_the_grid_cap_is_domain_error(capsys):
     assert out == "" and "error:" in err and "1000" in err
 
 
+def test_report_x_past_the_bound_fails_before_the_constant(monkeypatch, capsys):
+    # every X of the grid is checked before the constant pipeline or any
+    # census runs; the message is the one heis_total gives
+    def refuse(*args):
+        raise AssertionError("constant_report was called")
+
+    monkeypatch.setattr(heisnine.cli, "constant_report", refuse)
+    t0 = time.monotonic()
+    assert run(["report", "--x-min", "1e9", "--x-max", "1e19", "--points", "3"]) == 1
+    assert time.monotonic() - t0 < 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert err == (
+        "error: X = 10000000000000000000 exceeds the supported bound "
+        "1000000000000000000\n"
+    )
+
+
 def test_integral_mantissa_accepted(capsys):
     assert run(["count", "--x", "15e0", "--format", "json"]) == 0
     out, _ = _out(capsys)

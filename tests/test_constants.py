@@ -20,14 +20,20 @@ from heisnine.constants import (
     DELTA_MAX_CAP,
     P_MAX_CAP,
     CancellationSum,
+    HConstants,
     TruncationParams,
+    _characters,
     _classes,
+    _CompensatedSum,
+    _delta_sums,
     _delta_weights,
     _gauss_sums,
+    _grid_bins,
     _grid_ids,
-    _grid_sums,
     _grids,
     _l_values,
+    _row,
+    _rows,
     char_cancellation_profile,
     constant_report,
     euler_product_P,
@@ -35,8 +41,13 @@ from heisnine.constants import (
 )
 from heisnine.cli import ratio_csv, ratio_report
 from heisnine.counting import WeightMode
-from heisnine.eisenstein import cubic_symbol, standard_primes_up_to, standard_decompose
-from heisnine.ksum import psi_ell
+from heisnine.eisenstein import (
+    ROOT,
+    cubic_symbol,
+    standard_decompose,
+    standard_primes_up_to,
+)
+from heisnine.ksum import alpha_ell, psi_ell
 
 import heisnine.constants
 import heisnine.eisenstein
@@ -119,11 +130,14 @@ def test_h_constants_match_literal(params):
     assert time.monotonic() - t0 < 30
 
 
-def _pipeline_characters():
-    """Every g = f + f(3) e_3 of the pipeline, f in V*(Delta), with its row
-    (f(3), v_1, ..., v_k), for Delta <= 500 and 1729 = 7 * 13 * 19, the
-    only Delta <= 2000 with three support primes."""
+def _pipeline_blocks():
+    """Every g = f + f(3) e_3 of the pipeline, f in V*(Delta), for Delta <=
+    500 and 1729 = 7 * 13 * 19, the only Delta <= 2000 with three support
+    primes, as one block per number k of support primes: the Deltas, their
+    g in the order of the rows (f(3), v_1, ..., v_k) of its _Characters
+    (the same rows for every Delta of the block), and that _Characters."""
     e3 = SupportFunction(((3, 1),))
+    blocks = {}
     for dI in list(enumerate_deltas(500)) + [DeltaIndex(1729, (7, 13, 19))]:
         gs = [
             linear_combination(1, f, f3, e3)
@@ -131,49 +145,57 @@ def _pipeline_characters():
             for f3 in (0, 1, 2)
         ]
         gs = [g for g in gs if not g.is_zero]
-        chars = np.array(
-            [[g.f3] + [g.value(r) for r in dI.primes] for g in gs], dtype=np.int64
-        )
-        yield dI, gs, chars
+        rows = [(g.f3,) + tuple(g.value(r) for r in dI.primes) for g in gs]
+        block = blocks.setdefault(len(dI.primes), ([], [], rows))
+        assert block[2] == rows, dI
+        block[0].append(dI)
+        block[1].append(gs)
+    for dIs, gss, rows in blocks.values():
+        yield dIs, gss, _characters(rows)
 
 
 def test_bucketed_l_values_match_l_one():
-    # the bucketed closed forms against the oracle closed forms over the
-    # full conductor
+    # the bucketed closed forms, one block per k, against the oracle closed
+    # forms over the full conductor
     t0 = time.monotonic()
-    taus = {}
+    g = _grids(1729)  # the grid side of _delta_sums; the L side ignores it
+    primes = {}
     checked = 0
-    for dI, gs, chars in _pipeline_characters():
-        digits, ids9, e = _classes(dI.primes, chars)
-        l_plain, l_twist = _l_values(dI.primes, digits, ids9, e, chars, taus)
-        for g, lp, lt in zip(gs, l_plain, l_twist):
-            want = l_one(character_values(g))
-            assert abs(lp - want) <= 1e-12 * abs(want), str(g)
-            want = l_one(twisted_character_values(g))
-            assert abs(lt - want) <= 1e-12 * abs(want), str(g)
-            checked += 1
+    for dIs, gss, ch in _pipeline_blocks():
+        sums, _ = _delta_sums(g, ch, dIs)
+        l_plain, l_twist = _l_values(ch, dIs, sums, primes)
+        for gs, lps, lts in zip(gss, l_plain, l_twist):
+            for f, lp, lt in zip(gs, lps, lts):
+                want = l_one(character_values(f))
+                assert abs(lp - want) <= 1e-12 * abs(want), str(f)
+                want = l_one(twisted_character_values(f))
+                assert abs(lt - want) <= 1e-12 * abs(want), str(f)
+                checked += 1
     assert checked == 416
     assert time.monotonic() - t0 < 30
 
 
 def test_product_gauss_sums_match_gauss_sum():
     # tau(chi_1 chi_2) = chi_1(q_2) chi_2(q_1) tau(chi_1) tau(chi_2) over the
-    # support primes and 9 (or 3), against the sum over the whole modulus
+    # support primes and 9 (or 3), one block per k, against the sum over
+    # the whole modulus
     t0 = time.monotonic()
-    taus = {}
+    primes = {}
     checked = 0
-    for dI, gs, chars in _pipeline_characters():
-        tau, tau_t = _gauss_sums(dI.primes, chars, taus)
-        for g, tp, tt in zip(gs, tau, tau_t):
-            for got, vals in (
-                (tp, character_values(g)),
-                (tt, twisted_character_values(g)),
-            ):
-                assert abs(got - gauss_sum(vals)) <= 1e-12 * sqrt(len(vals)), str(g)
-            checked += 1
+    for dIs, gss, ch in _pipeline_blocks():
+        tau, tau_t = _gauss_sums(ch, dIs, primes)
+        for gs, tps, tts in zip(gss, tau, tau_t):
+            for f, tp, tt in zip(gs, tps, tts):
+                for got, vals in (
+                    (tp, character_values(f)),
+                    (tt, twisted_character_values(f)),
+                ):
+                    assert abs(got - gauss_sum(vals)) <= 1e-12 * sqrt(len(vals)), str(f)
+                checked += 1
     assert checked == 416
     # one O(r) sum per support prime, shared by every Delta
-    assert set(taus) == {r for dI, _, _ in _pipeline_characters() for r in dI.primes}
+    blocks = _pipeline_blocks()
+    assert set(primes) == {r for dIs, _, _ in blocks for dI in dIs for r in dI.primes}
     assert time.monotonic() - t0 < 30
 
 
@@ -186,26 +208,29 @@ def test_product_gauss_sums_match_gauss_sum():
 def test_grid_classes_match_per_prime_route(params):
     t0 = time.monotonic()
     g = _grids(params.p_max)
-    assert not any(a.flags.writeable for a in (g.one, g.two, g.one_diff, g.two_diff))
+    assert not any(a.flags.writeable for a in (g.primes, g.diff))
     deltas = list(enumerate_deltas(params.delta_max))
     for dI in deltas:
         k = len(dI.primes)
+        ch = _characters(_rows(k))
         n_ids = 2 * 3 ** (k + 1)
         n_euler = n_ids // 2
-        _, ids9, _ = _classes(dI.primes, np.ones((1, k + 1), dtype=np.int64))
-        one, two = _grid_ids(g, ids9)
-        sums = _grid_sums(g, ids9, n_ids)
+        _, ids9 = _classes(ch, dI.primes, [_row(r) for r in dI.primes])
+        one = _grid_ids(g, ids9, slice(None, g.split))
+        two = _grid_ids(g, ids9, slice(g.split, None))
+        bins = _grid_bins(g, ids9, n_ids)
         want_one, want_two, want_dead, want_sums = grid_sums_by_prime(g, dI.primes)
         live = want_one < n_euler
         assert np.array_equal(one < n_euler, live), dI
         assert np.array_equal(one[live], want_one[live]), dI
         assert np.array_equal(two - n_euler, want_two), dI  # h = 1 on every p
         # the dead scan finds every support prime (none is off the grid), in
-        # the grid's order: the primes the library hands to _dead_fix
+        # the grid's order: the primes whose dead terms the library adds
         assert want_dead == list(reversed(dI.primes)), dI
-        assert len(sums) == 2
-        for got, want in zip(sums, want_sums):
-            assert np.array_equal(got, want), dI  # bit for bit
+        assert len(bins) == n_ids
+        # bit for bit: the correction's bins, then P's
+        assert np.array_equal(bins[n_euler:], want_sums[0]), dI
+        assert np.array_equal(bins[:n_euler], want_sums[1]), dI
     if params.p_max == 10**6:
         assert DeltaIndex(1729, (7, 13, 19)) in deltas
     assert time.monotonic() - t0 < 10
@@ -233,11 +258,94 @@ def test_euler_product_conjugate_symmetry():
                 if g.is_zero:
                     continue
                 g2 = linear_combination(2, g, 0, g)
-                assert euler_product_P(g, SMALL) == pytest.approx(
-                    euler_product_P(g2, SMALL), rel=1e-13
-                ), str(g)
+                assert euler_product_P(g, SMALL) == euler_product_P(g2, SMALL), str(g)
                 checked += 1
     assert checked >= 200
+
+
+@pytest.mark.parametrize(
+    "params", [TruncationParams(300, 300), TruncationParams(1729, 1729)], ids=str
+)
+def test_euler_product_is_the_float_h_constants_adds(params):
+    # euler_product_P reads its row off the block of its Delta, so adding it
+    # over every f in the order of h_constants (V*(Delta) in the order of
+    # enumerate_V, first value 1, times f(3) = 0, 1, 2; each added twice)
+    # gives h_constants bit for bit
+    t0 = time.monotonic()
+    h0, h1, h1p, h2 = (_CompensatedSum() for _ in range(4))
+    p_seen = 0.0
+    for dI in enumerate_deltas(params.delta_max):
+        w = _delta_weights(dI.delta, dI.primes)
+        for f in enumerate_V(dI.delta, True):
+            if f.entries and f.entries[0][1] == 2:
+                continue
+            for f3 in (0, 1, 2) if dI.delta > 1 else (1,):
+                g = linear_combination(1, f, f3, SupportFunction(((3, 1),)))
+                pf = euler_product_P(g, params)
+                if f3:
+                    sums = (h2, h2)
+                else:
+                    p_seen = max(p_seen, pf)
+                    h1g = h1 if chi_eval(g, 3) == ROOT(0) else h1p
+                    sums = (h0, h1g, h0, h1g)
+                for acc in sums:
+                    acc.add(w * pf)
+    got = HConstants(h0.value, h1.value, h1p.value, h2.value, p_seen)
+    assert got == h_constants(params)
+    assert time.monotonic() - t0 < 20
+
+
+# constant_report(...).to_json() as recorded before the block pipeline;
+# all three truncations lie below p = 55,108, where p**4 wraps in int64
+REPORT_BYTES = {
+    (300, 300): (
+        '{"alpha3":0.25966564225050315,"h0":0.704457051103803,'
+        '"h1":0.07301901091110002,"h1_prime":0.631438040192703,'
+        '"h2":3.3109611082119996,"c_heis3":0.0030421944670646905,'
+        '"c_heis_star":0.0016937341908589306,"tails":{"euler":0.04048894022554223,'
+        '"delta":0.1945797924767023,"alpha":0.01},'
+        '"params":{"delta_max":300,"p_max":300}}'
+    ),
+    (1729, 1729): (
+        '{"alpha3":0.25944521302534584,"h0":0.8105383148739362,'
+        '"h1":0.10361622917344042,"h1_prime":0.7069220857004959,'
+        '"h2":3.5424736689181935,"c_heis3":0.0034320794949710895,'
+        '"c_heis_star":0.001947132275626604,"tails":{"euler":0.012903200889073423,'
+        '"delta":0.19329511028895288,"alpha":0.001735106998264893},'
+        '"params":{"delta_max":1729,"p_max":1729}}'
+    ),
+    (100, 20000): (
+        '{"alpha3":0.25941226501487197,"h0":0.629491885920356,'
+        '"h1":0.043486707641246895,"h1_prime":0.5860051782791091,'
+        '"h2":3.1533466933409824,"c_heis3":0.0027580603176256863,'
+        '"c_heis_star":0.0015120177401396569,"tails":{"euler":0.0028559909928112894,'
+        '"delta":0.45872518073396884,"alpha":0.00015},'
+        '"params":{"delta_max":100,"p_max":20000}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("params", list(REPORT_BYTES), ids=str)
+def test_constant_report_bytes_are_pinned(params):
+    assert constant_report(TruncationParams(*params)).to_json() == REPORT_BYTES[params]
+
+
+@pytest.mark.parametrize("params", [(2000, 10**6), (300, 50000)], ids=str)
+def test_report_alpha3_is_alpha_ell(params):
+    # the report reads alpha_3 off the grid's primes, with no second sieve;
+    # the float is the one alpha_ell sieves for
+    got = constant_report(TruncationParams(*params)).alpha3
+    assert got.hex() == alpha_ell(3, params[1]).hex()
+
+
+def test_default_constant_report_within_budget():
+    # the whole pipeline at the default truncation, the sieve and the grid
+    # build included
+    _grids.cache_clear()
+    t0 = time.monotonic()
+    rep = constant_report(TruncationParams())
+    assert time.monotonic() - t0 < 1.0
+    assert rep.c_heis3 > 0
 
 
 def test_euler_product_rejects_zero_function():
