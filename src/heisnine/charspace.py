@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from ._primes import is_prime, primes_in_class
+from ._primes import check_int, is_prime, primes_in_class
 from .eisenstein import ROOT, ZERO, CharValue, _chi_exp
 
 __all__ = [
@@ -34,13 +34,16 @@ def _valid_prime(p: int) -> bool:
 @dataclass(frozen=True, order=True)
 class SupportFunction:
     """Sorted (prime, value) pairs with values in {1, 2}; zeros are dropped,
-    so structural equality is equality of functions."""
+    so structural equality is equality of functions.  Primes and values are
+    ints (TypeError otherwise; a bool is not one)."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         last = 0
         for p, v in self.entries:
+            check_int(p, "prime")
+            check_int(v, "value")
             if p <= last:
                 raise ValueError(f"entries out of order at prime {p}")
             if v not in (1, 2):
@@ -154,7 +157,9 @@ def _deltas_cached(limit: int) -> tuple[DeltaIndex, ...]:
 
 def enumerate_deltas(limit: int) -> Iterator[DeltaIndex]:
     """All Delta <= limit that are squarefree products of primes = 1 mod 3,
-    ascending, including Delta = 1."""
+    ascending, including Delta = 1.  limit is an integer (TypeError
+    otherwise)."""
+    check_int(limit, "limit")
     if limit < 1:
         return iter(())
     return iter(_deltas_cached(limit))

@@ -4,8 +4,8 @@ Everything here is floating point with explicit truncation parameters and
 reported tail bounds.  The conditionally convergent Euler products are
 renormalized against |L(1, chi)|^2 |L(1, (./3)chi)|^2 before truncation, so
 the truncated factors are 1 + O(p^(-3/2)) and the products converge
-absolutely; the H-series over moduli Delta are accumulated with compensated
-summation in a fixed deterministic order.
+absolutely; each H-series over the moduli Delta is the exactly rounded sum
+of its terms (math.fsum), so it does not depend on the order of the Deltas.
 
 The characters chi(f) of one Delta = r_1 ... r_k take their values on
 residue classes: n is classed by the exponents of chi_(r_i)(n) and
@@ -35,9 +35,9 @@ import json
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
-from math import log, prod, sqrt
+from math import fsum, log, prod, sqrt
 from numbers import Integral
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +94,7 @@ class TruncationParams:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if not 1 <= self.delta_max <= DELTA_MAX_CAP:
             raise ValueError(
                 f"delta_max must be in [1, {DELTA_MAX_CAP}], got {self.delta_max}"
@@ -102,28 +103,6 @@ class TruncationParams:
             raise ValueError(f"p_max must be in [100, {P_MAX_CAP}], got {self.p_max}")
         if self.delta_max > self.p_max:
             raise ValueError(f"delta_max {self.delta_max} exceeds p_max {self.p_max}")
-
-
-class _CompensatedSum:
-    """Neumaier summation; insertion order is fixed by the callers."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
 
 
 # The local factors see chi(f)(p) only through c_p = 2 Re chi(f)(p): 2 where
@@ -551,24 +530,6 @@ class HConstants:
     p_of_f_max: float
 
 
-def _block_rows(
-    g: _Grids,
-    k: int,
-    dIs: list[DeltaIndex],
-    primes: dict[int, tuple[np.ndarray, float]],
-) -> Iterator[zip]:
-    """For each of the Deltas dIs, all with k support primes, in order: its
-    rows as (f(3), P(f), exponent of chi(f)(3)), one block of Deltas per
-    _block_products call."""
-    ch = _characters(_rows(k))
-    f3s = ch.chars[:, 0].tolist()
-    size = max(1, _BLOCK_CELLS // ch.e.size)
-    for i in range(0, len(dIs), size):
-        pfs, e3 = _block_products(g, ch, dIs[i : i + size], primes)
-        for pf, e in zip(pfs, e3):
-            yield zip(f3s, pf.tolist(), e.tolist())
-
-
 def h_constants(params: TruncationParams) -> HConstants:
     """The Delta-series H0, H1, H1', H2 and the largest P(f) with
     f(3) = 0.  H0 is the starred constant before its 2^-2 3^-3 alpha_3
@@ -577,40 +538,39 @@ def h_constants(params: TruncationParams) -> HConstants:
 
     chi(2f) is the conjugate of chi(f), so c_p, |L|^2 and the factor at 3
     agree and P(2f) = P(f): each conjugate pair, f with first value 1, is
-    computed once and added twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
+    computed once and counted twice.  chi(2f)(3) = chi(f)(3)^2 keeps both in
     the same H1 or H1' bucket.  The Deltas with k support primes share one
-    _Characters and go through _block_products a block at a time; the sums
-    then add every P(f) in the order of the Deltas."""
+    _Characters and go through _block_products a block at a time; each
+    term w(Delta) P(f) is kept in its bucket, and each series is the
+    exactly rounded sum of its terms (math.fsum), doubled, so it does not
+    depend on the order of the Deltas or on the blocks."""
     g = _grids(params.p_max)
     by_k: dict[int, list[DeltaIndex]] = {}
     for dI in enumerate_deltas(params.delta_max):
         by_k.setdefault(len(dI.primes), []).append(dI)
     primes: dict[int, tuple[np.ndarray, float]] = {}  # support prime -> _prime
-    # one stream per k, each holding at most one block
-    streams = {k: _block_rows(g, k, dIs, primes) for k, dIs in by_k.items()}
-    h0 = _CompensatedSum()
-    h1 = _CompensatedSum()
-    h1p = _CompensatedSum()
-    h2 = _CompensatedSum()
-    p_max_seen = 0.0
-    for dI in enumerate_deltas(params.delta_max):
-        w = _delta_weights(dI.delta, dI.primes)
-        for f3, pf, e in next(streams[len(dI.primes)]):
-            if f3:
-                h2.add(w * pf)
-                h2.add(w * pf)
-                continue
-            p_max_seen = max(p_max_seen, pf)
-            bucket = h1 if e == 0 else h1p
-            for _ in range(2):
-                h0.add(w * pf)
-                bucket.add(w * pf)
+    buckets: tuple[list[np.ndarray], ...] = ([], [], [])  # H1, H1', H2 terms
+    p_of_f_max = 0.0
+    for k, dIs in by_k.items():
+        ch = _characters(_rows(k))
+        plain = ch.chars[:, 0] == 0
+        size = max(1, _BLOCK_CELLS // ch.e.size)
+        for i in range(0, len(dIs), size):
+            block = dIs[i : i + size]
+            pf, e3 = _block_products(g, ch, block, primes)
+            w = np.array([_delta_weights(dI.delta, dI.primes) for dI in block])
+            terms = w[:, None] * pf
+            sels = plain & (e3 == 0), plain & (e3 != 0), ~plain
+            for bucket, sel in zip(buckets, sels):
+                bucket.append(terms[np.broadcast_to(sel, terms.shape)])
+            p_of_f_max = float(pf[:, plain].max(initial=p_of_f_max))
+    h1, h1p, h2 = (np.concatenate(b) for b in buckets)
     return HConstants(
-        h0=h0.value,
-        h1=h1.value,
-        h1_prime=h1p.value,
-        h2=h2.value,
-        p_of_f_max=p_max_seen,
+        h0=2.0 * fsum(np.concatenate((h1, h1p))),
+        h1=2.0 * fsum(h1),
+        h1_prime=2.0 * fsum(h1p),
+        h2=2.0 * fsum(h2),
+        p_of_f_max=p_of_f_max,
     )
 
 

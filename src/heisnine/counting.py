@@ -25,6 +25,7 @@ table: about 30 ms cold at X_MAX = 10^18, and 0.6 s at a 10^24 bound
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -600,13 +601,16 @@ def enumerate_terms(
     """Stream the nonzero pair contributions in deterministic order:
     (Delta(f), Delta(f'), f entries, f' entries, d-class).  A limit keeps
     the first limit terms: an integer (not a bool, else TypeError), and
-    nonnegative (else ValueError)."""
+    nonnegative (else ValueError); one above sys.maxsize, which islice
+    cannot take and no census reaches, keeps them all."""
     _check_x(x)
     _check_mode(mode)
     if limit is not None:
         check_int(limit, "limit")
         if limit < 0:
             raise ValueError(f"limit must be nonnegative, got {limit}")
+        if limit > sys.maxsize:
+            limit = None
     records = list(islice(_terms(x), limit))
     w3 = mode.w3
     # one object per function: terms share them, as pairs share f

@@ -200,7 +200,10 @@ def k_direct(x: int, ell: int, d: int = 1) -> int:
 
 
 def psi_ell(d: int, ell: int) -> Fraction:
-    """prod over primes p | d of p / (p + ell - 1), exact."""
+    """prod over primes p | d of p / (p + ell - 1), exact; d and ell are
+    integers (TypeError otherwise)."""
+    for v, name in ((d, "d"), (ell, "ell")):
+        check_int(v, name)
     _check_ell(ell)
     if d < 1:
         raise ValueError("d must be positive")
@@ -216,8 +219,10 @@ def alpha_ell(ell: int, p_max: int = 10**6) -> float:
         alpha_3 = (3/4) L(1, (./3)) prod_p g(p),
     g(p) = 1 - 1/p^2 (p = 2 mod 3), (1 + 2/p)(1 - 1/p)^2 (p = 1 mod 3),
     8/9 (p = 3), with L(1, (./3)) = pi / 3^(3/2); the truncation error is
-    O(1/p_max).
+    O(1/p_max).  ell and p_max are integers (TypeError otherwise).
     """
+    for v, name in ((ell, "ell"), (p_max, "p_max")):
+        check_int(v, name)
     if ell != 3:
         raise ValueError(f"alpha_ell is computed for ell = 3 only, got {ell}")
     ps = primes_up_to(p_max).astype(np.float64)

@@ -2,15 +2,18 @@
 the package's public names and module caches."""
 
 import importlib
+import importlib.util
 import inspect
 import json
 import pkgutil
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import heisnine
-from heisnine.cli import run
+from heisnine.cli import _PROBES, run
 
 
 def _out(capsys):
@@ -177,6 +180,15 @@ def test_terms_negative_limit_is_domain_error(capsys):
     out, err = _out(capsys)
     assert out == ""
     assert "error:" in err and "limit" in err
+
+
+def test_terms_limit_past_maxsize_is_no_limit(capsys):
+    assert run(["terms", "--x", "1e13", "--format", "csv"]) == 0
+    want, _ = _out(capsys)
+    assert run(["terms", "--x", "1e13", "--limit", "1e30", "--format", "csv"]) == 0
+    out, err = _out(capsys)
+    assert err == ""
+    assert out == want and len(out.splitlines()) > 1
 
 
 def test_terms_json_roundtrip(capsys):
@@ -368,6 +380,17 @@ def test_verify_json_bytes(capsys):
     assert run(["verify", "--suite", "ksum", "--bound", "200", "--format", "json"]) == 0
     out, _ = _out(capsys)
     assert out == '{"suite":"ksum","bound":200,"checks":47,"failures":[]}\n'
+
+
+def test_benchmark_probes_are_the_cli_probes(monkeypatch):
+    # the benchmark's prime-walk keeps its own copy of the probe patterns
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    # registered first: its dataclass looks up its own module
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    assert mod.PROBES == _PROBES
 
 
 def test_public_names():

@@ -4,7 +4,7 @@ import cmath
 import json
 import time
 from dataclasses import astuple
-from math import sqrt
+from math import fsum, sqrt
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from heisnine.constants import (
     TruncationParams,
     _characters,
     _classes,
-    _CompensatedSum,
     _delta_sums,
     _delta_weights,
     _gauss_sums,
@@ -267,12 +266,12 @@ def test_euler_product_conjugate_symmetry():
     "params", [TruncationParams(300, 300), TruncationParams(1729, 1729)], ids=str
 )
 def test_euler_product_is_the_float_h_constants_adds(params):
-    # euler_product_P reads its row off the block of its Delta, so adding it
-    # over every f in the order of h_constants (V*(Delta) in the order of
-    # enumerate_V, first value 1, times f(3) = 0, 1, 2; each added twice)
-    # gives h_constants bit for bit
+    # euler_product_P reads its row off the block of its Delta, so the
+    # exactly rounded sums of its terms w(Delta) P(f) over every f
+    # (V*(Delta), first value 1, times f(3) = 0, 1, 2; each counted twice)
+    # give h_constants bit for bit
     t0 = time.monotonic()
-    h0, h1, h1p, h2 = (_CompensatedSum() for _ in range(4))
+    h0, h1, h1p, h2 = [], [], [], []
     p_seen = 0.0
     for dI in enumerate_deltas(params.delta_max):
         w = _delta_weights(dI.delta, dI.primes)
@@ -283,16 +282,30 @@ def test_euler_product_is_the_float_h_constants_adds(params):
                 g = linear_combination(1, f, f3, SupportFunction(((3, 1),)))
                 pf = euler_product_P(g, params)
                 if f3:
-                    sums = (h2, h2)
-                else:
-                    p_seen = max(p_seen, pf)
-                    h1g = h1 if chi_eval(g, 3) == ROOT(0) else h1p
-                    sums = (h0, h1g, h0, h1g)
-                for acc in sums:
-                    acc.add(w * pf)
-    got = HConstants(h0.value, h1.value, h1p.value, h2.value, p_seen)
+                    h2.append(w * pf)
+                    continue
+                p_seen = max(p_seen, pf)
+                h0.append(w * pf)
+                (h1 if chi_eval(g, 3) == ROOT(0) else h1p).append(w * pf)
+    got = HConstants(*(2.0 * fsum(t) for t in (h0, h1, h1p, h2)), p_seen)
     assert got == h_constants(params)
     assert time.monotonic() - t0 < 20
+
+
+@pytest.mark.parametrize(
+    "params", [TruncationParams(300, 300), TruncationParams(1729, 1729)], ids=str
+)
+def test_h_constants_do_not_depend_on_the_order_of_the_deltas(params, monkeypatch):
+    want = h_constants(params)
+    forward = heisnine.constants.enumerate_deltas
+    monkeypatch.setattr(
+        heisnine.constants,
+        "enumerate_deltas",
+        lambda limit: reversed(list(forward(limit))),
+    )
+    got = h_constants(params)
+    assert [d.delta for d in heisnine.constants.enumerate_deltas(10)] == [7, 1]
+    assert got == want
 
 
 # constant_report(...).to_json() as recorded before the block pipeline;
@@ -462,7 +475,10 @@ def test_truncation_params_accept_the_caps_and_numpy_ints():
     t0 = time.monotonic()
     TruncationParams(DELTA_MAX_CAP, P_MAX_CAP)
     TruncationParams(1, 100)
-    assert TruncationParams(np.int64(300), np.int64(1000)).p_max == 1000
+    params = TruncationParams(np.int64(300), np.int64(1000))
+    assert params == TruncationParams(300, 1000)
+    # stored as ints: enumerate_deltas below takes no numpy integer
+    assert type(params.delta_max) is int and type(params.p_max) is int
     assert time.monotonic() - t0 < 0.1
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -283,6 +284,13 @@ def test_terms_stream_empty_and_limited():
         enumerate_terms(x, FULL, limit=-1)
 
 
+@pytest.mark.parametrize("limit", [sys.maxsize, sys.maxsize + 1, 2**70])
+def test_terms_limit_past_maxsize_keeps_every_term(limit):
+    # islice takes no stop above sys.maxsize; such a limit cuts nothing
+    x = 10**13
+    assert list(enumerate_terms(x, FULL, limit=limit)) == list(enumerate_terms(x, FULL))
+
+
 def test_terms_stream_total_matches_raw():
     for x in (10**13, 10**14):
         for mode in (STAR, FULL):
@@ -516,6 +524,13 @@ def test_log_grid_points_and_validation():
         (log_grid, (1.5, 10, 3)),
         (log_grid, (1, 10.0, 3)),
         (log_grid, (1, 10, True)),
+        # a float prime, or a bool value, would fail later inside pow or
+        # print as 7:True
+        (SupportFunction, (((7.0, 1),),)),
+        (SupportFunction, (((7, True),),)),
+        (enumerate_deltas, (20.5,)),
+        (ksum.psi_ell, (7.5, 3)),
+        (ksum.alpha_ell, (3, 1000.5)),
     ],
     ids=lambda v: getattr(v, "__name__", None) or repr(v),
 )
