@@ -19,7 +19,6 @@ from .charspace import SupportFunction
 from .constants import TruncationParams, char_cancellation_profile, constant_report
 from .counting import (
     CountReport,
-    TermRecord,
     WeightMode,
     _check_mode,
     _check_x,
@@ -145,17 +144,6 @@ def _count_text(rep: CountReport, fmt: str, subsums_only: bool) -> str:
     return rep.to_text()
 
 
-def _term_cells(t: TermRecord) -> list[str]:
-    return [
-        str(t.f),
-        str(t.fp),
-        str(t.d_class),
-        str(t.big_d),
-        t.cls.name,
-        str(t.weight),
-    ]
-
-
 def _terms_text(args: argparse.Namespace) -> str:
     records = list(enumerate_terms(args.x, args.weight_mode, args.limit))
     if args.format == "json":
@@ -180,7 +168,7 @@ def _terms_text(args: argparse.Namespace) -> str:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["f", "fp", "d_class", "big_d", "class", "weight"])
         for t in records:
-            w.writerow(_term_cells(t))
+            w.writerow([t.f, t.fp, t.d_class, t.big_d, t.cls.name, t.weight])
         return buf.getvalue().rstrip("\n")
     lines = [
         f"f={t.f} fp={t.fp} d_class={t.d_class} D={t.big_d} "

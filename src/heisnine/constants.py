@@ -20,7 +20,7 @@ chi_9(n) and by (n/3).  The work is split by what it depends on:
   2 * 3^(k+1) classes, the zero masks and chi on the classes
   (_Characters);
 - per support prime r, once per call: tau(chi_r^v) and the dead-prime
-  term (_prime), with chi_r read off a view of the cached chi_p_table;
+  term (_prime), with chi_r read off the cached chi_p_table (_chi_table);
 - per block of Deltas with the same k: the Gauss sums, from per-prime
   factors, the L-values, the masked grid sums, the factor at 3 and P(f),
   each a few elementwise steps and sums over the buckets on (B, rows)
@@ -48,7 +48,7 @@ from .eisenstein import (
     _chi_exp,
     _chi_exponent_arrays,
     _chi_exps,
-    chi_p_table,
+    _chi_table,
     standard_decompose,
     standard_prime_arrays,
 )
@@ -263,12 +263,6 @@ def _nine_taus() -> tuple[np.ndarray, np.ndarray]:
     return _gauss_table(e9), _gauss_table(e9, sign)
 
 
-def _row(r: int) -> np.ndarray:
-    """The exponent of chi_r(n) by n mod r, -1 at the zero value: an int8
-    view of chi_p_table (0xFF reads as -1), no copy."""
-    return np.frombuffer(chi_p_table(r), dtype=np.int8)
-
-
 def _prime(r: int) -> tuple[np.ndarray, float]:
     """What every Delta with the support prime r shares, O(1) of it:
     tau(chi_r^v) for v = 0, 1, 2, and the dead-prime term, the log of the
@@ -277,7 +271,7 @@ def _prime(r: int) -> tuple[np.ndarray, float]:
     p = np.array([r], dtype=np.float64)
     sqrt_p = np.sqrt(p)
     dead = np.log(1.0 + 2.0 / (sqrt_p * (p + 2.0))) - _p_logs(p, sqrt_p, -1.0)
-    return _gauss_table(_row(r)), float(dead[0])
+    return _gauss_table(_chi_table(r)), float(dead[0])
 
 
 def _residues(ps: np.ndarray, m: np.uint32) -> np.ndarray:
@@ -375,7 +369,7 @@ def _delta_sums(
     sums = np.empty((5, len(dIs), n_ids))
     cls3 = np.empty(len(dIs), dtype=np.int64)
     for b, dI in enumerate(dIs):
-        digits, ids9 = _classes(ch, dI.primes, [_row(r) for r in dI.primes])
+        digits, ids9 = _classes(ch, dI.primes, [_chi_table(r) for r in dI.primes])
         sums[0, b] = _grid_bins(g, ids9, n_ids)
         sums[1:, b] = _bucket_sums(dI.delta, digits, ids9, n_ids)
         cls3[b] = digits[3 % dI.delta]
@@ -406,7 +400,7 @@ def _gauss_sums(
         t *= np.array([primes[dI.primes[i]][0] for dI in dIs])[:, v[:, i]]
 
     def at(m: int) -> np.ndarray:  # prod over r of chi_r^(v_r)(q / r), times t
-        x = [[_row(r)[m * dI.delta // r % r] for r in dI.primes] for dI in dIs]
+        x = [[_chi_table(r)[m * dI.delta // r % r] for r in dI.primes] for dI in dIs]
         return W3[np.array(x, dtype=np.int64).reshape(len(dIs), -1) @ v.T % 3] * t
 
     tau9, tau9_t = _nine_taus()

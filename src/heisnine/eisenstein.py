@@ -386,11 +386,10 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
-# Only _chi_exps builds tables: the census and the symbols suite build none
-# (they read _chi_exp, Euler's criterion).  constant_report evicts at
-# large delta_max, where every prime up to delta_max is a Delta: at 3.2e4
-# it fills all 1024 entries, rebuilds 121 and holds ~17.5 MB (ROADMAP, open
-# item 3).  The entry count bounds memory.
+# Read through _chi_table.  The census and the symbols suite build none, the
+# reciprocity suite 611 at 10^4.  At delta_max 3.2e4, where every prime up
+# to it is a Delta, constant_report fills all 1024 entries, rebuilds 121 and
+# holds ~17.5 MB (ROADMAP, open item 3): the entry count bounds memory.
 @lru_cache(maxsize=1024)
 def chi_p_table(p: int) -> bytes:
     """Exponent of chi_p(n) indexed by n mod p; 0xFF marks the zero value.
@@ -445,12 +444,16 @@ def _chi_exp(p: int, n: int) -> int | None:
     return _euler_exp(n, p, _j_image(p))
 
 
+def _chi_table(p: int) -> np.ndarray:
+    """chi_p_table as a read-only int8 view: 0xFF reads as -1, the zero."""
+    return np.frombuffer(chi_p_table(p), dtype=np.int8)
+
+
 def _chi_exps(p: int, ns: np.ndarray) -> np.ndarray:
-    """_chi_exp over an integer array, as int64 with -1 at the zero value:
-    a lookup in chi_p_table, whose 0xFF byte reads as int8 -1."""
+    """_chi_exp over an integer array, as int64, -1 at the zero value."""
     if p == 3:
         return np.array(_CHI_NINE, dtype=np.int64)[ns % 9]
-    return np.frombuffer(chi_p_table(p), dtype=np.int8)[ns % p].astype(np.int64)
+    return _chi_table(p)[ns % p].astype(np.int64)
 
 
 def _chi_exponent_arrays(

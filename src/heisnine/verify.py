@@ -6,10 +6,14 @@ trial-division brute force for the K-sum) and reports a deterministic check
 count plus any failures.  Suites never sample randomly, so two runs produce
 identical output.
 
+The reciprocity suite reads (alpha / beta)_3 for all alpha at once, a row per
+primary prime beta, from the chi_p_table of the constant pipeline and the
+probe at a split beta; the symbols suite checks the scalar cubic_symbol.
+
 The Euler criterion runs batched: _euler_symbols takes a block of
 (alpha, beta) int pairs and raises each alpha to its own (N - 1)/3 in
 Z[j]/(N), N = N(beta), on int64 numpy arrays.  The suites' primes come from
-standard_primes_up_to, which refuses limits past STANDARD_ARRAY_MAX = 2^30,
+standard_prime_arrays, which refuses limits past STANDARD_ARRAY_MAX = 2^30,
 so N <= 2^30; with both coordinates in [0, N), every product the ladder
 forms is below 2 N^2 <= 2^61 and none wraps.  The suites hand it at most
 _EULER_BLOCK pairs a call, so its working memory does not grow with the
@@ -25,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._primes import check_int, primes_in_class, primes_up_to
+from ._primes import check_int, primes_in_class
 from .charspace import SupportFunction
 from .counting import (
     SubsumClass,
@@ -43,8 +47,10 @@ from .eisenstein import (
     EisensteinInt,
     StandardPrime,
     ZERO,
+    _chi_table,
     chi_p,
     cubic_symbol,
+    standard_prime_arrays,
     standard_primes_up_to,
 )
 from .ksum import k_direct
@@ -172,25 +178,23 @@ def _euler_symbols(
     return [_VALUE_OF_EXP[m] for m in exps.tolist()]
 
 
-def _symbol_inert(alpha: EisensteinInt, q: int) -> CharValue:
-    """(alpha / q)_3 for an inert prime q = 2 mod 3, working in F_{q^2}."""
-    a, b = alpha.a % q, alpha.b % q
-    if a == 0 and b == 0:
-        return ZERO
-    x, y = 1, 0
+def _inert_exps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exponent of ((a + b*j) / q)_3 over int64 arrays for an inert prime
+    q = 2 mod 3, -1 at the zero value: Euler's criterion in F_{q^2}."""
+    a, b = a % q, b % q
+    x, y = np.ones_like(a), np.zeros_like(a)
     e = (q * q - 1) // 3
     while e:
         if e & 1:
             x, y = (x * a - y * b) % q, (x * b + y * a - y * b) % q
         a, b = (a * a - b * b) % q, (2 * a * b - b * b) % q
         e >>= 1
-    if y == 0 and x == 1:
-        return ROOT(0)
-    if x == 0 and y == 1:
-        return ROOT(1)
-    if x == q - 1 and y == q - 1:
-        return ROOT(2)
-    raise AssertionError(f"cube-power class mod {q} is not a root of unity")
+    exps = np.full(len(x), -1, dtype=np.int8)
+    for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
+        exps[(x == ja % q) & (y == jb % q)] = m
+    if ((exps < 0) & ((x != 0) | (y != 0))).any():
+        raise AssertionError(f"cube-power class mod {q} is not a root of unity")
+    return exps
 
 
 def _conjugate(sp: StandardPrime) -> StandardPrime:
@@ -199,25 +203,28 @@ def _conjugate(sp: StandardPrime) -> StandardPrime:
     return StandardPrime(sp.p, sp.pi.conj(), (-1 - sp.r) % sp.p)
 
 
-def _primary_primes(norm_bound: int) -> list[tuple[EisensteinInt, object]]:
-    """Primary primes of Z[j] with norm <= norm_bound, prime to 3, each
-    tagged with the data its fast symbol route needs: q for an inert q, and
-    for a split prime the StandardPrime of that factor itself."""
-    out: list[tuple[EisensteinInt, object]] = []
-    for sp in standard_primes_up_to(norm_bound):
-        bar = _conjugate(sp)
-        out += [(sp.pi, sp), (bar.pi, bar)]
-    for q in map(int, primes_up_to(isqrt(norm_bound))):
-        if q % 3 == 2:
-            out.append((EisensteinInt(q, 0), q))
-    out.sort(key=lambda t: (t[0].norm, t[0].a, t[0].b))
+def _primary_primes(norm_bound: int) -> list[tuple[int, int, int, int]]:
+    """Primary primes a + b*j with norm <= norm_bound, prime to 3, as (a, b,
+    q, r) by (norm, a, b): q is the rational prime below, r the image of j
+    in F_q at a split q (b < 0 at the conjugate factor), 0 at an inert q."""
+    out = []
+    for p, a, b, r in zip(*(c.tolist() for c in standard_prime_arrays(norm_bound))):
+        out += [(a, b, p, r), (a - b, -b, p, (-1 - r) % p)]
+    out += [(q, 0, q, 0) for q in primes_in_class(isqrt(norm_bound), 3, 2).tolist()]
+    out.sort(key=lambda t: (t[0] * t[0] - t[0] * t[1] + t[1] * t[1], t[0], t[1]))
     return out
 
 
-def _symbol_fast(alpha: EisensteinInt, beta: EisensteinInt, tag: object) -> CharValue:
-    if isinstance(tag, int):
-        return _symbol_inert(alpha, tag)
-    return cubic_symbol(alpha, tag)
+def _symbol_row(beta: tuple, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """The exponents of (alpha / beta)_3 as int8, -1 at the zero value, for
+    every alpha = na + nb*j, beta = (a, b, q, r) as _primary_primes lists it."""
+    _, b, q, r = beta
+    if q % 3 == 2:
+        return _inert_exps(na, nb, q)
+    # chi_p_table reads n^((q-1)/3) = r^e; at the conjugate factor (b < 0)
+    # j maps to r^2, so the exponent is 2e, the table's at n^2
+    n = (na + nb * r) % q
+    return _chi_table(q)[n if b > 0 else n * n % q]
 
 
 def _sampled_pairs(m: int, stride: int) -> Iterator[tuple[int, int]]:
@@ -245,30 +252,34 @@ def _euler_stream(
 def _suite_reciprocity(bound: int) -> _Recorder:
     rec = _Recorder()
     prs = _primary_primes(bound)
-    slow_stride = 997
-    # the independent slow route keeps the fast residue routes honest at
-    # every slow_stride-th pair: (b / a) then (a / b), read in pair order
-    coords = [(beta.a, beta.b) for beta, _ in prs]
+    m = len(prs)
+    na, nb = np.array(prs, dtype=np.int64).reshape(-1, 4).T[:2]
+    # exps[i, k] is the exponent of (prs[k] / prs[i])_3, a row per denominator
+    exps = np.empty((m, m), dtype=np.int8)
+    for i, beta in enumerate(prs):
+        exps[i] = _symbol_row(beta, na, nb)
+    # failures as (i, k, 0 or 1, format) sort into the row-major walk of the
+    # pairs i < k, a pair's slow check after its reciprocity check
+    fails = []
+    for i0 in range(0, m, 256):  # exps against its transpose, 256 rows a time
+        blk = slice(i0, i0 + 256)
+        rows, cols = np.nonzero(np.triu(exps[blk] != exps[:, blk].T, i0 + 1))
+        for i, k in zip(rows[:_FAILURE_CAP].tolist(), cols[:_FAILURE_CAP].tolist()):
+            fails.append((i0 + i, k, 0, "reciprocity fails for {} and {}"))
+    # the independent slow route keeps the rows honest at every 997th pair:
+    # (b / a) then (a / b), read in pair order
+    pairs = list(_sampled_pairs(m, 997))
+    coords = [t[:2] for t in prs]
     slow = _euler_stream(
-        pair
-        for i, j in _sampled_pairs(len(prs), slow_stride)
-        for pair in ((coords[j], coords[i]), (coords[i], coords[j]))
+        p for i, k in pairs for p in ((coords[k], coords[i]), (coords[i], coords[k]))
     )
-    n = 0
-    for i, (a, ta) in enumerate(prs):
-        for b, tb in prs[i + 1 :]:
-            va = _symbol_fast(b, a, ta)
-            vb = _symbol_fast(a, b, tb)
-            rec.check(va == vb, "reciprocity fails for {} and {}", a, b)
-            n += 1
-            if n % slow_stride == 0:
-                sa, sb = next(slow), next(slow)
-                rec.check(
-                    va == sa and vb == sb,
-                    "fast and general symbol routes differ at {}, {}",
-                    a,
-                    b,
-                )
+    for i, k in pairs:
+        sa, sb = next(slow), next(slow)
+        if _VALUE_OF_EXP[exps[i, k]] != sa or _VALUE_OF_EXP[exps[k, i]] != sb:
+            fails.append((i, k, 1, "fast and general symbol routes differ at {}, {}"))
+    rec.checks = m * (m - 1) // 2 + len(pairs)
+    for i, k, _, fmt in sorted(fails)[:_FAILURE_CAP]:
+        rec.failures.append(fmt.format(*(EisensteinInt(*coords[t]) for t in (i, k))))
     return rec
 
 
@@ -525,7 +536,7 @@ def _suite_ksum(bound: int) -> _Recorder:
         for n in range(2, hi + 1):
             acc += _squarefree_split_weight(n, d)
             brute[n] = acc
-        for x in (1, 2, 6, 7, 12, 48, 90, 91, hi // 2, hi):
+        for x in [t for t in (1, 2, 6, 7, 12, 48, 90, 91, hi // 2, hi) if 0 < t <= hi]:
             rec.check(
                 k_direct(x, 3, d) == brute[x],
                 "k_direct({},3,{}) != brute force {}",
@@ -545,13 +556,16 @@ def _suite_ksum(bound: int) -> _Recorder:
     return rec
 
 
+# name: (suite, default bound, smallest bound, largest bound or 0); the
+# census grids start at 10^9 and 10^12, and reciprocity's m^2 bytes of
+# exponents for m primary primes reach about 92 MB at 10^5
 _SUITES = {
-    "reciprocity": (_suite_reciprocity, 10**4),
-    "symbols": (_suite_symbols, 10**4),
-    "indicator": (_suite_indicator, 200),
-    "integrality": (_suite_integrality, 10**16),
-    "subsum-identities": (_suite_subsums, 10**16),
-    "ksum": (_suite_ksum, 2000),
+    "reciprocity": (_suite_reciprocity, 10**4, 1, 10**5),
+    "symbols": (_suite_symbols, 10**4, 1, STANDARD_ARRAY_MAX),
+    "indicator": (_suite_indicator, 200, 1, 0),
+    "integrality": (_suite_integrality, 10**16, 10**9, 0),
+    "subsum-identities": (_suite_subsums, 10**16, 10**12, 0),
+    "ksum": (_suite_ksum, 2000, 1, 0),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -560,10 +574,11 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, bound: int | None = None) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fn, default = _SUITES[name]
+    fn, default, lo, hi = _SUITES[name]
     b = default if bound is None else bound
     check_int(b, "bound")
-    if b < 1:
-        raise ValueError("bound must be positive")
+    if not lo <= b <= (hi or b):
+        top = f" to {hi}" if hi else ""
+        raise ValueError(f"suite {name} takes a bound from {lo}{top}, got {b}")
     rec = fn(b)
     return SuiteResult(name, b, rec.checks, tuple(rec.failures))

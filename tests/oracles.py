@@ -10,7 +10,8 @@ replaced, on top of package primitives.
 
 - The object-route symbol keeps the EisensteinInt Euler criterion, on top
   of the package's divrem, that verify._euler_symbols runs batched on int64
-  arrays.
+  arrays; symbol_inert keeps the scalar F_{q^2} ladder that
+  verify._inert_exps runs on arrays for the reciprocity suite.
 - The pair functions keep the route over validated support functions that
   the package replaced with its tuple kernel: indicator_literal (kernel
   generators through linear_combination and chi_eval, each factor tested
@@ -300,6 +301,28 @@ def symbol_eis_literal(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
         if divrem(acc - EisensteinInt(*jm), pi)[1].is_zero:
             return ROOT(m)
     raise AssertionError(f"Euler criterion produced a non-root mod {pi!r}")
+
+
+def symbol_inert(alpha: EisensteinInt, q: int) -> CharValue:
+    """(alpha / q)_3 for an inert prime q = 2 mod 3, working in F_{q^2}:
+    the scalar ladder that verify._inert_exps runs on int64 arrays."""
+    a, b = alpha.a % q, alpha.b % q
+    if a == 0 and b == 0:
+        return ZERO
+    x, y = 1, 0
+    e = (q * q - 1) // 3
+    while e:
+        if e & 1:
+            x, y = (x * a - y * b) % q, (x * b + y * a - y * b) % q
+        a, b = (a * a - b * b) % q, (2 * a * b - b * b) % q
+        e >>= 1
+    if y == 0 and x == 1:
+        return ROOT(0)
+    if x == 0 and y == 1:
+        return ROOT(1)
+    if x == q - 1 and y == q - 1:
+        return ROOT(2)
+    raise AssertionError(f"cube-power class mod {q} is not a root of unity")
 
 
 def is_cubic_residue(q: int, n: int) -> bool:

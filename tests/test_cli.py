@@ -297,7 +297,23 @@ def test_verify_bound_below_grid_is_domain_error(suite, bound, capsys):
     assert run(["verify", "--suite", suite, "--bound", bound]) == 1
     out, err = _out(capsys)
     assert out == ""
-    assert err.startswith("error:")
+    lo = {"integrality": 10**9, "subsum-identities": 10**12}[suite]
+    assert err.startswith(f"error: suite {suite} takes a bound from {lo}, got ")
+
+
+def test_verify_reciprocity_above_its_cap_is_domain_error(capsys):
+    assert run(["verify", "--suite", "reciprocity", "--bound", "100001"]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    want = "error: suite reciprocity takes a bound from 1 to 100000, got 100001\n"
+    assert err == want
+
+
+@pytest.mark.parametrize("bound", ["1", "2", "90"])
+def test_verify_ksum_below_its_fixed_points(bound, capsys):
+    assert run(["verify", "--suite", "ksum", "--bound", bound]) == 0
+    out, _ = _out(capsys)
+    assert out.startswith(f"suite=ksum bound={bound} ") and out.endswith("failures=0\n")
 
 
 PSI_12 = 318_665_857_834_031_151_167_461  # passes Miller-Rabin to the first 12 primes

@@ -31,7 +31,6 @@ from heisnine.constants import (
     _grid_ids,
     _grids,
     _l_values,
-    _row,
     _rows,
     char_cancellation_profile,
     constant_report,
@@ -42,6 +41,7 @@ from heisnine.cli import ratio_csv, ratio_report
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import (
     ROOT,
+    _chi_table,
     cubic_symbol,
     standard_decompose,
     standard_primes_up_to,
@@ -214,7 +214,7 @@ def test_grid_classes_match_per_prime_route(params):
         ch = _characters(_rows(k))
         n_ids = 2 * 3 ** (k + 1)
         n_euler = n_ids // 2
-        _, ids9 = _classes(ch, dI.primes, [_row(r) for r in dI.primes])
+        _, ids9 = _classes(ch, dI.primes, [_chi_table(r) for r in dI.primes])
         one = _grid_ids(g, ids9, slice(None, g.split))
         two = _grid_ids(g, ids9, slice(g.split, None))
         bins = _grid_bins(g, ids9, n_ids)

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from heisnine import verify
@@ -16,9 +17,9 @@ from heisnine.eisenstein import (
 )
 from heisnine.verify import (
     SUITE_NAMES,
+    _conjugate,
     _euler_symbols,
     _sampled_pairs,
-    _symbol_inert,
     indicator_pairs,
     run_suite,
 )
@@ -87,7 +88,7 @@ def test_general_symbol_at_inert_q_matches_inert_route(q):
         for b in (-5 * q * q + 3, 0, q * q, 4 * q * q * q - 1)
     ]
     got = _euler_symbols(_pairs(alphas), [(q, 0)] * len(alphas))
-    assert got == [_symbol_inert(alpha, q) for alpha in alphas]
+    assert got == [oracles.symbol_inert(alpha, q) for alpha in alphas]
 
 
 @pytest.mark.parametrize("p", [7, 13, 97, 9973])
@@ -147,7 +148,7 @@ def test_general_symbol_at_the_int64_edge():
     betas = [(sp.pi.a, sp.pi.b), (bar.pi.a, bar.pi.b), (q, 0)]
     got = _euler_symbols(_pairs(alphas) * 3, [beta for beta in betas for _ in alphas])
     want = [oracles.symbol_eis_literal(alpha, s) for s in (sp, bar) for alpha in alphas]
-    want += [_symbol_inert(alpha, q) for alpha in alphas]
+    want += [oracles.symbol_inert(alpha, q) for alpha in alphas]
     assert got == want
     assert {v.exp for v in want} == {None, 0, 1, 2}
 
@@ -163,12 +164,14 @@ def _all_zero(alphas, betas):
     return [ZERO] * len(alphas)
 
 
-def _flip_at_seven(orig):
-    def fast(alpha, beta, tag):
-        v = orig(alpha, beta, tag)
-        return v.conj() if beta == EisensteinInt(2, 3) else v
+def _conj_row_at(a, b, orig):
+    """_symbol_row with the row of the denominator a + b*j conjugated."""
 
-    return fast
+    def row(beta, na, nb):
+        e = orig(beta, na, nb)
+        return np.where(e < 0, e, -e % 3) if beta[:2] == (a, b) else e
+
+    return row
 
 
 # failure texts pinned byte for byte
@@ -213,7 +216,7 @@ chi_7(3) differs from the symbol"""
 
 
 def test_failure_text_unchanged(monkeypatch):
-    monkeypatch.setattr(verify, "_symbol_fast", _flip_at_seven(verify._symbol_fast))
+    monkeypatch.setattr(verify, "_symbol_row", _conj_row_at(2, 3, verify._symbol_row))
     assert run_suite("reciprocity", 50).to_text() == _RECIPROCITY_FLIP_TEXT
     monkeypatch.undo()
     monkeypatch.setattr(verify, "_euler_symbols", _all_zero)
@@ -224,14 +227,10 @@ def test_failure_text_unchanged(monkeypatch):
 def test_reciprocity_failures_keep_the_walk_order(monkeypatch):
     # the slow route's values are read in pair order, so a slow failure
     # lands between the fast ones around it, as the walk meets them
-    last = verify._primary_primes(600)[-1][0]
-    orig = verify._symbol_fast
-
-    def fast(alpha, beta, tag):
-        v = orig(alpha, beta, tag)
-        return v.conj() if beta == last else v
-
-    monkeypatch.setattr(verify, "_symbol_fast", fast)
+    last = EisensteinInt(*verify._primary_primes(600)[-1][:2])
+    monkeypatch.setattr(
+        verify, "_symbol_row", _conj_row_at(last.a, last.b, verify._symbol_row)
+    )
     monkeypatch.setattr(verify, "_euler_symbols", _all_zero)
     res = run_suite("reciprocity", 600)
     slow = [i for i, f in enumerate(res.failures) if f.startswith("fast and general")]
@@ -264,6 +263,78 @@ def test_symbols_suite_at_its_default_bound_in_budget():
     assert elapsed < 0.5
 
 
+def test_reciprocity_rows_match_the_scalar_symbols():
+    # the scalar symbols as the oracle of every off-diagonal entry:
+    # cubic_symbol at pi or at its conjugate, symbol_inert at an inert q
+    prs = verify._primary_primes(600)
+    na, nb = np.array([t[:2] for t in prs], dtype=np.int64).T
+    alphas = [EisensteinInt(a, b) for a, b, _, _ in prs]
+    kinds = set()
+    for i, (_, b, q, _) in enumerate(prs):
+        row = verify._symbol_row(prs[i], na, nb)
+        assert row.dtype == np.int8 and len(row) == len(prs)
+        if q % 3 == 2:
+            want = [oracles.symbol_inert(alpha, q) for alpha in alphas]
+            kinds.add("inert")
+        else:
+            sp = standard_decompose(q)
+            if b < 0:
+                sp = _conjugate(sp)
+                kinds.add("conjugate")
+            else:
+                kinds.add("standard")
+            assert sp.pi == alphas[i]
+            want = [cubic_symbol(alpha, sp) for alpha in alphas]
+        got = [ZERO if e < 0 else ROOT(e) for e in row.tolist()]
+        assert got[:i] + got[i + 1 :] == want[:i] + want[i + 1 :], alphas[i]
+    assert kinds == {"inert", "standard", "conjugate"}
+
+
+@pytest.mark.parametrize("bound,m", [(1, 0), (4, 1), (7, 3)])
+def test_reciprocity_suite_with_few_primes(bound, m):
+    # no prime, the inert 2 alone, then 2 and the two factors of 7
+    assert len(verify._primary_primes(bound)) == m
+    res = run_suite("reciprocity", bound)
+    assert res.ok and res.checks == m * (m - 1) // 2
+
+
+def test_reciprocity_suite_at_its_default_bound_in_budget():
+    t0 = time.monotonic()
+    res = run_suite("reciprocity")
+    elapsed = time.monotonic() - t0
+    assert res.ok and (res.bound, res.checks) == (10**4, 762_759)
+    assert elapsed < 0.6
+
+
+@pytest.mark.parametrize(
+    "name,bound,limits",
+    [
+        ("integrality", 10**9 - 1, "from 1000000000"),
+        ("subsum-identities", 10**12 - 1, "from 1000000000000"),
+        ("reciprocity", 10**5 + 1, "from 1 to 100000"),
+        ("symbols", 2**30 + 1, "from 1 to 1073741824"),
+    ],
+)
+def test_suite_bound_out_of_range_names_the_suite(name, bound, limits):
+    with pytest.raises(ValueError) as exc:
+        run_suite(name, bound)
+    assert str(exc.value) == f"suite {name} takes a bound {limits}, got {bound}"
+
+
+@pytest.mark.parametrize(
+    "name,bound", [("integrality", 10**9), ("subsum-identities", 10**12)]
+)
+def test_census_suites_run_at_their_smallest_bound(name, bound):
+    res = run_suite(name, bound)
+    assert res.ok and res.checks > 0
+
+
+@pytest.mark.parametrize("bound", [1, 2, 90])
+def test_ksum_suite_below_its_fixed_points(bound):
+    res = run_suite("ksum", bound)
+    assert res.ok and res.checks > 0
+
+
 def test_inert_symbol_cube_classes():
     # (alpha/q) = 1 exactly on nonzero cubes of F_{q^2} = Z[j]/(q)
     q = 5
@@ -274,13 +345,28 @@ def test_inert_symbol_cube_classes():
                 c = EisensteinInt(a, b)
                 c3 = c * c * c
                 cubes.add((c3.a % q, c3.b % q))
-    for a in range(q):
-        for b in range(q):
-            v = _symbol_inert(EisensteinInt(a, b), q)
-            if a == 0 and b == 0:
-                assert v.is_zero
-            else:
-                assert (v.exp == 0) == ((a % q, b % q) in cubes)
+    grid = np.array([(a, b) for a in range(q) for b in range(q)], dtype=np.int64)
+    rows = verify._inert_exps(grid[:, 0], grid[:, 1], q).tolist()
+    for (a, b), e in zip(grid.tolist(), rows):
+        v = oracles.symbol_inert(EisensteinInt(a, b), q)
+        assert e == (-1 if v.is_zero else v.exp)
+        if a == 0 and b == 0:
+            assert v.is_zero
+        else:
+            assert (v.exp == 0) == ((a % q, b % q) in cubes)
+
+
+@pytest.mark.parametrize("q", [2, 5, 11, 47, 317, 32717])
+def test_inert_rows_match_the_scalar_ladder(q):
+    # coordinates far past q, multiples of q among them, on both routes
+    vals = [-7 * q * q - 1, -q, 0, 1, 2, q, 3 * q + 2, 5 * q * q + 4]
+    alphas = [EisensteinInt(a, b) for a in vals for b in vals]
+    row = verify._inert_exps(
+        np.array([z.a for z in alphas]), np.array([z.b for z in alphas]), q
+    )
+    assert row.dtype == np.int8
+    want = [oracles.symbol_inert(alpha, q) for alpha in alphas]
+    assert row.tolist() == [-1 if v.is_zero else v.exp for v in want]
 
 
 def test_indicator_pair_universe_census():
