@@ -481,6 +481,58 @@ def test_skeleton_pinned_at_1e21():
     assert digest == "87d2ebb0396c51239dd43d3e288187e3d5444533d47be3ee91402af0731f1300"
 
 
+@pytest.mark.parametrize("bound, skipped", [(10**18, (76, 105)), (10**21, (219, 312))])
+def test_skipped_deltas_yield_no_entry_on_the_unpruned_route(monkeypatch, bound, skipped):
+    narrow = list(enumerate_deltas(isixth_root(bound)))
+    wide = list(enumerate_deltas(ifourth_root(bound // 3**8)))
+    skip = [dI for dI in narrow if counting._no_entry(bound, dI)]
+    assert (len(skip), len(narrow)) == skipped
+    monkeypatch.setattr(counting, "_no_entry", lambda bound, dI: False)
+    for dI in skip:
+        assert counting._census_for_delta(bound, dI, wide) == [], dI
+
+
+@pytest.mark.parametrize("bound", [10**12, 10**15, 10**18, 10**21])
+def test_pruned_skeleton_equals_the_unpruned_one(monkeypatch, bound):
+    pruned = counting._build_skeleton(bound)
+    monkeypatch.setattr(counting, "_no_entry", lambda bound, dI: False)
+    assert counting._build_skeleton(bound) == pruned
+
+
+def _count_k_calls(monkeypatch):
+    calls = []
+    for name in ("k_direct", "isixth_root"):
+        orig = getattr(counting, name)
+        monkeypatch.setattr(
+            counting, name, lambda *a, n=name, f=orig: calls.append((n, a)) or f(*a)
+        )
+    return calls
+
+
+def test_k_funnel_pinned_at_1e18(monkeypatch):
+    counting._skeleton(10**18)
+    calls = _count_k_calls(monkeypatch)
+    assert len(list(counting._terms(10**18))) == 1140
+    names = [n for n, _ in calls]
+    assert (names.count("k_direct"), names.count("isixth_root")) == (12, 12)
+
+
+@pytest.mark.parametrize("q", [7**6 - 1, 7**6])
+def test_k_takes_a_root_only_from_seven_to_the_sixth(monkeypatch, q):
+    # one row-1 entry whose 3 | d term lies past x: a single term, x // D = q
+    d1 = 3**8
+    x = q * d1 + d1 - 1
+    entry = (7, 13, ((7, 1),), ((13, 1),), 1, d1, x + 1, 9, 91)
+    monkeypatch.setattr(counting, "_skeleton", lambda x: [entry])
+    calls = _count_k_calls(monkeypatch)
+    (term,) = counting._terms(x)
+    if q < 7**6:
+        assert calls == [] and term[7] == 9
+    else:
+        assert calls == [("isixth_root", (q,)), ("k_direct", (7, 3, 91))]
+        assert term[7] == 9 * ksum.k_direct(7, 3, 91)
+
+
 def test_report_serialization():
     rep = heis_total(6 * 10**12, FULL)
     obj = json.loads(rep.to_json())
