@@ -4,12 +4,9 @@ leading constant of its asymptotic."""
 
 from .charspace import (
     SupportFunction,
-    ZERO_FUNCTION,
-    chi_eval,
     conductor,
     delta,
     enumerate_deltas,
-    linear_combination,
 )
 from .constants import (
     CancellationSum,
@@ -26,13 +23,10 @@ from .counting import (
     TermRecord,
     WeightMode,
     X_MAX,
-    big_d,
     enumerate_terms,
     heis_subsum,
     heis_total,
     indicator,
-    mu,
-    mu_d,
 )
 from .eisenstein import (
     CharValue,
@@ -43,10 +37,6 @@ from .eisenstein import (
     chi_nine,
     chi_p,
     cubic_symbol,
-    divrem,
-    eis_gcd,
-    is_primary,
-    primary_associate,
     standard_decompose,
     standard_primes_up_to,
 )
@@ -57,12 +47,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SupportFunction",
-    "ZERO_FUNCTION",
-    "chi_eval",
     "conductor",
     "delta",
     "enumerate_deltas",
-    "linear_combination",
     "CancellationSum",
     "ConstantReport",
     "TruncationParams",
@@ -75,13 +62,10 @@ __all__ = [
     "TermRecord",
     "WeightMode",
     "X_MAX",
-    "big_d",
     "enumerate_terms",
     "heis_subsum",
     "heis_total",
     "indicator",
-    "mu",
-    "mu_d",
     "CharValue",
     "EisensteinInt",
     "ROOT",
@@ -90,10 +74,6 @@ __all__ = [
     "chi_nine",
     "chi_p",
     "cubic_symbol",
-    "divrem",
-    "eis_gcd",
-    "is_primary",
-    "primary_associate",
     "standard_decompose",
     "standard_primes_up_to",
     "alpha_ell",

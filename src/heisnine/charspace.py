@@ -13,15 +13,11 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from ._primes import check_int, is_prime, primes_in_class
-from .eisenstein import ROOT, ZERO, CharValue, _chi_exp
 
 __all__ = [
     "SupportFunction",
-    "ZERO_FUNCTION",
     "delta",
     "conductor",
-    "linear_combination",
-    "chi_eval",
     "DeltaIndex",
     "enumerate_deltas",
 ]
@@ -86,9 +82,6 @@ class SupportFunction:
         return ",".join(f"{p}:{v}" for p, v in self.entries)
 
 
-ZERO_FUNCTION = SupportFunction()
-
-
 def delta(f: SupportFunction) -> int:
     """Product of the support primes away from 3."""
     out = 1
@@ -99,28 +92,6 @@ def delta(f: SupportFunction) -> int:
 
 def conductor(f: SupportFunction) -> int:
     return 9 * delta(f) if f.f3 else delta(f)
-
-
-def linear_combination(
-    z: int, f: SupportFunction, zp: int, fp: SupportFunction
-) -> SupportFunction:
-    vals: dict[int, int] = {}
-    for p, v in f.entries:
-        vals[p] = z * v
-    for p, v in fp.entries:
-        vals[p] = vals.get(p, 0) + zp * v
-    return SupportFunction.of(vals)
-
-
-def chi_eval(f: SupportFunction, m: int) -> CharValue:
-    """chi(f)(m): zero iff a support prime divides m."""
-    e = 0
-    for p, v in f.entries:
-        t = _chi_exp(p, m)
-        if t is None:
-            return ZERO
-        e += v * t
-    return ROOT(e)
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,9 @@ def ratio_report(
     """count(X) / X^(1/4) along a grid, against the predicted constant (by
     default c_heis3 at the default truncation).  Every X and the mode are
     checked as heis_total checks them before any constant is computed."""
+    _check_mode(mode)
     for x in x_values:
         _check_x(x)
-        _check_mode(mode)
     if c_estimate is None:
         c_estimate = constant_report().c_heis3
     rows = []

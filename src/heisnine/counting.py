@@ -36,21 +36,16 @@ from math import exp, gcd, isqrt, log, prod
 from typing import Iterator, Sequence
 
 from ._primes import check_int
-from .charspace import DeltaIndex, SupportFunction, delta, enumerate_deltas
+from .charspace import DeltaIndex, SupportFunction, enumerate_deltas
 from .eisenstein import _chi_exp
 from .ksum import k_direct
 
 __all__ = [
     "WeightMode",
     "SubsumClass",
-    "free",
     "indicator",
-    "mu",
-    "mu_d",
-    "big_d",
     "isixth_root",
     "ifourth_root",
-    "classify",
     "TermRecord",
     "CountReport",
     "heis_total",
@@ -97,14 +92,7 @@ class SubsumClass(Enum):
     C14 = 14
 
 
-def free(d: int, a: int) -> int:
-    """The a-free part d / gcd(d, a) (squarefree d)."""
-    if d < 1 or a < 1:
-        raise ValueError("free(d, a) needs positive arguments")
-    return d // gcd(d, a)
-
-
-# The pair functions and the census loop work on SupportFunction.entries
+# indicator and the census loop work on SupportFunction.entries
 # tuples: sorted (prime, value) pairs with values in {1, 2}.  The census
 # builds objects only for the terms enumerate_terms emits.
 Entries = tuple[tuple[int, int], ...]
@@ -159,13 +147,6 @@ _MU_BY_ROW = (None, 0, 8, 12, 12, 16, 12, 16)
 _CLASSES = tuple(SubsumClass)  # by value - 1, without the Enum lookup
 
 
-def _check_functions(f: SupportFunction, fp: SupportFunction) -> None:
-    if not isinstance(f, SupportFunction) or not isinstance(fp, SupportFunction):
-        raise TypeError(
-            f"a pair of SupportFunction values is needed, got {f!r} and {fp!r}"
-        )
-
-
 def indicator(f: SupportFunction, fp: SupportFunction) -> int:
     """Product over union support primes r != 3 of the kernel averages
     3^-1 sum over {(z, z'): z f(r) + z' f'(r) = 0} of chi(z f + z' f')(r).
@@ -176,7 +157,10 @@ def indicator(f: SupportFunction, fp: SupportFunction) -> int:
     Requires a linearly independent pair of SupportFunction values
     (ValueError, TypeError otherwise).
     """
-    _check_functions(f, fp)
+    if not isinstance(f, SupportFunction) or not isinstance(fp, SupportFunction):
+        raise TypeError(
+            f"a pair of SupportFunction values is needed, got {f!r} and {fp!r}"
+        )
     f_ent, fp_ent = f.entries, fp.entries
     f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
     if not f_ent or not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
@@ -189,28 +173,6 @@ def indicator(f: SupportFunction, fp: SupportFunction) -> int:
         if r not in own and _exp_at(f_ent, r):
             return 0
     return 1
-
-
-def _pair_row(f: SupportFunction, fp: SupportFunction) -> int:
-    _check_functions(f, fp)
-    return _row(f.f3, fp.f3, _exp_at(f.entries, 3), _exp_at(fp.entries, 3))
-
-
-def mu(f: SupportFunction, fp: SupportFunction) -> int:
-    """Exponent of 3 in the local discriminant factor at 3."""
-    return _MU_BY_ROW[_pair_row(f, fp)]
-
-
-def mu_d(f: SupportFunction, fp: SupportFunction, three_divides_d: bool) -> int:
-    """mu adjusted for 3 | d: the first row is promoted to 12."""
-    row = _pair_row(f, fp)
-    return 12 if three_divides_d and row == 1 else _MU_BY_ROW[row]
-
-
-def big_d(f: SupportFunction, fp: SupportFunction, three_divides_d: bool) -> int:
-    """D = Delta(f)^6 free(Delta(f'), Delta(f))^4 3^mu_d, exact."""
-    df, dfp = delta(f), delta(fp)
-    return df**6 * free(dfp, df) ** 4 * 3 ** mu_d(f, fp, three_divides_d)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -242,13 +204,6 @@ def isixth_root(n: int) -> int:
 
 def ifourth_root(n: int) -> int:
     return _iroot(n, 4)
-
-
-def classify(
-    f: SupportFunction, fp: SupportFunction, three_divides_d: bool
-) -> SubsumClass:
-    """Pair class C1..C7 (3 coprime to d) or C8..C14 (3 | d)."""
-    return _CLASSES[_pair_row(f, fp) - 1 + (7 if three_divides_d else 0)]
 
 
 # ---------------------------------------------------------------------------

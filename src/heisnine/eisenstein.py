@@ -37,11 +37,6 @@ __all__ = [
     "ZERO",
     "ROOT",
     "EisensteinInt",
-    "UNITS",
-    "divrem",
-    "eis_gcd",
-    "is_primary",
-    "primary_associate",
     "StandardPrime",
     "standard_decompose",
     "STANDARD_ARRAY_MAX",
@@ -113,19 +108,6 @@ class EisensteinInt:
     a: int
     b: int
 
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
-
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
     def conj(self) -> "EisensteinInt":
         return EisensteinInt(self.a - self.b, -self.b)
 
@@ -141,68 +123,9 @@ class EisensteinInt:
         return f"{self.a}{self.b:+d}j"
 
 
-# 1, -1, j, -j, j^2, -j^2
-UNITS: tuple[EisensteinInt, ...] = (
-    EisensteinInt(1, 0),
-    EisensteinInt(-1, 0),
-    EisensteinInt(0, 1),
-    EisensteinInt(0, -1),
-    EisensteinInt(-1, -1),
-    EisensteinInt(1, 1),
-)
-
-
-def _round_half_to_zero(num: int, den: int) -> int:
-    """Nearest integer to num/den (den > 0), ties toward zero."""
-    q, rem = divmod(num, den)
-    twice = 2 * rem
-    if twice < den:
-        return q
-    if twice > den:
-        return q + 1
-    # exact half: candidates q, q+1; take the one of smaller magnitude
-    return q + 1 if q < 0 else q
-
-
-def divrem(n: EisensteinInt, d: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
-    """Euclidean division: n = q*d + r with norm(r) < norm(d).
-
-    The quotient rounds each component of n * conj(d) / norm(d) to the
-    nearest integer, ties toward zero, which keeps norm(r) <= (3/4) norm(d).
-    """
-    dn = d.norm
-    if dn == 0:
-        raise ZeroDivisionError("division by zero in Z[j]")
-    t = n * d.conj()
-    q = EisensteinInt(_round_half_to_zero(t.a, dn), _round_half_to_zero(t.b, dn))
-    return q, n - q * d
-
-
-def eis_gcd(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-    """A gcd of x and y, unique up to units."""
-    while not y.is_zero:
-        _, r = divrem(x, y)
-        x, y = y, r
-    return x
-
-
-def is_primary(z: EisensteinInt) -> bool:
-    return z.a % 3 == 2 and z.b % 3 == 0
-
-
-def primary_associate(z: EisensteinInt) -> EisensteinInt:
-    """The unique associate u*z with a = 2, b = 0 (mod 3).
-
-    Exists iff norm(z) is not divisible by 3 (z prime to the ramified prime).
-    """
-    if z.is_zero or z.norm % 3 == 0:
-        raise ValueError(f"no primary associate: {z!r} is not prime to 3")
-    return EisensteinInt(*_primary_pair(z.a, z.b))
-
-
 def _primary_pair(a: int, b: int) -> tuple[int, int]:
-    """The primary one of the six associates u * (a + b*j), u in UNITS
-    order, on ints; a + b*j must be prime to 3."""
+    """The primary one (a = 2, b = 0 mod 3) of the six associates u *
+    (a + b*j), u = 1, -1, j, -j, j^2, -j^2; a + b*j must be prime to 3."""
     for x, y in ((a, b), (-a, -b), (-b, a - b), (b, b - a), (b - a, -a), (a - b, a)):
         if x % 3 == 2 and y % 3 == 0:
             return x, y

@@ -4,18 +4,24 @@ Everything here recomputes results from definitions with arithmetic that
 shares no code with the package: ring elements are plain (a, b) tuples,
 divisibility goes through Cramer's rule, canonical primes come from an
 exhaustive lattice search, and censuses come from a brute-force scan.
-The object routes, the L-value closed forms, the literal Euler products
-and the prime walks are the exceptions: they keep loops the package
-replaced, on top of package primitives.
+The pair functions and the literal census on support functions, the
+L-value closed forms, the literal Euler products and the prime walks are
+the exceptions: they keep loops the package replaced, on top of package
+primitives.
 
-- The object-route symbol keeps the EisensteinInt Euler criterion, on top
-  of the package's divrem, that verify._euler_symbols runs batched on int64
-  arrays; symbol_inert keeps the scalar F_{q^2} ladder that
-  verify._inert_exps runs on arrays for the reciprocity suite.
+- The Z[j] symbols run Euler's criterion on tuples, every product reduced
+  by t_rem, the exact remainder: symbol_exp_by_euler at the standard
+  factor of the lattice search, and symbol_eis_literal at any factor, the
+  route that verify._euler_symbols runs batched on int64 arrays;
+  symbol_inert keeps the scalar F_{q^2} ladder that verify._inert_exps
+  runs on arrays for the reciprocity suite.
+- Character values and linear combinations come from chi_exp_oracle and
+  d_comb on plain dicts {prime: value}: chi(f)(m) is a sum of per-prime
+  exponents from symbol_exp_by_euler and a walk of the powers of 2 mod 9.
 - The pair functions keep the route over validated support functions that
   the package replaced with its tuple kernel: indicator_literal (kernel
-  generators through linear_combination and chi_eval, each factor tested
-  by one_plus_v_plus_v2), three_row_literal (the row of the table at 3),
+  generators through d_comb and chi_exp_oracle, each factor tested by
+  one_plus_v_plus_v2), three_row_literal (the row of the table at 3),
   big_d_literal and s_sum_literal (D and the pair weight S(X, f, f') from
   that row and k_direct).
 - The object-route helpers keep what only the oracles and tests use:
@@ -55,7 +61,6 @@ replaced, on top of package primitives.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import fsum, gcd, isqrt, prod, sqrt
@@ -67,11 +72,9 @@ from heisnine._primes import prime_divisors, primes_in_class, primes_up_to
 from heisnine.charspace import (
     DeltaIndex,
     SupportFunction,
-    chi_eval,
     conductor,
     delta,
     enumerate_deltas,
-    linear_combination,
 )
 from heisnine.constants import (
     CancellationSum,
@@ -97,7 +100,6 @@ from heisnine.eisenstein import (
     _chi_exps,
     _primitive_root,
     cubic_symbol,
-    divrem,
     standard_decompose,
 )
 from heisnine.ksum import k_direct, psi_ell
@@ -135,6 +137,18 @@ def t_divides(d: tuple[int, int], n: tuple[int, int]) -> bool:
     x_num = n[0] * (a - b) + n[1] * b
     y_num = n[1] * a - n[0] * b
     return x_num % det == 0 and y_num % det == 0
+
+
+def t_rem(n: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    """n - q d with q the nearest point to n conj(d) / norm(d), each
+    coordinate rounded in integers, ties toward zero: exact at any size,
+    and the remainder's norm is at most 3/4 norm(d)."""
+    det = t_norm(d)
+    if det == 0:
+        raise ZeroDivisionError("division by zero in Z[j]")
+    t = t_mul(n, (d[0] - d[1], -d[1]))
+    q = tuple((2 * abs(c) + det - 1) // (2 * det) * (1 if c >= 0 else -1) for c in t)
+    return t_sub(n, t_mul(q, d))
 
 
 def primary_by_enumeration(z: tuple[int, int]) -> tuple[int, int]:
@@ -245,62 +259,39 @@ def standard_prime_arrays_by_reduction(
     return p, np.where(up, a, a - b), np.where(up, b, -b), np.where(up, c, c * c % p)
 
 
-@lru_cache(maxsize=None)
-def symbol_exp_by_euler(alpha: tuple[int, int], p: int) -> int | None:
-    """Exponent m with (alpha/pi)_3 = j^m via Euler's criterion in Z[j].
-
-    None encodes the zero value.  Reduction mod pi uses repeated subtraction
-    of the nearest multiple found by rational rounding, so no package code.
-    """
-    pi, _ = standard_by_search(p)
-
-    def t_mod(n: tuple[int, int]) -> tuple[int, int]:
-        det = t_norm(pi)
-        # n * conj(pi) / det, rounded half away is fine: any remainder with
-        # norm < det works for divisibility bookkeeping here
-        conj = (pi[0] - pi[1], -pi[1])
-        t = t_mul(n, conj)
-        q = (round(t[0] / det), round(t[1] / det))
-        return t_sub(n, t_mul(q, pi))
-
-    if t_divides(pi, alpha):
+def _euler_exp_in_zj(alpha: tuple[int, int], pi: tuple[int, int], p: int) -> int | None:
+    """Exponent m with alpha^((p-1)/3) = j^m mod pi, pi of norm p, by
+    Euler's criterion in Z[j], every product reduced by t_rem; None where
+    pi divides alpha."""
+    base = t_rem(alpha, pi)
+    if base == (0, 0):
         return None
     acc = (1, 0)
-    base = t_mod(alpha)
     e = (p - 1) // 3
     while e:
         if e & 1:
-            acc = t_mod(t_mul(acc, base))
-        base = t_mod(t_mul(base, base))
+            acc = t_rem(t_mul(acc, base), pi)
+        base = t_rem(t_mul(base, base), pi)
         e >>= 1
     hits = [m for m in range(3) if t_divides(pi, t_sub(acc, T_J_POWERS[m]))]
-    assert len(hits) == 1
+    assert len(hits) == 1, f"Euler criterion produced a non-root mod {pi}"
     return hits[0]
 
 
+@lru_cache(maxsize=None)
+def symbol_exp_by_euler(alpha: tuple[int, int], p: int) -> int | None:
+    """Exponent m with (alpha/pi)_3 = j^m at the standard pi of the lattice
+    search, by Euler's criterion in Z[j]; None encodes the zero value.  No
+    package code."""
+    return _euler_exp_in_zj(alpha, standard_by_search(p)[0], p)
+
+
 def symbol_eis_literal(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
-    """(alpha / pi)_3 by Euler's criterion on EisensteinInt objects, every
-    product reduced by divrem: the route verify._euler_symbols runs as the
-    same criterion, batched on int64 arrays.  Python ints, so any norm."""
-    pi = sp.pi
-
-    def mulmod(x: EisensteinInt, y: EisensteinInt) -> EisensteinInt:
-        return divrem(x * y, pi)[1]
-
-    _, base = divrem(alpha, pi)
-    if base.is_zero:
-        return ZERO
-    acc = EisensteinInt(1, 0)
-    e = (sp.p - 1) // 3
-    while e:
-        if e & 1:
-            acc = mulmod(acc, base)
-        base = mulmod(base, base)
-        e >>= 1
-    for m, jm in enumerate(T_J_POWERS):
-        if divrem(acc - EisensteinInt(*jm), pi)[1].is_zero:
-            return ROOT(m)
-    raise AssertionError(f"Euler criterion produced a non-root mod {pi!r}")
+    """(alpha / pi)_3 at sp.pi, which may be the conjugate factor, by the
+    Z[j] Euler criterion on tuples: the route verify._euler_symbols runs
+    batched on int64 arrays.  Python ints, so any norm."""
+    e = _euler_exp_in_zj((alpha.a, alpha.b), (sp.pi.a, sp.pi.b), sp.p)
+    return ZERO if e is None else ROOT(e)
 
 
 def symbol_inert(alpha: EisensteinInt, q: int) -> CharValue:
@@ -430,7 +421,7 @@ def is_linearly_independent(f: SupportFunction, fp: SupportFunction) -> bool:
     """True iff no (z, z') != (0, 0) combines f, f' to the zero function."""
     if f.is_zero or fp.is_zero:
         return False
-    return fp != f and fp != linear_combination(2, f, 0, f)
+    return fp != f and fp != SupportFunction.of(d_comb(2, dict(f.entries), 0, {}))
 
 
 def _factor_delta(d: int) -> tuple[int, ...]:
@@ -749,10 +740,6 @@ def l_one_series_oracle(values: list[complex], n_terms: int) -> complex:
     return acc / q
 
 
-def count_as_fraction(raw: int) -> Fraction:
-    return Fraction(raw, 108)
-
-
 # ---------------------------------------------------------------------------
 # literal Euler products and H-series: one full array of local factors per
 # character, every character on its own, every prime power in float64
@@ -768,7 +755,7 @@ def _literal_scale(f: SupportFunction) -> float:
     if f.f3:
         three = 1.0
     else:
-        c3 = 2.0 if chi_eval(f, 3) == ROOT(0) else -1.0
+        c3 = 2.0 if chi_exp_oracle(dict(f.entries), 3) == 0 else -1.0
         three = 1.0 - c3 / 3.0 + 1.0 / 9.0
     return (abs(lc) * abs(lt)) ** 2 * three
 
@@ -819,21 +806,21 @@ def h_constants_literal(params: TruncationParams) -> tuple[HConstants, float]:
     h2: list[float] = []
     form1: list[float] = []
     p_max_seen = 0.0
-    e3 = SupportFunction(((3, 1),))
     for dI in enumerate_deltas(params.delta_max):
         d = dI.delta
         pref = float(psi_ell(d, 3)) * 3 ** len(dI.primes) / d**1.5
         lam = lambda_delta(d)
         for f in enumerate_V(d, True):
+            fd = dict(f.entries)
             for eta in (1, 2):
-                gfn = linear_combination(1, f, eta, e3)
+                gfn = SupportFunction.of(d_comb(1, fd, eta, {3: 1}))
                 h2.append(lam * pref * euler_product_P_literal(gfn, params.p_max))
             if d == 1:
                 continue
             pf = euler_product_P_literal(f, params.p_max)
             p_max_seen = max(p_max_seen, pf)
             h0.append(lam * pref * pf)
-            (h1 if chi_eval(f, 3) == ROOT(0) else h1p).append(lam * pref * pf)
+            (h1 if chi_exp_oracle(fd, 3) == 0 else h1p).append(lam * pref * pf)
             form1.append(pref * _form1_literal(f, params.p_max))
     hc = HConstants(
         h0=fsum(h0),
@@ -890,11 +877,12 @@ def char_cancellation_profile_literal(
     pattern: dict[int, tuple[int, int]] | None = None,
 ) -> list[CancellationSum]:
     """The cancellation probe one standard prime at a time: scalar
-    decomposition, chi_eval for the characters, cubic_symbol for
+    decomposition, chi_exp_oracle for the characters, cubic_symbol for
     (pi/rho_r)_3, and exact counts of the cube roots of unity."""
     if pattern is None:
         pattern = {r: (1, 0) for r in f.supp3}
-    f2 = linear_combination(2, f, 0, f)
+    fd = dict(f.entries)
+    f2 = d_comb(2, fd, 0, {})
     rhos = {r: standard_decompose(r) for r in pattern}
     counts = [0, 0, 0]
     terms = 0
@@ -911,24 +899,24 @@ def char_cancellation_profile_literal(
         e = 0
         dead = False
         if eps[0] or eps[1]:
-            v = chi_eval(f, p)
-            if v.is_zero:
+            v = chi_exp_oracle(fd, p)
+            if v is None:
                 dead = True
             elif eps[0]:
-                e += v.exp
+                e += v
             if not dead and eps[1]:
-                e += chi_eval(f2, p).exp
+                e += chi_exp_oracle(f2, p)
         if not dead:
             for r, (e1, e2) in pattern.items():
                 k = 2 * e1 + e2
                 if k == 0:
                     continue
-                vr = chi_eval(SupportFunction(((r, 1),)), p)
+                vr = chi_exp_oracle({r: 1}, p)
                 vs = cubic_symbol(sp.pi, rhos[r])
-                if vr.is_zero or vs.is_zero:
+                if vr is None or vs.is_zero:
                     dead = True
                     break
-                e += k * (vr.exp + vs.exp)
+                e += k * (vr + vs.exp)
         if not dead:
             counts[e % 3] += 1
     while idx < len(checkpoints):
@@ -992,6 +980,7 @@ def indicator_literal(f: SupportFunction, fp: SupportFunction) -> int:
     """
     if not is_linearly_independent(f, fp):
         raise ValueError("indicator needs a linearly independent pair")
+    fd, fpd = dict(f.entries), dict(fp.entries)
     for r in sorted(set(f.supp3) | set(fp.supp3)):
         vr, vpr = f.value(r), fp.value(r)
         if vr == 0:
@@ -1001,8 +990,8 @@ def indicator_literal(f: SupportFunction, fp: SupportFunction) -> int:
         else:
             # z = -v'(r)/v(r), z' = 1 generates the kernel
             z, zp = (-vpr * pow(vr, -1, 3)) % 3, 1
-        v = chi_eval(linear_combination(z, f, zp, fp), r)
-        if one_plus_v_plus_v2(v) == 0:
+        v = chi_exp_oracle(d_comb(z, fd, zp, fpd), r)
+        if one_plus_v_plus_v2(ZERO if v is None else ROOT(v)) == 0:
             return 0
     return 1
 
@@ -1010,14 +999,14 @@ def indicator_literal(f: SupportFunction, fp: SupportFunction) -> int:
 def three_row_literal(f: SupportFunction, fp: SupportFunction) -> int:
     """Row 1..7 of the local table at 3, by the pair's values there."""
     f3, fp3 = f.f3, fp.f3
+    fd, fpd = dict(f.entries), dict(fp.entries)
     if f3 == 0 and fp3 == 0:
         return 1
     if f3 == 0:
-        return 2 if chi_eval(f, 3) == ROOT(0) else 3
+        return 2 if chi_exp_oracle(fd, 3) == 0 else 3
     if fp3 == 0:
-        return 4 if chi_eval(fp, 3) == ROOT(0) else 5
-    g = linear_combination(fp3, f, 2 * f3, fp)
-    return 6 if chi_eval(g, 3) == ROOT(0) else 7
+        return 4 if chi_exp_oracle(fpd, 3) == 0 else 5
+    return 6 if chi_exp_oracle(d_comb(fp3, fd, 2 * f3, fpd), 3) == 0 else 7
 
 
 _MU_BY_ROW_LITERAL = (None, 0, 8, 12, 12, 16, 12, 16)

@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from heisnine._primes import primes_up_to
-from heisnine.charspace import (
-    SupportFunction,
-    ZERO_FUNCTION,
-    conductor,
-    enumerate_deltas,
-)
+from heisnine.charspace import SupportFunction, conductor, enumerate_deltas
 from heisnine.cli import ratio_csv, ratio_report
 from heisnine.constants import (
     TruncationParams,
@@ -28,7 +23,6 @@ from heisnine.eisenstein import (
     ROOT,
     chi_p,
     cubic_symbol,
-    is_primary,
     standard_decompose,
     standard_primes_up_to,
 )
@@ -47,6 +41,8 @@ from oracles import (
     l_one_series_oracle,
     splitting_oracle,
     standard_by_search,
+    t_divides,
+    t_mul,
     twisted_character_values,
 )
 
@@ -66,13 +62,14 @@ def test_criterion_1_exact_arithmetic():
     t0 = time.monotonic()
 
     # standard decomposition invariants for every split p up to 10^6
-    j = EisensteinInt(0, 1)
     n = 0
     for sp in standard_primes_up_to(10**6):
+        a, b = sp.pi.a, sp.pi.b
         assert sp.pi.norm == sp.p
-        assert is_primary(sp.pi) and sp.pi.b > 0
+        assert a % 3 == 2 and b % 3 == 0 and b > 0
         assert 2 <= sp.r <= sp.p - 2 and (sp.r * sp.r + sp.r + 1) % sp.p == 0
-        assert sp.pi * sp.pi.conj() == EisensteinInt(sp.p, 0)
+        assert t_mul((a, b), (a - b, -b)) == (sp.p, 0)
+        assert t_divides((a, b), (-sp.r, 1))
         n += 1
     assert n == 39231
 
@@ -213,7 +210,7 @@ def test_criterion_6_constants():
     assert abs(alpha_ell(3, 2 * 10**6) - rep.alpha3) < 1e-4
 
     # the odd quadratic L-value, against both the constant and its oracle
-    vals = twisted_character_values(ZERO_FUNCTION)
+    vals = twisted_character_values(SupportFunction())
     lq = l_one(vals)
     assert abs(lq - 0.60459979) < 1e-6
     assert abs(lq - l_one_series_oracle(list(vals), 10**6)) < 1e-6

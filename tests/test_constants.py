@@ -9,13 +9,7 @@ from math import fsum, sqrt
 import numpy as np
 import pytest
 
-from heisnine.charspace import (
-    DeltaIndex,
-    SupportFunction,
-    chi_eval,
-    enumerate_deltas,
-    linear_combination,
-)
+from heisnine.charspace import DeltaIndex, SupportFunction, enumerate_deltas
 from heisnine.constants import (
     DELTA_MAX_CAP,
     P_MAX_CAP,
@@ -40,7 +34,6 @@ from heisnine.constants import (
 from heisnine.cli import ratio_csv, ratio_report
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import (
-    ROOT,
     _chi_table,
     cubic_symbol,
     standard_decompose,
@@ -48,11 +41,13 @@ from heisnine.eisenstein import (
 )
 from heisnine.ksum import alpha_ell, psi_ell
 
+import heisnine.cli
 import heisnine.constants
 import heisnine.eisenstein
 from oracles import (
     char_cancellation_profile_literal,
     character_values,
+    chi_exp_oracle,
     enumerate_V,
     euler_product_P_literal,
     gauss_sum,
@@ -65,6 +60,11 @@ from oracles import (
 
 SMALL = TruncationParams(delta_max=100, p_max=20000)
 F7 = SupportFunction(((7, 1),))
+
+
+def _with_f3(f, f3):
+    """f + f3 e_3, for f with f(3) = 0."""
+    return SupportFunction.of({**dict(f.entries), 3: f3})
 
 
 def test_lambda_single_prime():
@@ -135,14 +135,9 @@ def _pipeline_blocks():
     primes, as one block per number k of support primes: the Deltas, their
     g in the order of the rows (f(3), v_1, ..., v_k) of its _Characters
     (the same rows for every Delta of the block), and that _Characters."""
-    e3 = SupportFunction(((3, 1),))
     blocks = {}
     for dI in list(enumerate_deltas(500)) + [DeltaIndex(1729, (7, 13, 19))]:
-        gs = [
-            linear_combination(1, f, f3, e3)
-            for f in enumerate_V(dI.delta, True)
-            for f3 in (0, 1, 2)
-        ]
+        gs = [_with_f3(f, f3) for f in enumerate_V(dI.delta, True) for f3 in (0, 1, 2)]
         gs = [g for g in gs if not g.is_zero]
         rows = [(g.f3,) + tuple(g.value(r) for r in dI.primes) for g in gs]
         block = blocks.setdefault(len(dI.primes), ([], [], rows))
@@ -253,10 +248,10 @@ def test_euler_product_conjugate_symmetry():
     for dI in enumerate_deltas(300):
         for f in enumerate_V(dI.delta, True):
             for f3 in (0, 1, 2):
-                g = linear_combination(1, f, f3, SupportFunction(((3, 1),)))
+                g = _with_f3(f, f3)
                 if g.is_zero:
                     continue
-                g2 = linear_combination(2, g, 0, g)
+                g2 = SupportFunction.of({p: 2 * v for p, v in g.entries})
                 assert euler_product_P(g, SMALL) == euler_product_P(g2, SMALL), str(g)
                 checked += 1
     assert checked >= 200
@@ -279,14 +274,14 @@ def test_euler_product_is_the_float_h_constants_adds(params):
             if f.entries and f.entries[0][1] == 2:
                 continue
             for f3 in (0, 1, 2) if dI.delta > 1 else (1,):
-                g = linear_combination(1, f, f3, SupportFunction(((3, 1),)))
+                g = _with_f3(f, f3)
                 pf = euler_product_P(g, params)
                 if f3:
                     h2.append(w * pf)
                     continue
                 p_seen = max(p_seen, pf)
                 h0.append(w * pf)
-                (h1 if chi_eval(g, 3) == ROOT(0) else h1p).append(w * pf)
+                (h1 if chi_exp_oracle(dict(g.entries), 3) == 0 else h1p).append(w * pf)
     got = HConstants(*(2.0 * fsum(t) for t in (h0, h1, h1p, h2)), p_seen)
     assert got == h_constants(params)
     assert time.monotonic() - t0 < 20
@@ -508,16 +503,16 @@ def test_cancellation_matches_complex_product():
     for sp in standard_primes_up_to(x):
         terms += 1
         m = 1.0 + 0.0j
-        v = chi_eval(f, sp.p)
-        m *= 0.0 if v.is_zero else w[v.exp]
+        v = chi_exp_oracle(dict(f.entries), sp.p)
+        m *= 0.0 if v is None else w[v]
         for r, (e1, e2) in pattern.items():
             k = 2 * e1 + e2
-            vr = chi_eval(SupportFunction(((r, 1),)), sp.p)
+            vr = chi_exp_oracle({r: 1}, sp.p)
             vs = cubic_symbol(sp.pi, standard_decompose(r))
-            if vr.is_zero or vs.is_zero:
+            if vr is None or vs.is_zero:
                 m = 0.0
             else:
-                m *= w[(k * (vr.exp + vs.exp)) % 3]
+                m *= w[(k * (vr + vs.exp)) % 3]
         total += m
     assert got.terms == terms
     assert abs(got.value - total) < 1e-9
@@ -582,6 +577,16 @@ def test_cancellation_sum_normalization():
     c = CancellationSum(3 + 4j, 10)
     assert c.normalized == pytest.approx(0.5)
     assert CancellationSum(0j, 0).normalized == 0.0
+
+
+def test_ratio_report_checks_the_mode_before_any_work(monkeypatch):
+    def built():
+        raise AssertionError("the constant was computed for a bad mode")
+
+    monkeypatch.setattr(heisnine.cli, "constant_report", built)
+    for xs in ([], [10**12]):
+        with pytest.raises(TypeError, match="WeightMode"):
+            ratio_report(xs, "not-a-mode")
 
 
 def test_ratio_report_rows():

@@ -18,18 +18,13 @@ from heisnine.counting import (
     SubsumClass,
     WeightMode,
     X_MAX,
-    big_d,
-    classify,
     enumerate_terms,
-    free,
     heis_subsum,
     heis_total,
     ifourth_root,
     indicator,
     isixth_root,
     log_grid,
-    mu,
-    mu_d,
 )
 from heisnine.eisenstein import chi_nine, chi_p, chi_p_table
 from heisnine.verify import run_suite
@@ -37,14 +32,6 @@ from heisnine.verify import run_suite
 F = SupportFunction.of
 STAR = WeightMode.OMEGA_STAR
 FULL = WeightMode.OMEGA_FULL
-
-
-def test_free_examples():
-    assert free(21, 7) == 3
-    assert free(1, 5) == 1
-    assert free(19, 7) == 19
-    with pytest.raises(ValueError):
-        free(0, 3)
 
 
 def test_indicator_examples():
@@ -121,27 +108,41 @@ def test_exp_rejects_a_multiple_of_p():
         counting._exp(7, 14)
 
 
+def _row(f, fp):
+    """The census's row at 3 of the pair (f, f')."""
+    e, ep = (counting._exp_at(g.entries, 3) for g in (f, fp))
+    return counting._row(f.f3, fp.f3, e, ep)
+
+
 def test_mu_examples():
-    assert mu(F({7: 1}), F({13: 1})) == 0
-    assert mu(F({19: 1}), F({19: 1, 3: 1})) == 12
-    assert mu(F({3: 1}), F({19: 1})) == 16
+    for f, fp, mu in (
+        (F({7: 1}), F({13: 1}), 0),
+        (F({19: 1}), F({19: 1, 3: 1}), 12),
+        (F({3: 1}), F({19: 1}), 16),
+    ):
+        assert counting._MU_BY_ROW[_row(f, fp)] == mu
+        assert oracles._mu_exp_literal(dict(f.entries), dict(fp.entries)) == mu
 
 
 def test_mu_d_examples():
-    assert mu_d(F({7: 1}), F({13: 1}), True) == 12
-    assert mu_d(F({7: 1}), F({13: 1}), False) == 0
-    assert mu_d(F({3: 1}), F({19: 1}), True) == 16
+    # 3 | d promotes the exponent of 3 in row 1 only, from 0 to 12
+    big_d = oracles.big_d_literal
+    assert big_d(F({7: 1}), F({13: 1}), True) == 7**6 * 13**4 * 3**12
+    assert big_d(F({7: 1}), F({13: 1}), False) == 7**6 * 13**4
+    assert big_d(F({3: 1}), F({19: 1}), True) == 19**4 * 3**16
 
 
 @given(independent_pairs())
 def test_mu_matches_literal_table(pair):
     f, fp = pair
-    assert mu(f, fp) == oracles._mu_exp_literal(dict(f.entries), dict(fp.entries))
-    for b in (False, True):
-        assert classify(f, fp, b).value == oracles.three_row_literal(f, fp) + 7 * b
+    row = _row(f, fp)
+    assert row == oracles.three_row_literal(f, fp)
+    mu = oracles._mu_exp_literal(dict(f.entries), dict(fp.entries))
+    assert counting._MU_BY_ROW[row] == mu
 
 
 def test_big_d_examples():
+    big_d = oracles.big_d_literal
     assert big_d(F({3: 1}), F({19: 1}), False) == 19**4 * 3**16
     assert big_d(F({19: 1}), F({19: 1, 3: 1}), False) == 19**6 * 3**12
     assert big_d(F({7: 1}), F({13: 1}), False) == 7**6 * 13**4
@@ -225,9 +226,14 @@ def test_pair_terms_match_literal_weight(x, f, fp):
 
 
 def test_classify_examples():
-    assert classify(F({7: 1}), F({13: 1}), False) == SubsumClass.C1
-    assert classify(F({3: 1}), F({19: 1}), False) == SubsumClass.C5
-    assert classify(F({7: 1}), F({13: 1}), True) == SubsumClass.C8
+    for f, fp, three_divides_d, cls in (
+        (F({7: 1}), F({13: 1}), False, SubsumClass.C1),
+        (F({3: 1}), F({19: 1}), False, SubsumClass.C5),
+        (F({7: 1}), F({13: 1}), True, SubsumClass.C8),
+    ):
+        shift = 7 if three_divides_d else 0
+        assert counting._CLASSES[_row(f, fp) - 1 + shift] is cls
+        assert oracles.three_row_literal(f, fp) + shift == cls.value
 
 
 # ---------------------------------------------------------------------------
