@@ -64,10 +64,6 @@ class SupportFunction:
         return self.value(3)
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    @property
     def supp3(self) -> tuple[int, ...]:
         """Support away from 3."""
         return tuple(p for p, _ in self.entries if p != 3)

@@ -2,7 +2,9 @@
 
 Every subcommand writes one deterministic report to stdout (or --out) and
 exits 0 on success, 1 on a domain error, 2 on a usage error.  Identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  The library's reports carry
+values only: every byte of JSON, CSV and text is decided in this module,
+and tests/golden pins them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from decimal import Decimal, InvalidOperation
+from typing import Callable, Iterable
 
 from .charspace import SupportFunction
 from .constants import TruncationParams, char_cancellation_profile, constant_report
@@ -134,71 +137,95 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _count_text(rep: CountReport, fmt: str, subsums_only: bool) -> str:
+# ---------------------------------------------------------------------------
+# rendering: one JSON dumper, one CSV writer, and two text layouts
+
+
+def _json(obj: object) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _cell(v: object) -> str:
+    """A value as CSV and text print it, booleans spelled as in JSON."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _csv(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(map(_cell, row) for row in rows)
+    return buf.getvalue().rstrip("\n")
+
+
+def _lines(rec: dict) -> str:
+    """key = value lines."""
+    return "\n".join(f"{k} = {_cell(v)}" for k, v in rec.items())
+
+
+def _line(rec: dict) -> str:
+    """A k=v one-liner."""
+    return " ".join(f"{k}={_cell(v)}" for k, v in rec.items())
+
+
+# prefix of a nested record's keys when flattened: subsums keep their class
+# names, tails print as tail.<name>, any other record as <name>.<key>
+_PREFIX = {"subsums": "", "tails": "tail."}
+
+
+def _record(
+    rec: dict, fmt: str, text: Callable[[dict], str] = _lines, keys: tuple[str, ...] = ()
+) -> str:
+    """rec as compact JSON; or flattened one level, cut to keys if given,
+    as a CSV header and row or as text."""
     if fmt == "json":
-        return rep.to_json()
+        return _json(rec)
+    flat = {}
+    for k, v in rec.items():
+        if isinstance(v, dict):
+            pre = _PREFIX.get(k, f"{k}.")
+            flat.update((pre + kk, vv) for kk, vv in v.items())
+        else:
+            flat[k] = v
+    if keys:
+        flat = {k: flat[k] for k in keys}
     if fmt == "csv":
-        return rep.csv_header() + "\n" + rep.to_csv_row()
-    if subsums_only:
-        return "\n".join(f"{c.name} = {rep.subsums[c]}" for c in rep.subsums)
-    return rep.to_text()
+        return _csv(flat, [flat.values()])
+    return text(flat)
+
+
+def _count_record(rep: CountReport) -> dict:
+    return {
+        "x": rep.x,
+        "weight_mode": rep.weight_mode.value,
+        "raw_total": rep.raw_total,
+        # an integer where 108 divides the raw total, else "p/q"
+        "count": int(rep.count) if rep.divisible_by_108 else str(rep.count),
+        "divisible_by_108": rep.divisible_by_108,
+        "subsums": {c.name: v for c, v in rep.subsums.items()},
+    }
+
+
+_TERM_KEYS = ("f", "fp", "d_class", "big_d", "class", "weight")
 
 
 def _terms_text(args: argparse.Namespace) -> str:
-    records = list(enumerate_terms(args.x, args.weight_mode, args.limit))
-    if args.format == "json":
-        obj = {
-            "x": args.x,
-            "weight_mode": args.weight_mode.value,
-            "terms": [
-                {
-                    "f": str(t.f),
-                    "fp": str(t.fp),
-                    "d_class": t.d_class,
-                    "big_d": t.big_d,
-                    "class": t.cls.name,
-                    "weight": t.weight,
-                }
-                for t in records
-            ],
-        }
-        return json.dumps(obj, separators=(",", ":"))
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["f", "fp", "d_class", "big_d", "class", "weight"])
-        for t in records:
-            w.writerow([t.f, t.fp, t.d_class, t.big_d, t.cls.name, t.weight])
-        return buf.getvalue().rstrip("\n")
-    lines = [
-        f"f={t.f} fp={t.fp} d_class={t.d_class} D={t.big_d} "
-        f"class={t.cls.name} weight={t.weight}"
-        for t in records
+    rows = [
+        (str(t.f), str(t.fp), t.d_class, t.big_d, t.cls.name, t.weight)
+        for t in enumerate_terms(args.x, args.weight_mode, args.limit)
     ]
-    lines.append(f"total_terms = {len(records)}")
+    if args.format == "json":
+        terms = [dict(zip(_TERM_KEYS, r)) for r in rows]
+        return _json({"x": args.x, "weight_mode": args.weight_mode.value, "terms": terms})
+    if args.format == "csv":
+        return _csv(_TERM_KEYS, rows)
+    # the text says D for big_d
+    keys = ["D" if k == "big_d" else k for k in _TERM_KEYS]
+    lines = [_line(dict(zip(keys, r))) for r in rows]
+    lines.append(_lines({"total_terms": len(rows)}))
     return "\n".join(lines)
-
-
-def _record(obj: dict, keys: tuple[str, ...], fmt: str) -> str:
-    """obj as compact JSON, or its keys as CSV header and row, or as k=v text."""
-    if fmt == "json":
-        return json.dumps(obj, separators=(",", ":"))
-    vals = [str(obj[k]) for k in keys]
-    if fmt == "csv":
-        return ",".join(keys) + "\n" + ",".join(vals)
-    return " ".join(f"{k}={v}" for k, v in zip(keys, vals))
-
-
-def _symbol_text(p: int, n: int, fmt: str) -> str:
-    v = chi_p(p, n)
-    obj = {"p": p, "n": n, "symbol": "0" if v.is_zero else f"j^{v.exp}", "exp": v.exp}
-    return _record(obj, ("p", "n", "symbol"), fmt)
-
-
-def _decompose_text(p: int, fmt: str) -> str:
-    sp = standard_decompose(p)
-    obj = {"p": p, "pi": str(sp.pi), "a": sp.pi.a, "b": sp.pi.b, "r": sp.r}
-    return _record(obj, ("p", "pi", "r"), fmt)
 
 
 # (label, support entries, (eps1, eps2), exponent pattern) of each probe
@@ -216,12 +243,14 @@ def _probe_text(x_max: int) -> str:
     checkpoints = tuple(10**k for k in range(4, 9) if 10**k <= x_max)
     if not checkpoints:
         raise ValueError(f"x-max must be at least 10000, got {x_max}")
-    lines = ["pattern,x,terms,abs_sum,normalized"]
+    rows = []
     for label, entries, eps, pattern in _PROBES:
         prof = char_cancellation_profile(SupportFunction(entries), checkpoints, eps, pattern)
-        for x, cs in zip(checkpoints, prof):
-            lines.append(f"{label},{x},{cs.terms},{abs(cs.value)!r},{cs.normalized!r}")
-    return "\n".join(lines)
+        rows += [
+            (label, x, cs.terms, abs(cs.value), cs.normalized)
+            for x, cs in zip(checkpoints, prof)
+        ]
+    return _csv(("pattern", "x", "terms", "abs_sum", "normalized"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +265,6 @@ class RatioRow:
     ratio: float
     c_estimate: float
     ratio_over_c: float
-
-
-RATIO_CSV_HEADER = "x,count,x_quarter,ratio,c_estimate,ratio_over_c"
 
 
 def ratio_report(
@@ -263,60 +289,60 @@ def ratio_report(
     return rows
 
 
-def ratio_csv(rows: list[RatioRow]) -> str:
-    out = [RATIO_CSV_HEADER]
-    for r in rows:
-        out.append(
-            f"{r.x},{r.count!r},{r.x_quarter!r},{r.ratio!r},"
-            f"{r.c_estimate!r},{r.ratio_over_c!r}"
-        )
-    return "\n".join(out)
-
-
 def _ratio_text(args: argparse.Namespace) -> str:
-    rows = log_grid(args.x_min, args.x_max, args.points)
-    out = ratio_report(rows, args.weight_mode)
+    rows = ratio_report(log_grid(args.x_min, args.x_max, args.points), args.weight_mode)
     if args.format == "json":
-        return json.dumps([asdict(r) for r in out], separators=(",", ":"))
-    return ratio_csv(out)
+        return _json([asdict(r) for r in rows])
+    # the text is the CSV too
+    return _csv([f.name for f in fields(RatioRow)], map(astuple, rows))
 
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    code = 0
     try:
         if args.command in ("count", "subsums"):
-            rep = heis_total(args.x, args.weight_mode)
-            _emit(_count_text(rep, args.format, args.command == "subsums"), args.out)
+            rec = _count_record(heis_total(args.x, args.weight_mode))
+            if args.command == "subsums" and args.format == "text":
+                text = _lines(rec["subsums"])
+            else:
+                text = _record(rec, args.format)
         elif args.command == "terms":
-            _emit(_terms_text(args), args.out)
+            text = _terms_text(args)
         elif args.command == "constant":
-            params = TruncationParams(args.delta_max, args.p_max)
-            rep = constant_report(params)
-            _emit(rep.to_json() if args.format == "json" else rep.to_text(), args.out)
+            rep = constant_report(TruncationParams(args.delta_max, args.p_max))
+            text = _record(asdict(rep), args.format)
         elif args.command == "ksum":
-            obj = {"x": args.x, "ell": args.ell, "d": args.d}
-            obj["k"] = k_direct(args.x, args.ell, args.d)
-            _emit(_record(obj, tuple(obj), args.format), args.out)
+            rec = {"x": args.x, "ell": args.ell, "d": args.d}
+            rec["k"] = k_direct(args.x, args.ell, args.d)
+            text = _record(rec, args.format, _line)
         elif args.command == "symbol":
-            _emit(_symbol_text(args.p, args.n, args.format), args.out)
+            v = chi_p(args.p, args.n)
+            sym = "0" if v.is_zero else f"j^{v.exp}"
+            rec = {"p": args.p, "n": args.n, "symbol": sym, "exp": v.exp}
+            text = _record(rec, args.format, _line, ("p", "n", "symbol"))
         elif args.command == "decompose":
-            _emit(_decompose_text(args.p, args.format), args.out)
+            sp = standard_decompose(args.p)
+            rec = {"p": args.p, "pi": str(sp.pi), "a": sp.pi.a, "b": sp.pi.b, "r": sp.r}
+            text = _record(rec, args.format, _line, ("p", "pi", "r"))
         elif args.command == "verify":
             res = run_suite(args.suite, args.bound)
-            obj = {"suite": res.suite, "bound": res.bound, "checks": res.checks,
-                   "failures": list(res.failures)}
-            text = _record(obj, (), "json") if args.format == "json" else res.to_text()
-            _emit(text, args.out)
-            if not res.ok:
-                return 1
+            rec = asdict(res)
+            if args.format == "json":
+                text = _json(rec)
+            else:
+                head = _line(rec | {"failures": len(res.failures)})
+                text = "\n".join([head, *res.failures])
+            code = 0 if res.ok else 1
         elif args.command == "probe":
-            _emit(_probe_text(args.x_max), args.out)
-        elif args.command == "report":
-            _emit(_ratio_text(args), args.out)
+            text = _probe_text(args.x_max)
+        else:
+            text = _ratio_text(args)
+        _emit(text, args.out)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 def main() -> None:

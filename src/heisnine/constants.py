@@ -31,7 +31,6 @@ tests/oracles.py as the independent route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
@@ -585,40 +584,6 @@ class ConstantReport:
     c_heis_star: float
     tails: dict[str, float]
     params: TruncationParams
-
-    def to_json(self) -> str:
-        obj = {
-            "alpha3": self.alpha3,
-            "h0": self.h0,
-            "h1": self.h1,
-            "h1_prime": self.h1_prime,
-            "h2": self.h2,
-            "c_heis3": self.c_heis3,
-            "c_heis_star": self.c_heis_star,
-            "tails": self.tails,
-            "params": {
-                "delta_max": self.params.delta_max,
-                "p_max": self.params.p_max,
-            },
-        }
-        return json.dumps(obj, separators=(",", ":"))
-
-    def to_text(self) -> str:
-        lines = [
-            f"alpha3 = {self.alpha3!r}",
-            f"h0 = {self.h0!r}",
-            f"h1 = {self.h1!r}",
-            f"h1_prime = {self.h1_prime!r}",
-            f"h2 = {self.h2!r}",
-            f"c_heis3 = {self.c_heis3!r}",
-            f"c_heis_star = {self.c_heis_star!r}",
-        ]
-        lines += [f"tail.{k} = {v!r}" for k, v in self.tails.items()]
-        lines += [
-            f"params.delta_max = {self.params.delta_max}",
-            f"params.p_max = {self.params.p_max}",
-        ]
-        return "\n".join(lines)
 
 
 def _delta_tail_bound(params: TruncationParams, p_cap: float) -> float:

@@ -25,7 +25,6 @@ the image of j, and builds no chi_p table: about 16 ms cold at X_MAX =
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -230,49 +229,6 @@ class CountReport:
     count: Fraction
     divisible_by_108: bool
     subsums: dict[SubsumClass, int]
-
-    def _count_json(self) -> int | str:
-        if self.divisible_by_108:
-            return int(self.count)
-        return f"{self.count.numerator}/{self.count.denominator}"
-
-    def to_json(self) -> str:
-        obj = {
-            "x": self.x,
-            "weight_mode": self.weight_mode.value,
-            "raw_total": self.raw_total,
-            "count": self._count_json(),
-            "divisible_by_108": self.divisible_by_108,
-            "subsums": {c.name: self.subsums[c] for c in SubsumClass},
-        }
-        return json.dumps(obj, separators=(",", ":"))
-
-    @staticmethod
-    def csv_header() -> str:
-        names = ",".join(c.name for c in SubsumClass)
-        return f"x,weight_mode,raw_total,count,divisible_by_108,{names}"
-
-    def to_csv_row(self) -> str:
-        cells = [
-            str(self.x),
-            self.weight_mode.value,
-            str(self.raw_total),
-            str(self._count_json()),
-            "true" if self.divisible_by_108 else "false",
-        ]
-        cells += [str(self.subsums[c]) for c in SubsumClass]
-        return ",".join(cells)
-
-    def to_text(self) -> str:
-        lines = [
-            f"x = {self.x}",
-            f"weight_mode = {self.weight_mode.value}",
-            f"raw_total = {self.raw_total}",
-            f"count = {self._count_json()}",
-            f"divisible_by_108 = {'true' if self.divisible_by_108 else 'false'}",
-        ]
-        lines += [f"{c.name} = {self.subsums[c]}" for c in SubsumClass]
-        return "\n".join(lines)
 
 
 def _check_x(x: int) -> None:
@@ -574,7 +530,10 @@ def heis_total(x: int, mode: WeightMode = WeightMode.OMEGA_FULL) -> CountReport:
 
 
 def heis_subsum(x: int, cls: SubsumClass, mode: WeightMode) -> int:
-    """The single-class contribution to the raw total."""
+    """The single-class contribution to the raw total; a cls that is not a
+    SubsumClass raises TypeError before any census work."""
+    if not isinstance(cls, SubsumClass):
+        raise TypeError(f"cls must be a SubsumClass, got {cls!r}")
     return heis_total(x, mode).subsums[cls]
 
 

@@ -67,18 +67,6 @@ class CharValue:
             return ZERO
         return ROOT(self.exp + other.exp)
 
-    def __pow__(self, k: int) -> "CharValue":
-        if k == 0:
-            return ROOT(0)  # z^0 = 1 for every z, including zero
-        if self.exp is None:
-            return ZERO
-        return ROOT(self.exp * k)
-
-    def conj(self) -> "CharValue":
-        if self.exp is None:
-            return ZERO
-        return ROOT(-self.exp)
-
     def __repr__(self) -> str:
         if self.exp is None:
             return "CharValue(ZERO)"
@@ -114,10 +102,6 @@ class EisensteinInt:
     @property
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}j"

@@ -69,13 +69,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_text(self) -> str:
-        head = (
-            f"suite={self.suite} bound={self.bound} checks={self.checks} "
-            f"failures={len(self.failures)}"
-        )
-        return "\n".join([head, *self.failures])
-
 
 # failures kept per suite; the check count goes on past it
 _FAILURE_CAP = 20

@@ -1,6 +1,7 @@
 """Front-end behavior: flag parsing, exit codes, deterministic output, and
 the package's public names and module caches."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -449,3 +450,20 @@ def test_no_module_cache_grows_with_every_call():
                 dicts.append(name)
     assert {"constants._grids", "counting._census"} <= set(caches)
     assert dicts == ["counting._skeleton_cache"]
+
+
+def test_only_cli_imports_json_or_csv():
+    # every report's bytes are decided in cli: the library's reports carry
+    # values and no other module imports a serializer
+    importers = set()
+    for path in Path(heisnine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if {n.split(".")[0] for n in names} & {"json", "csv"}:
+                importers.add(path.stem)
+    assert importers == {"cli"}

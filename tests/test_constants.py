@@ -3,7 +3,7 @@
 import cmath
 import json
 import time
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from math import fsum, sqrt
 
 import numpy as np
@@ -31,7 +31,7 @@ from heisnine.constants import (
     euler_product_P,
     h_constants,
 )
-from heisnine.cli import ratio_csv, ratio_report
+from heisnine.cli import RatioRow, ratio_report
 from heisnine.counting import WeightMode
 from heisnine.eisenstein import (
     _chi_table,
@@ -303,7 +303,7 @@ def test_h_constants_do_not_depend_on_the_order_of_the_deltas(params, monkeypatc
     assert got == want
 
 
-# constant_report(...).to_json() as recorded before the block pipeline;
+# the JSON constant report as recorded before the block pipeline;
 # all three truncations lie below p = 55,108, where p**4 wraps in int64
 REPORT_BYTES = {
     (300, 300): (
@@ -334,8 +334,10 @@ REPORT_BYTES = {
 
 
 @pytest.mark.parametrize("params", list(REPORT_BYTES), ids=str)
-def test_constant_report_bytes_are_pinned(params):
-    assert constant_report(TruncationParams(*params)).to_json() == REPORT_BYTES[params]
+def test_constant_report_bytes_are_pinned(params, capsys):
+    argv = ["constant", "--delta-max", str(params[0]), "--p-max", str(params[1])]
+    assert heisnine.cli.run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == REPORT_BYTES[params] + "\n"
 
 
 @pytest.mark.parametrize("params", [(2000, 10**6), (300, 50000)], ids=str)
@@ -390,9 +392,14 @@ def test_star_constant_two_routes_agree():
         assert h_constants(params).h0 == pytest.approx(form1, rel=1e-12), params
 
 
-def test_report_shape_and_key_order():
-    rep = constant_report(SMALL)
-    s = rep.to_json()
+def _constant_out(capsys, fmt):
+    argv = ["constant", "--delta-max", str(SMALL.delta_max), "--p-max", str(SMALL.p_max)]
+    assert heisnine.cli.run(argv + ["--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_report_shape_and_key_order(capsys):
+    s = _constant_out(capsys, "json")
     assert s.startswith('{"alpha3":')
     obj = json.loads(s)
     assert list(obj) == [
@@ -411,7 +418,7 @@ def test_report_shape_and_key_order():
     assert obj["c_heis_star"] > 0
     assert obj["params"]["delta_max"] == 100
     assert obj["h0"] == pytest.approx(obj["h1"] + obj["h1_prime"], rel=1e-12)
-    assert rep.to_text().splitlines()[0].startswith("alpha3 = ")
+    assert _constant_out(capsys, "text").splitlines()[0].startswith("alpha3 = ")
 
 
 def test_truncation_params_validated():
@@ -596,8 +603,9 @@ def test_ratio_report_rows():
     assert r.count == 1.0
     assert r.ratio == pytest.approx(1.0 / (6e12) ** 0.25, rel=1e-12)
     assert r.ratio_over_c == pytest.approx(r.ratio / 0.003, rel=1e-12)
-    text = ratio_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == "x,count,x_quarter,ratio,c_estimate,ratio_over_c"
-    assert len(lines) == 3
-    assert lines[1].startswith("6000000000000,1.0,")
+    # the report's CSV header is the row's field names
+    assert [f.name for f in fields(RatioRow)] == [
+        "x", "count", "x_quarter", "ratio", "c_estimate", "ratio_over_c"
+    ]
+    assert astuple(r)[:2] == (6 * 10**12, 1.0)
+    assert rows[1].x == 10**14

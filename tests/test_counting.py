@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from heisnine import charspace, counting, eisenstein, ksum
+from heisnine import charspace, cli, counting, eisenstein, ksum
 from heisnine._primes import primes_in_class
 from heisnine.charspace import SupportFunction, enumerate_deltas
 from heisnine.counting import (
@@ -272,8 +272,7 @@ def test_terms_stream_at_6e12():
     assert len(pairs) == 12
     # every pair lives in the span of 1_3 and the function at 19
     for f, fp in pairs:
-        assert set(f.support) <= {3, 19}
-        assert set(fp.support) <= {3, 19}
+        assert {p for p, _ in f.entries + fp.entries} <= {3, 19}
     assert sum(t.weight for t in recs) == heis_total(x, FULL).raw_total
     keys = [(t.f.entries, t.fp.entries, t.d_class) for t in recs]
     assert keys == sorted(keys)
@@ -366,6 +365,17 @@ def test_census_rejects_mode_that_is_not_a_weight_mode(mode):
         enumerate_terms(10**13, mode)
 
 
+@pytest.mark.parametrize("cls", [3, "C3", None, SubsumClass.C3.value])
+def test_subsum_rejects_class_that_is_not_a_subsum_class(cls, monkeypatch):
+    # refused before any census work: the census itself would raise
+    def no_census(x):
+        raise AssertionError("census ran")
+
+    monkeypatch.setattr(counting, "_census", no_census)
+    with pytest.raises(TypeError, match="SubsumClass"):
+        heis_subsum(10**12, cls, FULL)
+
+
 @pytest.mark.parametrize("limit", [True, False, 2.0, "3"])
 def test_terms_rejects_limit_that_is_not_an_int(limit):
     with pytest.raises(TypeError):
@@ -381,7 +391,7 @@ def _literal_report(x, mode):
 def test_census_matches_literal_route():
     for x in log_grid(10**9, 10**18, 12) + [6 * 10**12]:
         for mode in (STAR, FULL):
-            assert heis_total(x, mode).to_json() == _literal_report(x, mode).to_json()
+            assert heis_total(x, mode) == _literal_report(x, mode)
 
 
 @pytest.mark.parametrize("x", [6 * 10**12, 10**16, 10**18])
@@ -414,10 +424,10 @@ def test_second_mode_at_one_x_matches_cold_call():
     for x in (6 * 10**12, 10**16):
         for first, second in ((FULL, STAR), (STAR, FULL)):
             _clear_census_caches()
-            cold = heis_total(x, second).to_json()
+            cold = heis_total(x, second)
             _clear_census_caches()
             heis_total(x, first)
-            assert heis_total(x, second).to_json() == cold
+            assert heis_total(x, second) == cold
 
 
 @pytest.mark.parametrize("mode", [STAR, FULL])
@@ -426,7 +436,7 @@ def test_skeleton_reports_do_not_depend_on_call_order(mode):
 
     def reports(order):
         _clear_census_caches()
-        return {x: heis_total(x, mode).to_json() for x in order}
+        return {x: heis_total(x, mode) for x in order}
 
     ascending = reports(xs)
     assert reports(xs[::-1]) == ascending
@@ -539,9 +549,12 @@ def test_k_takes_a_root_only_from_seven_to_the_sixth(monkeypatch, q):
         assert term[7] == 9 * ksum.k_direct(7, 3, 91)
 
 
-def test_report_serialization():
-    rep = heis_total(6 * 10**12, FULL)
-    obj = json.loads(rep.to_json())
+def test_report_serialization(capsys):
+    def out(*flags):
+        assert cli.run(["count", "--x", "6e12", *flags]) == 0
+        return capsys.readouterr().out
+
+    obj = json.loads(out("--format", "json"))
     assert list(obj) == [
         "x",
         "weight_mode",
@@ -553,11 +566,11 @@ def test_report_serialization():
     assert obj["count"] == 1
     assert obj["raw_total"] == 108
     assert list(obj["subsums"]) == [c.name for c in SubsumClass]
-    star = heis_total(6 * 10**12, STAR)
-    assert json.loads(star.to_json())["count"] == "2/3"
-    row = star.to_csv_row()
+    star = ("--weight-mode", "omega-star")
+    assert json.loads(out(*star, "--format", "json"))["count"] == "2/3"
+    header, row = out(*star, "--format", "csv").splitlines()
     assert row.startswith("6000000000000,omega-star,72,2/3,false,")
-    assert CountReport.csv_header().startswith("x,weight_mode,raw_total,count,")
+    assert header.startswith("x,weight_mode,raw_total,count,")
 
 
 def test_log_grid_points_and_validation():

