@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import exp, gcd, isqrt, log, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from ._primes import check_int
@@ -91,10 +92,11 @@ class SubsumClass(Enum):
     C14 = 14
 
 
-# indicator and the census loop work on SupportFunction.entries
-# tuples: sorted (prime, value) pairs with values in {1, 2}.  The census
-# builds objects only for the terms enumerate_terms emits.
+# The census loop works on SupportFunction.entries tuples: sorted (prime,
+# value) pairs with values in {1, 2}.  It builds objects only for the terms
+# enumerate_terms emits; indicator reads its pair as vectors on a support.
 Entries = tuple[tuple[int, int], ...]
+Ints = Sequence[int]
 
 
 def _exp(p: int, n: int) -> int:
@@ -105,13 +107,27 @@ def _exp(p: int, n: int) -> int:
     return e
 
 
-def _exp_at(ent: Entries, r: int) -> int:
-    """Exponent of chi(h)(r) mod 3, h given by its entries less the one at r."""
-    e = 0
-    for p, v in ent:
-        if p != r:
-            e += v * _exp(p, r)
-    return e % 3
+def _exp_table(sup: Ints) -> list[list[int]]:
+    """Row i holds the exponents of chi_q, q = sup[i] (chi_nine at q = 3), at
+    each prime of sup, 0 at q itself: one _exp call per ordered pair."""
+    return [[0 if s == q else _exp(q, s) for s in sup] for q in sup]
+
+
+def _exps(table: list[list[int]], w: Ints) -> tuple[int, ...]:
+    """e_w(r) at each prime r of the table's support, w the values there:
+    the exponent of chi(w)(r) less w's own entry at r, mod 3."""
+    return tuple([sum(map(mul, w, col)) % 3 for col in zip(*table)])
+
+
+def _kernel_rule(sup: Ints, u: Ints, e_u: Ints, v: Ints, e_v: Ints) -> int:
+    """The indicator of the value vectors u, v on sup, from their exponents
+    (_exps): 1 iff v(r) e_u(r) = u(r) e_v(r) (mod 3) at every r != 3 of sup.
+    The kernel generator v(r) f - u(r) f' at r (a multiple of f if u(r) = 0)
+    vanishes at r, and chi of it at r has exponent the difference."""
+    for r, x, a, y, b in zip(sup, u, e_u, v, e_v):
+        if r != 3 and (y * a - x * b) % 3:
+            return 0
+    return 1
 
 
 def _row(f3: int, fp3: int, e: int, ep: int) -> int:
@@ -128,20 +144,6 @@ def _row(f3: int, fp3: int, e: int, ep: int) -> int:
     return 6 if (fp3 * e + 2 * f3 * ep) % 3 == 0 else 7
 
 
-def _kernel_ones(base: Entries, at_f: Sequence[int], fp_ent: Entries) -> bool:
-    """True iff the indicator's factors at the primes r of supp3 f are all 1.
-
-    at_f holds the exponents of chi(f)(r) less the entry at r.  The kernel
-    generator at r is g = z f + f' with z = -f'(r) f(r) (g = f' when
-    f'(r) = 0); g(r) = 0, so chi(g)(r) has exponent z at_f + (that of
-    chi(f')(r) less the entry at r)."""
-    fpv = dict(fp_ent)
-    for (r, vr), e in zip(base, at_f):
-        if (_exp_at(fp_ent, r) - fpv.get(r, 0) * vr * e) % 3:
-            return False
-    return True
-
-
 _MU_BY_ROW = (None, 0, 8, 12, 12, 16, 12, 16)
 _CLASSES = tuple(SubsumClass)  # by value - 1, without the Enum lookup
 
@@ -152,9 +154,8 @@ def indicator(f: SupportFunction, fp: SupportFunction) -> int:
 
     Each factor is 1 or 0: the three kernel values form a subgroup image in
     the cube roots of unity, so it is enough to test the value at a kernel
-    generator.  At a prime of f' outside supp f that generator is f itself.
-    Requires a linearly independent pair of SupportFunction values
-    (ValueError, TypeError otherwise).
+    generator (_kernel_rule).  Requires a linearly independent pair of
+    SupportFunction values (ValueError, TypeError otherwise).
     """
     if not isinstance(f, SupportFunction) or not isinstance(fp, SupportFunction):
         raise TypeError(
@@ -164,14 +165,11 @@ def indicator(f: SupportFunction, fp: SupportFunction) -> int:
     f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
     if not f_ent or not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
         raise ValueError("indicator needs a linearly independent pair")
-    base = tuple((r, v) for r, v in f_ent if r != 3)
-    if not _kernel_ones(base, [_exp_at(f_ent, r) for r, _ in base], fp_ent):
-        return 0
-    own = {r for r, _ in base}
-    for r in fp.supp3:
-        if r not in own and _exp_at(f_ent, r):
-            return 0
-    return 1
+    fd, fpd = dict(f_ent), dict(fp_ent)
+    sup = sorted(fd.keys() | fpd.keys())
+    u, v = [fd.get(r, 0) for r in sup], [fpd.get(r, 0) for r in sup]
+    table = _exp_table(sup)
+    return _kernel_rule(sup, u, _exps(table, u), v, _exps(table, v))
 
 
 def _iroot(n: int, k: int) -> int:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ._primes import is_prime, prime_divisors, primes_up_to, progression_sieve
+from ._primes import check_int, is_prime, prime_divisors, primes_up_to, progression_sieve
 
 if TYPE_CHECKING:
     from .charspace import SupportFunction
@@ -140,8 +140,10 @@ def standard_decompose(p: int) -> StandardPrime:
     The Euclid on (p, c), c a cube root of unity mod p, stopped at the first
     remainder below sqrt(p), gives a + b c = 0 (mod p) with |a|, |b| <
     sqrt(p) (Thue's lemma): a + b*j lies in (p, j - c), and its norm, a
-    multiple of p below 3p (2 is inert), is p.
+    multiple of p below 3p (2 is inert), is p.  A p that is not an int (or
+    is a bool) raises TypeError.
     """
+    check_int(p, "p")
     if p % 3 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 3")
     e = (p - 1) // 3
@@ -378,11 +380,15 @@ def _chi_exponent_arrays(
 
 def chi_p(p: int, n: int) -> CharValue:
     """chi_p(n) = (n / pi)_3 for the standard prime above p; ValueError
-    unless p is a prime = 1 (mod 3), so p = 3 too (chi_9 is chi_nine)."""
+    unless p is a prime = 1 (mod 3), so p = 3 too (chi_9 is chi_nine), and
+    TypeError unless p and n are ints (a bool is not one)."""
+    check_int(p, "p")
+    check_int(n, "n")
     return _value(_euler_exp(n, p, _j_image(p)))
 
 
 def chi_nine(n: int) -> CharValue:
+    check_int(n, "n")
     return _value(_chi_exp(3, n))
 
 

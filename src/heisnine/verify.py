@@ -23,7 +23,7 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, tee
+from itertools import islice, product, tee
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -35,9 +35,11 @@ from .counting import (
     SubsumClass,
     WeightMode,
     X_MAX,
+    _exp_table,
+    _exps,
+    _kernel_rule,
     heis_subsum,
     heis_total,
-    indicator,
     log_grid,
 )
 from .eisenstein import (
@@ -339,7 +341,9 @@ def _suite_symbols(bound: int) -> _Recorder:
 
 # ---------------------------------------------------------------------------
 # indicator pairs: every independent ordered pair supported on at most two
-# split primes besides 3, drawn from {3} + split primes <= prime_bound
+# split primes besides 3, drawn from {3} + split primes <= prime_bound.  The
+# suite reads each support's exponent table and each value vector's exponents
+# once, and decides every pair by indicator's own rule, _kernel_rule.
 
 
 def _pair_supports(prime_bound: int) -> list[tuple[int, ...]]:
@@ -361,9 +365,7 @@ VectorPair = tuple[Vector, Vector]
 def _vector_pairs(k: int) -> list[VectorPair]:
     """Ordered linearly independent pairs in F_3^k whose union support is
     all k coordinates."""
-    vecs = [()]
-    for _ in range(k):
-        vecs = [v + (c,) for v in vecs for c in (0, 1, 2)]
+    vecs = list(product((0, 1, 2), repeat=k))
     out = []
     for u in vecs:
         if not any(u):
@@ -377,32 +379,23 @@ def _vector_pairs(k: int) -> list[VectorPair]:
     return out
 
 
-def _support_pairs(
-    prime_bound: int,
-) -> Iterator[tuple[tuple[int, ...], list[VectorPair], dict[Vector, SupportFunction]]]:
-    """Each support of _pair_supports with its vector pairs and one
-    SupportFunction per vector that occurs in them."""
-    vps_by_size = {k: _vector_pairs(k) for k in (1, 2, 3)}
-    for sup in _pair_supports(prime_bound):
-        vps = vps_by_size[len(sup)]
-        fn: dict[Vector, SupportFunction] = {}
-        for pair in vps:
-            for vec in pair:
-                if vec not in fn:
-                    fn[vec] = SupportFunction.of(dict(zip(sup, vec)))
-        yield sup, vps, fn
-
-
 def indicator_pairs(prime_bound: int) -> list[tuple[SupportFunction, SupportFunction]]:
     """Every ordered independent pair supported on at most two split primes
-    besides 3, each pair listed once, at its exact union support."""
-    return [
-        (fn[u], fn[v]) for _, vps, fn in _support_pairs(prime_bound) for u, v in vps
-    ]
+    besides 3 up to an integer prime_bound (TypeError otherwise), each pair
+    listed once, at its exact union support."""
+    check_int(prime_bound, "prime_bound")
+    vps_by_size = {k: _vector_pairs(k) for k in (1, 2, 3)}
+    out = []
+    for sup in _pair_supports(prime_bound):
+        vecs = product((0, 1, 2), repeat=len(sup))
+        fn = {w: SupportFunction.of(dict(zip(sup, w))) for w in vecs}
+        out += [(fn[u], fn[v]) for u, v in vps_by_size[len(sup)]]
+    return out
 
 
 def _suite_indicator(bound: int) -> _Recorder:
     rec = _Recorder()
+    vps_by_size = {k: _vector_pairs(k) for k in (1, 2, 3)}
     # a span is keyed by its nonzero vectors, which depend only on (u, v)
     span_keys = {
         (u, v): frozenset(
@@ -411,15 +404,17 @@ def _suite_indicator(bound: int) -> _Recorder:
             for zp in range(3)
             if z or zp
         )
-        for k in (1, 2, 3)
-        for u, v in _vector_pairs(k)
+        for vps in vps_by_size.values()
+        for u, v in vps
     }
-    for sup, vps, fn in _support_pairs(bound):
+    for sup in _pair_supports(bound):
+        table = _exp_table(sup)
+        exps = {w: _exps(table, w) for w in product((0, 1, 2), repeat=len(sup))}
         vals: dict[tuple, int] = {}
         spans: dict[frozenset, set[int]] = {}
         bases: dict[frozenset, int] = {}
-        for u, v in vps:
-            w = indicator(fn[u], fn[v])
+        for u, v in vps_by_size[len(sup)]:
+            w = _kernel_rule(sup, u, exps[u], v, exps[v])
             rec.check(w in (0, 1), "indicator on {} at {},{} is {}", sup, u, v, w)
             vals[(u, v)] = w
             key = span_keys[(u, v)]

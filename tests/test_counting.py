@@ -27,7 +27,7 @@ from heisnine.counting import (
     log_grid,
 )
 from heisnine.eisenstein import chi_nine, chi_p, chi_p_table
-from heisnine.verify import run_suite
+from heisnine.verify import indicator_pairs, run_suite
 
 F = SupportFunction.of
 STAR = WeightMode.OMEGA_STAR
@@ -109,8 +109,11 @@ def test_exp_rejects_a_multiple_of_p():
 
 
 def _row(f, fp):
-    """The census's row at 3 of the pair (f, f')."""
-    e, ep = (counting._exp_at(g.entries, 3) for g in (f, fp))
+    """The census's row at 3 of the pair (f, f'), its exponents at 3 read off
+    the exponent table of the union support with 3 in front."""
+    sup = [3] + sorted({p for p, _ in f.entries + fp.entries} - {3})
+    table = counting._exp_table(sup)
+    e, ep = (counting._exps(table, [g.value(p) for p in sup])[0] for g in (f, fp))
     return counting._row(f.f3, fp.f3, e, ep)
 
 
@@ -602,6 +605,16 @@ def test_log_grid_points_and_validation():
         (enumerate_deltas, (20.5,)),
         (ksum.psi_ell, (7.5, 3)),
         (ksum.alpha_ell, (3, 1000.5)),
+        # a bool bound would read as 1, a float one fail inside numpy
+        (indicator_pairs, (True,)),
+        (indicator_pairs, (2.5,)),
+        # a bool p or n would read as 1; a float or numpy one fail in pow
+        (chi_p, (7, True)),
+        (chi_p, (True, 2)),
+        (chi_p, (7, 2.5)),
+        (chi_p, (7, np.int64(2))),
+        (chi_nine, (True,)),
+        (eisenstein.standard_decompose, (7.0,)),
     ],
     ids=lambda v: getattr(v, "__name__", None) or repr(v),
 )

@@ -383,3 +383,20 @@ def test_indicator_pair_universe_census():
     for f, fp in pairs:
         assert not f.is_zero and not fp.is_zero
         assert fp.entries != f.entries
+
+
+def _one_sided_rule(sup, u, e_u, v, e_v):
+    """A broken kernel rule: v(r) e_u(r) = 0 at each r != 3, without the
+    u(r) e_v(r) side."""
+    return int(all(r == 3 or y * a % 3 == 0 for r, a, y in zip(sup, e_u, v)))
+
+
+def test_indicator_suite_catches_a_one_sided_kernel_rule(monkeypatch, capsys):
+    # the suite decides every pair by the library's rule, so a broken rule
+    # must show in its symmetry and span checks, and in the exit code
+    monkeypatch.setattr(verify, "_kernel_rule", _one_sided_rule)
+    res = run_suite("indicator", 31)
+    assert res.checks == 6860 and len(res.failures) == 20
+    assert _verify_out(capsys, "indicator", 31, 1).startswith(
+        "suite=indicator bound=31 checks=6860 failures=20"
+    )
