@@ -8,22 +8,26 @@ identical output.
 
 The reciprocity suite reads (alpha / beta)_3 for all alpha at once, a row per
 primary prime beta, from the chi_p_table of the constant pipeline and the
-probe at a split beta; the symbols suite checks the scalar cubic_symbol.
+probe at a split beta; the symbols suite checks the scalar cubic_symbol at
+both factors and chi_p, 17 checks per split prime, against the Z[j] route
+by exponent.
 
 The Euler criterion runs batched: _euler_symbols takes a block of
-(alpha, beta) int pairs and raises each alpha to its own (N - 1)/3 in
-Z[j]/(N), N = N(beta), on int64 numpy arrays.  The suites' primes come from
-standard_prime_arrays, which refuses limits past STANDARD_ARRAY_MAX = 2^30,
-so N <= 2^30; with both coordinates in [0, N), every product the ladder
-forms is below 2 N^2 <= 2^61 and none wraps.  The suites hand it at most
-_EULER_BLOCK pairs a call, so its working memory does not grow with the
-bound.
+(alpha, beta) pairs, as int tuples (the reciprocity suite's sampled pairs)
+or as (n, 2) int64 arrays (the symbols suite's lanes, built straight from
+the columns of standard_prime_arrays), checks every beta at once, and
+raises each alpha to its own (N - 1)/3 in Z[j]/(N), N = N(beta), on int64
+numpy arrays.  The suites' primes come from standard_prime_arrays, which
+refuses limits past STANDARD_ARRAY_MAX = 2^30, so N <= 2^30; with both
+coordinates in [0, N), every product the ladder forms is below 2 N^2 <=
+2^61 and none wraps.  The suites hand it at most _EULER_BLOCK pairs a
+call, so its working memory does not grow with the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product, tee
+from itertools import islice, product
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -121,34 +125,50 @@ _EULER_BLOCK = 2**12
 _VALUE_OF_EXP = (ROOT(0), ROOT(1), ROOT(2), ZERO)
 
 
-def _euler_symbols(
-    alphas: Sequence[tuple[int, int]], betas: Sequence[tuple[int, int]]
-) -> list[CharValue]:
-    """(alpha / beta)_3 by Euler's criterion for each pair of (a, b) ints,
-    beta a primary prime of norm N <= 2^30.
+# a norm N <= 2^30 has 4 N = (2a - b)^2 + 3 b^2 = (2b - a)^2 + 3 a^2, so
+# |a|, |b| < 2^16; a coordinate clipped to +-2^16 keeps the norm past the cap
+_EULER_COORD_CLIP = 2**16
+
+
+Pairs = Sequence[tuple[int, int]] | np.ndarray
+
+
+def _pair_array(pairs: Pairs) -> np.ndarray:
+    """(a, b) pairs as an (n, 2) array: an int64 array as it is, a sequence
+    of int tuples as Python ints (object dtype), which no coordinate
+    overflows."""
+    if isinstance(pairs, np.ndarray):
+        return pairs.reshape(-1, 2)
+    return np.array(pairs, dtype=object).reshape(-1, 2)
+
+
+def _euler_symbols(alphas: Pairs, betas: Pairs) -> list[CharValue]:
+    """(alpha / beta)_3 by Euler's criterion for each (alpha, beta) pair,
+    beta a primary prime of norm N <= 2^30.  alphas and betas are sequences
+    of (a, b) int tuples or (n, 2) int64 arrays.
 
     The powers alpha^((N-1)/3) are taken in Z[j]/(N), each component reduced
     by a plain % N: beta divides N = beta conj(beta), so Z[j] -> Z[j]/(N)
-    -> Z[j]/(beta) is reduction mod beta.  alpha is reduced mod N as Python
-    ints before it enters the arrays, so any coordinates are fine.  _reduce
-    divides by beta only at the zero test on entry and the j^m test on exit.
+    -> Z[j]/(beta) is reduction mod beta.  alpha is reduced mod N before
+    the ladder, as Python ints for tuple input, so any coordinates are fine
+    there.  _reduce divides by beta only at the zero test on entry and the
+    j^m test on exit.
     """
-    if len(alphas) != len(betas):
+    at, bt = _pair_array(alphas), _pair_array(betas)
+    if len(at) != len(bt):
         raise ValueError("alphas and betas differ in length")
-    norms = []
-    for ba, bb in betas:
-        if ba % 3 != 2 or bb % 3 != 0:
-            raise ValueError(f"{EisensteinInt(ba, bb)!r} is not primary")
-        nb = ba * ba - ba * bb + bb * bb
-        if nb > _EULER_NORM_MAX:
-            raise ValueError(
-                f"norm of {EisensteinInt(ba, bb)!r} exceeds {_EULER_NORM_MAX}"
-            )
-        norms.append(nb)
-    nb = np.array(norms, dtype=np.int64)
-    ba, bb = np.array(betas, dtype=np.int64).reshape(-1, 2).T
-    x = np.array([a % n for (a, _), n in zip(alphas, norms)], dtype=np.int64)
-    y = np.array([b % n for (_, b), n in zip(alphas, norms)], dtype=np.int64)
+    primary = (bt[:, 0] % 3 == 2) & (bt[:, 1] % 3 == 0)
+    clip = _EULER_COORD_CLIP
+    ba, bb = np.clip(bt, -clip, clip).astype(np.int64).T
+    nb = ba * ba - ba * bb + bb * bb
+    bad = ~primary | (nb > _EULER_NORM_MAX)
+    if bad.any():
+        i = int(bad.argmax())
+        beta = EisensteinInt(*map(int, bt[i]))
+        if not primary[i]:
+            raise ValueError(f"{beta!r} is not primary")
+        raise ValueError(f"norm of {beta!r} exceeds {_EULER_NORM_MAX}")
+    x, y = (at % nb.astype(at.dtype)[:, None]).astype(np.int64).T
     rx, ry = _reduce(x, y, ba, bb, nb)
     zero = (rx == 0) & (ry == 0)
     oa, ob = np.ones_like(nb), np.zeros_like(nb)
@@ -161,14 +181,14 @@ def _euler_symbols(
         )
         x, y = (x - y) * (x + y) % nb, (2 * x - y) * y % nb
         e >>= 1
-    exps = np.full(len(norms), -1, dtype=np.int64)
+    exps = np.full(len(nb), -1, dtype=np.int64)
     for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
         rx, ry = _reduce(oa - ja, ob - jb, ba, bb, nb)
         exps[(rx == 0) & (ry == 0)] = m
     exps[zero] = -1  # beta | alpha reads as zero, even for a unit beta
     bad = np.flatnonzero((exps < 0) & ~zero)
     if len(bad):
-        beta = EisensteinInt(*map(int, betas[bad[0]]))
+        beta = EisensteinInt(*map(int, bt[bad[0]]))
         raise AssertionError(f"Euler criterion failed mod {beta!r}")
     return [_VALUE_OF_EXP[m] for m in exps.tolist()]
 
@@ -278,64 +298,78 @@ def _suite_reciprocity(bound: int) -> _Recorder:
     return rec
 
 
-def _symbol_pairs(
-    sps: Iterable[StandardPrime], alphas: list[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """The (alpha, beta) int pairs the symbols suite reads off the Z[j]
-    route, 15 per prime in the order of its checks."""
-    for sp in sps:
-        pi, bar = sp.pi, sp.pi.conj()
-        for alpha in alphas:
-            yield alpha, (pi.a, pi.b)
-            yield alpha, (bar.a, bar.b)
-        yield (sp.p // 3 + 1, 0), (pi.a, pi.b)
+# the symbols suite's alphas, and its Z[j] lanes per split prime: each alpha
+# at pi and at conj(pi), then p // 3 + 1 at pi
+_SYMBOL_ALPHAS = tuple((t, (t * t + 1) % 7 - 3) for t in range(1, 8))
+_SYMBOL_LANES = 2 * len(_SYMBOL_ALPHAS) + 1
+
+
+def _symbol_blocks(bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (alpha, beta) pairs the symbols suite reads off the Z[j] route,
+    _SYMBOL_LANES per split prime up to bound in the order of its checks,
+    as (n, 2) int64 arrays of at most _EULER_BLOCK pairs.  They come
+    straight from the columns of standard_prime_arrays: conj(pi) of pi = a +
+    b*j is (a - b) - b*j."""
+    p, a, b, _ = standard_prime_arrays(bound)
+    step = _EULER_BLOCK // _SYMBOL_LANES
+    head = np.repeat(np.array(_SYMBOL_ALPHAS, dtype=np.int64), 2, axis=0)
+    for i in range(0, len(p), step):
+        pa, pb = a[i : i + step, None], b[i : i + step, None]
+        alphas = np.zeros((len(pa), _SYMBOL_LANES, 2), dtype=np.int64)
+        alphas[:, :-1] = head
+        alphas[:, -1, 0] = p[i : i + step] // 3 + 1
+        betas = np.empty_like(alphas)
+        betas[:, 0::2, 0], betas[:, 0::2, 1] = pa, pb
+        betas[:, 1:-1:2, 0], betas[:, 1:-1:2, 1] = pa - pb, -pb
+        yield alphas.reshape(-1, 2), betas.reshape(-1, 2)
 
 
 def _suite_symbols(bound: int) -> _Recorder:
     rec = _Recorder()
-    alphas = [EisensteinInt(t, (t * t + 1) % 7 - 3) for t in range(1, 8)]
-    # the Z[j] route runs at most one block ahead of the checks
-    sps, ahead = tee(standard_primes_up_to(bound))
-    slow = _euler_stream(_symbol_pairs(ahead, [(a.a, a.b) for a in alphas]))
-    for sp in sps:
-        # the library's F_p route at pi and at conj(pi) against the Z[j] one
-        bar = _conjugate(sp)
-        for alpha in alphas:
+    alphas = [EisensteinInt(*t) for t in _SYMBOL_ALPHAS]
+    sps = standard_primes_up_to(bound)
+    for lanes in _symbol_blocks(bound):
+        slow = [v.exp for v in _euler_symbols(*lanes)]
+        for i, sp in zip(range(0, len(slow), _SYMBOL_LANES), sps):
+            # the library's F_p route at pi and at conj(pi) against the Z[j]
+            # one, by exponent
+            bar = _conjugate(sp)
+            for k, alpha in enumerate(alphas):
+                rec.check(
+                    cubic_symbol(alpha, sp).exp == slow[i + 2 * k],
+                    "fp symbol of {} differs mod {}",
+                    alpha,
+                    sp.p,
+                )
+                rec.check(
+                    cubic_symbol(alpha, bar).exp == slow[i + 2 * k + 1],
+                    "fp symbol of {} differs mod the conjugate factor of {}",
+                    alpha,
+                    sp.p,
+                )
+            # chi_p shares the F_p Euler step with the fp symbol, so it is
+            # spot-checked against the Z[j] ladder; then multiplicativity
+            n1 = sp.p // 3 + 1
+            n2 = sp.p // 2 + 1
+            v1, v2 = chi_p(sp.p, n1), chi_p(sp.p, n2)
             rec.check(
-                cubic_symbol(alpha, sp) == next(slow),
-                "fp symbol of {} differs mod {}",
-                alpha,
+                v1.exp == slow[i + _SYMBOL_LANES - 1],
+                "chi_{}({}) differs from the symbol",
                 sp.p,
+                n1,
             )
             rec.check(
-                cubic_symbol(alpha, bar) == next(slow),
-                "fp symbol of {} differs mod the conjugate factor of {}",
-                alpha,
+                v1 * v2 == chi_p(sp.p, n1 * n2),
+                "chi_{} not multiplicative at {},{}",
+                sp.p,
+                n1,
+                n2,
+            )
+            rec.check(
+                chi_p(sp.p, sp.p) == ZERO and chi_p(sp.p, 1) == ROOT(0),
+                "chi_{} wrong at 0 or 1",
                 sp.p,
             )
-        # chi_p shares the F_p Euler step with the fp symbol, so it is
-        # spot-checked against the Z[j] ladder; then multiplicativity
-        n1 = sp.p // 3 + 1
-        n2 = sp.p // 2 + 1
-        v1, v2 = chi_p(sp.p, n1), chi_p(sp.p, n2)
-        rec.check(
-            v1 == next(slow),
-            "chi_{}({}) differs from the symbol",
-            sp.p,
-            n1,
-        )
-        rec.check(
-            v1 * v2 == chi_p(sp.p, n1 * n2),
-            "chi_{} not multiplicative at {},{}",
-            sp.p,
-            n1,
-            n2,
-        )
-        rec.check(
-            chi_p(sp.p, sp.p) == ZERO and chi_p(sp.p, 1) == ROOT(0),
-            "chi_{} wrong at 0 or 1",
-            sp.p,
-        )
     return rec
 
 
@@ -545,12 +579,13 @@ def _suite_ksum(bound: int) -> _Recorder:
 
 
 # name: (suite, default bound, smallest bound, largest bound or 0); the
-# census grids start at 10^9 and 10^12, and reciprocity's m^2 bytes of
-# exponents for m primary primes reach about 92 MB at 10^5
+# census grids start at 10^9 and 10^12, the suites over split primes at the
+# first one, 7, below which they would check nothing, and reciprocity's m^2
+# bytes of exponents for m primary primes reach about 92 MB at 10^5
 _SUITES = {
-    "reciprocity": (_suite_reciprocity, 10**4, 1, 10**5),
-    "symbols": (_suite_symbols, 10**4, 1, STANDARD_ARRAY_MAX),
-    "indicator": (_suite_indicator, 200, 1, 0),
+    "reciprocity": (_suite_reciprocity, 10**4, 7, 10**5),
+    "symbols": (_suite_symbols, 10**4, 7, STANDARD_ARRAY_MAX),
+    "indicator": (_suite_indicator, 200, 7, 0),
     "integrality": (_suite_integrality, 10**16, 10**9, 0),
     "subsum-identities": (_suite_subsums, 10**16, 10**12, 0),
     "ksum": (_suite_ksum, 2000, 1, 0),

@@ -47,6 +47,12 @@ primitives.
   leaves included.  The package no longer shares either step: it counts
   leaves from prime counts in residue classes and lists primes only up to
   sqrt(x).
+- symbol_pairs keeps the symbols suite's Z[j] pairs as tuples read off
+  StandardPrime objects; the suite builds them as int64 array lanes from
+  the columns of standard_prime_arrays.
+- class_counts_by_prime keeps those prime counts with one Legendre strike
+  per prime up to sqrt(x); the package strikes every prime above x^(1/3)
+  in one batch.
 - standard_prime_arrays_by_reduction keeps the array decomposition the
   package replaced with a walk over primary lattice points: a cube root
   of unity c mod p, Gauss reduction of the lattice of (p, j - c), the
@@ -65,6 +71,7 @@ from functools import lru_cache
 from itertools import product
 from math import fsum, gcd, isqrt, prod, sqrt
 from math import pi as PI
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,7 +109,7 @@ from heisnine.eisenstein import (
     cubic_symbol,
     standard_decompose,
 )
-from heisnine.ksum import k_direct, psi_ell
+from heisnine.ksum import _values, k_direct, psi_ell
 
 # ---------------------------------------------------------------------------
 # tuple arithmetic for a + b*j, j^2 = -1 - j
@@ -941,6 +948,42 @@ def k_direct_dfs(x: int, ell: int, d: int) -> int:
                 break
             stack.append((m, w * (ell - 1), k + 1))
     return total
+
+
+def symbol_pairs(
+    sps: Iterable[StandardPrime], alphas: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (alpha, beta) int pairs the symbols suite reads off the Z[j]
+    route, 15 per prime in the order of its checks: each alpha at pi and at
+    conj(pi), then (p // 3 + 1, 0) at pi, read off the prime objects."""
+    for sp in sps:
+        pi, bar = sp.pi, sp.pi.conj()
+        for alpha in alphas:
+            yield alpha, (pi.a, pi.b)
+            yield alpha, (bar.a, bar.b)
+        yield (sp.p // 3 + 1, 0), (pi.a, pi.b)
+
+
+def class_counts_by_prime(x: int, ell: int) -> np.ndarray:
+    """counts[c, i], the primes p <= _values(x)[i] with p = c (mod ell), by
+    Legendre's sieve in residue classes with one strike per prime p <=
+    sqrt(x), each reading the counts left by the primes before it."""
+    r = isqrt(x)
+    vals = _values(x)
+    size = len(vals)
+    counts = (vals - np.arange(ell, dtype=np.int64)[:, None]) // ell + 1
+    counts[0] -= 1
+    counts[1, 1:] -= 1
+    rows = np.arange(ell)
+    for p in primes_up_to(r).tolist():
+        lo = int(np.searchsorted(vals, p * p))
+        w = vals[lo:] // p
+        strike = counts[:, np.where(w <= r, w, size - x // w)] - counts[:, p - 1 : p]
+        if p == ell:
+            counts[0, lo:] -= strike.sum(axis=0)
+        else:
+            counts[:, lo:] -= strike[rows * pow(p, -1, ell) % ell]
+    return counts
 
 
 def chi_p_table_walk(p: int) -> bytes:

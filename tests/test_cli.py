@@ -306,7 +306,7 @@ def test_verify_reciprocity_above_its_cap_is_domain_error(capsys):
     assert run(["verify", "--suite", "reciprocity", "--bound", "100001"]) == 1
     out, err = _out(capsys)
     assert out == ""
-    want = "error: suite reciprocity takes a bound from 1 to 100000, got 100001\n"
+    want = "error: suite reciprocity takes a bound from 7 to 100000, got 100001\n"
     assert err == want
 
 

@@ -67,6 +67,17 @@ def test_class_counts_match_sieve(x, ell):
         assert np.array_equal(counts[c], want), c
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 13])
+def test_class_counts_match_the_prime_by_prime_strikes(ell):
+    # the batched strikes of the primes above x^(1/3) against one strike a
+    # prime, at every small x (ell strikes alone above x^(1/3) for x in
+    # [ell^2, ell^3)) and at two large ones
+    for x in [*range(1, 3001), 10**6 + 7, 10**8 + 3]:
+        small = primes_up_to(isqrt(x)).tolist()
+        got = _class_counts(x, ell, small)
+        assert np.array_equal(got, oracles.class_counts_by_prime(x, ell)), x
+
+
 @pytest.mark.parametrize("ell", [2, 3, 7, 101, 1009])
 @pytest.mark.parametrize("x", [10**4 + 1, 10**6 + 1])
 def test_progression_primes_match_sieve(x, ell):

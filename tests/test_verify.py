@@ -14,6 +14,7 @@ from heisnine.eisenstein import (
     StandardPrime,
     cubic_symbol,
     standard_decompose,
+    standard_primes_up_to,
 )
 from heisnine.verify import (
     SUITE_NAMES,
@@ -269,6 +270,62 @@ def test_symbols_suite_at_its_default_bound_in_budget():
     assert elapsed < 0.5
 
 
+def test_symbol_lanes_match_the_pairs_of_the_prime_objects():
+    # 10^4 holds 611 split primes, three blocks of at most 273 primes
+    bound = 10**4
+    blocks = list(verify._symbol_blocks(bound))
+    assert len(blocks) == 3
+    assert all(a.dtype == b.dtype == np.int64 for a, b in blocks)
+    assert all(len(a) <= verify._EULER_BLOCK for a, _ in blocks)
+    got = [
+        (tuple(alpha), tuple(beta))
+        for alphas, betas in blocks
+        for alpha, beta in zip(alphas.tolist(), betas.tolist())
+    ]
+    sps = standard_primes_up_to(bound)
+    want = list(oracles.symbol_pairs(sps, list(verify._SYMBOL_ALPHAS)))
+    assert len(want) == 611 * 15
+    assert got == want
+
+
+def test_general_symbol_takes_arrays_and_tuples_alike():
+    # the symbols suite's lanes at 10^4, and a grid at 7 that meets zero
+    pairs = [
+        (tuple(alpha), tuple(beta))
+        for alphas, betas in verify._symbol_blocks(10**4)
+        for alpha, beta in zip(alphas.tolist(), betas.tolist())
+    ]
+    pi = standard_decompose(7).pi
+    pairs += [((a, b), (pi.a, pi.b)) for a in range(-7, 8) for b in range(-7, 8)]
+    alphas, betas = (list(t) for t in zip(*pairs))
+    want = _euler_symbols(alphas, betas)
+    got = _euler_symbols(np.array(alphas, dtype=np.int64), np.array(betas, dtype=np.int64))
+    assert got == want
+    assert {v.exp for v in want} == {None, 0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "beta,fmt",
+    [
+        ((3, 1), "{!r} is not primary"),
+        ((32771, 0), "norm of {!r} exceeds 1073741824"),
+        ((2**40 + 1, 0), "norm of {!r} exceeds 1073741824"),
+    ],
+)
+def test_general_symbol_checks_array_betas_as_tuples(beta, fmt):
+    # the first offending beta of a batch, at the same place in both forms;
+    # 2^40 + 1 = 2 mod 3 is primary, with a norm far past int64 squares
+    betas = [(2, 3), (5, 0), beta, (3, 1)]
+    alphas = [(2, 1)] * len(betas)
+    for form in (list, lambda v: np.array(v, dtype=np.int64)):
+        with pytest.raises(ValueError) as exc:
+            _euler_symbols(form(alphas), form(betas))
+        assert str(exc.value) == fmt.format(EisensteinInt(*beta))
+    # past int64, as tuples only
+    with pytest.raises(ValueError, match="exceeds"):
+        _euler_symbols([(2, 1)] * 2, [(2, 3), (2**70 + 1, -3 * 2**68)])
+
+
 def test_reciprocity_rows_match_the_scalar_symbols():
     # the scalar symbols as the oracle of every off-diagonal entry:
     # cubic_symbol at pi or at its conjugate, symbol_inert at an inert q
@@ -298,10 +355,32 @@ def test_reciprocity_rows_match_the_scalar_symbols():
 
 @pytest.mark.parametrize("bound,m", [(1, 0), (4, 1), (7, 3)])
 def test_reciprocity_suite_with_few_primes(bound, m):
-    # no prime, the inert 2 alone, then 2 and the two factors of 7
+    # no prime, the inert 2 alone, then 2 and the two factors of 7; the
+    # suite starts at 7, the first bound with a pair to check
     assert len(verify._primary_primes(bound)) == m
+    if bound < 7:
+        with pytest.raises(ValueError, match="from 7 to 100000"):
+            run_suite("reciprocity", bound)
+        return
     res = run_suite("reciprocity", bound)
     assert res.ok and res.checks == m * (m - 1) // 2
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_checks_something_at_its_smallest_bound(name):
+    lo = verify._SUITES[name][2]
+    res = run_suite(name, lo)
+    assert res.ok and res.checks >= 1
+    with pytest.raises(ValueError, match=f"suite {name} takes a bound from {lo}"):
+        run_suite(name, lo - 1)
+
+
+@pytest.mark.parametrize("name", ["reciprocity", "symbols", "indicator"])
+def test_suites_over_split_primes_refuse_a_bound_below_7(name, capsys):
+    # below the first split prime these suites would check nothing
+    assert cli.run(["verify", "--suite", name, "--bound", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: suite {name} takes a bound from 7")
 
 
 def test_reciprocity_suite_at_its_default_bound_in_budget():
@@ -317,8 +396,8 @@ def test_reciprocity_suite_at_its_default_bound_in_budget():
     [
         ("integrality", 10**9 - 1, "from 1000000000"),
         ("subsum-identities", 10**12 - 1, "from 1000000000000"),
-        ("reciprocity", 10**5 + 1, "from 1 to 100000"),
-        ("symbols", 2**30 + 1, "from 1 to 1073741824"),
+        ("reciprocity", 10**5 + 1, "from 7 to 100000"),
+        ("symbols", 2**30 + 1, "from 7 to 1073741824"),
     ],
 )
 def test_suite_bound_out_of_range_names_the_suite(name, bound, limits):
