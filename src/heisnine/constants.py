@@ -45,11 +45,10 @@ from .charspace import DeltaIndex, SupportFunction, enumerate_deltas
 from .eisenstein import (
     W3,
     _chi_exp,
-    _chi_exponent_arrays,
     _chi_exps,
     _chi_table,
+    _standard_table,
     standard_decompose,
-    standard_prime_arrays,
 )
 from .ksum import _alpha3
 
@@ -675,9 +674,12 @@ def char_cancellation_profile(
     M(pi) multiplies chi(f)(p)^eps1, chi(2f)(p)^eps2 and, for each chosen
     support prime r, [chi_r(p) (pi/rho_r)_3]^(2 e1 + e2); rho_r is the
     standard prime above r.  The sum is accumulated as exact counts of cube
-    roots of unity, so reruns are bit-identical.  Checkpoints must be
-    ascending integers in [7, STANDARD_ARRAY_MAX]; anything else raises
-    ValueError.
+    roots of unity, so reruns are bit-identical.  The walk reads the (p, a,
+    b) columns of standard_prime_arrays, not r, and each character over
+    them once, as int8 exponents: chi_q(p) for every prime q of f (when
+    eps is not (0, 0)) or of the pattern, and (pi/rho_r)_3 = chi_r(a + b
+    r_rho) for each pattern prime.  Checkpoints must be ascending integers
+    in [7, STANDARD_ARRAY_MAX]; anything else raises ValueError.
     """
     pattern = _check_pattern(f, eps, pattern)
     if not checkpoints:
@@ -686,26 +688,38 @@ def char_cancellation_profile(
         raise ValueError(f"checkpoints must be integers, got {checkpoints!r}")
     if any(x < 7 for x in checkpoints) or list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must be ascending and >= 7")
-    ps, a, b, _ = standard_prime_arrays(checkpoints[-1])
-    # e: exponent of M(pi) as a power of j; ok: M(pi) != 0
-    e = np.zeros(len(ps), dtype=np.int64)
+    t = _standard_table(checkpoints[-1])
+    ps = t.p
+    # the power of each factor in M(pi): chi(f)^eps1 chi(2f)^eps2 is
+    # chi(f)^(eps1 + 2 eps2), and a pattern prime r adds chi_r(p)^k and
+    # (pi/rho_r)_3^k, k = 2 e1 + e2
+    ks = {r: 2 * e1 + e2 for r, (e1, e2) in pattern.items() if 2 * e1 + e2}
+    weights = {q: (eps[0] + 2 * eps[1]) * v for q, v in f.entries} if any(eps) else {}
+    for r, k in ks.items():
+        weights[r] = weights.get(r, 0) + k
+    # e: exponent of M(pi) mod 3; ok: M(pi) != 0
+    e = np.zeros(len(ps), dtype=np.int8)
     ok = np.ones(len(ps), dtype=bool)
-    if any(eps):  # chi(2f)(p) = chi(f)(p)^2
-        ef, okf = _chi_exponent_arrays(f, ps)
-        e += (eps[0] + 2 * eps[1]) * ef
-        ok &= okf
-    for r, (e1, e2) in pattern.items():
-        k = 2 * e1 + e2
-        if k == 0:
-            continue
-        vr = _chi_exps(r, ps)
-        vs = _chi_exps(r, a + b * standard_decompose(r).r)
-        ok &= (vr >= 0) & (vs >= 0)
-        e += k * (vr + vs)
-    cls = np.where(ok, e % 3, 3)
+    for q, w in weights.items():
+        _add_exponents(e, ok, w, _chi_exps(q, ps))
+    for r, k in ks.items():
+        n = t.b * standard_decompose(r).r
+        n += t.a
+        _add_exponents(e, ok, k, _chi_exps(r, n))
+    cls = np.where(ok, e, 3)
     out = []
     for end in np.searchsorted(ps, checkpoints, side="right").tolist():
         counts = np.bincount(cls[:end], minlength=4).tolist()
         val = complex(counts[0] + counts[1] * W3[1] + counts[2] * W3[2])
         out.append(CancellationSum(val, end))
     return out
+
+
+def _add_exponents(e: np.ndarray, ok: np.ndarray, w: int, t: np.ndarray) -> None:
+    """e += w t (mod 3) and ok &= t >= 0, in place, for int8 exponents t
+    (-1 at the zero value) that are scaled in place: with e in [0, 2] every
+    sum stays in [-2, 6]."""
+    ok &= t >= 0
+    t *= w % 3
+    e += t
+    np.remainder(e, 3, out=e)

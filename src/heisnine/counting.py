@@ -168,8 +168,19 @@ def indicator(f: SupportFunction, fp: SupportFunction) -> int:
     fd, fpd = dict(f_ent), dict(fp_ent)
     sup = sorted(fd.keys() | fpd.keys())
     u, v = [fd.get(r, 0) for r in sup], [fpd.get(r, 0) for r in sup]
-    table = _exp_table(sup)
-    return _kernel_rule(sup, u, _exps(table, u), v, _exps(table, v))
+    # e_u, e_v as _exps reads them off _exp_table, but only at the r != 3
+    # that _kernel_rule reads (0 stands in at 3)
+    e_u, e_v = [0] * len(sup), [0] * len(sup)
+    for i, r in enumerate(sup):
+        if r != 3:
+            for q, x, y in zip(sup, u, v):
+                if q != r:
+                    e = _exp(q, r)
+                    e_u[i] += x * e
+                    e_v[i] += y * e
+            e_u[i] %= 3
+            e_v[i] %= 3
+    return _kernel_rule(sup, u, e_u, v, e_v)
 
 
 def _iroot(n: int, k: int) -> int:

@@ -7,30 +7,27 @@ conditions: pi is primary (a = 2, b = 0 mod 3), Im(pi) > 0 (b > 0), and the
 residue r of j in Z[j]/(pi) = F_p is recorded alongside.  Cubic symbols are
 evaluated through the F_p image; Euler's criterion inside Z[j], the
 independent route they are checked against, lives in the verify module.
-EisensteinInt is the API type: the decomposition runs on ints and int64
-arrays.
+EisensteinInt is the API type: the decomposition runs on ints
+(_standard_ints) and int64 arrays (standard_prime_arrays, whose image r of
+j is computed only for readers of it).
 
 Every other module reads the exponent of chi_p(n), or of chi_9(n) at p = 3,
 through one of two routes here: _chi_exp(p, n) for one value (Euler's
 criterion in F_p, None at the zero value) and _chi_exps(p, ns) for an
-integer array (a lookup in chi_p_table, -1 at the zero value);
-_chi_exponent_arrays sums the latter over the support of chi(f).
+integer array (a lookup in chi_p_table, int8 with -1 at the zero value).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ._primes import check_int, is_prime, prime_divisors, primes_up_to, progression_sieve
-
-if TYPE_CHECKING:
-    from .charspace import SupportFunction
 
 __all__ = [
     "CharValue",
@@ -135,13 +132,20 @@ def standard_decompose(p: int) -> StandardPrime:
     pi is primary with b > 0; r in [2, p-2] satisfies r^2 + r + 1 = 0 (mod p)
     and pi | (j - r), so j maps to r under Z[j]/(pi) = F_p.  This is the
     single-prime route, exact for any p; walks over all split primes up to
-    a limit use standard_prime_arrays.
+    a limit use standard_prime_arrays.  A p that is not an int (or is a
+    bool) raises TypeError.
+    """
+    a, b, r = _standard_ints(p)
+    return StandardPrime(p, EisensteinInt(a, b), r)
+
+
+def _standard_ints(p: int) -> tuple[int, int, int]:
+    """(a, b, r) of standard_decompose(p), on plain ints.
 
     The Euclid on (p, c), c a cube root of unity mod p, stopped at the first
     remainder below sqrt(p), gives a + b c = 0 (mod p) with |a|, |b| <
     sqrt(p) (Thue's lemma): a + b*j lies in (p, j - c), and its norm, a
-    multiple of p below 3p (2 is inert), is p.  A p that is not an int (or
-    is a bool) raises TypeError.
+    multiple of p below 3p (2 is inert), is p.
     """
     check_int(p, "p")
     if p % 3 != 1 or not is_prime(p):
@@ -161,8 +165,8 @@ def standard_decompose(p: int) -> StandardPrime:
     a, b = _primary_pair(a0, b0)
     # pi | (j - c); the conjugate, which keeps primariness, divides j - c^2
     if b > 0:
-        return StandardPrime(p, EisensteinInt(a, b), c)
-    return StandardPrime(p, EisensteinInt(a - b, -b), c * c % p)
+        return a, b, c
+    return a - b, -b, c * c % p
 
 
 # standard_prime_arrays is exact.  A point of norm N <= limit has 4 N =
@@ -209,50 +213,79 @@ def standard_prime_arrays(
 
     The primary a + b*j with b > 0 and prime norm are exactly the standard
     factors, one per split p: they are listed row by row of b, in blocks of
-    2^15 of the ~0.2 limit lattice points, with a sieve of limit / 6 bytes;
-    each block finds its r by one vectorised extended Euclid, and the rows
-    are sorted by norm.  That takes about 20 ms at 10^6 and 0.2 s at 10^7
-    (2 cores, Python 3.11).  A limit that is not an integer (a bool is not
-    one) or exceeds STANDARD_ARRAY_MAX = 2^30 raises ValueError.
+    2^15 of the ~0.15 limit lattice points with an odd norm, with a sieve
+    of limit / 6 bytes, and the rows are sorted by norm.  r comes from one
+    vectorised extended Euclid, run on the first read of r for a limit, in
+    blocks of 2^15 primes.  The columns take about 6 ms at 10^6 and 60 ms
+    at 10^7, and r about 5 ms and 40 ms more (2 cores, Python 3.11).  A
+    limit that is not an integer (a bool is not one) or exceeds
+    STANDARD_ARRAY_MAX = 2^30 raises ValueError.
 
     A one-entry cache keeps the arrays of the last limit, so callers that
     walk the same range again decompose it once.  The arrays are shared
     between those callers and therefore read-only.
     """
+    t = _standard_table(limit)
+    return t.p, t.a, t.b, t.r
+
+
+class _StandardTable:
+    """The read-only columns of standard_prime_arrays for one limit; the
+    image r of j is computed on its first read."""
+
+    def __init__(self, p: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        self.p, self.a, self.b = p, a, b
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        r = np.empty_like(self.p)
+        for i in range(0, len(r), _BLOCK_POINTS):
+            rows = slice(i, i + _BLOCK_POINTS)
+            r[rows] = _j_images(self.p[rows], self.a[rows], self.b[rows])
+        r.setflags(write=False)
+        return r
+
+
+def _standard_table(limit: int) -> _StandardTable:
+    """The cached table behind standard_prime_arrays(limit), after its
+    checks on limit; a caller that reads only p, a and b leaves r
+    uncomputed."""
     if isinstance(limit, bool) or not isinstance(limit, Integral):
         raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit > STANDARD_ARRAY_MAX:
         raise ValueError(f"limit {limit} exceeds the supported {STANDARD_ARRAY_MAX}")
-    return _standard_prime_arrays(max(int(limit), 1))
+    return _build_standard_table(max(int(limit), 1))
 
 
 @lru_cache(maxsize=1)
-def _standard_prime_arrays(limit: int) -> tuple[np.ndarray, ...]:
+def _build_standard_table(limit: int) -> _StandardTable:
     # Row b = 0 (mod 3) holds the a = 2 (mod 3) with (2a - b)^2 <= 4 limit -
-    # 3 b^2.  A primary norm is 1 (mod 3), so an odd one is 1 + 6k.
+    # 3 b^2.  The norm a^2 - ab + b^2 is odd unless a and b are both even,
+    # so an even row steps a through a = 5 (mod 6) only, and every norm
+    # listed is odd; primary, it is 1 (mod 3), so it is 1 + 6k.
     isp = progression_sieve(limit, 6, primes_up_to(isqrt(limit)).tolist())
     bs = np.arange(3, isqrt(4 * limit // 3) + 1, 3, dtype=np.int64)
     s = np.sqrt(4 * limit - 3 * bs * bs).astype(np.int64)  # isqrt below 2^52
+    st = 3 + 3 * (bs & 1 == 0)  # the step of a: 3, or 6 on an even row
     a0 = (bs - s + 1) // 2
-    a0 += (2 - a0) % 3
-    cnt = np.maximum(((bs + s) // 2 - a0) // 3 + 1, 0)
+    a0 += (st - 1 - a0) % st
+    cnt = np.maximum(((bs + s) // 2 - a0) // st + 1, 0)
     rows = max(1, _BLOCK_POINTS // max(int(cnt[:1].sum()), 1))
-    cols: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in range(4)]
+    cols: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in range(3)]
     for i in range(0, len(bs), rows):
         c = cnt[i : i + rows]
         step = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
-        a = np.repeat(a0[i : i + rows], c) + 3 * step
+        a = np.repeat(a0[i : i + rows], c) + np.repeat(st[i : i + rows], c) * step
         b = np.repeat(bs[i : i + rows], c)
         n = a * (a - b) + b * b
-        keep = isp[n // 6] & (n & 1 == 1)
-        n, a, b = n[keep], a[keep], b[keep]
-        for col, v in zip(cols, (n, a, b, _j_images(n, a, b))):
-            col.append(v)
+        keep = isp[n // 6]
+        for col, v in zip(cols, (n, a, b)):
+            col.append(v[keep])
     order = np.argsort(np.concatenate(cols[0]))
-    out = tuple(np.concatenate(col)[order] for col in cols)
+    out = [np.concatenate(col)[order] for col in cols]
     for col in out:
         col.setflags(write=False)
-    return out
+    return _StandardTable(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +374,7 @@ _CHI_NINE = (-1, 0, 1, -1, 2, 2, -1, 1, 0)
 # evicts there and stays below ~2 MB.
 @lru_cache(maxsize=8192)
 def _j_image(p: int) -> int:
-    return standard_decompose(p).r
+    return _standard_ints(p)[2]
 
 
 def _chi_exp(p: int, n: int) -> int | None:
@@ -359,23 +392,10 @@ def _chi_table(p: int) -> np.ndarray:
 
 
 def _chi_exps(p: int, ns: np.ndarray) -> np.ndarray:
-    """_chi_exp over an integer array, as int64, -1 at the zero value."""
+    """_chi_exp over an integer array, as int8, -1 at the zero value."""
     if p == 3:
-        return np.array(_CHI_NINE, dtype=np.int64)[ns % 9]
-    return _chi_table(p)[ns % p].astype(np.int64)
-
-
-def _chi_exponent_arrays(
-    f: SupportFunction, ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(exponent of chi(f) mod 3, nonzero mask) over an integer array."""
-    e = np.zeros(len(ns), dtype=np.int64)
-    ok = np.ones(len(ns), dtype=bool)
-    for p, v in f.entries:
-        t = _chi_exps(p, ns)
-        ok &= t >= 0
-        e += v * np.where(t >= 0, t, 0)
-    return e % 3, ok
+        return np.array(_CHI_NINE, dtype=np.int8)[ns % 9]
+    return _chi_table(p)[ns % p]
 
 
 def chi_p(p: int, n: int) -> CharValue:

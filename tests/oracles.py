@@ -30,8 +30,9 @@ primitives.
   its own loop over the prime divisors of Delta (the package reads lambda
   off the primes of each Delta it enumerates).
 - The L-value closed forms take L(1, chi) over the whole conductor, from
-  the character values of the package's _chi_exponent_arrays: the Gauss
-  sum times a log-sine sum for even characters, times the first character
+  the character values of chi_exponent_arrays, which sums the package's
+  _chi_exps over the support of chi(f) (no package route reads whole
+  characters any more): the Gauss sum times a log-sine sum for even characters, times the first character
   Bernoulli number for odd ones.  The package reads the same forms off
   class bucket sums and multiplies its Gauss sums out of per-prime
   factors.
@@ -103,7 +104,6 @@ from heisnine.eisenstein import (
     EisensteinInt,
     StandardPrime,
     W3,
-    _chi_exponent_arrays,
     _chi_exps,
     _primitive_root,
     cubic_symbol,
@@ -665,11 +665,24 @@ def _n3star_omega(n: int) -> int | None:
 # period-averaged partial sums
 
 
+def chi_exponent_arrays(
+    f: SupportFunction, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(exponent of chi(f) mod 3, nonzero mask) over an integer array."""
+    e = np.zeros(len(ns), dtype=np.int64)
+    ok = np.ones(len(ns), dtype=bool)
+    for p, v in f.entries:
+        t = _chi_exps(p, ns)
+        ok &= t >= 0
+        e += v * np.where(t >= 0, t, 0)
+    return e % 3, ok
+
+
 def character_values(f: SupportFunction) -> np.ndarray:
     """chi(f)(a) for a in [0, conductor); index q-1 gives the parity."""
     q = conductor(f)
     a = np.arange(q, dtype=np.int64)
-    e, ok = _chi_exponent_arrays(f, a)
+    e, ok = chi_exponent_arrays(f, a)
     vals = np.where(ok, W3[e], 0.0)
     if q == 1:
         vals = np.ones(1, dtype=complex)  # trivial character
@@ -680,7 +693,7 @@ def twisted_character_values(f: SupportFunction) -> np.ndarray:
     """((./3) chi(f))(a) mod 3 Delta (f(3) = 0) or 9 Delta (f(3) != 0)."""
     q = conductor(f) if f.f3 else 3 * delta(f)
     a = np.arange(q, dtype=np.int64)
-    e, ok = _chi_exponent_arrays(f, a)
+    e, ok = chi_exponent_arrays(f, a)
     leg3 = np.array([0, 1, -1])[a % 3]
     return np.where(ok, W3[e], 0.0) * leg3
 
@@ -773,11 +786,11 @@ def _literal_logs(f: SupportFunction, p_max: int) -> tuple[float, float]:
     ps = primes_up_to(p_max)
     one = ps[ps % 3 == 1]
     two = ps[ps % 3 == 2]
-    e1, ok1 = _chi_exponent_arrays(f, one)
+    e1, ok1 = chi_exponent_arrays(f, one)
     c1 = np.where(ok1, _C_OF_E[e1], 0.0)
     p = one.astype(np.float64)
     loc = np.where(ok1, (1.0 - c1 / p + 1.0 / p**2) ** 2, 1.0)
-    c2 = _C_OF_E[_chi_exponent_arrays(f, two)[0]]
+    c2 = _C_OF_E[chi_exponent_arrays(f, two)[0]]
     q = two.astype(np.float64)
     log_two = float(np.log1p((-c2 * q**2 + 1.0) / q**4).sum())
     big_f = 1.0 + 2.0 * c1 / (p + 2.0) + 2.0 / (np.sqrt(p) * (p + 2.0))
@@ -853,12 +866,12 @@ def grid_sums_by_prime(
     n_euler = n_ids // 2
     luts = []
     for i, r in enumerate(primes, 1):
-        tab = _chi_exps(r, np.arange(r))
+        tab = _chi_exps(r, np.arange(r)).astype(np.int64)
         luts.append(np.where(tab >= 0, 3**i * tab, n_ids))
 
     def grid_ids(ps: np.ndarray) -> np.ndarray:
         ps = ps.astype(np.int64)
-        ids = _chi_exps(3, ps)
+        ids = _chi_exps(3, ps).astype(np.int64)
         for r, lut in zip(primes, luts):
             ids += lut[ps % r]
         return ids

@@ -4,15 +4,16 @@ from hypothesis import given, strategies as st
 
 import oracles
 from heisnine.charspace import SupportFunction, conductor, delta, enumerate_deltas
-from heisnine.eisenstein import ROOT, ZERO, _chi_exponent_arrays
-from oracles import d_comb, enumerate_V, is_linearly_independent
+from heisnine.eisenstein import ROOT, ZERO
+from oracles import chi_exponent_arrays, d_comb, enumerate_V, is_linearly_independent
 
 F = SupportFunction.of
 
 
 def chi_value(f, m):
-    """chi(f)(m) by the library's array route, at one point."""
-    e, ok = _chi_exponent_arrays(f, np.array([m]))
+    """chi(f)(m) by the oracles' array route over the package's _chi_exps,
+    at one point."""
+    e, ok = chi_exponent_arrays(f, np.array([m]))
     return ROOT(int(e[0])) if ok[0] else ZERO
 
 SMALL_SPLIT = [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97, 103, 109]

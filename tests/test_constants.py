@@ -526,7 +526,9 @@ def test_cancellation_matches_complex_product():
 
 
 # the three benchmark probes, one with eps = (0, 1) and a prime of f
-# outside the pattern, and two with 3 in the support of f
+# outside the pattern, two with 3 in the support of f, and one with the
+# pattern on all six split primes of f, which adds thirteen int8 exponent
+# arrays into one
 LITERAL_PROBES = [
     (((7, 1),), (1, 0), {7: (1, 0)}),
     (((19, 1),), (0, 0), {19: (0, 1)}),
@@ -534,6 +536,11 @@ LITERAL_PROBES = [
     (((7, 1), (13, 1)), (0, 1), {13: (0, 1)}),
     (((3, 1), (7, 2)), (1, 0), {7: (1, 0)}),
     (((3, 2), (7, 2), (19, 1)), (0, 1), {7: (1, 0), 19: (1, 0)}),
+    (
+        ((3, 1), (7, 2), (13, 1), (19, 2), (31, 1), (37, 2), (43, 1)),
+        (0, 1),
+        {7: (0, 1), 13: (1, 0), 19: (0, 1), 31: (1, 0), 37: (0, 1), 43: (1, 0)},
+    ),
 ]
 
 
@@ -562,6 +569,18 @@ def test_cancellation_decomposes_only_pattern_primes(monkeypatch):
     assert prof[0].terms == 4784
     # once for rho_r, and at most once more for a chi_p_table not yet built
     assert set(calls) <= set(pattern) and len(calls) <= 2 * len(pattern)
+
+
+def test_cancellation_reads_no_image_of_j(monkeypatch):
+    # the probe reads (p, a, b) only, so the r column is never filled
+    def refused(p, a, b):
+        raise AssertionError("the probe computed the images of j")
+
+    monkeypatch.setattr(heisnine.eisenstein, "_j_images", refused)
+    heisnine.eisenstein._build_standard_table.cache_clear()
+    f = SupportFunction(((7, 1), (13, 2)))
+    prof = char_cancellation_profile(f, (10**5,), (1, 0), {7: (0, 1), 13: (1, 0)})
+    assert prof[0].terms == 4784
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from heisnine import eisenstein
 from heisnine.eisenstein import (
+    _BLOCK_POINTS,
     _WALK_ROWS,
+    _build_standard_table,
     _j_images,
     _primary_pair,
-    _standard_prime_arrays,
     ROOT,
     STANDARD_ARRAY_MAX,
     ZERO,
@@ -170,9 +172,13 @@ def test_prime_arrays_exact_at_their_limit():
     assert list(zip(ps, a.tolist(), b.tolist(), r.tolist())) == rows
 
 
-@pytest.mark.parametrize("limit, budget", [(10**6, 0.1), (10**7, 0.5)])
+@pytest.mark.parametrize(
+    "limit, budget",
+    [(1, 0.1), (7, 0.1), (13, 0.1), (97, 0.1), (10**4 + 1, 0.1), (123457, 0.1),
+     (10**6, 0.1), (10**7, 0.5)],
+)
 def test_prime_arrays_match_reduction_oracle(limit, budget):
-    _standard_prime_arrays.cache_clear()
+    _build_standard_table.cache_clear()
     t0 = time.monotonic()
     got = standard_prime_arrays(limit)
     elapsed = time.monotonic() - t0
@@ -196,8 +202,33 @@ def test_prime_arrays_cache_holds_one_limit():
     for lim in (300, 500, 300, 500, 500, 300):
         p, a, b, r = (col.tolist() for col in standard_prime_arrays(lim))
         assert list(zip(p, zip(a, b), r)) == want[lim]
-        assert _standard_prime_arrays.cache_info().currsize <= 1
-    assert _standard_prime_arrays.cache_info().maxsize == 1
+        assert _build_standard_table.cache_info().currsize <= 1
+    assert _build_standard_table.cache_info().maxsize == 1
+
+
+def test_prime_arrays_fill_r_once_per_held_limit(monkeypatch):
+    # r is filled on its first read, in blocks, and kept with the columns
+    calls = []
+
+    def counted(p, a, b):
+        calls.append(len(p))
+        return _j_images(p, a, b)
+
+    monkeypatch.setattr(eisenstein, "_j_images", counted)
+    _build_standard_table.cache_clear()
+    eisenstein._standard_table(10**6)
+    assert calls == []
+    p, a, b, r = standard_prime_arrays(10**6)
+    assert sum(calls) == len(p) == 39231
+    assert len(calls) == -(-len(p) // _BLOCK_POINTS) == 2
+    assert r.tolist() == _j_images(p, a, b).tolist()
+    for _ in range(2):
+        assert standard_prime_arrays(10**6)[3] is r
+    assert sum(calls) == len(p)
+    # a new limit evicts the table, and its r is computed anew
+    n = len(standard_prime_arrays(1000)[0])
+    standard_prime_arrays(10**6)
+    assert sum(calls) == 2 * len(p) + n
 
 
 # a bool is not an integer limit, though it passes as an Integral
