@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_int", "is_prime", "prime_divisors", "primes_up_to",
-           "primes_in_class", "progression_sieve"]
+__all__ = ["check_int", "check_type", "is_prime", "prime_divisors",
+           "primes_up_to", "primes_in_class", "progression_sieve"]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -25,6 +25,12 @@ def check_int(v: object, name: str) -> None:
     """TypeError unless v is an int; a bool is not one."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"{name} must be an integer, got {v!r}")
+
+
+def check_type(v: object, kind: type, name: str) -> None:
+    """TypeError unless v is an instance of kind."""
+    if not isinstance(v, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {v!r}")
 
 
 def is_prime(n: int) -> bool:

@@ -18,12 +18,12 @@ from dataclasses import asdict, astuple, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable
 
+from ._primes import check_type
 from .charspace import SupportFunction
 from .constants import TruncationParams, char_cancellation_profile, constant_report
 from .counting import (
     CountReport,
     WeightMode,
-    _check_mode,
     _check_x,
     enumerate_terms,
     heis_total,
@@ -275,7 +275,7 @@ def ratio_report(
     """count(X) / X^(1/4) along a grid, against the predicted constant (by
     default c_heis3 at the default truncation).  Every X and the mode are
     checked as heis_total checks them before any constant is computed."""
-    _check_mode(mode)
+    check_type(mode, WeightMode, "mode")
     for x in x_values:
         _check_x(x)
     if c_estimate is None:

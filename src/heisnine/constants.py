@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._primes import primes_up_to
+from ._primes import check_type, primes_up_to
 from .charspace import DeltaIndex, SupportFunction, enumerate_deltas
 from .eisenstein import (
     W3,
@@ -480,6 +480,8 @@ def euler_product_P(f: SupportFunction, params: TruncationParams) -> float:
     A block of one Delta: the rows h_constants computes for Delta(f),
     read at the row of f, or of its conjugate 2f when the first value of f
     is 2 (P(2f) = P(f)), so the float is the one h_constants adds."""
+    check_type(f, SupportFunction, "f")
+    check_type(params, TruncationParams, "params")
     if f.is_zero:
         raise ValueError("P(f) needs a nonzero support function")
     d = prod(f.supp3)
@@ -536,6 +538,7 @@ def h_constants(params: TruncationParams) -> HConstants:
     term w(Delta) P(f) is kept in its bucket, and each series is the
     exactly rounded sum of its terms (math.fsum), doubled, so it does not
     depend on the order of the Deltas or on the blocks."""
+    check_type(params, TruncationParams, "params")
     g = _grids(params.p_max)
     by_k: dict[int, list[DeltaIndex]] = {}
     for dI in enumerate_deltas(params.delta_max):
@@ -599,6 +602,7 @@ def constant_report(params: TruncationParams = TruncationParams()) -> ConstantRe
     """alpha_3, the H-constants, and the assembled leading constants, with
     crude tail bounds for every truncation: tails["euler"], ["delta"] and
     ["alpha"]."""
+    check_type(params, TruncationParams, "params")
     g = _grids(params.p_max)
     # alpha_3 over the primes of the grid: its ascending float64 halves are
     # the arrays ksum.alpha_ell sieves for, so no second sieve is run
@@ -681,6 +685,7 @@ def char_cancellation_profile(
     r_rho) for each pattern prime.  Checkpoints must be ascending integers
     in [7, STANDARD_ARRAY_MAX]; anything else raises ValueError.
     """
+    check_type(f, SupportFunction, "f")
     pattern = _check_pattern(f, eps, pattern)
     if not checkpoints:
         raise ValueError("no checkpoints")

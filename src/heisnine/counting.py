@@ -19,8 +19,11 @@ sixth root and a K-sum only where X // D >= 7^6 (12 of 1,140 terms at
 10^18).  Each enumeration skips the Delta(f) that _no_entry proves empty,
 works out one of f and 2f, reads chi_p(n) once per Delta(f) through
 eisenstein._chi_exp, Euler's criterion n^((p-1)/3) = r_p^e (mod p) with r_p
-the image of j, and builds no chi_p table: about 16 ms cold at X_MAX =
-10^18, and 0.34 s at a 10^24 bound (2 cores, Python 3.11).
+the image of j, and builds no chi_p table.  It lists each half of f' once,
+its values on the primes of Delta(f) and on a new part, and joins the
+halves by the exponents the kernel test requires, so it builds only the f'
+that pass: about 8-11 ms cold at X_MAX = 10^18, and 0.19-0.26 s at a 10^24
+bound (2 cores, Python 3.11).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import exp, gcd, isqrt, log, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from ._primes import check_int
+from ._primes import check_int, check_type
 from .charspace import DeltaIndex, SupportFunction, enumerate_deltas
 from .eisenstein import _chi_exp
 from .ksum import k_direct
@@ -248,18 +251,6 @@ def _check_x(x: int) -> None:
         raise ValueError(f"X = {x} exceeds the supported bound {X_MAX}")
 
 
-def _check_mode(mode: WeightMode) -> None:
-    if not isinstance(mode, WeightMode):
-        raise TypeError(f"mode must be a WeightMode, got {mode!r}")
-
-
-def _subsets(fac: Sequence[int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for p in fac:
-        out.extend([s + (p,) for s in out])
-    return out
-
-
 # minimal 3-exponent over the rows compatible with the (f(3), f'(3)) pattern
 def _mu_floor(f3: int, fp3: int) -> int:
     if f3 == 0 and fp3 == 0:
@@ -327,12 +318,16 @@ def _census_for_delta(
     chi_{r_2}(r_1) = 1, and likewise at r_2, so an entry needs both
     exponents 0.
 
-    Each character exponent is read once per call, not once per candidate:
-    the vector of a prime q of f or f' holds the exponents of chi_q at the
-    points (3, r_1, ..., r_k), the primes r_i of Delta(f), so that a sum over
-    a function's entries gives chi(h)(3) and each chi(h)(r_i) less the entry
-    at r_i.  The f' of each new part are listed with their sums once, for
-    every f and f'(3)."""
+    Away from 3, f' is a shared half, its values s on the primes r_i of
+    Delta(f) (3^k of them), plus a new half, its values on the primes of a
+    new part (2^|new|).  The vector of a prime q holds the exponents of
+    chi_q at the points (3, r_1, ..., r_k), read once per call, so a sum
+    over a half's entries (_summed) gives chi(h)(3) and each chi(h)(r_i)
+    less the entry at r_i.  The shared halves are summed once, and each new
+    part's halves once, keyed by their exponents at the r_i.  The kernel
+    test at the r_i is affine in f', so each (f, f'(3), shared half) fixes
+    the exponents its new half must have, and the join reads just those
+    halves: only the f' that pass are built."""
     if _no_entry(bound, dI):
         return []
     out: Skeleton = []
@@ -344,14 +339,9 @@ def _census_for_delta(
     new_bound = {mu: ifourth_root(bound // (d6 * 3**mu)) for mu in (0, 8, 12)}
     # f = 0 is skipped, so with Delta(f) = 1 every f has f(3) != 0
     top = new_bound[0 if fac else 12]
-    # a prime's vector, then its place among the r_i (one-hot), so that the
-    # sum over f' also reads off f'(r_i)
-    vec = {
-        q: tuple(0 if s == q else _exp(q, s) for s in pts)
-        + tuple(int(q == r) for r in fac)
-        for q in pts
-    }
-    chi_nine_at = vec[3][1 : k + 1]
+    # a prime's exponents at the points, 0 at itself
+    vec = {q: tuple(0 if s == q else _exp(q, s) for s in pts) for q in pts}
+    chi_nine_at = vec[3][1:]
     # new parts prime to Delta(f), each with the set of chi_p(r), p in pts,
     # at its primes r: the indicator's factor at r is 1 iff chi(f)(r) = 1
     at_new: dict[int, tuple[int, ...]] = {}
@@ -365,34 +355,29 @@ def _census_for_delta(
                     at_new[r] = tuple(_exp(p, r) for p in pts)
             cands.append((eI, {at_new[r] for r in eI.primes}))
     new_vecs = set(at_new.values())
-    shared_choices = [(s, prod(s)) for s in _subsets(fac)]
-    zero = (0,) * (2 * k + 1)
+    # the shared halves: (values s, each chi(.)(r_i) less the entry at r_i,
+    # entries, their Delta, chi(.)(3))
+    shared = []
+    for s in product((0, 1, 2), repeat=k):
+        ent = tuple((r, v) for r, v in zip(fac, s) if v)
+        e, *at = _summed(ent, vec)
+        shared.append((s, at, ent, prod(r for r, _ in ent), e))
     # per new part, built on first use: D less its 3^mu, u = 3^|union
-    # support| and the f' as (Delta(f'), entries away from 3, chi(f')(3)
-    # and each chi(f')(r_i) less f'(3) and the entry at r_i, f'(r_i))
-    parts: dict[int, tuple[int, int, list]] = {}
+    # support| and its halves (entries, chi(.)(3)) by their exponents at the r_i
+    parts: dict[int, tuple[int, int, dict]] = {}
 
-    def parts_of(eI: DeltaIndex) -> tuple[int, int, list]:
+    def parts_of(eI: DeltaIndex) -> tuple[int, int, dict]:
         if eI.delta not in parts:
             for q in eI.primes:
                 if q not in vec:
-                    vec[q] = tuple(_exp(q, s) for s in pts) + zero[:k]
-            fps = []
-            for shared, shared_prod in shared_choices:
-                combos = [((), zero)]
-                for q in sorted(shared + eI.primes):
-                    vq = vec[q]
-                    combos = [
-                        (ent + ((q, v),), tuple(s + v * e for s, e in zip(sums, vq)))
-                        for ent, sums in combos
-                        for v in (1, 2)
-                    ]
-                dfp = shared_prod * eI.delta
-                for ent, sums in combos:
-                    e = [s % 3 for s in sums]
-                    fps.append((dfp, ent, e[0], e[1 : k + 1], tuple(e[k + 1 :])))
+                    vec[q] = tuple(_exp(q, s) for s in pts)
+            by_at: dict[tuple[int, ...], list] = {}
+            for vals in product((1, 2), repeat=len(eI.primes)):
+                ent = tuple(zip(eI.primes, vals))
+                e, *at = _summed(ent, vec)
+                by_at.setdefault(tuple(at), []).append((ent, e))
             # free(Delta(f'), Delta(f)) = eI.delta: shared primes divide Delta(f)
-            parts[eI.delta] = (d6 * eI.delta**4, 3 ** (k + len(eI.primes)), fps)
+            parts[eI.delta] = (d6 * eI.delta**4, 3 ** (k + len(eI.primes)), by_at)
         return parts[eI.delta]
 
     for f_vals in product((1, 2), repeat=k):
@@ -408,7 +393,7 @@ def _census_for_delta(
                 continue  # (2f, f') has the row, D and kernel factors of (f, f')
             f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
             fvec = (f3,) + f_vals
-            e_f, *at_f = _summed(f_ent, vec)[: k + 1]
+            e_f, *at_f = _summed(f_ent, vec)
             # f'(r_i) times this is the kernel generator's f-term at r_i
             a_f = [v * e for v, e in zip(f_vals, at_f)]
             ones = {w for w in new_vecs if sum(v * e for v, e in zip(fvec, w)) % 3 == 0}
@@ -425,29 +410,33 @@ def _census_for_delta(
                 rows = [_row(f3, fp3, e_f, e) for e in range(3)]
                 pow3 = [3 ** _MU_BY_ROW[row] for row in rows]
                 # the kernel test at r_i: chi(f')(r_i) less the entry at r_i,
-                # f'(3) chi_nine(r_i) included, is f'(r_i) a_f[i]
-                shift = [fp3 * e for e in chi_nine_at]
-                want: dict[tuple[int, ...], list[int]] = {}
+                # f'(3) chi_nine(r_i) included, is s_i a_f[i]; so the new
+                # half's exponents at the r_i are fixed by s
+                shift = [fp3 * c for c in chi_nine_at]
+                needs = []
+                for s, at, *half in shared:
+                    need = [(x * a - c - t) % 3 for x, a, c, t in zip(s, a_f, shift, at)]
+                    needs.append((tuple(need), *half))
                 for eI in news:
                     if eI.delta > fp_bound:
                         break
-                    d_base, u, fps = parts_of(eI)
-                    for dfp, ent, e_fp, at_fp, fpv in fps:
-                        d1 = d_base * pow3[e_fp]
-                        if d1 > bound:
-                            continue  # no term: D only grows when 3 | d
-                        if fpv not in want:
-                            want[fpv] = [(x * a - s) % 3 for x, a, s in zip(fpv, a_f, shift)]
-                        if at_fp != want[fpv]:
-                            continue  # a kernel factor at some r_i is 0
-                        fp_ent = ((3, fp3),) + ent if fp3 else ent
-                        if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
-                            continue  # f' = 0, f or 2f: not independent
-                        row = rows[e_fp]
-                        # 3 | d raises mu from 0 to 12 in row 1 only
-                        d3 = d_base * 3**12 if row == 1 else d1
-                        for g in (f_ent, f2_ent):
-                            out.append((df, dfp, g, fp_ent, row, d1, d3, u, df * dfp))
+                    d_base, u, by_at = parts_of(eI)
+                    for need, s_ent, dfs, e_s in needs:
+                        for n_ent, e_n in by_at.get(need, ()):
+                            e_fp = (e_s + e_n) % 3
+                            d1 = d_base * pow3[e_fp]
+                            if d1 > bound:
+                                continue  # no term: D only grows when 3 | d
+                            ent = tuple(sorted(s_ent + n_ent))
+                            fp_ent = ((3, fp3),) + ent if fp3 else ent
+                            if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
+                                continue  # f' = 0, f or 2f: not independent
+                            row = rows[e_fp]
+                            # 3 | d raises mu from 0 to 12 in row 1 only
+                            d3 = d_base * 3**12 if row == 1 else d1
+                            dfp = dfs * eI.delta
+                            for g in (f_ent, f2_ent):
+                                out.append((df, dfp, g, fp_ent, row, d1, d3, u, df * dfp))
     return out
 
 
@@ -534,15 +523,14 @@ def heis_total(x: int, mode: WeightMode = WeightMode.OMEGA_FULL) -> CountReport:
     arithmetic is exact throughout.
     """
     _check_x(x)
-    _check_mode(mode)
+    check_type(mode, WeightMode, "mode")
     return _report(x, mode, _census(x))
 
 
 def heis_subsum(x: int, cls: SubsumClass, mode: WeightMode) -> int:
     """The single-class contribution to the raw total; a cls that is not a
     SubsumClass raises TypeError before any census work."""
-    if not isinstance(cls, SubsumClass):
-        raise TypeError(f"cls must be a SubsumClass, got {cls!r}")
+    check_type(cls, SubsumClass, "cls")
     return heis_total(x, mode).subsums[cls]
 
 
@@ -557,7 +545,7 @@ def enumerate_terms(
     nonnegative (else ValueError); one above sys.maxsize, which islice
     cannot take and no census reaches, keeps them all."""
     _check_x(x)
-    _check_mode(mode)
+    check_type(mode, WeightMode, "mode")
     if limit is not None:
         check_int(limit, "limit")
         if limit < 0:

@@ -64,6 +64,12 @@ primitives.
   the package replaced with tuple code.  It takes its indicator, row and D
   from the pair functions above, not from the package, and only its
   K-sums from k_direct.
+- census_for_delta_by_product keeps the census's product-then-filter
+  enumeration on tuples: every f' of every shared subset and new part is
+  listed with its exponent sums, then tested by the kernel rule at the
+  primes of Delta(f), and no Delta(f) is skipped up front.  The package
+  lists each half of f' once and joins the halves by the exponents the
+  kernel rule requires, after _no_entry's skip.
 """
 
 from __future__ import annotations
@@ -91,9 +97,14 @@ from heisnine.constants import (
     _Grids,
 )
 from heisnine.counting import (
+    _MU_BY_ROW,
     SubsumClass,
     TermRecord,
     WeightMode,
+    _exp,
+    _mu_floor,
+    _row,
+    _summed,
     ifourth_root,
     isixth_root,
 )
@@ -1151,3 +1162,118 @@ def census_literal(
         key=lambda t: (delta(t.f), delta(t.fp), t.f.entries, t.fp.entries, t.d_class)
     )
     return subs, records
+
+
+# ---------------------------------------------------------------------------
+# the census's product-then-filter enumeration: the route the package's join
+# of the two halves of f' replaced
+
+
+def census_for_delta_by_product(bound: int, dI: DeltaIndex, wide: list[DeltaIndex]) -> list:
+    """The skeleton entries at X = bound with Delta(f) = dI.delta, in the
+    package's tuple layout: every f' of every shared subset and new part is
+    listed with its exponent sums, then the kernel test at the r_i keeps
+    those whose chi(f')(r_i) less the entry at r_i, f'(3) chi_nine(r_i)
+    included, is f'(r_i) f(r_i) times chi(f)(r_i) less f(r_i).  It skips no
+    Delta(f) up front, works out one of f and 2f, and takes its character
+    exponents, sums, rows and 3-exponent floors from the package."""
+    out = []
+    df, fac = dI.delta, dI.primes
+    d6 = df**6
+    k = len(fac)
+    pts = (3,) + fac
+    new_bound = {mu: ifourth_root(bound // (d6 * 3**mu)) for mu in (0, 8, 12)}
+    top = new_bound[0 if fac else 12]
+    # a prime's exponents at the points, then its place among the r_i
+    vec = {
+        q: tuple(0 if s == q else _exp(q, s) for s in pts) + tuple(int(q == r) for r in fac)
+        for q in pts
+    }
+    chi_nine_at = vec[3][1 : k + 1]
+    at_new: dict[int, tuple[int, ...]] = {}
+    cands = []
+    for eI in wide:
+        if eI.delta > top:
+            break
+        if gcd(eI.delta, df) == 1:
+            for r in eI.primes:
+                if r not in at_new:
+                    at_new[r] = tuple(_exp(p, r) for p in pts)
+            cands.append((eI, {at_new[r] for r in eI.primes}))
+    new_vecs = set(at_new.values())
+    zero = (0,) * (2 * k + 1)
+    parts: dict[int, tuple[int, int, list]] = {}
+
+    def parts_of(eI: DeltaIndex) -> tuple[int, int, list]:
+        if eI.delta not in parts:
+            for q in eI.primes:
+                if q not in vec:
+                    vec[q] = tuple(_exp(q, s) for s in pts) + zero[:k]
+            fps = []
+            for shared in _subsets(fac):
+                combos = [((), zero)]
+                for q in sorted(shared + eI.primes):
+                    combos = [
+                        (ent + ((q, v),), tuple(s + v * e for s, e in zip(sums, vec[q])))
+                        for ent, sums in combos
+                        for v in (1, 2)
+                    ]
+                dfp = prod(shared) * eI.delta
+                for ent, sums in combos:
+                    e = [s % 3 for s in sums]
+                    fps.append((dfp, ent, e[0], e[1 : k + 1], tuple(e[k + 1 :])))
+            parts[eI.delta] = (d6 * eI.delta**4, 3 ** (k + len(eI.primes)), fps)
+        return parts[eI.delta]
+
+    for f_vals in product((1, 2), repeat=k):
+        base = tuple(zip(fac, f_vals))
+        for f3 in (0, 1, 2):
+            if f3 == 0 and not base:
+                continue
+            f_top = new_bound[_mu_floor(f3, 0)]
+            if f_top < 1:
+                continue
+            f_ent = ((3, f3),) + base if f3 else base
+            if f_ent[0][1] == 2:
+                continue
+            f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
+            fvec = (f3,) + f_vals
+            e_f, *at_f = _summed(f_ent, vec)[: k + 1]
+            a_f = [v * e for v, e in zip(f_vals, at_f)]
+            ones = {w for w in new_vecs if sum(v * e for v, e in zip(fvec, w)) % 3 == 0}
+            news = [eI for eI, ws in cands if eI.delta <= f_top and ws <= ones]
+            for fp3 in (0, 1, 2):
+                fp_bound = new_bound[_mu_floor(f3, fp3)]
+                rows = [_row(f3, fp3, e_f, e) for e in range(3)]
+                shift = [fp3 * e for e in chi_nine_at]
+                for eI in news:
+                    if eI.delta > fp_bound:
+                        break
+                    d_base, u, fps = parts_of(eI)
+                    for dfp, ent, e_fp, at_fp, fpv in fps:
+                        d1 = d_base * 3 ** _MU_BY_ROW[rows[e_fp]]
+                        if d1 > bound:
+                            continue
+                        if at_fp != [(x * a - s) % 3 for x, a, s in zip(fpv, a_f, shift)]:
+                            continue
+                        fp_ent = ((3, fp3),) + ent if fp3 else ent
+                        if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
+                            continue
+                        row = rows[e_fp]
+                        d3 = d_base * 3**12 if row == 1 else d1
+                        for g in (f_ent, f2_ent):
+                            out.append((df, dfp, g, fp_ent, row, d1, d3, u, df * dfp))
+    return out
+
+
+def skeleton_by_product(bound: int) -> list:
+    """counting._build_skeleton's list at X = bound, each Delta(f) taken by
+    census_for_delta_by_product."""
+    wide = list(enumerate_deltas(ifourth_root(bound // 3**8)))
+    skel = [
+        t
+        for dI in enumerate_deltas(isixth_root(bound))
+        for t in census_for_delta_by_product(bound, dI, wide)
+    ]
+    skel.sort(key=lambda t: t[:4])
+    return skel

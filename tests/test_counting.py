@@ -13,6 +13,13 @@ import oracles
 from heisnine import charspace, cli, counting, eisenstein, ksum
 from heisnine._primes import primes_in_class
 from heisnine.charspace import SupportFunction, enumerate_deltas
+from heisnine.constants import (
+    TruncationParams,
+    char_cancellation_profile,
+    constant_report,
+    euler_product_P,
+    h_constants,
+)
 from heisnine.counting import (
     CountReport,
     SubsumClass,
@@ -329,6 +336,22 @@ def test_subsum_identities_midrange():
         )
 
 
+@pytest.mark.parametrize(
+    "x, side",
+    [(10**15, -324), (10**17 + 12345, -1944), (10**18, -4212)],
+    ids=["1e15", "1e17+12345", "1e18"],
+)
+def test_modes_differ_by_the_first_class(x, side):
+    # C(k+7) = C(k) for k = 2..7 and C8(X) = C1(X / 3^12) under omega-star,
+    # and each 3 | d class weighs twice under omega-full, so
+    # 2 raw_full(X) - 3 raw_star(X) = C1(X / 3^12) - C1(X) under omega-star
+    t0 = time.monotonic()
+    lhs = 2 * heis_total(x, FULL).raw_total - 3 * heis_total(x, STAR).raw_total
+    rhs = heis_subsum(x // 3**12, SubsumClass.C1, STAR) - heis_subsum(x, SubsumClass.C1, STAR)
+    assert lhs == rhs == side
+    assert time.monotonic() - t0 < 1
+
+
 def test_census_monotone_on_grid():
     xs = [10**9, 10**10, 10**11, 10**12, 10**13, 10**14, 10**15, 10**16]
     raws = [heis_total(x, FULL).raw_total for x in xs]
@@ -500,6 +523,34 @@ def test_skeleton_pinned_at_1e21():
     assert digest == "87d2ebb0396c51239dd43d3e288187e3d5444533d47be3ee91402af0731f1300"
 
 
+@pytest.mark.parametrize(
+    "bound, size, digest, budget",
+    [
+        (10**18, 744, "db3f26060d7cd782037c056c96b2ced13677aff9b2441714e32fc5287525efcf", 0.5),
+        (10**24, 23424, "31147e10c614af4b8b2ce2f3b0d3e75c7f553de653048c8607a2c84e50dc59a0", 2),
+    ],
+    ids=["1e18", "1e24"],
+)
+def test_skeleton_digest_pinned(bound, size, digest, budget):
+    # recorded with the route that listed every f' of every shared subset
+    # and new part before the kernel test
+    _clear_census_caches()
+    t0 = time.monotonic()
+    skel = counting._build_skeleton(bound)
+    assert time.monotonic() - t0 < budget
+    assert len(skel) == size
+    assert hashlib.sha256(repr(skel).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound", [10**18, 10**24], ids=["1e18", "1e24"])
+def test_skeleton_matches_the_product_route(bound):
+    # the join of the two halves of f' against listing every f' and testing
+    # it, with no Delta(f) skipped by _no_entry
+    t0 = time.monotonic()
+    assert counting._build_skeleton(bound) == oracles.skeleton_by_product(bound)
+    assert time.monotonic() - t0 < 3
+
+
 @pytest.mark.parametrize("bound, skipped", [(10**18, (76, 105)), (10**21, (219, 312))])
 def test_skipped_deltas_yield_no_entry_on_the_unpruned_route(monkeypatch, bound, skipped):
     narrow = list(enumerate_deltas(isixth_root(bound)))
@@ -615,12 +666,21 @@ def test_log_grid_points_and_validation():
         (chi_p, (7, np.int64(2))),
         (chi_nine, (True,)),
         (eisenstein.standard_decompose, (7.0,)),
+        # the constant pipeline's entry points would fail deep inside with
+        # AttributeError; they name the type they take instead
+        (euler_product_P, ({7: 1}, TruncationParams())),
+        (euler_product_P, (SupportFunction(((7, 1),)), None)),
+        (h_constants, (None,)),
+        (constant_report, ((2000, 10**6),)),
+        (char_cancellation_profile, ({7: 1}, (10**4,))),
     ],
     ids=lambda v: getattr(v, "__name__", None) or repr(v),
 )
 def test_non_integer_arguments_fail_at_the_boundary(fn, args):
-    # one shared integer test, as for the census bound X and terms' limit
-    with pytest.raises(TypeError, match="must be an integer"):
+    # one shared integer test, as for the census bound X and terms' limit,
+    # and one shared type test for the constant pipeline
+    typed = fn in (euler_product_P, h_constants, constant_report, char_cancellation_profile)
+    with pytest.raises(TypeError, match="must be a [A-Z]" if typed else "must be an integer"):
         fn(*args)
 
 
