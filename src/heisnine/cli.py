@@ -16,6 +16,8 @@ import json
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from decimal import Decimal, InvalidOperation
+from math import isfinite
+from numbers import Real
 from typing import Callable, Iterable
 
 from ._primes import check_type
@@ -274,12 +276,18 @@ def ratio_report(
 ) -> list[RatioRow]:
     """count(X) / X^(1/4) along a grid, against the predicted constant (by
     default c_heis3 at the default truncation).  Every X and the mode are
-    checked as heis_total checks them before any constant is computed."""
+    checked as heis_total checks them, and a given c_estimate must be a
+    real number (not a bool, else TypeError) that is positive and finite
+    (else ValueError), all before any census or constant is computed."""
     check_type(mode, WeightMode, "mode")
     for x in x_values:
         _check_x(x)
     if c_estimate is None:
         c_estimate = constant_report().c_heis3
+    elif isinstance(c_estimate, bool) or not isinstance(c_estimate, Real):
+        raise TypeError(f"c_estimate must be a real number, got {c_estimate!r}")
+    elif not (isfinite(c_estimate) and c_estimate > 0):
+        raise ValueError(f"c_estimate must be positive and finite, got {c_estimate!r}")
     rows = []
     for x in x_values:
         count = float(heis_total(x, mode).count)

@@ -17,13 +17,16 @@ max(X, B^(3/2))), so the bounds step geometrically and reach X_MAX only
 when asked near it; every other X costs one pass over the skeleton, with a
 sixth root and a K-sum only where X // D >= 7^6 (12 of 1,140 terms at
 10^18).  Each enumeration skips the Delta(f) that _no_entry proves empty,
-works out one of f and 2f, reads chi_p(n) once per Delta(f) through
-eisenstein._chi_exp, Euler's criterion n^((p-1)/3) = r_p^e (mod p) with r_p
-the image of j, and builds no chi_p table.  It lists each half of f' once,
-its values on the primes of Delta(f) and on a new part, and joins the
-halves by the exponents the kernel test requires, so it builds only the f'
-that pass: about 8-11 ms cold at X_MAX = 10^18, and 0.19-0.26 s at a 10^24
-bound (2 cores, Python 3.11).
+works out one of f and 2f and one of f' and 2f', reads chi_p(n) once per
+Delta(f) through eisenstein._chi_exp, Euler's criterion n^((p-1)/3) = r_p^e
+(mod p) with r_p the image of j, and builds no chi_p table.  It lists the
+new parts of f' up to ifourth_root(B // 7^6), the most any Delta(f) reads,
+and each half of f' once, its values on the primes of Delta(f) and on a new
+part, and joins the halves by the exponents the kernel test requires, so it
+builds only the f' that pass: about 6 ms cold at X_MAX = 10^18, and
+0.13-0.15 s at a 10^24 bound (2 cores, Python 3.11).  enumerate_terms
+builds its records, and the distinct functions they share, without checking
+again what the census built: about 1.7 ms warm for the 1,140 terms at 10^18.
 """
 
 from __future__ import annotations
@@ -233,6 +236,21 @@ class TermRecord:
     weight: int  # 3^|union| * (w3 if 3 | d) * K-sum value
 
 
+def _term_record(
+    f: SupportFunction,
+    fp: SupportFunction,
+    d_class: int,
+    big_d: int,
+    cls: SubsumClass,
+    weight: int,
+) -> TermRecord:
+    """TermRecord(f, fp, d_class, big_d, cls, weight) with its six fields
+    set in one step, not by six frozen __setattr__ calls."""
+    t = object.__new__(TermRecord)
+    t.__dict__.update(f=f, fp=fp, d_class=d_class, big_d=big_d, cls=cls, weight=weight)
+    return t
+
+
 @dataclass(frozen=True)
 class CountReport:
     x: int
@@ -403,7 +421,7 @@ def _census_for_delta(
                     break
                 if ws <= ones:
                     news.append(eI)
-            for fp3 in (0, 1, 2):
+            for fp3 in (0, 1):  # (f, 2f') has the row, D and kernel factors of (f, f')
                 fp_bound = new_bound[_mu_floor(f3, fp3)]
                 if not news or news[0].delta > fp_bound:
                     continue
@@ -429,14 +447,19 @@ def _census_for_delta(
                                 continue  # no term: D only grows when 3 | d
                             ent = tuple(sorted(s_ent + n_ent))
                             fp_ent = ((3, fp3),) + ent if fp3 else ent
-                            if not fp_ent or fp_ent == f_ent or fp_ent == f2_ent:
-                                continue  # f' = 0, f or 2f: not independent
+                            # skip f' = 0, f' = f and an f' that leads with
+                            # a 2: it is emitted as the 2f' of one that leads
+                            # with a 1 (f' = 2f leads with a 2, as f with a 1)
+                            if not fp_ent or fp_ent[0][1] == 2 or fp_ent == f_ent:
+                                continue
+                            fp2_ent = tuple((p, 3 - v) for p, v in fp_ent)
                             row = rows[e_fp]
                             # 3 | d raises mu from 0 to 12 in row 1 only
                             d3 = d_base * 3**12 if row == 1 else d1
                             dfp = dfs * eI.delta
-                            for g in (f_ent, f2_ent):
-                                out.append((df, dfp, g, fp_ent, row, d1, d3, u, df * dfp))
+                            for h in (fp_ent, fp2_ent):
+                                for g in (f_ent, f2_ent):
+                                    out.append((df, dfp, g, h, row, d1, d3, u, df * dfp))
     return out
 
 
@@ -451,10 +474,11 @@ _skeleton_cache: dict[int, Skeleton] = {}
 def _build_skeleton(bound: int) -> Skeleton:
     """Every skeleton entry at X = bound, in stream order."""
     narrow = enumerate_deltas(isixth_root(bound))
-    # global bound for the new-prime part of f'; per-pair bounds are tighter
-    wide = list(enumerate_deltas(ifourth_root(bound // 3**8)))
+    # the new parts any Delta(f) reads: its top is at most this bound, as
+    # Delta(f) >= 7, or Delta(f) = 1 and 3^12 > 7^6
+    wide = list(enumerate_deltas(ifourth_root(bound // 7**6)))
     skel = [t for dI in narrow for t in _census_for_delta(bound, dI, wide)]
-    skel.sort(key=lambda t: t[:4])
+    skel.sort()  # one entry per (f, f'), so the first four fields decide
     return skel
 
 
@@ -554,10 +578,11 @@ def enumerate_terms(
             limit = None
     records = list(islice(_terms(x), limit))
     w3 = mode.w3
-    # one object per function: terms share them, as pairs share f
-    funcs = {ent: SupportFunction(ent) for ent in {e for t in records for e in t[2:4]}}
+    # one object per function: terms share them, as pairs share f; the
+    # census built every entry tuple in normal form
+    funcs = {e: SupportFunction._trusted(e) for e in {e for t in records for e in t[2:4]}}
     return (
-        TermRecord(
+        _term_record(
             funcs[f_ent],
             funcs[fp_ent],
             d_class,

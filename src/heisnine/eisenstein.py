@@ -19,11 +19,12 @@ integer array (a lookup in chi_p_table, int8 with -1 at the zero value).
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import isqrt
 from numbers import Integral
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -328,11 +329,58 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root mod {p}")
 
 
-# Read through _chi_table.  The census and the symbols suite build none, the
-# reciprocity suite 611 at 10^4.  At delta_max 3.2e4, where every prime up
-# to it is a Delta, constant_report fills all 1024 entries, rebuilds 121 and
-# holds ~17.5 MB (ROADMAP, open item 3): the entry count bounds memory.
-@lru_cache(maxsize=1024)
+# The bytes of tables chi_p_table holds, the sum of their lengths.  The
+# census and the symbols suite build none, constant_report at the default
+# truncation 148 (138 KB), the reciprocity suite 611 at 10^4 (2.9 MB); at
+# its 10^5 cap that suite builds 4,784 tables, 227 MB in all, and reads each
+# one twice in a row, so the bound costs it no rebuild.
+_CHI_TABLE_BYTES = 32 * 2**20
+
+_TableCacheInfo = namedtuple(
+    "_TableCacheInfo", "hits misses maxsize currsize maxbytes currbytes"
+)
+
+
+def _table_cache(build: Callable[[int], bytes]) -> Callable[[int], bytes]:
+    """build(p) cached like lru_cache, but bounded by the bytes held
+    (_CHI_TABLE_BYTES, read at each miss) rather than by a count: a new
+    table evicts the least recently used ones until the tables fit, and one
+    longer than the bound is returned without being held.  cache_info()
+    reports no count bound (maxsize None) and the byte bound and total."""
+    held: OrderedDict[int, bytes] = OrderedDict()  # least recently used first
+    hits = misses = nbytes = 0
+
+    @wraps(build)
+    def cached(p: int) -> bytes:
+        nonlocal hits, misses, nbytes
+        tab = held.get(p)
+        if tab is not None:
+            hits += 1
+            held.move_to_end(p)
+            return tab
+        misses += 1
+        tab = build(p)
+        if len(tab) <= _CHI_TABLE_BYTES:
+            nbytes += len(tab)
+            while nbytes > _CHI_TABLE_BYTES:
+                nbytes -= len(held.popitem(last=False)[1])
+            held[p] = tab
+        return tab
+
+    def cache_info() -> _TableCacheInfo:
+        return _TableCacheInfo(hits, misses, None, len(held), _CHI_TABLE_BYTES, nbytes)
+
+    def cache_clear() -> None:
+        nonlocal hits, misses, nbytes
+        held.clear()
+        hits = misses = nbytes = 0
+
+    cached.cache_info = cache_info  # type: ignore[attr-defined]
+    cached.cache_clear = cache_clear  # type: ignore[attr-defined]
+    return cached
+
+
+@_table_cache
 def chi_p_table(p: int) -> bytes:
     """Exponent of chi_p(n) indexed by n mod p; 0xFF marks the zero value.
 

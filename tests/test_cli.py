@@ -435,9 +435,10 @@ def test_public_names():
 
 def test_no_module_cache_grows_with_every_call():
     # every functools cache has a finite maxsize or wraps a function of no
-    # parameters; the one module-level cache dict keeps its own one-entry
-    # rule (the census skeleton)
-    caches, dicts = [], []
+    # parameters, and the chi_p tables are held to a byte bound instead; the
+    # one module-level cache dict keeps its own one-entry rule (the census
+    # skeleton)
+    caches, by_bytes, dicts = [], [], []
     for info in pkgutil.iter_modules(heisnine.__path__):
         mod = importlib.import_module(f"heisnine.{info.name}")
         for attr, val in vars(mod).items():
@@ -445,10 +446,17 @@ def test_no_module_cache_grows_with_every_call():
             if hasattr(val, "cache_info") and val.__module__ == mod.__name__:
                 caches.append(name)
                 params = inspect.signature(val).parameters
-                assert val.cache_info().maxsize is not None or not params, name
+                held = val.cache_info()
+                if hasattr(held, "maxbytes"):
+                    by_bytes.append(name)
+                    assert held.maxbytes == 32 * 2**20, name
+                    assert held.currbytes <= held.maxbytes, name
+                else:
+                    assert held.maxsize is not None or not params, name
             elif isinstance(val, dict) and attr.endswith("_cache"):
                 dicts.append(name)
     assert {"constants._grids", "counting._census"} <= set(caches)
+    assert by_bytes == ["eisenstein.chi_p_table"]
     assert dicts == ["counting._skeleton_cache"]
 
 

@@ -606,13 +606,23 @@ def test_cancellation_sum_normalization():
 
 
 def test_ratio_report_checks_the_mode_before_any_work(monkeypatch):
-    def built():
-        raise AssertionError("the constant was computed for a bad mode")
+    def built(*args):
+        raise AssertionError("a census or the constant was computed for bad input")
 
     monkeypatch.setattr(heisnine.cli, "constant_report", built)
+    monkeypatch.setattr(heisnine.cli, "heis_total", built)
+    full = WeightMode.OMEGA_FULL
     for xs in ([], [10**12]):
         with pytest.raises(TypeError, match="WeightMode"):
             ratio_report(xs, "not-a-mode")
+        # c_estimate: not a real number, or a bool
+        for c in ("0.003", True, False, 1j, [0.003]):
+            with pytest.raises(TypeError, match="c_estimate must be a real number"):
+                ratio_report(xs, full, c_estimate=c)
+        # c_estimate: nonpositive or not finite
+        for c in (0.0, -0.0, 0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="c_estimate must be positive and finite"):
+                ratio_report(xs, full, c_estimate=c)
 
 
 def test_ratio_report_rows():

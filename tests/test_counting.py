@@ -551,6 +551,48 @@ def test_skeleton_matches_the_product_route(bound):
     assert time.monotonic() - t0 < 3
 
 
+@pytest.mark.parametrize("bound", [10**12, 10**18, 10**24], ids=["1e12", "1e18", "1e24"])
+def test_skeleton_lists_every_new_part_it_reads_and_one_entry_per_pair(bound):
+    # each Delta(f) reads new parts up to its top, ifourth_root(bound //
+    # (Delta(f)^6 3^mu)) with mu = 0, or mu = 12 at Delta(f) = 1; the build
+    # lists them up to ifourth_root(bound // 7^6) only
+    t0 = time.monotonic()
+    tops = [
+        ifourth_root(bound // (dI.delta**6 * 3 ** (0 if dI.primes else 12)))
+        for dI in enumerate_deltas(isixth_root(bound))
+    ]
+    assert max(tops) <= ifourth_root(bound // 7**6)
+    # so a plain sort of the entries orders them by their first four fields
+    skel = counting._build_skeleton(bound)
+    assert len({t[:4] for t in skel}) == len(skel)
+    assert skel == sorted(skel, key=lambda t: t[:4])
+    assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize("limit", [None, 100])
+def test_term_records_equal_their_public_construction(limit):
+    # the census builds its records and functions unchecked; each must be
+    # the object the validating constructors give
+    t0 = time.monotonic()
+    recs = list(enumerate_terms(10**18, FULL, limit))
+    assert len(recs) == (1140 if limit is None else limit)
+    for r in recs:
+        for g in (r.f, r.fp):
+            pub = SupportFunction(g.entries)
+            assert pub == g and hash(pub) == hash(g) and repr(pub) == repr(g)
+        pub = counting.TermRecord(
+            SupportFunction(r.f.entries),
+            SupportFunction(r.fp.entries),
+            r.d_class,
+            r.big_d,
+            r.cls,
+            r.weight,
+        )
+        assert pub == r and hash(pub) == hash(r) and repr(pub) == repr(r)
+        assert type(r) is counting.TermRecord and vars(pub) == vars(r)
+    assert time.monotonic() - t0 < 1
+
+
 @pytest.mark.parametrize("bound, skipped", [(10**18, (76, 105)), (10**21, (219, 312))])
 def test_skipped_deltas_yield_no_entry_on_the_unpruned_route(monkeypatch, bound, skipped):
     narrow = list(enumerate_deltas(isixth_root(bound)))

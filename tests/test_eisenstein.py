@@ -324,12 +324,58 @@ def test_chi_p_table_grid_edges_match_walk(p):
     assert chi_p_table(p) == oracles.chi_p_table_walk(p)
 
 
-def test_chi_p_table_cache_is_bounded():
-    size = chi_p_table.cache_info().maxsize
-    assert size is not None and size >= 1024
-    for p in split_primes(20000)[: size + 10]:
+def test_chi_p_table_cache_is_bounded(monkeypatch):
+    # held to 32 MB of tables, whatever their count; the least recently
+    # used table goes first, and one past the bound is not held at all
+    info = chi_p_table.cache_info()
+    assert (info.maxsize, info.maxbytes) == (None, 32 * 2**20)
+    bound = 20000
+    monkeypatch.setattr(eisenstein, "_CHI_TABLE_BYTES", bound)
+    chi_p_table.cache_clear()
+    ps = split_primes(6000)
+    for p in ps:
         chi_p_table(p)
-    assert chi_p_table.cache_info().currsize <= size
+        info = chi_p_table.cache_info()
+        assert info.maxbytes == bound and info.currbytes <= bound
+    # the newest tables are held until their sum passes the bound
+    held, total = [], 0
+    for p in reversed(ps):
+        if total + p > bound:
+            break
+        held.append(p)
+        total += p
+    assert (info.currsize, info.currbytes) == (len(held), total)
+    oldest, next_oldest = held[-1], held[-2]
+    chi_p_table(oldest)  # a hit, and now the most recent
+    chi_p_table(_first_split_prime_above(6000))  # evicts next_oldest only
+    misses = chi_p_table.cache_info().misses
+    chi_p_table(oldest)
+    assert chi_p_table.cache_info().misses == misses
+    chi_p_table(next_oldest)
+    assert chi_p_table.cache_info().misses == misses + 1
+    big = _first_split_prime_above(bound)
+    assert chi_p_table(big) == oracles.chi_p_table_walk(big)
+    info = chi_p_table.cache_info()
+    assert info.currbytes <= bound and info.misses == misses + 2
+    chi_p_table(big)  # not held: built again
+    assert chi_p_table.cache_info().misses == misses + 3
+    chi_p_table.cache_clear()
+
+
+def test_chi_p_table_cache_holds_at_most_32_mb():
+    # eight tables of about 4.2 MB pass 32 MB, so the first is evicted
+    t0 = time.monotonic()
+    chi_p_table.cache_clear()
+    ps = [_first_split_prime_above(4_200_000)]
+    while len(ps) < 8:
+        ps.append(_first_split_prime_above(ps[-1]))
+    for p in ps:
+        chi_p_table(p)
+    info = chi_p_table.cache_info()
+    assert sum(ps) > 32 * 2**20
+    assert (info.currsize, info.currbytes) == (7, sum(ps[1:]))
+    chi_p_table.cache_clear()
+    assert time.monotonic() - t0 < 3
 
 
 def test_chi_nine_examples():
