@@ -11,22 +11,27 @@ observed from the computed integer, never assumed.
 
 The terms at a smaller X are the terms at a larger X with D <= X, so one
 enumeration serves every X: the term skeleton lists each pair with a term
-at a bound B, without its K-value.  Cost model of the census: the first X
+at a bound B, without its K-value, and holds the four pairs of a conjugate
+orbit {f, 2f} x {f', 2f'}, which share row, D, u and dd, as one entry (186
+orbits for the 744 pairs at 10^18).  Cost model of the census: the first X
 asked enumerates at B = X; an X above B re-enumerates at min(X_MAX,
 max(X, B^(3/2))), so the bounds step geometrically and reach X_MAX only
-when asked near it; every other X costs one pass over the skeleton, with a
-sixth root and a K-sum only where X // D >= 7^6 (12 of 1,140 terms at
-10^18).  Each enumeration skips the Delta(f) that _no_entry proves empty,
-works out one of f and 2f and one of f' and 2f', reads chi_p(n) once per
-Delta(f) through eisenstein._chi_exp, Euler's criterion n^((p-1)/3) = r_p^e
-(mod p) with r_p the image of j, and builds no chi_p table.  It lists the
-new parts of f' up to ifourth_root(B // 7^6), the most any Delta(f) reads,
-and each half of f' once, its values on the primes of Delta(f) and on a new
-part, and joins the halves by the exponents the kernel test requires, so it
-builds only the f' that pass: about 6 ms cold at X_MAX = 10^18, and
-0.13-0.15 s at a 10^24 bound (2 cores, Python 3.11).  enumerate_terms
-builds its records, and the distinct functions they share, without checking
-again what the census built: about 1.7 ms warm for the 1,140 terms at 10^18.
+when asked near it; every other X costs one pass over the orbits, with a
+sixth root and a K-sum only where X // D >= 7^6 (3 orbits at 10^18), and
+counts each orbit four times.  enumerate_terms expands the orbits into
+their pairs in stream order once per skeleton.  Each enumeration skips
+the Delta(f) that _no_entry proves empty, by a rank test over F_3 that
+reads the characters at the primes of Delta(f), at 3 and at the primes
+below 63 (92 of 105 at 10^18), works out one of f and 2f and one of f' and
+2f', reads chi_p(n) once per Delta(f) through eisenstein._chi_exp, Euler's
+criterion n^((p-1)/3) = r_p^e (mod p) with r_p the image of j, and builds
+no chi_p table.  It lists the new parts of f' up to ifourth_root(B //
+7^6), the most any Delta(f) reads, and each half of f' once, its values on
+the primes of Delta(f) and on a new part, and joins the halves by the
+exponents the kernel test requires, so it builds only the f' that pass:
+about 6 ms cold at X_MAX = 10^18, and 0.14-0.20 s at a 10^24 bound (2
+cores, Python 3.11).  enumerate_terms builds its records, and the distinct
+functions they share, without checking again what the census built.
 """
 
 from __future__ import annotations
@@ -289,10 +294,12 @@ def _k_value(q: int, dd: int) -> int:
 # class value, weight without the w3 factor); the first five are its sort key
 RawTerm = tuple[int, int, Entries, Entries, int, int, int, int]
 
-# a skeleton entry: one pair with a term at some X up to the bound it was
-# built at, without its K-value: (Delta(f), Delta(f'), f entries, f'
-# entries, row, D for 3 coprime to d, D for 3 | d, u = 3^|union support|,
-# dd = Delta(f) Delta(f')); the first four are its sort key
+# a skeleton entry: one conjugate orbit {f, 2f} x {f', 2f'} of pairs with a
+# term at some X up to the bound it was built at, without its K-value; the
+# four pairs share everything but their entries: (Delta(f), Delta(f'), f
+# entries, f' entries, row, D for 3 coprime to d, D for 3 | d, u =
+# 3^|union support|, dd = Delta(f) Delta(f')), f and f' each the one that
+# leads with a 1; the first four are its sort key
 Skeleton = list[tuple[int, int, Entries, Entries, int, int, int, int, int]]
 
 
@@ -305,47 +312,141 @@ def _summed(ent: Entries, vec: dict[int, tuple[int, ...]]) -> list[int]:
     return [e % 3 for e in sums]
 
 
+def _rank3(rows: list[list[int]]) -> int:
+    """The rank over F_3 of the matrix with these rows."""
+    rows = [[x % 3 for x in r] for r in rows]
+    rank = 0
+    while rows:
+        p = rows.pop()
+        for c, x in enumerate(p):
+            if x:
+                break
+        else:
+            continue  # a zero row
+        rank += 1
+        # x is its own inverse mod 3, so r - r[c] x p is 0 at c
+        rows = [[(a - t * b) % 3 for a, b in zip(r, p)] if (t := r[c] * x) else r for r in rows]
+    return rank
+
+
+# the split primes below 7 * 3^2, with their fourth powers: a new part short
+# of 63 is 1 or one of these
+_SMALL_NEW = tuple((q, q**4) for q in (7, 13, 19, 31, 37, 43, 61))
+
+
 def _no_entry(bound: int, dI: DeltaIndex) -> bool:
     """True if the pairs with Delta(f) = dI.delta provably have no skeleton
-    entry at X = bound; the proof is in _census_for_delta."""
-    d6, ps = dI.delta**6, dI.primes
-    if d6 * 3**8 <= bound:
-        return False
-    if bound // d6 >= 7**4 and 7 not in ps:
-        ps += (7,)  # the one new part that can fit
-    if len(ps) != 2:
-        return len(ps) < 2
-    return bool(_exp(ps[1], ps[0]) or _exp(ps[0], ps[1]))
+    entry at X = bound.  It reads the cubic characters at the primes r_1,
+    ..., r_k of Delta(f), at 3 and at the primes below 63 only, before
+    _census_for_delta lists any new part or half of f'.
+
+    Write T_mu for ifourth_root(bound // (Delta(f)^6 3^mu)), the largest
+    new part (the primes of f' outside Delta(f)) that a pair of 3-exponent
+    mu admits.  The rule applies where T_8 < 7.  Then a pair with f(3) or
+    f'(3) nonzero has mu >= 8 and no new part, and a pair with f(3) = f'(3)
+    = 0 (row 1, mu = 0) has a new part N with N^4 < 7^4 3^8, so N < 63: N
+    is 1 or one prime q < 63, as two split primes make at least 91.  Also
+    T_16 = 0, so a pair with f(3) != 0 lies in row 4 or 6 (mu = 12), not 5
+    or 7: by _row, g3 chi(f)(3) + 2 chi(f')(3) = 0 (each chi(.)(3) less
+    the entry at 3), an equation linear in f' that f satisfies.
+
+    Take f with values f3 at 3 and v_i at the r_i, and f' with values g3
+    at 3, s_i at the r_i and n_q on N.  In exponents, the kernel test of
+    _census_for_delta at the r_i reads L(g3, s) = sum n_q E_q, where
+    L(g3, s)_i = s_i a_f(r_i) - g3 chi_nine(r_i) - sum_{l != i} s_l
+    chi_{r_l}(r_i), with a_f as there, and E_q = (chi_q(r_i))_i; at q the
+    indicator needs chi(f)(q) = 1.  L is linear over F_3, and L(f3, v) =
+    0.  So where the kernel of L is the line of f, no f' without a new
+    part is independent of f, and where moreover E_q lies outside the
+    image of L(0, .) for every q with chi(f)(q) = 1, no f' with a new part
+    passes.  The rule asks both of every f that leads with a 1 (f3 != 0
+    only if T_12 >= 1): the kernel is the line of f iff L has rank k over
+    (g3, s), with the row equation above where f3 != 0, or rank k - 1 over
+    s alone, which is all f' ranges over where f3 = 0 and no row with g3
+    != 0 fits (row 2 needs chi(f)(3) = 1 and T_8 >= 1, row 3 needs T_12
+    >= 1); then E_q lies in the image iff appending it keeps the rank at
+    k - 1.  If every f passes, no pair has an entry.  At k = 1 this reads:
+    L(g3, s) = (f3 v_1 s_1 - g3) chi_nine(r_1), and L(0, .) = 0 where f3
+    = 0, so an entry needs chi_nine(r_1) = 1 where a g3 != 0 fits beside
+    f3 = 0 (which it does wherever f3 != 0 fits), or a q with
+    chi_{r_1}(q) = chi_q(r_1) = 1."""
+    d6, fac = dI.delta**6, dI.primes
+    q8 = bound // (d6 * 3**8)
+    if q8 >= 7**4:
+        return False  # a new part fits beside f(3) or f'(3) != 0
+    if not fac:
+        return True  # f = (3: 1), and every f' = (3: g3) is on its line
+    k = len(fac)
+    three = q8 >= 3**4  # T_12 >= 1: f(3) != 0 fits
+    top = bound // d6
+    news = [q for q, q4 in _SMALL_NEW if q4 <= top and q not in fac]
+    if k == 1:
+        (r,) = fac
+        if (three or q8 and _exp(r, 3) == 0) and _exp(3, r) == 0:
+            return False
+        return not any(_exp(r, q) == 0 == _exp(q, r) for q in news)
+    # col[i][l] is the exponent of chi_{r_l}(r_i), 0 at l = i
+    col = [[0 if q == r else _exp(q, r) for q in fac] for r in fac]
+    nine = [_exp(3, r) for r in fac] if q8 else []
+    at3 = [_exp(r, 3) for r in fac] if q8 else []
+    # per q: chi_{r_i}(q), which chi(f)(q) sums, and E_q
+    at_q = [([_exp(r, q) for r in fac], [_exp(q, r) for r in fac]) for q in news]
+    for f3 in (0, 1) if three else (0,):
+        for v in product((1, 2), repeat=k):
+            if not f3 and v[0] == 2:
+                continue  # 2f of an f that leads with a 1
+            # L(0, .): row i, column l; a_f(r_i) on the diagonal
+            m = [[-x for x in c] for c in col]
+            for i, c in enumerate(col):
+                m[i][i] = v[i] * (sum(map(mul, v, c)) + (f3 * nine[i] if f3 else 0))
+            # g3 != 0 fits where f3 != 0, or beside f3 = 0 in row 2 or 3
+            if f3 or (q8 and (three or sum(map(mul, v, at3)) % 3 == 0)):
+                rows = [row + [-c] for row, c in zip(m, nine)]  # column g3 last
+                if f3:  # row 4 or 6: g3 chi(f)(3) + 2 chi(f')(3) = 0
+                    rows.append([2 * a for a in at3] + [sum(map(mul, v, at3))])
+                if _rank3(rows) != k:
+                    return False
+            elif _rank3(m) != k - 1:
+                return False
+            if f3:
+                continue
+            for chi_f, e_q in at_q:
+                if sum(map(mul, v, chi_f)) % 3 == 0:
+                    if _rank3([row + [e] for row, e in zip(m, e_q)]) == k - 1:
+                        return False
+    return True
 
 
 def _census_for_delta(
-    bound: int, dI: DeltaIndex, wide: Sequence[DeltaIndex]
+    bound: int, dI: DeltaIndex, wide: Sequence[DeltaIndex], seen: dict[Entries, Entries]
 ) -> Skeleton:
     """The skeleton entries at X = bound of the pairs with Delta(f) =
-    dI.delta.  Every pruning bound here is necessary for D <= bound, and the
-    independence and kernel tests do not read X, so the entries at a smaller
-    X are exactly those with D <= X.
-
-    It returns [] where _no_entry holds.  If Delta(f)^6 3^8 > bound,
-    new_bound[8] = new_bound[12] = 0, so only f(3) = f'(3) = 0 survives (row
-    1, mu = 0), and new_bound[0] < 9 leaves 7 the one new part that may fit.
-    So f' is supported on r_1, ..., r_n: the primes of Delta(f), and 7 if it
-    fits.  With n <= 1, f != 0 and f' lie on one line.  With n = 2 and f'
-    independent of f, the kernel generator at r_1 (f itself where r_1 = 7 is
-    outside supp f) is a nonzero multiple of e_{r_2}: that factor is 1 iff
-    chi_{r_2}(r_1) = 1, and likewise at r_2, so an entry needs both
-    exponents 0.
+    dI.delta, one per orbit {f, 2f} x {f', 2f'}: (2f, f'), (f, 2f') and
+    (2f, 2f') have the row, D and kernel factors of (f, f'), so the entry
+    names f and f' by the one of each that leads with a 1.  seen interns
+    the f' entry tuples across the calls of one build: an f' entry tuple
+    equal to one in seen is replaced by it.  Every pruning bound here
+    is necessary for D <= bound, and the independence and kernel tests do
+    not read X, so the entries at a smaller X are exactly those with D <= X.
 
     Away from 3, f' is a shared half, its values s on the primes r_i of
     Delta(f) (3^k of them), plus a new half, its values on the primes of a
     new part (2^|new|).  The vector of a prime q holds the exponents of
     chi_q at the points (3, r_1, ..., r_k), read once per call, so a sum
     over a half's entries (_summed) gives chi(h)(3) and each chi(h)(r_i)
-    less the entry at r_i.  The shared halves are summed once, and each new
-    part's halves once, keyed by their exponents at the r_i.  The kernel
-    test at the r_i is affine in f', so each (f, f'(3), shared half) fixes
-    the exponents its new half must have, and the join reads just those
-    halves: only the f' that pass are built."""
+    less the entry at r_i.  The kernel generator at r_i is s_i f - f(r_i)
+    f', so in exponents the test there reads s_i a_f(r_i) - f'(3)
+    chi_nine(r_i) - chi(s)(r_i) = chi(n)(r_i), with a_f(r_i) = f(r_i)
+    chi(f)(r_i), each chi(.)(r_i) less the entry at r_i, and n the new
+    half.  It is affine in f', so each (f, f'(3), shared half) fixes the
+    exponents its new half must have, and the join reads just those halves:
+    only the f' that pass are built.  The shared halves are summed once per
+    call.  Each new part's halves are summed once, keyed by their exponents
+    at the r_i, read by every (f, f'(3)) that reaches the part, and
+    dropped, so a call holds one part's halves at a time.
+
+    It returns [] before any of this where _no_entry holds; the proof that
+    no entry is lost is there."""
     if _no_entry(bound, dI):
         return []
     out: Skeleton = []
@@ -380,24 +481,12 @@ def _census_for_delta(
         ent = tuple((r, v) for r, v in zip(fac, s) if v)
         e, *at = _summed(ent, vec)
         shared.append((s, at, ent, prod(r for r, _ in ent), e))
-    # per new part, built on first use: D less its 3^mu, u = 3^|union
-    # support| and its halves (entries, chi(.)(3)) by their exponents at the r_i
-    parts: dict[int, tuple[int, int, dict]] = {}
-
-    def parts_of(eI: DeltaIndex) -> tuple[int, int, dict]:
-        if eI.delta not in parts:
-            for q in eI.primes:
-                if q not in vec:
-                    vec[q] = tuple(_exp(q, s) for s in pts)
-            by_at: dict[tuple[int, ...], list] = {}
-            for vals in product((1, 2), repeat=len(eI.primes)):
-                ent = tuple(zip(eI.primes, vals))
-                e, *at = _summed(ent, vec)
-                by_at.setdefault(tuple(at), []).append((ent, e))
-            # free(Delta(f'), Delta(f)) = eI.delta: shared primes divide Delta(f)
-            parts[eI.delta] = (d6 * eI.delta**4, 3 ** (k + len(eI.primes)), by_at)
-        return parts[eI.delta]
-
+    # per f that leads with a 1: its bound on new parts, the new-prime
+    # vectors where chi(f) = 1, its entries, and per f'(3) in (0, 1) that
+    # fits ((f, 2f') has the row, D and kernel factors of (f, f')): the
+    # bound, the rows by chi(f')(3), their 3^mu, and the new-half exponents
+    # each shared half needs
+    fs = []
     for f_vals in product((1, 2), repeat=k):
         base = tuple(zip(fac, f_vals))
         for f3 in (0, 1, 2):
@@ -409,21 +498,15 @@ def _census_for_delta(
             f_ent = ((3, f3),) + base if f3 else base
             if f_ent[0][1] == 2:
                 continue  # (2f, f') has the row, D and kernel factors of (f, f')
-            f2_ent = tuple((p, 2 * v % 3) for p, v in f_ent)
             fvec = (f3,) + f_vals
             e_f, *at_f = _summed(f_ent, vec)
             # f'(r_i) times this is the kernel generator's f-term at r_i
             a_f = [v * e for v, e in zip(f_vals, at_f)]
             ones = {w for w in new_vecs if sum(v * e for v, e in zip(fvec, w)) % 3 == 0}
-            news = []
-            for eI, ws in cands:
-                if eI.delta > f_top:
-                    break
-                if ws <= ones:
-                    news.append(eI)
-            for fp3 in (0, 1):  # (f, 2f') has the row, D and kernel factors of (f, f')
+            per_fp3 = []
+            for fp3 in (0, 1):
                 fp_bound = new_bound[_mu_floor(f3, fp3)]
-                if not news or news[0].delta > fp_bound:
+                if fp_bound < 1:
                     continue
                 rows = [_row(f3, fp3, e_f, e) for e in range(3)]
                 pow3 = [3 ** _MU_BY_ROW[row] for row in rows]
@@ -435,81 +518,147 @@ def _census_for_delta(
                 for s, at, *half in shared:
                     need = [(x * a - c - t) % 3 for x, a, c, t in zip(s, a_f, shift, at)]
                     needs.append((tuple(need), *half))
-                for eI in news:
-                    if eI.delta > fp_bound:
-                        break
-                    d_base, u, by_at = parts_of(eI)
-                    for need, s_ent, dfs, e_s in needs:
-                        for n_ent, e_n in by_at.get(need, ()):
-                            e_fp = (e_s + e_n) % 3
-                            d1 = d_base * pow3[e_fp]
-                            if d1 > bound:
-                                continue  # no term: D only grows when 3 | d
-                            ent = tuple(sorted(s_ent + n_ent))
-                            fp_ent = ((3, fp3),) + ent if fp3 else ent
-                            # skip f' = 0, f' = f and an f' that leads with
-                            # a 2: it is emitted as the 2f' of one that leads
-                            # with a 1 (f' = 2f leads with a 2, as f with a 1)
-                            if not fp_ent or fp_ent[0][1] == 2 or fp_ent == f_ent:
-                                continue
-                            fp2_ent = tuple((p, 3 - v) for p, v in fp_ent)
-                            row = rows[e_fp]
-                            # 3 | d raises mu from 0 to 12 in row 1 only
-                            d3 = d_base * 3**12 if row == 1 else d1
-                            dfp = dfs * eI.delta
-                            for h in (fp_ent, fp2_ent):
-                                for g in (f_ent, f2_ent):
-                                    out.append((df, dfp, g, h, row, d1, d3, u, df * dfp))
+                per_fp3.append((fp_bound, fp3, rows, pow3, needs))
+            fs.append((f_top, ones, f_ent, per_fp3))
+
+    # each new part's halves are built once, read by every (f, f'(3)) that
+    # reaches it, and dropped
+    for eI, ws in cands:
+        by_at = None
+        for f_top, ones, f_ent, per_fp3 in fs:
+            if eI.delta > f_top or not ws <= ones:
+                continue
+            for fp_bound, fp3, rows, pow3, needs in per_fp3:
+                if eI.delta > fp_bound:
+                    continue
+                if by_at is None:
+                    # its halves (entries, chi(.)(3)) by their exponents at
+                    # the r_i, D less its 3^mu (free(Delta(f'), Delta(f)) =
+                    # eI.delta: shared primes divide Delta(f)) and u =
+                    # 3^|union support|
+                    for q in eI.primes:
+                        if q not in vec:
+                            vec[q] = tuple(_exp(q, s) for s in pts)
+                    by_at = {}
+                    for vals in product((1, 2), repeat=len(eI.primes)):
+                        ent = tuple(zip(eI.primes, vals))
+                        e, *at = _summed(ent, vec)
+                        by_at.setdefault(tuple(at), []).append((ent, e))
+                    d_base, u = d6 * eI.delta**4, 3 ** (k + len(eI.primes))
+                for need, s_ent, dfs, e_s in needs:
+                    for n_ent, e_n in by_at.get(need, ()):
+                        e_fp = (e_s + e_n) % 3
+                        d1 = d_base * pow3[e_fp]
+                        if d1 > bound:
+                            continue  # no term: D only grows when 3 | d
+                        ent = tuple(sorted(s_ent + n_ent))
+                        fp_ent = ((3, fp3),) + ent if fp3 else ent
+                        # skip f' = 0, f' = f and an f' that leads with a
+                        # 2: its orbit is that of the f' that leads with a
+                        # 1 (f' = 2f leads with a 2, as f with a 1)
+                        if not fp_ent or fp_ent[0][1] == 2 or fp_ent == f_ent:
+                            continue
+                        row = rows[e_fp]
+                        # 3 | d raises mu from 0 to 12 in row 1 only
+                        d3 = d_base * 3**12 if row == 1 else d1
+                        dfp = dfs * eI.delta
+                        fp_ent = seen.setdefault(fp_ent, fp_ent)
+                        out.append((df, dfp, f_ent, fp_ent, row, d1, d3, u, df * dfp))
     return out
 
 
-# The term skeleton, by the bound B it was built at; at most one is held.
-# B is the first X asked, so a lone call enumerates no further than it
-# needs; an X above B rebuilds at min(X_MAX, max(X, B isqrt(B))), about
-# B^(3/2), so a grid of X that stays low never pays for the enumeration at
-# X_MAX, and one that climbs rebuilds O(log log X_MAX) times.
-_skeleton_cache: dict[int, Skeleton] = {}
+# The term skeleton, by the bound B it was built at; at most one is held,
+# as [orbits, their expansion (_expand) or None until _terms needs it].  B
+# is the first X asked, so a lone call enumerates no further than it needs;
+# an X above B rebuilds at min(X_MAX, max(X, B isqrt(B))), about B^(3/2),
+# so a grid of X that stays low never pays for the enumeration at X_MAX,
+# and one that climbs rebuilds O(log log X_MAX) times.
+_skeleton_cache: dict[int, list] = {}
 
 
 def _build_skeleton(bound: int) -> Skeleton:
-    """Every skeleton entry at X = bound, in stream order."""
+    """Every skeleton entry (one per orbit) at X = bound, sorted."""
     narrow = enumerate_deltas(isixth_root(bound))
     # the new parts any Delta(f) reads: its top is at most this bound, as
     # Delta(f) >= 7, or Delta(f) = 1 and 3^12 > 7^6
     wide = list(enumerate_deltas(ifourth_root(bound // 7**6)))
-    skel = [t for dI in narrow for t in _census_for_delta(bound, dI, wide)]
-    skel.sort()  # one entry per (f, f'), so the first four fields decide
+    seen: dict[Entries, Entries] = {}
+    skel = [t for dI in narrow for t in _census_for_delta(bound, dI, wide, seen)]
+    skel.sort()  # one entry per orbit, so the first four fields decide
     return skel
+
+
+def _held(x: int) -> list:
+    """The held [orbits, expansion or None] if its bound covers x, else a
+    new one built by the rule above."""
+    bound = x
+    for held, pair in _skeleton_cache.items():
+        if x <= held:
+            return pair
+        bound = min(X_MAX, max(x, held * isqrt(held)))
+    _skeleton_cache.clear()
+    _skeleton_cache[bound] = pair = [_build_skeleton(bound), None]
+    return pair
 
 
 def _skeleton(x: int) -> Skeleton:
-    """The held skeleton if its bound covers x, else a new one built by the
-    rule above."""
-    bound = x
-    for held, skel in _skeleton_cache.items():
-        if x <= held:
-            return skel
-        bound = min(X_MAX, max(x, held * isqrt(held)))
-    _skeleton_cache.clear()
-    _skeleton_cache[bound] = skel = _build_skeleton(bound)
-    return skel
+    """The held orbits whose bound covers x."""
+    return _held(x)[0]
 
 
-def _terms(x: int) -> Iterator[RawTerm]:
-    """The raw terms at X = x in stream order: the skeleton entries with
-    D <= x, each weighted u * K(isixth_root(x // D), dd)."""
-    if x < 3**8:
-        return
-    for df, dfp, f_ent, fp_ent, row, d1, d3, u, dd in _skeleton(x):
+def _expand(skel: Skeleton) -> list[tuple[int, int, Entries, Entries, int]]:
+    """(Delta(f), Delta(f'), f entries, f' entries, orbit index) for the four
+    pairs of each orbit, in stream order."""
+    twice: dict[Entries, Entries] = {}
+    out = []
+    for i, (df, dfp, f, fp, *_) in enumerate(skel):
+        for e in (f, fp):
+            if e not in twice:
+                twice[e] = tuple([(p, 3 - v) for p, v in e])
+        f2, fp2 = twice[f], twice[fp]
+        out += (df, dfp, f, fp, i), (df, dfp, f2, fp, i), (df, dfp, f, fp2, i), (df, dfp, f2, fp2, i)
+    out.sort()  # the first four fields are distinct
+    return out
+
+
+def _weighed(
+    x: int, skel: Skeleton
+) -> Iterator[tuple[int, int, int, int, int, int | None]]:
+    """(index, row, D, weight, D for 3 | d, its weight or None if past x)
+    of each orbit with a term at X = x: a weight is u * K(isixth_root(x //
+    D), dd), the 3 | d one without its w3 factor, for each pair of the
+    orbit."""
+    for i, (_, _, _, _, row, d1, d3, u, dd) in enumerate(skel):
         if d1 > x:
             continue
         w = u * _k_value(x // d1, dd)
+        if row != 1:  # 3 | d raises D in row 1 only; other rows keep the weight
+            yield i, row, d1, w, d3, w
+        elif d3 > x:
+            yield i, row, d1, w, d3, None
+        else:
+            yield i, row, d1, w, d3, u * _k_value(x // d3, dd)
+
+
+def _terms(x: int) -> Iterator[RawTerm]:
+    """The raw terms at X = x in stream order: each pair of an orbit with
+    D <= x, weighed once per orbit (_weighed).  The orbits are expanded
+    once per skeleton."""
+    if x < 3**8:
+        return
+    pair = _held(x)
+    if pair[1] is None:
+        pair[1] = _expand(pair[0])
+    skel, members = pair
+    weights = {t[0]: t for t in _weighed(x, skel)}
+    for df, dfp, f_ent, fp_ent, i in members:
+        t = weights.get(i)
+        if t is None:
+            continue
+        _, row, d1, w, d3, w3 = t
         yield df, dfp, f_ent, fp_ent, 1, d1, row, w
-        if row == 1:  # 3 | d raises D; other rows keep D and so the weight
-            if d3 > x:
-                continue
-            w = u * _k_value(x // d3, dd)
-        yield df, dfp, f_ent, fp_ent, 3, d3, row + 7, w
+        if w3 is not None:
+            yield df, dfp, f_ent, fp_ent, 3, d3, row + 7, w3
 
 
 # Memoized by X: both weight modes, verify suites, ratio grids and subsum
@@ -517,12 +666,15 @@ def _terms(x: int) -> Iterator[RawTerm]:
 @lru_cache(maxsize=256)
 def _census(x: int) -> tuple[int, ...]:
     """Mode-free subsums C1..C14 at X = x, the 3 | d classes without the w3
-    factor.  One pass serves both weight modes: every 3 | d weight is
-    u * w3 * K."""
+    factor.  One pass over the orbits serves both weight modes: every 3 | d
+    weight is u * w3 * K, and each orbit weighs four times its one pair."""
     subs = [0] * 15
-    for t in _terms(x):
-        subs[t[6]] += t[7]
-    return tuple(subs[1:])
+    if x >= 3**8:
+        for _, row, _, w, _, w3 in _weighed(x, _skeleton(x)):
+            subs[row] += w
+            if w3 is not None:
+                subs[row + 7] += w3
+    return tuple(4 * s for s in subs[1:])
 
 
 def _report(x: int, mode: WeightMode, base: tuple[int, ...]) -> CountReport:

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -254,6 +255,12 @@ def test_census_zero_below_minimal_invariant():
     assert heis_total(10**6, FULL).raw_total == 0
     assert heis_total(10**9, FULL).raw_total == 0
     assert heis_total(10**9, STAR).raw_total == 0
+    # each X cold, so each builds its own skeleton: from 3^8, where the
+    # first one is built, past 7^4 3^8, below which every Delta(f) is skipped
+    for x in (3**8, 3**8 + 1, 7**4, 10**6, 7**4 * 3**8 - 1, 7**4 * 3**8, 10**9):
+        _clear_census_caches()
+        assert heis_total(x, FULL).raw_total == 0
+        assert counting._skeleton(x) == []
 
 
 def test_census_divergence_at_6e12():
@@ -474,9 +481,14 @@ def test_terms_stream_unchanged_by_a_call_at_x_max():
     _clear_census_caches()
     before = list(enumerate_terms(x, FULL))
     assert list(counting._skeleton_cache) == [x]
+    # the expansion into pairs is held with its skeleton, and made only for
+    # the term stream
+    assert counting._skeleton_cache[x][1] is not None
     heis_total(X_MAX, FULL)
     assert list(counting._skeleton_cache) == [X_MAX]
+    assert counting._skeleton_cache[X_MAX][1] is None
     assert list(enumerate_terms(x, FULL)) == before
+    assert len(counting._skeleton_cache[X_MAX][1]) == 744
 
 
 def test_one_skeleton_after_many_x():
@@ -503,12 +515,19 @@ def test_low_grid_never_builds_at_x_max():
     assert list(counting._skeleton_cache) == [31622 * 10**9]
 
 
+def _expanded(skel):
+    # the held orbits as the per-pair skeleton they stand for: each of the
+    # four pairs with its orbit's row, D1, D3, u and dd, in stream order
+    return [(df, dfp, g, h) + skel[i][4:] for df, dfp, g, h, i in counting._expand(skel)]
+
+
 def test_cold_build_at_x_max_within_budget():
     _clear_census_caches()
     t0 = time.monotonic()
     skel = counting._build_skeleton(X_MAX)
     assert time.monotonic() - t0 < 0.5
-    assert len(skel) == 744
+    assert len(skel) == 186
+    assert len(_expanded(skel)) == 744
 
 
 def test_skeleton_pinned_at_1e21():
@@ -516,7 +535,7 @@ def test_skeleton_pinned_at_1e21():
     # recorded with the route that read every exponent from chi_p tables
     _clear_census_caches()
     t0 = time.monotonic()
-    skel = counting._build_skeleton(10**21)
+    skel = _expanded(counting._build_skeleton(10**21))
     assert time.monotonic() - t0 < 3
     assert len(skel) == 4332
     digest = hashlib.sha256(repr(skel).encode()).hexdigest()
@@ -533,11 +552,13 @@ def test_skeleton_pinned_at_1e21():
 )
 def test_skeleton_digest_pinned(bound, size, digest, budget):
     # recorded with the route that listed every f' of every shared subset
-    # and new part before the kernel test
+    # and new part before the kernel test, one entry per pair
     _clear_census_caches()
     t0 = time.monotonic()
     skel = counting._build_skeleton(bound)
     assert time.monotonic() - t0 < budget
+    assert len(skel) * 4 == size
+    skel = _expanded(skel)
     assert len(skel) == size
     assert hashlib.sha256(repr(skel).encode()).hexdigest() == digest
 
@@ -547,7 +568,7 @@ def test_skeleton_matches_the_product_route(bound):
     # the join of the two halves of f' against listing every f' and testing
     # it, with no Delta(f) skipped by _no_entry
     t0 = time.monotonic()
-    assert counting._build_skeleton(bound) == oracles.skeleton_by_product(bound)
+    assert _expanded(counting._build_skeleton(bound)) == oracles.skeleton_by_product(bound)
     assert time.monotonic() - t0 < 3
 
 
@@ -562,10 +583,14 @@ def test_skeleton_lists_every_new_part_it_reads_and_one_entry_per_pair(bound):
         for dI in enumerate_deltas(isixth_root(bound))
     ]
     assert max(tops) <= ifourth_root(bound // 7**6)
-    # so a plain sort of the entries orders them by their first four fields
+    # so a plain sort of the entries (one per orbit) or of their four pairs
+    # orders them by their first four fields
     skel = counting._build_skeleton(bound)
-    assert len({t[:4] for t in skel}) == len(skel)
-    assert skel == sorted(skel, key=lambda t: t[:4])
+    for entries in (skel, _expanded(skel)):
+        assert len({t[:4] for t in entries}) == len(entries)
+        assert entries == sorted(entries, key=lambda t: t[:4])
+    # one f' entry tuple per distinct value across the build
+    assert len({id(t[3]) for t in skel}) == len({t[3] for t in skel})
     assert time.monotonic() - t0 < 2
 
 
@@ -593,7 +618,69 @@ def test_term_records_equal_their_public_construction(limit):
     assert time.monotonic() - t0 < 1
 
 
-@pytest.mark.parametrize("bound, skipped", [(10**18, (76, 105)), (10**21, (219, 312))])
+def test_orbit_weighing_matches_the_per_pair_sum():
+    # the census weighs each orbit {f, 2f} x {f', 2f'} once and counts it
+    # four times; the per-pair sum over the expanded stream, K looked up for
+    # every pair, and the literal route, which builds every pair on its own,
+    # give the same subsums, and the literal route gives the four pairs of
+    # an orbit one D, class and weight
+    t0 = time.monotonic()
+    for x in log_grid(10**12, X_MAX, 7):
+        base = counting._census(x)
+        skel = counting._skeleton(x)
+        subs = [0] * 15
+        members = {}
+        for df, dfp, g, h, i in counting._expand(skel):
+            members.setdefault(i, []).append((g, h))
+            _, _, _, _, row, d1, d3, u, dd = skel[i]
+            if d1 > x:
+                continue
+            w = u * counting._k_value(x // d1, dd)
+            subs[row] += w
+            if row == 1:
+                if d3 > x:
+                    continue
+                w = u * counting._k_value(x // d3, dd)
+            subs[row + 7] += w
+        assert tuple(subs[1:]) == base
+        assert sorted(members) == list(range(len(skel)))
+        for i, pairs in members.items():
+            f, fp = skel[i][2:4]
+            twice = [tuple((p, 3 - v) for p, v in e) for e in (f, fp)]
+            assert len(set(pairs)) == 4
+            assert set(pairs) == {(g, h) for g in (f, twice[0]) for h in (fp, twice[1])}
+        for mode in (STAR, FULL):
+            lit, recs = oracles.census_literal(x, mode.w3, collect=mode is FULL)
+            assert heis_total(x, mode).subsums == lit
+            orbits = {}
+            for r in recs:
+                key = tuple(min(e, tuple((p, 3 - v) for p, v in e)) for e in (r.f.entries, r.fp.entries))
+                orbits.setdefault(key + (r.d_class,), []).append(r)
+            assert 4 * len(orbits) == len(recs)
+            for group in orbits.values():
+                assert len({(r.f, r.fp) for r in group}) == 4
+                assert len({(r.big_d, r.cls, r.weight) for r in group}) == 1
+    assert time.monotonic() - t0 < 6
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-8, 8), min_size=n, max_size=n), max_size=4)
+    )
+)
+def test_rank3_matches_the_size_of_the_row_span(rows):
+    # the span of r rows over F_3 has 3^rank elements
+    span = {
+        tuple(sum(c * x for c, x in zip(cs, col)) % 3 for col in zip(*rows))
+        for cs in product(range(3), repeat=len(rows))
+    }
+    assert 3 ** counting._rank3(rows) == len(span)
+
+
+@pytest.mark.parametrize(
+    "bound, skipped",
+    [(10**18, (92, 105)), (10**21, (257, 312)), (10**6, (2, 2)), (10**24, (769, 938))],
+)
 def test_skipped_deltas_yield_no_entry_on_the_unpruned_route(monkeypatch, bound, skipped):
     narrow = list(enumerate_deltas(isixth_root(bound)))
     wide = list(enumerate_deltas(ifourth_root(bound // 3**8)))
@@ -601,10 +688,10 @@ def test_skipped_deltas_yield_no_entry_on_the_unpruned_route(monkeypatch, bound,
     assert (len(skip), len(narrow)) == skipped
     monkeypatch.setattr(counting, "_no_entry", lambda bound, dI: False)
     for dI in skip:
-        assert counting._census_for_delta(bound, dI, wide) == [], dI
+        assert counting._census_for_delta(bound, dI, wide, {}) == [], dI
 
 
-@pytest.mark.parametrize("bound", [10**12, 10**15, 10**18, 10**21])
+@pytest.mark.parametrize("bound", [3**8, 10**6, 10**9, 10**12, 10**15, 10**18, 10**21])
 def test_pruned_skeleton_equals_the_unpruned_one(monkeypatch, bound):
     pruned = counting._build_skeleton(bound)
     monkeypatch.setattr(counting, "_no_entry", lambda bound, dI: False)
@@ -622,27 +709,34 @@ def _count_k_calls(monkeypatch):
 
 
 def test_k_funnel_pinned_at_1e18(monkeypatch):
-    counting._skeleton(10**18)
+    # one K lookup per orbit, in the census pass and in the term stream
+    list(counting._terms(10**18))
     calls = _count_k_calls(monkeypatch)
+    counting._census.__wrapped__(10**18)
+    names = [n for n, _ in calls]
+    assert (names.count("k_direct"), names.count("isixth_root")) == (3, 3)
+    calls.clear()
     assert len(list(counting._terms(10**18))) == 1140
     names = [n for n, _ in calls]
-    assert (names.count("k_direct"), names.count("isixth_root")) == (12, 12)
+    assert (names.count("k_direct"), names.count("isixth_root")) == (3, 3)
 
 
 @pytest.mark.parametrize("q", [7**6 - 1, 7**6])
 def test_k_takes_a_root_only_from_seven_to_the_sixth(monkeypatch, q):
-    # one row-1 entry whose 3 | d term lies past x: a single term, x // D = q
+    # one row-1 orbit whose 3 | d term lies past x: a single term for each
+    # of its four pairs, x // D = q
     d1 = 3**8
     x = q * d1 + d1 - 1
     entry = (7, 13, ((7, 1),), ((13, 1),), 1, d1, x + 1, 9, 91)
     monkeypatch.setattr(counting, "_skeleton", lambda x: [entry])
     calls = _count_k_calls(monkeypatch)
-    (term,) = counting._terms(x)
+    subs = counting._census.__wrapped__(x)
+    k = 1 if q < 7**6 else ksum.k_direct(7, 3, 91)
     if q < 7**6:
-        assert calls == [] and term[7] == 9
+        assert calls == []
     else:
         assert calls == [("isixth_root", (q,)), ("k_direct", (7, 3, 91))]
-        assert term[7] == 9 * ksum.k_direct(7, 3, 91)
+    assert subs == (4 * 9 * k,) + (0,) * 13
 
 
 def test_report_serialization(capsys):
