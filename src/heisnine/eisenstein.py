@@ -293,24 +293,22 @@ def _build_standard_table(limit: int) -> _StandardTable:
 # cubic residue symbols
 
 
-def _euler_exp(n: int, p: int, r: int) -> int | None:
-    """Euler's criterion in F_p: the e with n^((p-1)/3) = r^e (mod p), r the
-    image of j, or None where p | n."""
+def _euler_value(n: int, p: int, r: int) -> CharValue:
+    """Euler's criterion in F_p: j^e for the e with n^((p-1)/3) = r^e (mod
+    p), r the image of j, or ZERO where p | n.  The one F_p criterion: the
+    symbols, chi_p and the exponent readers (_chi_exp, chi_p_table) all call
+    it."""
     n %= p
     if n == 0:
-        return None
+        return ZERO
     t = pow(n, (p - 1) // 3, p)
     if t == 1:
-        return 0
+        return _ROOTS[0]
     if t == r:
-        return 1
+        return _ROOTS[1]
     if t == r * r % p:
-        return 2
+        return _ROOTS[2]
     raise AssertionError(f"cube-power class of {n} mod {p} is not a root of unity")
-
-
-def _value(e: int | None) -> CharValue:
-    return ZERO if e is None else ROOT(e)
 
 
 def cubic_symbol(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
@@ -318,7 +316,7 @@ def cubic_symbol(alpha: EisensteinInt, sp: StandardPrime) -> CharValue:
     a + b*r mod p through Z[j]/(pi) = F_p and take the cube-power class.
     It holds as well for sp = (p, conj(pi), r^2 mod p), the conjugate factor
     with its image of j."""
-    return _value(_euler_exp(alpha.a + alpha.b * sp.r, sp.p, sp.r))
+    return _euler_value(alpha.a + alpha.b * sp.r, sp.p, sp.r)
 
 
 def _primitive_root(p: int) -> int:
@@ -393,7 +391,7 @@ def chi_p_table(p: int) -> bytes:
     """
     r = _j_image(p)  # ValueError unless p is a split prime
     g = _primitive_root(p)
-    t = _euler_exp(g, p, r)
+    t = _euler_value(g, p, r).exp
     if t not in (1, 2):
         raise AssertionError(f"chi_{p} of a primitive root must have order 3")
     n = p - 1
@@ -431,7 +429,7 @@ def _chi_exp(p: int, n: int) -> int | None:
     if p == 3:
         e = _CHI_NINE[n % 9]
         return None if e < 0 else e
-    return _euler_exp(n, p, _j_image(p))
+    return _euler_value(n, p, _j_image(p)).exp
 
 
 def _chi_table(p: int) -> np.ndarray:
@@ -450,14 +448,17 @@ def chi_p(p: int, n: int) -> CharValue:
     """chi_p(n) = (n / pi)_3 for the standard prime above p; ValueError
     unless p is a prime = 1 (mod 3), so p = 3 too (chi_9 is chi_nine), and
     TypeError unless p and n are ints (a bool is not one)."""
-    check_int(p, "p")
-    check_int(n, "n")
-    return _value(_euler_exp(n, p, _j_image(p)))
+    if type(p) is not int:
+        check_int(p, "p")
+    if type(n) is not int:
+        check_int(n, "n")
+    return _euler_value(n, p, _j_image(p))
 
 
 def chi_nine(n: int) -> CharValue:
     check_int(n, "n")
-    return _value(_chi_exp(3, n))
+    e = _chi_exp(3, n)
+    return ZERO if e is None else _ROOTS[e]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +475,18 @@ def standard_primes_up_to(limit: int) -> Iterator[StandardPrime]:
     """
     cols = standard_prime_arrays(limit)
     return (
-        StandardPrime(p, EisensteinInt(a, b), r)
+        _standard_prime(p, a, b, r)
         for start in range(0, len(cols[0]), _WALK_ROWS)
         for p, a, b, r in zip(*(c[start : start + _WALK_ROWS].tolist() for c in cols))
     )
+
+
+def _standard_prime(p: int, a: int, b: int, r: int) -> StandardPrime:
+    """StandardPrime(p, EisensteinInt(a, b), r) with each object's fields set
+    in one step, not by one frozen __setattr__ call a field; the caller
+    vouches for the values."""
+    pi = object.__new__(EisensteinInt)
+    pi.__dict__.update(a=a, b=b)
+    sp = object.__new__(StandardPrime)
+    sp.__dict__.update(p=p, pi=pi, r=r)
+    return sp

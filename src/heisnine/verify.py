@@ -9,18 +9,20 @@ identical output.
 The reciprocity suite reads (alpha / beta)_3 for all alpha at once, a row per
 primary prime beta, from the chi_p_table of the constant pipeline and the
 probe at a split beta; the symbols suite checks the scalar cubic_symbol at
-both factors and chi_p, 17 checks per split prime, against the Z[j] route
-by exponent.
+both factors and chi_p, 17 checks per split prime, against the Z[j] route.
 
-The Euler criterion runs batched: _euler_symbols takes a block of
-(alpha, beta) pairs, as int tuples (the reciprocity suite's sampled pairs)
-or as (n, 2) int64 arrays (the symbols suite's lanes, built straight from
-the columns of standard_prime_arrays), checks every beta at once, and
-raises each alpha to its own (N - 1)/3 in Z[j]/(N), N = N(beta), on int64
-numpy arrays.  The suites' primes come from standard_prime_arrays, which
-refuses limits past STANDARD_ARRAY_MAX = 2^30, so N <= 2^30; with both
-coordinates in [0, N), every product the ladder forms is below 2 N^2 <=
-2^61 and none wraps.  The suites hand it at most _EULER_BLOCK pairs a
+The Euler criterion runs batched on int64 numpy arrays, with one ladder
+(_euler_powers) and one exit (_root_exps): each alpha is raised to its own
+(N - 1)/3 in Z[j]/(N), N = N(beta), and the power is read by one remainder
+mod beta.  _euler_symbols takes (alpha, beta) pairs, as int tuples (the
+reciprocity suite's sampled pairs) or as (n, 2) int64 arrays, and checks
+every beta at once.  The symbols suite enters at _symbol_blocks instead: at
+a split p = pi conj(pi) one ladder mod p per alpha serves both factors, so
+it runs 8 ladder lanes a prime (its seven alphas and p // 3 + 1) and reads
+each power at pi and at conj(pi).  N <= 2^30 everywhere (_euler_symbols
+refuses a larger norm, and the suites stop at 10^5 and 10^7), so with both
+coordinates in [0, N) every product the ladder forms is below 2 N^2 <=
+2^61 and none wraps.  The suites hand it at most _EULER_BLOCK lanes a
 call, so its working memory does not grow with the bound.
 """
 
@@ -54,6 +56,7 @@ from .eisenstein import (
     StandardPrime,
     ZERO,
     _chi_table,
+    _standard_prime,
     chi_p,
     cubic_symbol,
     standard_prime_arrays,
@@ -102,8 +105,10 @@ class _Recorder:
 def _reduce(x, y, ba, bb, nb):
     """x + y*j minus a nearest multiple of beta = ba + bb*j, of norm nb:
     the quotient rounds (x + y*j) conj(beta) / nb componentwise, ties up.
-    The result is zero exactly when beta divides x + y*j.  Works alike on
-    ints and on int64 arrays, whose // floors as Python's does."""
+    The remainder is canonical: two elements agree mod beta exactly when
+    their remainders are equal, and it is zero exactly when beta divides
+    x + y*j.  Works alike on ints and on int64 arrays, whose // floors as
+    Python's does."""
     ca, cb = ba - bb, -bb  # conj(beta)
     qa = (2 * (x * ca - y * cb) + nb) // (2 * nb)
     qb = (2 * (x * cb + y * ca - y * cb) + nb) // (2 * nb)
@@ -113,16 +118,16 @@ def _reduce(x, y, ba, bb, nb):
 # j^m as (a, b) pairs, indexed by m
 _J_POWER_PAIRS = ((1, 0), (0, 1), (-1, -1))
 
-# N(beta) <= 2^30, the suites' own cap, keeps every ladder product below
-# 2 N^2 <= 2^61, inside int64
+# N(beta) <= 2^30 keeps every ladder product below 2 N^2 <= 2^61, inside
+# int64; the suites' norms stay below their caps of 10^5 and 10^7
 _EULER_NORM_MAX = STANDARD_ARRAY_MAX
 
-# (alpha, beta) pairs per call of _euler_symbols in the suites, which bounds
-# the working memory whatever the suite bound
+# ladder lanes per call in the suites, which bounds the working memory
+# whatever the suite bound
 _EULER_BLOCK = 2**12
 
-# exponent -1 marks the zero value
-_VALUE_OF_EXP = (ROOT(0), ROOT(1), ROOT(2), ZERO)
+# the shared CharValue of exponent m, indexed by m; -1 marks the zero value
+_VALUE_OF_EXP = np.array([ROOT(0), ROOT(1), ROOT(2), ZERO], dtype=object)
 
 
 # a norm N <= 2^30 has 4 N = (2a - b)^2 + 3 b^2 = (2b - a)^2 + 3 a^2, so
@@ -142,17 +147,60 @@ def _pair_array(pairs: Pairs) -> np.ndarray:
     return np.array(pairs, dtype=object).reshape(-1, 2)
 
 
+def _euler_powers(x, y, nb):
+    """alpha^((N - 1)/3) in Z[j]/(N) for alpha = x + y*j, x and y in [0, N),
+    on int64 arrays, each component reduced by a plain % N.  nb broadcasts
+    against x and y, so one ladder serves lanes that share a modulus."""
+    oa, ob = np.ones_like(x), np.zeros_like(x)
+    e = (nb - 1) // 3
+    while e.any():
+        odd = (e & 1) == 1
+        oa, ob = (
+            np.where(odd, (oa * x - ob * y) % nb, oa),
+            np.where(odd, (oa * y + ob * x - ob * y) % nb, ob),
+        )
+        x, y = (x - y) * (x + y) % nb, (2 * x - y) * y % nb
+        e >>= 1
+    return oa, ob
+
+
+def _root_exps(oa, ob, ba, bb, nb) -> np.ndarray:
+    """The m with beta | alpha^e - j^m for the powers oa + ob*j that
+    _euler_powers gives, -1 where beta divides the power: one _reduce of
+    the power, compared with the remainders of 1, j and j^2 at beta, which
+    are worked out once per beta (ba, bb and nb broadcast against oa), not
+    with j^m itself, which is not always its own remainder (_reduce(j, 2)
+    is -j).  For a prime beta, beta | alpha^e exactly when beta | alpha, and
+    every element reads as zero at a unit beta (N = 1, e = 0).
+    AssertionError at a nonzero power that is no cube root of unity."""
+    rx, ry = _reduce(oa, ob, ba, bb, nb)
+    exps = np.full(rx.shape, -1, dtype=np.int64)
+    for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
+        ra, rb = _reduce(ja, jb, ba, bb, nb)
+        exps[(rx == ra) & (ry == rb)] = m
+    zero = (rx == 0) & (ry == 0)
+    bad = (exps < 0) & ~zero
+    if bad.any():
+        i = np.unravel_index(bad.argmax(), bad.shape)
+        beta = EisensteinInt(*(int(np.broadcast_to(c, bad.shape)[i]) for c in (ba, bb)))
+        raise AssertionError(f"Euler criterion failed mod {beta!r}")
+    exps[zero] = -1
+    return exps
+
+
 def _euler_symbols(alphas: Pairs, betas: Pairs) -> list[CharValue]:
     """(alpha / beta)_3 by Euler's criterion for each (alpha, beta) pair,
     beta a primary prime of norm N <= 2^30.  alphas and betas are sequences
-    of (a, b) int tuples or (n, 2) int64 arrays.
+    of (a, b) int tuples or (n, 2) int64 arrays.  This is the entry of the
+    reciprocity suite's sampled pairs and of the tests; the symbols suite
+    runs the same ladder and exit (_euler_powers, _root_exps) through
+    _symbol_blocks, one ladder per alpha at both factors of a prime.
 
     The powers alpha^((N-1)/3) are taken in Z[j]/(N), each component reduced
     by a plain % N: beta divides N = beta conj(beta), so Z[j] -> Z[j]/(N)
     -> Z[j]/(beta) is reduction mod beta.  alpha is reduced mod N before
     the ladder, as Python ints for tuple input, so any coordinates are fine
-    there.  _reduce divides by beta only at the zero test on entry and the
-    j^m test on exit.
+    there.  _reduce divides by beta only on exit.
     """
     at, bt = _pair_array(alphas), _pair_array(betas)
     if len(at) != len(bt):
@@ -169,28 +217,8 @@ def _euler_symbols(alphas: Pairs, betas: Pairs) -> list[CharValue]:
             raise ValueError(f"{beta!r} is not primary")
         raise ValueError(f"norm of {beta!r} exceeds {_EULER_NORM_MAX}")
     x, y = (at % nb.astype(at.dtype)[:, None]).astype(np.int64).T
-    rx, ry = _reduce(x, y, ba, bb, nb)
-    zero = (rx == 0) & (ry == 0)
-    oa, ob = np.ones_like(nb), np.zeros_like(nb)
-    e = (nb - 1) // 3
-    while e.any():
-        odd = (e & 1) == 1
-        oa, ob = (
-            np.where(odd, (oa * x - ob * y) % nb, oa),
-            np.where(odd, (oa * y + ob * x - ob * y) % nb, ob),
-        )
-        x, y = (x - y) * (x + y) % nb, (2 * x - y) * y % nb
-        e >>= 1
-    exps = np.full(len(nb), -1, dtype=np.int64)
-    for m, (ja, jb) in enumerate(_J_POWER_PAIRS):
-        rx, ry = _reduce(oa - ja, ob - jb, ba, bb, nb)
-        exps[(rx == 0) & (ry == 0)] = m
-    exps[zero] = -1  # beta | alpha reads as zero, even for a unit beta
-    bad = np.flatnonzero((exps < 0) & ~zero)
-    if len(bad):
-        beta = EisensteinInt(*map(int, bt[bad[0]]))
-        raise AssertionError(f"Euler criterion failed mod {beta!r}")
-    return [_VALUE_OF_EXP[m] for m in exps.tolist()]
+    exps = _root_exps(*_euler_powers(x, y, nb), ba, bb, nb)
+    return _VALUE_OF_EXP[exps].tolist()
 
 
 def _inert_exps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -215,7 +243,8 @@ def _inert_exps(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def _conjugate(sp: StandardPrime) -> StandardPrime:
     """The conjugate factor: conj(pi) divides j - r^2 when pi divides j - r,
     so it carries r^2 = -1 - r (mod p) as the image of j."""
-    return StandardPrime(sp.p, sp.pi.conj(), (-1 - sp.r) % sp.p)
+    p, pi, r = sp.p, sp.pi, sp.r
+    return _standard_prime(p, pi.a - pi.b, -pi.b, (-1 - r) % p)
 
 
 def _primary_primes(norm_bound: int) -> list[tuple[int, int, int, int]]:
@@ -298,77 +327,91 @@ def _suite_reciprocity(bound: int) -> _Recorder:
     return rec
 
 
-# the symbols suite's alphas, and its Z[j] lanes per split prime: each alpha
-# at pi and at conj(pi), then p // 3 + 1 at pi
+# the symbols suite's alphas; its Z[j] ladder runs 8 lanes per split prime,
+# the alphas and p // 3 + 1, and each ladder is read at pi and at conj(pi)
 _SYMBOL_ALPHAS = tuple((t, (t * t + 1) % 7 - 3) for t in range(1, 8))
-_SYMBOL_LANES = 2 * len(_SYMBOL_ALPHAS) + 1
+_SYMBOL_LANES = len(_SYMBOL_ALPHAS) + 1
+# the Z[j] exponents per prime, in the order of the suite's checks: each
+# alpha at pi and at conj(pi), then p // 3 + 1 at pi
+_SYMBOL_EXPS = 2 * len(_SYMBOL_ALPHAS) + 1
 
 
-def _symbol_blocks(bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (alpha, beta) pairs the symbols suite reads off the Z[j] route,
-    _SYMBOL_LANES per split prime up to bound in the order of its checks,
-    as (n, 2) int64 arrays of at most _EULER_BLOCK pairs.  They come
-    straight from the columns of standard_prime_arrays: conj(pi) of pi = a +
-    b*j is (a - b) - b*j."""
+def _symbol_blocks(bound: int) -> Iterator[np.ndarray]:
+    """The exponents the symbols suite reads off the Z[j] route, -1 at the
+    zero value, as an int64 array of _SYMBOL_EXPS columns a split prime up
+    to bound, at most _EULER_BLOCK // _SYMBOL_LANES primes a block.
+
+    For p = pi conj(pi), Z[j]/(p) = Z[j]/(pi) x Z[j]/(conj(pi)), so one
+    ladder mod p per (alpha, p) serves both factors: _euler_powers runs the
+    _SYMBOL_LANES lanes of a prime with modulus p, and _root_exps reads the
+    powers at pi = a + b*j and at conj(pi) = (a - b) - b*j, taken straight
+    from the columns of standard_prime_arrays."""
     p, a, b, _ = standard_prime_arrays(bound)
     step = _EULER_BLOCK // _SYMBOL_LANES
-    head = np.repeat(np.array(_SYMBOL_ALPHAS, dtype=np.int64), 2, axis=0)
+    k = len(_SYMBOL_ALPHAS)
+    xa, ya = np.array(_SYMBOL_ALPHAS, dtype=np.int64).T
     for i in range(0, len(p), step):
+        n = p[i : i + step, None]
         pa, pb = a[i : i + step, None], b[i : i + step, None]
-        alphas = np.zeros((len(pa), _SYMBOL_LANES, 2), dtype=np.int64)
-        alphas[:, :-1] = head
-        alphas[:, -1, 0] = p[i : i + step] // 3 + 1
-        betas = np.empty_like(alphas)
-        betas[:, 0::2, 0], betas[:, 0::2, 1] = pa, pb
-        betas[:, 1:-1:2, 0], betas[:, 1:-1:2, 1] = pa - pb, -pb
-        yield alphas.reshape(-1, 2), betas.reshape(-1, 2)
+        x = np.concatenate([xa % n, n // 3 + 1], axis=1)
+        y = np.concatenate([ya % n, np.zeros_like(n)], axis=1)
+        oa, ob = _euler_powers(x, y, n)
+        at_pi = _root_exps(oa, ob, pa, pb, n)
+        out = np.empty((len(n), _SYMBOL_EXPS), dtype=np.int64)
+        out[:, 0:-1:2] = at_pi[:, :k]
+        out[:, 1:-1:2] = _root_exps(oa[:, :k], ob[:, :k], pa - pb, -pb, n)
+        out[:, -1] = at_pi[:, k]
+        yield out
 
 
 def _suite_symbols(bound: int) -> _Recorder:
     rec = _Recorder()
     alphas = [EisensteinInt(*t) for t in _SYMBOL_ALPHAS]
     sps = standard_primes_up_to(bound)
-    for lanes in _symbol_blocks(bound):
-        slow = [v.exp for v in _euler_symbols(*lanes)]
-        for i, sp in zip(range(0, len(slow), _SYMBOL_LANES), sps):
+    for block in _symbol_blocks(bound):
+        for slow, sp in zip(_VALUE_OF_EXP[block].tolist(), sps):
             # the library's F_p route at pi and at conj(pi) against the Z[j]
-            # one, by exponent
+            # one; chi_p shares the F_p Euler step with the fp symbol, so it
+            # is spot-checked against the Z[j] ladder too.  Both routes give
+            # the shared values, so the list comparison is mostly identity.
+            p = sp.p
             bar = _conjugate(sp)
-            for k, alpha in enumerate(alphas):
+            n1 = p // 3 + 1
+            v1 = chi_p(p, n1)
+            fast = [cubic_symbol(alpha, s) for alpha in alphas for s in (sp, bar)]
+            fast.append(v1)
+            if fast == slow:
+                rec.checks += _SYMBOL_EXPS
+            else:
+                for k, alpha in enumerate(alphas):
+                    rec.check(
+                        fast[2 * k] == slow[2 * k],
+                        "fp symbol of {} differs mod {}",
+                        alpha,
+                        p,
+                    )
+                    rec.check(
+                        fast[2 * k + 1] == slow[2 * k + 1],
+                        "fp symbol of {} differs mod the conjugate factor of {}",
+                        alpha,
+                        p,
+                    )
                 rec.check(
-                    cubic_symbol(alpha, sp).exp == slow[i + 2 * k],
-                    "fp symbol of {} differs mod {}",
-                    alpha,
-                    sp.p,
+                    fast[-1] == slow[-1], "chi_{}({}) differs from the symbol", p, n1
                 )
-                rec.check(
-                    cubic_symbol(alpha, bar).exp == slow[i + 2 * k + 1],
-                    "fp symbol of {} differs mod the conjugate factor of {}",
-                    alpha,
-                    sp.p,
-                )
-            # chi_p shares the F_p Euler step with the fp symbol, so it is
-            # spot-checked against the Z[j] ladder; then multiplicativity
-            n1 = sp.p // 3 + 1
-            n2 = sp.p // 2 + 1
-            v1, v2 = chi_p(sp.p, n1), chi_p(sp.p, n2)
+            # then multiplicativity, and the values at 0 and 1
+            n2 = p // 2 + 1
             rec.check(
-                v1.exp == slow[i + _SYMBOL_LANES - 1],
-                "chi_{}({}) differs from the symbol",
-                sp.p,
-                n1,
-            )
-            rec.check(
-                v1 * v2 == chi_p(sp.p, n1 * n2),
+                v1 * chi_p(p, n2) == chi_p(p, n1 * n2),
                 "chi_{} not multiplicative at {},{}",
-                sp.p,
+                p,
                 n1,
                 n2,
             )
             rec.check(
-                chi_p(sp.p, sp.p) == ZERO and chi_p(sp.p, 1) == ROOT(0),
+                chi_p(p, p) == ZERO and chi_p(p, 1) == ROOT(0),
                 "chi_{} wrong at 0 or 1",
-                sp.p,
+                p,
             )
     return rec
 
@@ -580,11 +623,13 @@ def _suite_ksum(bound: int) -> _Recorder:
 
 # name: (suite, default bound, smallest bound, largest bound or 0); the
 # census grids start at 10^9 and 10^12, the suites over split primes at the
-# first one, 7, below which they would check nothing, and reciprocity's m^2
-# bytes of exponents for m primary primes reach about 92 MB at 10^5
+# first one, 7, below which they would check nothing, reciprocity's m^2
+# bytes of exponents for m primary primes reach about 92 MB at 10^5, and
+# the standard table that symbols walks grows with its bound (at 2^30 past
+# 1 GB), so it stops at 10^7
 _SUITES = {
     "reciprocity": (_suite_reciprocity, 10**4, 7, 10**5),
-    "symbols": (_suite_symbols, 10**4, 7, STANDARD_ARRAY_MAX),
+    "symbols": (_suite_symbols, 10**4, 7, 10**7),
     "indicator": (_suite_indicator, 200, 7, 0),
     "integrality": (_suite_integrality, 10**16, 10**9, 0),
     "subsum-identities": (_suite_subsums, 10**16, 10**12, 0),

@@ -310,6 +310,16 @@ def test_verify_reciprocity_above_its_cap_is_domain_error(capsys):
     assert err == want
 
 
+def test_verify_symbols_above_its_cap_is_domain_error(capsys):
+    # the standard table the suite walks grows with the bound, so it stops
+    # at 10^7 as reciprocity stops at 10^5
+    assert run(["verify", "--suite", "symbols", "--bound", "10000001"]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    want = "error: suite symbols takes a bound from 7 to 10000000, got 10000001\n"
+    assert err == want
+
+
 @pytest.mark.parametrize("bound", ["1", "2", "90"])
 def test_verify_ksum_below_its_fixed_points(bound, capsys):
     assert run(["verify", "--suite", "ksum", "--bound", bound]) == 0

@@ -1,6 +1,7 @@
 """The verification suites at reduced bounds, and their helpers."""
 
 import time
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from heisnine.eisenstein import (
     StandardPrime,
     cubic_symbol,
     standard_decompose,
+    standard_prime_arrays,
     standard_primes_up_to,
 )
 from heisnine.verify import (
@@ -171,6 +173,12 @@ def _all_zero(alphas, betas):
     return [ZERO] * len(alphas)
 
 
+def _all_zero_blocks(bound):
+    """_symbol_blocks with every Z[j] exponent read as the zero value."""
+    p = standard_prime_arrays(bound)[0]
+    yield np.full((len(p), verify._SYMBOL_EXPS), -1, dtype=np.int64)
+
+
 def _conj_row_at(a, b, orig):
     """_symbol_row with the row of the denominator a + b*j conjugated."""
 
@@ -228,6 +236,8 @@ def test_failure_text_unchanged(monkeypatch, capsys):
     monkeypatch.undo()
     monkeypatch.setattr(verify, "_euler_symbols", _all_zero)
     assert _verify_out(capsys, "reciprocity", 600, 1) == _RECIPROCITY_SLOW_TEXT + "\n"
+    # the symbols suite reads its Z[j] exponents from _symbol_blocks
+    monkeypatch.setattr(verify, "_symbol_blocks", _all_zero_blocks)
     assert _verify_out(capsys, "symbols", 7, 1) == _SYMBOLS_TEXT + "\n"
 
 
@@ -267,34 +277,95 @@ def test_symbols_suite_at_its_default_bound_in_budget():
     res = run_suite("symbols")
     elapsed = time.monotonic() - t0
     assert res.ok and (res.bound, res.checks) == (10**4, 10387)
-    assert elapsed < 0.5
+    assert elapsed < 0.25
 
 
 def test_symbol_lanes_match_the_pairs_of_the_prime_objects():
-    # 10^4 holds 611 split primes, three blocks of at most 273 primes
+    # the suite's 15 Z[j] exponents per prime, from one ladder per alpha
+    # read at both factors, against the tuple route on the pairs read off
+    # the prime objects; 10^4 holds 611 split primes, two blocks of at most
+    # 512 primes
     bound = 10**4
     blocks = list(verify._symbol_blocks(bound))
-    assert len(blocks) == 3
-    assert all(a.dtype == b.dtype == np.int64 for a, b in blocks)
-    assert all(len(a) <= verify._EULER_BLOCK for a, _ in blocks)
-    got = [
-        (tuple(alpha), tuple(beta))
-        for alphas, betas in blocks
-        for alpha, beta in zip(alphas.tolist(), betas.tolist())
-    ]
+    assert [b.shape for b in blocks] == [(512, 15), (99, 15)]
+    assert all(b.dtype == np.int64 for b in blocks)
+    got = [v for b in blocks for v in verify._VALUE_OF_EXP[b].ravel().tolist()]
     sps = standard_primes_up_to(bound)
-    want = list(oracles.symbol_pairs(sps, list(verify._SYMBOL_ALPHAS)))
-    assert len(want) == 611 * 15
+    pairs = list(oracles.symbol_pairs(sps, list(verify._SYMBOL_ALPHAS)))
+    assert len(pairs) == 611 * 15
+    assert got == _euler_symbols(*zip(*pairs))
+
+
+@pytest.mark.parametrize("beta", [(2, 0), (2, 3), (5, 0)])
+def test_general_symbol_exit_at_small_norms(beta):
+    # N = 4, 7 and 25: at beta = 2, j is not its own remainder (_reduce(j, 2)
+    # is -j), so the exit must compare remainders; every residue class of
+    # alpha mod N, against the oracle at the split beta and the inert route
+    # at an inert one
+    a, b = beta
+    n = a * a - a * b + b * b
+    alphas = [EisensteinInt(x, y) for x in range(n) for y in range(n)]
+    got = _euler_symbols(_pairs(alphas), [beta] * len(alphas))
+    if b:
+        sp = StandardPrime(n, EisensteinInt(a, b), standard_decompose(n).r)
+        want = [oracles.symbol_eis_literal(alpha, sp) for alpha in alphas]
+    else:
+        want = [oracles.symbol_inert(alpha, a) for alpha in alphas]
     assert got == want
+    assert {v.exp for v in got} == {None, 0, 1, 2}
+    assert verify._reduce(0, 1, 2, 0, 4) == (0, -1)
+
+
+def test_symbols_suite_catches_a_ladder_read_at_the_wrong_factor(monkeypatch):
+    # the Z[j] powers read at pi where conj(pi) is due: every alpha whose
+    # symbols at the two factors of 7 differ fails its conjugate check, six
+    # of the seven (6 - j has j at both)
+    orig = verify._root_exps
+
+    def at_pi(oa, ob, ba, bb, nb):
+        if (bb < 0).all():  # conj(pi) = (a - b) - b*j of pi = a + b*j, b > 0
+            ba, bb = ba - bb, -bb
+        return orig(oa, ob, ba, bb, nb)
+
+    sp = standard_decompose(7)
+    bar = StandardPrime(7, sp.pi.conj(), sp.r * sp.r % 7)
+    alphas = [EisensteinInt(*t) for t in verify._SYMBOL_ALPHAS]
+    want = tuple(
+        f"fp symbol of {alpha} differs mod the conjugate factor of 7"
+        for alpha in alphas
+        if oracles.symbol_eis_literal(alpha, sp) != oracles.symbol_eis_literal(alpha, bar)
+    )
+    assert len(want) == 6
+    monkeypatch.setattr(verify, "_root_exps", at_pi)
+    res = run_suite("symbols", 7)
+    assert res.checks == 17 and res.failures == want
+
+
+def test_walk_builds_the_prime_objects_of_the_scalar_route():
+    # standard_primes_up_to and _conjugate set the fields of each object in
+    # one step; the objects must equal, hash and print like those built
+    # field by field
+    sps = list(standard_primes_up_to(2000))
+    assert len(sps) == 148
+    for sp in sps:
+        p, r = sp.p, sp.r
+        want = standard_decompose(p)
+        assert sp == want and hash(sp) == hash(want) and repr(sp) == repr(want)
+        assert hash(sp.pi) == hash(want.pi)
+        assert all(type(v) is int for v in (p, r, sp.pi.a, sp.pi.b))
+        bar = _conjugate(sp)
+        want = StandardPrime(p, sp.pi.conj(), r * r % p)
+        assert bar == want and hash(bar) == hash(want) and repr(bar) == repr(want)
+        with pytest.raises(FrozenInstanceError):
+            bar.r = 0
+        with pytest.raises(FrozenInstanceError):
+            bar.pi.a = 0
 
 
 def test_general_symbol_takes_arrays_and_tuples_alike():
-    # the symbols suite's lanes at 10^4, and a grid at 7 that meets zero
-    pairs = [
-        (tuple(alpha), tuple(beta))
-        for alphas, betas in verify._symbol_blocks(10**4)
-        for alpha, beta in zip(alphas.tolist(), betas.tolist())
-    ]
+    # the symbols suite's pairs at 10^4, and a grid at 7 that meets zero
+    sps = standard_primes_up_to(10**4)
+    pairs = list(oracles.symbol_pairs(sps, list(verify._SYMBOL_ALPHAS)))
     pi = standard_decompose(7).pi
     pairs += [((a, b), (pi.a, pi.b)) for a in range(-7, 8) for b in range(-7, 8)]
     alphas, betas = (list(t) for t in zip(*pairs))
@@ -397,7 +468,7 @@ def test_reciprocity_suite_at_its_default_bound_in_budget():
         ("integrality", 10**9 - 1, "from 1000000000"),
         ("subsum-identities", 10**12 - 1, "from 1000000000000"),
         ("reciprocity", 10**5 + 1, "from 7 to 100000"),
-        ("symbols", 2**30 + 1, "from 7 to 1073741824"),
+        ("symbols", 10**7 + 1, "from 7 to 10000000"),
     ],
 )
 def test_suite_bound_out_of_range_names_the_suite(name, bound, limits):
