@@ -50,7 +50,7 @@ from .eisenstein import (
     _standard_table,
     standard_decompose,
 )
-from .ksum import _alpha3
+from .ksum import P_MAX_CAP, _alpha3, _check_p_max
 
 __all__ = [
     "TruncationParams",
@@ -64,10 +64,9 @@ __all__ = [
 ]
 
 
-# Caps on the truncation: the sieve of p_max takes p_max bytes (100 MB at
-# the cap) and the prime grids are exact in uint32; the class table of one
+# Caps on the truncation: p_max is checked by ksum._check_p_max, and below
+# P_MAX_CAP the prime grids are exact in uint32; the class table of one
 # Delta holds 9 Delta ids.
-P_MAX_CAP = 10**8
 DELTA_MAX_CAP = 10**6
 
 # characters times classes per _block_products call in h_constants: a
@@ -97,8 +96,7 @@ class TruncationParams:
             raise ValueError(
                 f"delta_max must be in [1, {DELTA_MAX_CAP}], got {self.delta_max}"
             )
-        if not 100 <= self.p_max <= P_MAX_CAP:
-            raise ValueError(f"p_max must be in [100, {P_MAX_CAP}], got {self.p_max}")
+        _check_p_max(self.p_max)
         if self.delta_max > self.p_max:
             raise ValueError(f"delta_max {self.delta_max} exceeds p_max {self.p_max}")
 
@@ -645,23 +643,30 @@ class CancellationSum:
         return abs(self.value) / self.terms if self.terms else 0.0
 
 
+def _is_bits(v: object) -> bool:
+    """True if v is a tuple of two int exponents, 0 or 1, with sum <= 1."""
+    return isinstance(v, tuple) and all(type(e) is int for e in v) and v in ((0, 0), (1, 0), (0, 1))
+
+
 def _check_pattern(
     f: SupportFunction,
     eps: tuple[int, int],
     pattern: dict[int, tuple[int, int]] | None,
 ) -> dict[int, tuple[int, int]]:
+    """The pattern, (1, 0) at each support prime away from 3 if None;
+    ValueError on a malformed eps or pattern (a bool or float is no int)."""
     if pattern is None:
         pattern = {r: (1, 0) for r in f.supp3}
-    if eps[0] not in (0, 1) or eps[1] not in (0, 1) or sum(eps) > 1:
-        raise ValueError("epsilon exponents must be 0/1 with sum <= 1")
-    total = 0
-    for r, (e1, e2) in pattern.items():
-        if r not in f.supp3:
-            raise ValueError(f"{r} is not a support prime of f away from 3")
-        if e1 not in (0, 1) or e2 not in (0, 1) or e1 + e2 > 1:
-            raise ValueError("per-prime exponents must be 0/1 with sum <= 1")
-        total += e1 + e2
-    if total < 1:
+    if not _is_bits(eps):
+        raise ValueError(f"eps must be two 0/1 integers with sum <= 1, got {eps!r}")
+    if not isinstance(pattern, dict):
+        raise ValueError(f"pattern must be a dict, got {pattern!r}")
+    for r, es in pattern.items():
+        if type(r) is not int or r not in f.supp3:
+            raise ValueError(f"{r!r} is not a support prime of f away from 3")
+        if not _is_bits(es):
+            raise ValueError(f"exponents at {r} must be two 0/1 integers with sum <= 1, got {es!r}")
+    if not any(map(any, pattern.values())):
         raise ValueError("trivial exponent pattern: some e1 + e2 must be >= 1")
     return pattern
 

@@ -11,19 +11,18 @@ observed from the computed integer, never assumed.
 
 The terms at a smaller X are the terms at a larger X with D <= X, so one
 enumeration serves every X: the term skeleton lists each pair with a term
-at a bound B, without its K-value, and holds the four pairs of a conjugate
+at X_MAX, without its K-value, and holds the four pairs of a conjugate
 orbit {f, 2f} x {f', 2f'}, which share row, D, u and dd, as one entry (186
-orbits for the 744 pairs at 10^18).  Cost model of the census: the first X
-asked enumerates at B = X; an X above B re-enumerates at min(X_MAX,
-max(X, B^(3/2))), so the bounds step geometrically and reach X_MAX only
-when asked near it; every other X costs one pass over the orbits, with a
-sixth root and a K-sum only where X // D >= 7^6 (3 orbits at 10^18), and
-counts each orbit four times.  enumerate_terms expands the orbits into
-their pairs in stream order once per skeleton.  Each enumeration skips
-the Delta(f) that _no_entry proves empty, by a rank test over F_3 that
-reads the characters at the primes of Delta(f), at 3 and at the primes
-below 63 (92 of 105 at 10^18), works out one of f and 2f and one of f' and
-2f', reads chi_p(n) once per Delta(f) through eisenstein._chi_exp, Euler's
+orbits for the 744 pairs).  Cost model of the census: the first X >= 3^8
+asked builds the skeleton, once per process; every X then costs one pass
+over the orbits, with a sixth root and a K-sum only where X // D >= 7^6 (3
+orbits at 10^18), and counts each orbit four times.  enumerate_terms
+lists the four pairs of each orbit with D <= X and sorts them into stream
+order, 1.2-1.5 ms warm at 10^18.  An enumeration at a bound B skips the
+Delta(f) that _no_entry proves empty, by a rank test over F_3 that reads
+the characters at the primes of Delta(f), at 3 and at the primes below 63
+(92 of 105 at 10^18), works out one of f and 2f and one of f' and 2f',
+reads chi_p(n) once per Delta(f) through eisenstein._chi_exp, Euler's
 criterion n^((p-1)/3) = r_p^e (mod p) with r_p the image of j, and builds
 no chi_p table.  It lists the new parts of f' up to ifourth_root(B //
 7^6), the most any Delta(f) reads, and each half of f' once, its values on
@@ -36,13 +35,12 @@ functions they share, without checking again what the census built.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
-from math import exp, gcd, isqrt, log, prod
+from itertools import product
+from math import exp, gcd, log, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -300,7 +298,8 @@ RawTerm = tuple[int, int, Entries, Entries, int, int, int, int]
 # entries, f' entries, row, D for 3 coprime to d, D for 3 | d, u =
 # 3^|union support|, dd = Delta(f) Delta(f')), f and f' each the one that
 # leads with a 1; the first four are its sort key
-Skeleton = list[tuple[int, int, Entries, Entries, int, int, int, int, int]]
+Orbit = tuple[int, int, Entries, Entries, int, int, int, int, int]
+Skeleton = list[Orbit]
 
 
 def _summed(ent: Entries, vec: dict[int, tuple[int, ...]]) -> list[int]:
@@ -567,15 +566,6 @@ def _census_for_delta(
     return out
 
 
-# The term skeleton, by the bound B it was built at; at most one is held,
-# as [orbits, their expansion (_expand) or None until _terms needs it].  B
-# is the first X asked, so a lone call enumerates no further than it needs;
-# an X above B rebuilds at min(X_MAX, max(X, B isqrt(B))), about B^(3/2),
-# so a grid of X that stays low never pays for the enumeration at X_MAX,
-# and one that climbs rebuilds O(log log X_MAX) times.
-_skeleton_cache: dict[int, list] = {}
-
-
 def _build_skeleton(bound: int) -> Skeleton:
     """Every skeleton entry (one per orbit) at X = bound, sorted."""
     narrow = enumerate_deltas(isixth_root(bound))
@@ -588,77 +578,44 @@ def _build_skeleton(bound: int) -> Skeleton:
     return skel
 
 
-def _held(x: int) -> list:
-    """The held [orbits, expansion or None] if its bound covers x, else a
-    new one built by the rule above."""
-    bound = x
-    for held, pair in _skeleton_cache.items():
-        if x <= held:
-            return pair
-        bound = min(X_MAX, max(x, held * isqrt(held)))
-    _skeleton_cache.clear()
-    _skeleton_cache[bound] = pair = [_build_skeleton(bound), None]
-    return pair
+@lru_cache(maxsize=1)
+def _skeleton() -> Skeleton:
+    """The one skeleton every census reads, built on first use at X_MAX."""
+    return _build_skeleton(X_MAX)
 
 
-def _skeleton(x: int) -> Skeleton:
-    """The held orbits whose bound covers x."""
-    return _held(x)[0]
-
-
-def _expand(skel: Skeleton) -> list[tuple[int, int, Entries, Entries, int]]:
-    """(Delta(f), Delta(f'), f entries, f' entries, orbit index) for the four
-    pairs of each orbit, in stream order."""
-    twice: dict[Entries, Entries] = {}
-    out = []
-    for i, (df, dfp, f, fp, *_) in enumerate(skel):
-        for e in (f, fp):
-            if e not in twice:
-                twice[e] = tuple([(p, 3 - v) for p, v in e])
-        f2, fp2 = twice[f], twice[fp]
-        out += (df, dfp, f, fp, i), (df, dfp, f2, fp, i), (df, dfp, f, fp2, i), (df, dfp, f2, fp2, i)
-    out.sort()  # the first four fields are distinct
-    return out
-
-
-def _weighed(
-    x: int, skel: Skeleton
-) -> Iterator[tuple[int, int, int, int, int, int | None]]:
-    """(index, row, D, weight, D for 3 | d, its weight or None if past x)
-    of each orbit with a term at X = x: a weight is u * K(isixth_root(x //
-    D), dd), the 3 | d one without its w3 factor, for each pair of the
-    orbit."""
-    for i, (_, _, _, _, row, d1, d3, u, dd) in enumerate(skel):
+def _weighed(x: int) -> Iterator[tuple[Orbit, int, int | None]]:
+    """(orbit, weight, weight for 3 | d or None if past x) of each orbit
+    with a term at X = x: a weight is u * K(isixth_root(x // D), dd), the
+    3 | d one without its w3 factor, for each pair of the orbit.  Every D
+    is at least 3^8, so no x below it builds the skeleton."""
+    if x < 3**8:
+        return
+    for orbit in _skeleton():
+        _, _, _, _, row, d1, d3, u, dd = orbit
         if d1 > x:
             continue
         w = u * _k_value(x // d1, dd)
         if row != 1:  # 3 | d raises D in row 1 only; other rows keep the weight
-            yield i, row, d1, w, d3, w
+            yield orbit, w, w
         elif d3 > x:
-            yield i, row, d1, w, d3, None
+            yield orbit, w, None
         else:
-            yield i, row, d1, w, d3, u * _k_value(x // d3, dd)
+            yield orbit, w, u * _k_value(x // d3, dd)
 
 
-def _terms(x: int) -> Iterator[RawTerm]:
-    """The raw terms at X = x in stream order: each pair of an orbit with
-    D <= x, weighed once per orbit (_weighed).  The orbits are expanded
-    once per skeleton."""
-    if x < 3**8:
-        return
-    pair = _held(x)
-    if pair[1] is None:
-        pair[1] = _expand(pair[0])
-    skel, members = pair
-    weights = {t[0]: t for t in _weighed(x, skel)}
-    for df, dfp, f_ent, fp_ent, i in members:
-        t = weights.get(i)
-        if t is None:
-            continue
-        _, row, d1, w, d3, w3 = t
-        yield df, dfp, f_ent, fp_ent, 1, d1, row, w
-        if w3 is not None:
-            yield df, dfp, f_ent, fp_ent, 3, d3, row + 7, w3
+def _terms(x: int) -> list[RawTerm]:
+    """The raw terms at X = x in stream order: the four pairs of each orbit
+    with D <= x, weighed once per orbit (_weighed)."""
+    out: list[RawTerm] = []
+    for (df, dfp, f, fp, row, d1, d3, _, _), w, w3 in _weighed(x):
+        f2, fp2 = (tuple([(p, 3 - v) for p, v in e]) for e in (f, fp))
+        for g, h in ((f, fp), (f2, fp), (f, fp2), (f2, fp2)):
+            out.append((df, dfp, g, h, 1, d1, row, w))
+            if w3 is not None:
+                out.append((df, dfp, g, h, 3, d3, row + 7, w3))
+    out.sort()  # the first five fields are distinct
+    return out
 
 
 # Memoized by X: both weight modes, verify suites, ratio grids and subsum
@@ -669,11 +626,10 @@ def _census(x: int) -> tuple[int, ...]:
     factor.  One pass over the orbits serves both weight modes: every 3 | d
     weight is u * w3 * K, and each orbit weighs four times its one pair."""
     subs = [0] * 15
-    if x >= 3**8:
-        for _, row, _, w, _, w3 in _weighed(x, _skeleton(x)):
-            subs[row] += w
-            if w3 is not None:
-                subs[row + 7] += w3
+    for (_, _, _, _, row, *_), w, w3 in _weighed(x):
+        subs[row] += w
+        if w3 is not None:
+            subs[row + 7] += w3
     return tuple(4 * s for s in subs[1:])
 
 
@@ -718,17 +674,14 @@ def enumerate_terms(
     """Stream the nonzero pair contributions in deterministic order:
     (Delta(f), Delta(f'), f entries, f' entries, d-class).  A limit keeps
     the first limit terms: an integer (not a bool, else TypeError), and
-    nonnegative (else ValueError); one above sys.maxsize, which islice
-    cannot take and no census reaches, keeps them all."""
+    nonnegative (else ValueError)."""
     _check_x(x)
     check_type(mode, WeightMode, "mode")
     if limit is not None:
         check_int(limit, "limit")
         if limit < 0:
             raise ValueError(f"limit must be nonnegative, got {limit}")
-        if limit > sys.maxsize:
-            limit = None
-    records = list(islice(_terms(x), limit))
+    records = _terms(x)[:limit]
     w3 = mode.w3
     # one object per function: terms share them, as pairs share f; the
     # census built every entry tuple in normal form

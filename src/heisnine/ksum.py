@@ -253,18 +253,30 @@ def psi_ell(d: int, ell: int) -> Fraction:
     return out
 
 
+# The p_max range of alpha_ell and of constants.TruncationParams: the sieve
+# of p_max takes p_max bytes (100 MB at the cap).
+P_MAX_CAP = 10**8
+
+
+def _check_p_max(p_max: int) -> None:
+    if not 100 <= p_max <= P_MAX_CAP:
+        raise ValueError(f"p_max must be in [100, {P_MAX_CAP}], got {p_max}")
+
+
 def alpha_ell(ell: int, p_max: int = 10**6) -> float:
     """Leading density alpha_ell in K(x; ell, 1) ~ alpha_ell x, for ell = 3
     only (ValueError otherwise), from the absolutely convergent rewriting
         alpha_3 = (3/4) L(1, (./3)) prod_p g(p),
     g(p) = 1 - 1/p^2 (p = 2 mod 3), (1 + 2/p)(1 - 1/p)^2 (p = 1 mod 3),
     8/9 (p = 3), with L(1, (./3)) = pi / 3^(3/2); the truncation error is
-    O(1/p_max).  ell and p_max are integers (TypeError otherwise).
+    O(1/p_max).  ell and p_max are integers (TypeError otherwise), and
+    p_max lies in [100, P_MAX_CAP] (ValueError otherwise).
     """
     for v, name in ((ell, "ell"), (p_max, "p_max")):
         check_int(v, name)
     if ell != 3:
         raise ValueError(f"alpha_ell is computed for ell = 3 only, got {ell}")
+    _check_p_max(p_max)
     ps = primes_up_to(p_max).astype(np.float64)
     return _alpha3(ps[ps % 3 == 1], ps[ps % 3 == 2])
 

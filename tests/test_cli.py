@@ -299,7 +299,15 @@ def test_verify_bound_below_grid_is_domain_error(suite, bound, capsys):
     out, err = _out(capsys)
     assert out == ""
     lo = {"integrality": 10**9, "subsum-identities": 10**12}[suite]
-    assert err.startswith(f"error: suite {suite} takes a bound from {lo}, got ")
+    assert err.startswith(f"error: suite {suite} takes a bound from {lo} to {10**18}, got ")
+
+
+def test_verify_ksum_past_what_it_checks_is_domain_error(capsys):
+    # refused, not run up to 3000 and reported at this bound
+    assert run(["verify", "--suite", "ksum", "--bound", "1000000000"]) == 1
+    out, err = _out(capsys)
+    assert out == ""
+    assert err == "error: suite ksum takes a bound from 1 to 3000, got 1000000000\n"
 
 
 def test_verify_reciprocity_above_its_cap_is_domain_error(capsys):
@@ -445,9 +453,8 @@ def test_public_names():
 
 def test_no_module_cache_grows_with_every_call():
     # every functools cache has a finite maxsize or wraps a function of no
-    # parameters, and the chi_p tables are held to a byte bound instead; the
-    # one module-level cache dict keeps its own one-entry rule (the census
-    # skeleton)
+    # parameters, and the chi_p tables are held to a byte bound instead; no
+    # module holds a cache dict of its own
     caches, by_bytes, dicts = [], [], []
     for info in pkgutil.iter_modules(heisnine.__path__):
         mod = importlib.import_module(f"heisnine.{info.name}")
@@ -467,7 +474,7 @@ def test_no_module_cache_grows_with_every_call():
                 dicts.append(name)
     assert {"constants._grids", "counting._census"} <= set(caches)
     assert by_bytes == ["eisenstein.chi_p_table"]
-    assert dicts == ["counting._skeleton_cache"]
+    assert dicts == []
 
 
 def test_only_cli_imports_json_or_csv():

@@ -495,6 +495,14 @@ def test_cancellation_pattern_validation():
         char_cancellation_profile(F7, (1000,), eps=(1, 1))
     with pytest.raises(ValueError):
         char_cancellation_profile(F7, (1000, 100))
+    # malformed eps or pattern: refused at the boundary, not by an
+    # IndexError or a numpy error inside the walk, nor read in part
+    for eps in ((1,), (0, 0, 1), (1.0, 0), (True, 0), [1, 0], None):
+        with pytest.raises(ValueError, match="eps must be"):
+            char_cancellation_profile(F7, (1000,), eps=eps)
+    for pattern in ({7.0: (1, 0)}, {True: (1, 0)}, {7: (1,)}, {7: (1.0, 0)}, [(7, (1, 0))]):
+        with pytest.raises(ValueError):
+            char_cancellation_profile(F7, (1000,), pattern=pattern)
 
 
 def test_cancellation_matches_complex_product():

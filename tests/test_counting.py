@@ -255,12 +255,13 @@ def test_census_zero_below_minimal_invariant():
     assert heis_total(10**6, FULL).raw_total == 0
     assert heis_total(10**9, FULL).raw_total == 0
     assert heis_total(10**9, STAR).raw_total == 0
-    # each X cold, so each builds its own skeleton: from 3^8, where the
-    # first one is built, past 7^4 3^8, below which every Delta(f) is skipped
-    for x in (3**8, 3**8 + 1, 7**4, 10**6, 7**4 * 3**8 - 1, 7**4 * 3**8, 10**9):
+    # each X cold: below 3^8 no skeleton is built, and from there every
+    # orbit of the one built at X_MAX lies past X
+    for x in (7**4, 3**8 - 1, 3**8, 3**8 + 1, 10**6, 7**4 * 3**8, 10**9):
         _clear_census_caches()
         assert heis_total(x, FULL).raw_total == 0
-        assert counting._skeleton(x) == []
+        assert list(enumerate_terms(x, STAR)) == []
+    assert min(t[5] for t in counting._skeleton()) > 10**9
 
 
 def test_census_divergence_at_6e12():
@@ -308,7 +309,7 @@ def test_terms_stream_empty_and_limited():
 
 @pytest.mark.parametrize("limit", [sys.maxsize, sys.maxsize + 1, 2**70])
 def test_terms_limit_past_maxsize_keeps_every_term(limit):
-    # islice takes no stop above sys.maxsize; such a limit cuts nothing
+    # a slice clamps any int stop; such a limit cuts nothing
     x = 10**13
     assert list(enumerate_terms(x, FULL, limit=limit)) == list(enumerate_terms(x, FULL))
 
@@ -436,7 +437,7 @@ def test_terms_stream_matches_literal_route(x):
 
 def _clear_census_caches():
     counting._census.cache_clear()
-    counting._skeleton_cache.clear()
+    counting._skeleton.cache_clear()
     eisenstein._j_image.cache_clear()
     charspace._deltas_cached.cache_clear()
     ksum._one_counts.cache_clear()
@@ -477,48 +478,59 @@ def test_skeleton_reports_do_not_depend_on_call_order(mode):
 
 
 def test_terms_stream_unchanged_by_a_call_at_x_max():
+    # the terms at x are the pairs of the one skeleton with D <= x, weighed
+    # at x, whether the census at X_MAX or the stream at x built it
     x = 6 * 10**12
     _clear_census_caches()
     before = list(enumerate_terms(x, FULL))
-    assert list(counting._skeleton_cache) == [x]
-    # the expansion into pairs is held with its skeleton, and made only for
-    # the term stream
-    assert counting._skeleton_cache[x][1] is not None
     heis_total(X_MAX, FULL)
-    assert list(counting._skeleton_cache) == [X_MAX]
-    assert counting._skeleton_cache[X_MAX][1] is None
     assert list(enumerate_terms(x, FULL)) == before
-    assert len(counting._skeleton_cache[X_MAX][1]) == 744
+    assert counting._skeleton.cache_info().misses == 1
+    top = list(enumerate_terms(X_MAX, FULL))
+    assert len(top) == 1140
+    assert [(t.f, t.fp, t.d_class, t.big_d, t.cls) for t in before] == [
+        (t.f, t.fp, t.d_class, t.big_d, t.cls) for t in top if t.big_d <= x
+    ]
 
 
-def test_one_skeleton_after_many_x():
+def test_one_skeleton_build_per_process_at_x_max(monkeypatch):
+    builds = []
+    orig = counting._build_skeleton
+    monkeypatch.setattr(
+        counting, "_build_skeleton", lambda bound: builds.append(bound) or orig(bound)
+    )
+    xs = log_grid(10**9, 10**18, 300)
+    for order in (xs, xs[::-1], random.Random(5).sample(xs, len(xs))):
+        _clear_census_caches()
+        for x in order:
+            for mode in (STAR, FULL):
+                heis_total(x, mode)
+            list(enumerate_terms(x, FULL, limit=3))
+        assert builds == [X_MAX]
+        builds.clear()
     _clear_census_caches()
-    for x in log_grid(10**9, 10**18, 300):
-        heis_total(x, STAR)
-    assert len(counting._skeleton_cache) == 1
-
-
-def test_lone_call_builds_at_its_own_x_and_a_larger_x_at_x_max():
+    for name in ("integrality", "subsum-identities"):
+        assert run_suite(name).ok
+    assert builds == [X_MAX]
+    # no x below 3^8 has a term, so none builds the skeleton
     _clear_census_caches()
-    heis_total(10**12, FULL)
-    assert list(counting._skeleton_cache) == [10**12]
-    heis_total(10**13, FULL)
-    assert list(counting._skeleton_cache) == [X_MAX]
-
-
-def test_low_grid_never_builds_at_x_max():
-    # B is 10^9, then 10^9 isqrt(10^9), about 10^13.5, covers the grid
-    _clear_census_caches()
-    for x in log_grid(10**9, 10**13, 9):
+    builds.clear()
+    for x in range(0, 3**8, 97):
         heis_total(x, FULL)
-        assert X_MAX not in counting._skeleton_cache
-    assert list(counting._skeleton_cache) == [31622 * 10**9]
+        assert list(enumerate_terms(x, STAR)) == []
+    assert builds == []
 
 
 def _expanded(skel):
-    # the held orbits as the per-pair skeleton they stand for: each of the
-    # four pairs with its orbit's row, D1, D3, u and dd, in stream order
-    return [(df, dfp, g, h) + skel[i][4:] for df, dfp, g, h, i in counting._expand(skel)]
+    # the orbits as the per-pair skeleton they stand for: each of the four
+    # pairs with its orbit's row, D1, D3, u and dd, in stream order
+    pairs = [
+        (df, dfp, g, h, *rest)
+        for df, dfp, f, fp, *rest in skel
+        for g in (f, tuple((p, 3 - v) for p, v in f))
+        for h in (fp, tuple((p, 3 - v) for p, v in fp))
+    ]
+    return sorted(pairs, key=lambda t: t[:4])
 
 
 def test_cold_build_at_x_max_within_budget():
@@ -627,12 +639,8 @@ def test_orbit_weighing_matches_the_per_pair_sum():
     t0 = time.monotonic()
     for x in log_grid(10**12, X_MAX, 7):
         base = counting._census(x)
-        skel = counting._skeleton(x)
         subs = [0] * 15
-        members = {}
-        for df, dfp, g, h, i in counting._expand(skel):
-            members.setdefault(i, []).append((g, h))
-            _, _, _, _, row, d1, d3, u, dd = skel[i]
+        for _, _, _, _, row, d1, d3, u, dd in _expanded(counting._skeleton()):
             if d1 > x:
                 continue
             w = u * counting._k_value(x // d1, dd)
@@ -643,12 +651,6 @@ def test_orbit_weighing_matches_the_per_pair_sum():
                 w = u * counting._k_value(x // d3, dd)
             subs[row + 7] += w
         assert tuple(subs[1:]) == base
-        assert sorted(members) == list(range(len(skel)))
-        for i, pairs in members.items():
-            f, fp = skel[i][2:4]
-            twice = [tuple((p, 3 - v) for p, v in e) for e in (f, fp)]
-            assert len(set(pairs)) == 4
-            assert set(pairs) == {(g, h) for g in (f, twice[0]) for h in (fp, twice[1])}
         for mode in (STAR, FULL):
             lit, recs = oracles.census_literal(x, mode.w3, collect=mode is FULL)
             assert heis_total(x, mode).subsums == lit
@@ -728,7 +730,7 @@ def test_k_takes_a_root_only_from_seven_to_the_sixth(monkeypatch, q):
     d1 = 3**8
     x = q * d1 + d1 - 1
     entry = (7, 13, ((7, 1),), ((13, 1),), 1, d1, x + 1, 9, 91)
-    monkeypatch.setattr(counting, "_skeleton", lambda x: [entry])
+    monkeypatch.setattr(counting, "_skeleton", lambda: [entry])
     calls = _count_k_calls(monkeypatch)
     subs = counting._census.__wrapped__(x)
     k = 1 if q < 7**6 else ksum.k_direct(7, 3, 91)
@@ -826,4 +828,5 @@ def test_report_cache_is_bounded():
     for x in range(info.maxsize + 10):
         heis_total(x, STAR)
     assert counting._census.cache_info().currsize == info.maxsize
-    assert not counting._skeleton_cache  # every x < 3^8 has no terms
+    # every x < 3^8 has no terms, so none builds the skeleton
+    assert counting._skeleton.cache_info().currsize == 0

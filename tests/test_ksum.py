@@ -296,6 +296,18 @@ def test_alpha3_stable_under_pmax():
     assert abs(alpha_ell(3, 10**6) - alpha_ell(3, 2 * 10**6)) < 1e-4
 
 
+@pytest.mark.parametrize("p_max", [1, -5, 99, 10**8 + 1, 10**12])
+def test_alpha_refuses_p_max_outside_the_truncation_range(p_max):
+    # a p_max below 2 gave the product over no primes, and one past the cap
+    # asked for a sieve of p_max bytes
+    with pytest.raises(ValueError, match=r"p_max must be in \[100, 100000000\]"):
+        alpha_ell(3, p_max)
+
+
+def test_alpha_takes_the_least_p_max():
+    assert abs(alpha_ell(3, 100) - alpha_ell(3)) < 0.01
+
+
 @pytest.mark.parametrize("ell", [2, 7])
 def test_alpha_is_for_ell_3_only(ell):
     with pytest.raises(ValueError, match="ell = 3 only"):

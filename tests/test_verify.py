@@ -465,10 +465,15 @@ def test_reciprocity_suite_at_its_default_bound_in_budget():
 @pytest.mark.parametrize(
     "name,bound,limits",
     [
-        ("integrality", 10**9 - 1, "from 1000000000"),
-        ("subsum-identities", 10**12 - 1, "from 1000000000000"),
+        ("integrality", 10**9 - 1, "from 1000000000 to 1000000000000000000"),
+        ("subsum-identities", 10**12 - 1, "from 1000000000000 to 1000000000000000000"),
         ("reciprocity", 10**5 + 1, "from 7 to 100000"),
         ("symbols", 10**7 + 1, "from 7 to 10000000"),
+        # past what they check, the suites refuse a bound rather than clip it
+        ("integrality", 10**18 + 1, "from 1000000000 to 1000000000000000000"),
+        ("subsum-identities", 10**18 + 1, "from 1000000000000 to 1000000000000000000"),
+        ("ksum", 3001, "from 1 to 3000"),
+        ("indicator", 1001, "from 7 to 1000"),
     ],
 )
 def test_suite_bound_out_of_range_names_the_suite(name, bound, limits):
